@@ -34,6 +34,7 @@ __all__ = ["ExperimentConfig", "run", "sweep", "fit_gamma", "main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
+EXIT_NUMERICAL = 4
 
 
 @dataclass
@@ -48,7 +49,6 @@ class ExperimentConfig:
     max_iter: int = 200
     restart_dim: int | None = None
     shared_shift: bool = False
-    lazy_refactor: float = 0.0
     output_dir: str = "."
     format: str = "csv"
 
@@ -85,8 +85,6 @@ class ExperimentConfig:
             errors.append(f"max_iter must be >= 1, got {self.max_iter}")
         if self.restart_dim is not None and self.restart_dim < 2 * self.M + 1:
             errors.append(f"restart_dim must be at least {2 * self.M + 1}")
-        if self.lazy_refactor < 0:
-            errors.append("lazy_refactor must be >= 0")
         if self.format not in ("csv", "json"):
             errors.append(f"format must be 'csv' or 'json', got {self.format!r}")
         return errors
@@ -95,10 +93,8 @@ class ExperimentConfig:
         return SolverConfig(
             tol=self.tol,
             max_iter=self.max_iter,
-            overlap_ratio=self.overlap,
             restart_dim=self.restart_dim,
             shared_shift=self.shared_shift,
-            lazy_refactor=self.lazy_refactor,
         )
 
 
@@ -290,8 +286,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restart-dim", type=int, dest="restart_dim")
     p.add_argument("--shared-shift", action="store_const", const=True, dest="shared_shift",
                    help="use the single shift of the first cluster index for all corrections")
-    p.add_argument("--lazy-refactor", type=float, dest="lazy_refactor",
-                   help="reuse local factorizations while shifts move less than this")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--format", choices=["csv", "json"])
 
@@ -343,7 +337,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SchwarzJDError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

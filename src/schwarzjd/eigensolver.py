@@ -73,22 +73,14 @@ class ClusterSpec:
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 200
-    overlap_ratio: float = 0.25
     restart_dim: int | None = None
     shared_shift: bool = False
-    lazy_refactor: float = 0.0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise InvalidArgumentError(f"tolerance must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.overlap_ratio <= 0.5:
-            raise InvalidArgumentError(
-                f"overlap ratio must lie in (0, 1/2], got {self.overlap_ratio}"
-            )
-        if self.lazy_refactor < 0.0:
-            raise InvalidArgumentError("lazy_refactor tolerance must be >= 0")
 
 
 class IterationState:
@@ -326,10 +318,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         shifts = values[:1] if config.shared_shift else values
         if shift_cap is not None:
             shifts = np.minimum(shifts, shift_cap)
-        prec = clocked(
-            "prepare", schwarz.prepare, pencil, decomp, coarse, shifts,
-            reuse=prec, refactor_tol=config.lazy_refactor,
-        )
+        prec = clocked("prepare", schwarz.prepare, pencil, decomp, coarse, shifts, reuse=prec)
         corrections = clocked("correction", correction_step, state, prec, pencil)
         prev_values, prev_dim = values, state.dim
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)

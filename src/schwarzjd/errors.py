@@ -37,9 +37,5 @@ class EmptyBasisError(SchwarzJDError):
     """Orthonormalization dropped every vector and no basis remains."""
 
 
-class StagnationError(SchwarzJDError):
-    """The trial subspace stopped growing and the residual norm stalled."""
-
-
 class ProblemTooLargeError(InvalidArgumentError):
     """A dense reference computation was requested beyond its feasibility guard."""

@@ -13,6 +13,11 @@ l-th subdomain.  Restricting the coarse sum to indices above ``cluster_cut``
 deflates the targeted invariant subspace, which keeps the shifted coarse
 operator positive there; applying it spectrally is exact even when the shift
 collides with a deflated coarse eigenvalue.
+
+Subdomains with identical (K_l, M_l) form one operator class; on structured
+meshes most subdomains are translated copies of a few classes (interior,
+edges, corners).  Each class is factorized once per shift, and every
+subdomain solve uses its class's factorization.
 """
 
 from __future__ import annotations
@@ -29,11 +34,9 @@ from .mesh import Decomposition, MeshHierarchy
 
 __all__ = [
     "CoarsePiece",
-    "LocalPiece",
     "SchwarzPreconditioner",
     "build_coarse_piece",
     "prepare",
-    "apply",
 ]
 
 log = logging.getLogger(__name__)
@@ -77,32 +80,43 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     )
 
 
-@dataclass(eq=False)
-class LocalPiece:
-    """One subdomain's dof set and its factorization of K_l - shift * M_l."""
-
-    dofs: np.ndarray
-    factorization: linalg.Factorization
-    shift: float
-
-
 class _LocalBlocks:
-    """Extracted subdomain submatrices, cached across preconditioner rebuilds."""
+    """Subdomain submatrices, grouped into classes of identical (K_l, M_l).
+
+    ``class_of[l]`` is the class of subdomain l; ``k_blocks``/``m_blocks``
+    hold one pair per class, in order of first appearance.  Blocks are dense
+    up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it; the class key is
+    their exact bytes.
+    """
 
     def __init__(self, pencil, decomp: Decomposition):
+        self.pencil = pencil
+        self.decomp = decomp
+        self.class_of = []
         self.k_blocks = []
         self.m_blocks = []
         self.dof_sets = [np.asarray(d) for d in decomp.subdomains]
         K = pencil.stiffness.tocsr()
         M = pencil.mass.tocsr()
+        classes = {}
         for dofs in self.dof_sets:
             kb = K[dofs][:, dofs]
             mb = M[dofs][:, dofs]
             if len(dofs) <= linalg.DENSE_LIMIT:
                 kb = kb.toarray()
                 mb = mb.toarray()
-            self.k_blocks.append(kb)
-            self.m_blocks.append(mb)
+                key = (len(dofs), kb.tobytes(), mb.tobytes())
+            else:
+                kb.sort_indices()
+                mb.sort_indices()
+                key = (len(dofs),) + tuple(
+                    a.tobytes() for b in (kb, mb) for a in (b.indptr, b.indices, b.data)
+                )
+            c = classes.setdefault(key, len(classes))
+            if c == len(self.k_blocks):
+                self.k_blocks.append(kb)
+                self.m_blocks.append(mb)
+            self.class_of.append(c)
 
 
 class SchwarzPreconditioner:
@@ -111,10 +125,10 @@ class SchwarzPreconditioner:
     Immutable after construction; ``apply`` may be called concurrently.
     """
 
-    def __init__(self, coarse, shifts, local_pieces, blocks, n):
+    def __init__(self, coarse, shifts, factorizations, blocks, n):
         self.coarse = coarse
         self.shifts = np.asarray(shifts, dtype=np.float64)
-        self._local_pieces = local_pieces  # list per shift of LocalPiece lists
+        self._factorizations = factorizations  # per shift, one per operator class
         self._blocks = blocks
         self.n = n
 
@@ -124,10 +138,11 @@ class SchwarzPreconditioner:
 
     @property
     def n_local_factorizations(self) -> int:
-        return sum(len(pieces) for pieces in self._local_pieces)
+        return sum(len(facts) for facts in self._factorizations)
 
-    def local_pieces(self, i: int) -> list:
-        return self._local_pieces[i]
+    def local_factorizations(self, i: int) -> list:
+        """Factorizations of K_c - shift_i M_c, one per operator class."""
+        return self._factorizations[i]
 
     def coarse_margin(self, i: int) -> float | None:
         """Smallest eigenvalue of the deflated shifted coarse operator.
@@ -164,8 +179,9 @@ class SchwarzPreconditioner:
         """Sum of the subdomain solves, ascending subdomain order."""
         self._check_index(i)
         t = np.zeros(self.n)
-        for piece in self._local_pieces[i]:
-            t[piece.dofs] += piece.factorization.solve(rho[piece.dofs])
+        facts = self._factorizations[i]
+        for dofs, c in zip(self._blocks.dof_sets, self._blocks.class_of):
+            t[dofs] += facts[c].solve(rho[dofs])
         return t
 
     def apply(self, rho: np.ndarray, i: int) -> np.ndarray:
@@ -183,15 +199,14 @@ def prepare(
     shifts,
     *,
     reuse: SchwarzPreconditioner | None = None,
-    refactor_tol: float = 0.0,
 ) -> SchwarzPreconditioner:
-    """Build all local factorizations for ``shifts`` and share the coarse piece.
+    """Factorize each subdomain operator class once per shift; share the coarse piece.
 
     Every shift must stay below the first retained coarse eigenvalue, else
     the deflated coarse operator would lose positivity (ShiftOutOfRangeError).
-    Passing the previous preconditioner as ``reuse`` recycles the extracted
-    subdomain blocks, and, with ``refactor_tol`` > 0, any factorization whose
-    shift moved by at most that amount.
+    Passing the previous preconditioner as ``reuse`` recycles its extracted
+    and grouped subdomain blocks when it was built from the same ``pencil``
+    and ``decomp`` objects; otherwise the blocks are extracted afresh.
     """
     shifts = np.asarray(list(shifts), dtype=np.float64)
     if shifts.size == 0 or not np.all(np.isfinite(shifts)):
@@ -205,50 +220,25 @@ def prepare(
                 f"{bound:.9g}; the deflated coarse operator would not stay positive"
             )
 
-    blocks = None
-    if reuse is not None and len(reuse._blocks.dof_sets) == len(decomp.subdomains):
-        blocks = reuse._blocks
-    if blocks is None:
+    blocks = reuse._blocks if reuse is not None else None
+    if blocks is None or blocks.pencil is not pencil or blocks.decomp is not decomp:
         blocks = _LocalBlocks(pencil, decomp)
-    reusable = (
-        reuse is not None
-        and refactor_tol > 0.0
-        and blocks is reuse._blocks
-        and reuse.shift_count == len(shifts)
-    )
+    factorizations = [
+        [linalg.factorize_shifted(kb, mb, shift) for kb, mb in zip(blocks.k_blocks, blocks.m_blocks)]
+        for shift in shifts
+    ]
 
-    local_pieces = []
-    effective_shifts = []
-    fallbacks = 0
-    for i, shift in enumerate(shifts):
-        if reusable and abs(shift - reuse.shifts[i]) <= refactor_tol:
-            local_pieces.append(reuse._local_pieces[i])
-            effective_shifts.append(reuse.shifts[i])
-            continue
-        pieces = []
-        for dofs, kb, mb in zip(blocks.dof_sets, blocks.k_blocks, blocks.m_blocks):
-            fact = linalg.factorize_shifted(kb, mb, shift)
-            if fact.kind == "symmetric-indefinite":
-                fallbacks += 1
-            pieces.append(LocalPiece(dofs=dofs, factorization=fact, shift=float(shift)))
-        local_pieces.append(pieces)
-        effective_shifts.append(float(shift))
-
+    fallbacks = sum(f.kind == "symmetric-indefinite" for facts in factorizations for f in facts)
     if fallbacks:
         log.info(
             "%d of %d local factorizations were indefinite and used LDL^T",
             fallbacks,
-            len(shifts) * len(blocks.dof_sets),
+            len(shifts) * len(blocks.k_blocks),
         )
     return SchwarzPreconditioner(
         coarse=coarse,
-        shifts=effective_shifts,
-        local_pieces=local_pieces,
+        shifts=shifts,
+        factorizations=factorizations,
         blocks=blocks,
         n=pencil.n,
     )
-
-
-def apply(prec: SchwarzPreconditioner, rho: np.ndarray, i: int) -> np.ndarray:
-    """Functional form of ``SchwarzPreconditioner.apply``."""
-    return prec.apply(rho, i)

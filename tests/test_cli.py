@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from schwarzjd import cli
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
+from schwarzjd.errors import SingularMatrixError
 
 TINY = [
     "--domain", "square", "--coarse", "2", "--fine", "4",
@@ -71,6 +73,14 @@ class TestRunCommand:
     def test_validation_failure_is_exit_code_2(self, capsys):
         assert main(["run", "--m", "5", "--M", "4"]) == 2
         assert "m <= M" in capsys.readouterr().err
+
+    def test_numerical_failure_is_exit_code_4(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("zero pivot")
+
+        monkeypatch.setattr(cli, "solve", singular)
+        assert main(["run", *TINY, "--output-dir", str(tmp_path)]) == 4
+        assert "error: zero pivot" in capsys.readouterr().err
 
     def test_non_convergence_is_distinct_exit_code_with_files(self, tmp_path):
         out = tmp_path / "run"

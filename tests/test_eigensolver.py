@@ -54,8 +54,6 @@ class TestClusterAndConfig:
             SolverConfig(tol=0.0)
         with pytest.raises(InvalidArgumentError):
             SolverConfig(max_iter=0)
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(overlap_ratio=0.9)
 
     def test_restart_dim_checked_against_cluster(self, small):
         hier, pencil, decomp = small
@@ -304,14 +302,6 @@ class TestSolve:
         hier, pencil, decomp = small
         report = solve(hier, pencil, decomp, ClusterSpec(2, 4),
                        SolverConfig(tol=1e-8, max_iter=60, shared_shift=True))
-        assert report.converged
-        ref = dense_discrete_spectrum(pencil, 4)
-        assert np.allclose(report.values, ref.values[1:4], atol=1e-8)
-
-    def test_lazy_refactor_variant_converges(self, small):
-        hier, pencil, decomp = small
-        report = solve(hier, pencil, decomp, ClusterSpec(2, 4),
-                       SolverConfig(tol=1e-8, max_iter=60, lazy_refactor=1e-3))
         assert report.converged
         ref = dense_discrete_spectrum(pencil, 4)
         assert np.allclose(report.values, ref.values[1:4], atol=1e-8)

@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from schwarzjd import linalg
 from schwarzjd.errors import InvalidArgumentError, ShiftOutOfRangeError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
@@ -15,27 +20,36 @@ from schwarzjd.schwarz import build_coarse_piece, prepare
 from .helpers import dense_preconditioner
 
 CUT = 2  # deflate the first two coarse eigenpairs throughout
+DOMAINS = [DomainShape.SQUARE, DomainShape.LSHAPE]
 
 
-@pytest.fixture(scope="module")
-def setup():
-    hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
+@functools.cache
+def problem(shape, coarse_level=2, fine_level=4):
+    hier = build_hierarchy(shape, coarse_level, fine_level)
     pencil = assemble(hier.fine)
     decomp = build_decomposition(hier, 0.25)
     coarse = build_coarse_piece(hier, CUT)
     return hier, pencil, decomp, coarse
 
 
+@pytest.fixture(scope="module")
+def setup():
+    return problem(DomainShape.SQUARE)
+
+
 class TestPrepare:
     def test_factorization_count(self, setup):
         _, pencil, decomp, coarse = setup
         prec = prepare(pencil, decomp, coarse, [1.9, 4.7])
-        assert prec.n_local_factorizations == 2 * decomp.n_subdomains
+        # interior, two edge orientations and corner: 4 classes of 16 subdomains
+        assert decomp.n_subdomains == 16
+        assert len(prec.local_factorizations(0)) == 4
+        assert prec.n_local_factorizations == 2 * 4
 
     def test_zero_shift_gives_spd_blocks(self, setup):
         _, pencil, decomp, coarse = setup
         prec = prepare(pencil, decomp, coarse, [0.0])
-        kinds = {p.factorization.kind for p in prec.local_pieces(0)}
+        kinds = {f.kind for f in prec.local_factorizations(0)}
         assert kinds == {"spd-cholesky"}
 
     def test_initialization_shift_within_coarse_margin(self, setup):
@@ -63,15 +77,18 @@ class TestPrepare:
         second = prepare(pencil, decomp, coarse, [2.0], reuse=first)
         assert second._blocks is first._blocks
 
-    def test_lazy_refactor_keeps_factorizations_within_tolerance(self, setup):
+    def test_reuse_from_another_pencil_with_same_subdomain_count(self, setup):
         _, pencil, decomp, coarse = setup
-        first = prepare(pencil, decomp, coarse, [1.0, 2.0])
-        second = prepare(pencil, decomp, coarse, [1.0 + 1e-9, 2.5],
-                         reuse=first, refactor_tol=1e-6)
-        assert second.local_pieces(0) is first.local_pieces(0)
-        assert second.local_pieces(1) is not first.local_pieces(1)
-        assert second.shifts[0] == first.shifts[0]  # factorized shift is kept
-        assert second.shifts[1] == 2.5
+        first = prepare(pencil, decomp, coarse, [1.5])
+        _, pencil5, decomp5, coarse5 = problem(DomainShape.SQUARE, 2, 5)
+        assert decomp5.n_subdomains == decomp.n_subdomains
+        second = prepare(pencil5, decomp5, coarse5, [1.5], reuse=first)
+        assert second._blocks is not first._blocks
+        B = dense_preconditioner(pencil5, decomp5, coarse5, 1.5)
+        rho = np.random.default_rng(40).standard_normal(pencil5.n)
+        want = B @ rho
+        got = second.apply(rho, 0)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestApply:
@@ -107,10 +124,17 @@ class TestApply:
         separate = 2.5 * prec.apply(r1, 0) - 0.75 * prec.apply(r2, 0)
         assert np.linalg.norm(combined - separate) <= 1e-10 * np.linalg.norm(separate)
 
-    def test_matches_densely_assembled_operator(self, setup):
-        _, pencil, decomp, coarse = setup
+    @pytest.mark.parametrize("shape, dense_limit", [
+        (DomainShape.SQUARE, linalg.DENSE_LIMIT),
+        (DomainShape.LSHAPE, linalg.DENSE_LIMIT),
+        (DomainShape.SQUARE, 0),  # sparse blocks, grouped by their CSR arrays
+    ], ids=["square", "lshape", "square-sparse"])
+    def test_matches_densely_assembled_operator(self, shape, dense_limit, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_LIMIT", dense_limit)
+        _, pencil, decomp, coarse = problem(shape)
         shift = 1.5
         prec = prepare(pencil, decomp, coarse, [shift])
+        assert len(prec.local_factorizations(0)) < decomp.n_subdomains
         B = dense_preconditioner(pencil, decomp, coarse, shift)
         rng = np.random.default_rng(43)
         for _ in range(5):
@@ -155,3 +179,23 @@ class TestApply:
         want = np.linalg.solve(S, rho)
         got = prec.apply(rho, 0)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_shift_symmetric_and_matches_dense_assembly(shape, fraction, seed):
+    _, pencil, decomp, coarse = problem(shape)
+    shift = fraction * coarse.values[CUT]
+    assume(shift < coarse.values[CUT])  # the product may round up to the bound
+    prec = prepare(pencil, decomp, coarse, [shift])
+    rng = np.random.default_rng(seed)
+    r1 = rng.standard_normal(pencil.n)
+    r2 = rng.standard_normal(pencil.n)
+    t1 = prec.apply(r1, 0)
+    t2 = prec.apply(r2, 0)
+    a, b = r2 @ t1, r1 @ t2
+    assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+    want = dense_preconditioner(pencil, decomp, coarse, shift) @ r1
+    assert np.linalg.norm(t1 - want) <= 1e-9 * np.linalg.norm(want)

@@ -2,7 +2,8 @@
 
 A run writes three artifacts into the output directory:
 
-  trace.csv    per-iteration cluster Ritz values, stop norm, wall time
+  trace.csv    per-iteration cluster Ritz values, stop norm, value drift,
+               basis dimension, clamped shifts, wall time
   final.csv    final eigenvalues with reference values where available
   summary.json effective configuration echo plus run statistics
 
@@ -17,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -75,9 +77,9 @@ class ExperimentConfig:
             errors.append(f"need 1 <= m <= M, got m={self.m}, M={self.M}")
         elif self.domain in ("square", "lshape") and self.coarse >= 1:
             initial_dofs = self.interior_dofs(self.coarse + 1)
-            if self.M > initial_dofs:
+            if self.M >= initial_dofs:
                 errors.append(
-                    f"M={self.M} exceeds the {initial_dofs} dofs of the initialization mesh"
+                    f"M={self.M} is not below the {initial_dofs} dofs of the initialization mesh"
                 )
         if self.tol <= 0:
             errors.append(f"tolerance must be positive, got {self.tol}")
@@ -140,12 +142,13 @@ def _reference_values(config: ExperimentConfig, pencil, count: int):
 
 def _trace_rows(report: SolverReport):
     head = ["k"] + [f"lambda_{i}" for i in range(report.cluster.first, report.cluster.last + 1)]
-    head += ["stop_norm", "wall_ms"]
+    head += ["stop_norm", "value_drift", "basis_dim", "clamped_shifts", "wall_ms"]
     rows = []
     for rec in report.trace:
         row = [str(rec.iteration)]
         row += [f"{v:.9f}" for v in rec.values]
-        row += [f"{rec.stop_norm:.6e}", f"{rec.wall_ms:.3f}"]
+        row += [f"{rec.stop_norm:.6e}", f"{rec.value_drift:.6e}", str(rec.basis_dim),
+                str(rec.clamped_shifts), f"{rec.wall_ms:.3f}"]
         rows.append(row)
     return head, rows
 
@@ -288,6 +291,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="use the single shift of the first cluster index for all corrections")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--log-level", dest="log_level", default="warning",
+                   choices=["debug", "info", "warning", "error"],
+                   help="threshold of the log messages printed to stderr (default: warning)")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -322,6 +328,8 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--vary-coarse", type=int, nargs="+", dest="vary_coarse")
 
     args = parser.parse_args(argv)
+    logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s", force=True)
     try:
         config = _build_config(args)
         errors = config.validate()

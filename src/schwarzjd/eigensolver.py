@@ -2,10 +2,12 @@
 
 The solver targets the eigenvalue cluster with 1-based indices
 first..last of the fine discrete pencil.  Startup solves the pencil on the
-initialization mesh (one refinement below the coarse mesh), interpolates
-the first ``last`` eigenvectors to the fine mesh, and Rayleigh-Ritz
-projects there; by nestedness the starting values coincide with the
-initialization-mesh eigenvalues.  Each outer iteration then
+initialization mesh (one refinement below the coarse mesh) for its lowest
+``last`` eigenpairs, densely up to ``linalg.DENSE_LIMIT`` dofs and by
+sparse shift-invert Lanczos above it, interpolates the eigenvectors to the
+fine mesh, and Rayleigh-Ritz projects there; by nestedness the starting
+values coincide with the initialization-mesh eigenvalues.  Each outer
+iteration then
 
   1. refreshes the preconditioner with the current cluster Ritz values as
      shifts (clamped below the first retained coarse eigenvalue),
@@ -19,7 +21,8 @@ initialization-mesh eigenvalues.  Each outer iteration then
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
-changes) is recorded in the trace alongside the stop norm.
+changes), the basis dimension and the number of shifts clamped in step 1
+are recorded in the trace alongside the stop norm.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import fem, linalg, schwarz
 from .errors import ClusterTooLargeError, InvalidArgumentError
@@ -127,6 +129,7 @@ class TraceRecord:
     stop_norm: float
     value_drift: float
     basis_dim: int
+    clamped_shifts: int
     wall_ms: float
 
 
@@ -149,22 +152,18 @@ class SolverReport:
 def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSpec) -> IterationState:
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
-    Raises ClusterTooLargeError when the initialization mesh has fewer dofs
+    Raises ClusterTooLargeError unless the initialization mesh has more dofs
     than ``cluster.last`` (the hierarchy must be coarsened less aggressively).
     """
     n_init = hier.initial.n_dofs
-    if cluster.last > n_init:
+    if cluster.last >= n_init:
         raise ClusterTooLargeError(
             f"cluster needs {cluster.last} eigenpairs but the initialization mesh "
-            f"has only {n_init} dofs"
+            f"has only {n_init} dofs; it must have more"
         )
     init_pencil = fem.assemble(hier.initial)
-    _, vecs = sla.eigh(
-        init_pencil.stiffness.toarray(),
-        init_pencil.mass.toarray(),
-        subset_by_index=(0, cluster.last - 1),
-    )
-    lifted = hier.initial_to_fine @ vecs
+    init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
+    lifted = hier.initial_to_fine @ init.vectors
     basis = linalg.b_orthonormalize(lifted, pencil.mass, _DROP_TOL)
     basis_mass = pencil.mass @ basis
     projected = basis.T @ (pencil.stiffness @ basis)
@@ -298,16 +297,17 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     trace: list[TraceRecord] = []
     wall_start = time.perf_counter()
 
-    def record(k, values, sn, drift, dim):
+    def record(k, values, sn, drift, dim, clamped):
         trace.append(TraceRecord(
             iteration=k, values=values.copy(), stop_norm=sn, value_drift=drift,
-            basis_dim=dim, wall_ms=(time.perf_counter() - wall_start) * 1e3,
+            basis_dim=dim, clamped_shifts=clamped,
+            wall_ms=(time.perf_counter() - wall_start) * 1e3,
         ))
 
     vectors = state.cluster_vectors()
     values = state.cluster_values()
     sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-    record(0, values, sn, 0.0, state.dim)
+    record(0, values, sn, 0.0, state.dim, 0)
 
     converged = sn < config.tol
     stagnated = False
@@ -316,7 +316,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     k = 0
     while not converged and not stagnated and k < config.max_iter:
         shifts = values[:1] if config.shared_shift else values
+        clamped = 0
         if shift_cap is not None:
+            clamped = int(np.count_nonzero(shifts > shift_cap))
             shifts = np.minimum(shifts, shift_cap)
         prec = clocked("prepare", schwarz.prepare, pencil, decomp, coarse, shifts, reuse=prec)
         corrections = clocked("correction", correction_step, state, prec, pencil)
@@ -328,7 +330,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         values = state.cluster_values()
         vectors = state.cluster_vectors()
         sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim)
+        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim, clamped)
         if sn < config.tol:
             converged = True
         elif state.dim == prev_dim:

@@ -25,6 +25,10 @@ class IndefiniteMatrixError(SchwarzJDError):
         super().__init__(message or f"non-positive pivot at index {pivot}")
 
 
+class EigensolverError(SchwarzJDError):
+    """An iterative eigensolver failed or did not converge."""
+
+
 class ShiftOutOfRangeError(InvalidArgumentError):
     """A preconditioner shift reached the deflation threshold of the coarse operator."""
 

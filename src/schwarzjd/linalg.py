@@ -1,4 +1,4 @@
-"""Numerical kernels: reusable factorizations, dense generalized eigensolves,
+"""Numerical kernels: reusable factorizations, generalized eigensolves,
 and Gram-Schmidt orthonormalization in a mass inner product.
 
 Factorizations below a size threshold use dense LAPACK (Cholesky for SPD
@@ -20,6 +20,7 @@ from scipy.linalg import lapack
 
 from .errors import (
     EmptyBasisError,
+    EigensolverError,
     IndefiniteMatrixError,
     InvalidArgumentError,
     SingularMatrixError,
@@ -31,6 +32,7 @@ __all__ = [
     "factorize",
     "factorize_shifted",
     "dense_generalized_eig",
+    "lowest_eigenpairs",
     "b_orthonormalize",
 ]
 
@@ -169,7 +171,7 @@ def factorize_shifted(K, M, shift: float) -> Factorization:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Full spectrum of a symmetric pencil: ascending values, B-orthonormal vectors."""
+    """Eigenpairs of a symmetric pencil: ascending values, B-orthonormal vectors."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -191,6 +193,36 @@ def dense_generalized_eig(A: np.ndarray, B: np.ndarray) -> EigenBasis:
     except np.linalg.LinAlgError as exc:
         raise InvalidArgumentError(f"mass operand is not positive definite: {exc}") from exc
     return EigenBasis(values=values, vectors=vectors)
+
+
+def lowest_eigenpairs(K, M, k: int) -> EigenBasis:
+    """The ``k`` lowest eigenpairs of K x = lambda M x for sparse SPD K and M.
+
+    Pencils of at most DENSE_LIMIT dofs, and requests for half the spectrum
+    or more, are solved densely.  Otherwise shift-invert Lanczos (ARPACK)
+    at shift zero runs on the sparse factorization of K, from a fixed start
+    vector so that repeated calls are bit-identical.  Raises
+    InvalidArgumentError unless 1 <= k < n, and EigensolverError when
+    ARPACK fails or does not converge.
+    """
+    n = K.shape[0]
+    if not 1 <= k < n:
+        raise InvalidArgumentError(f"need 1 <= k < {n} eigenpairs, got k={k}")
+    if n <= DENSE_LIMIT or 2 * k >= n:
+        values, vectors = sla.eigh(K.toarray(), M.toarray(), subset_by_index=(0, k - 1))
+        return EigenBasis(values=values, vectors=vectors)
+    fact = factorize(K, expect_spd=True)
+    op_inv = spla.LinearOperator((n, n), matvec=fact.solve, dtype=np.float64)
+    # A generic fixed start vector: a constant one would be mass-orthogonal
+    # to every mode that is odd under a symmetry of the mesh.
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        values, vectors = spla.eigsh(K, k, M=M, sigma=0.0, which="LM", OPinv=op_inv,
+                                     v0=v0, tol=0)
+    except spla.ArpackError as exc:  # ArpackNoConvergence is a subclass
+        raise EigensolverError(f"shift-invert Lanczos failed for {k} of {n} eigenpairs: {exc}") from exc
+    order = np.argsort(values)
+    return EigenBasis(values=values[order], vectors=vectors[:, order])
 
 
 def b_orthonormalize(

@@ -80,6 +80,40 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     )
 
 
+def _dense_blocks(A, dof_sets):
+    """Yield ``A[dofs][:, dofs].toarray()`` for each dof set, byte for byte.
+
+    The rows of all sets are gathered from the CSR matrix ``A`` at once; a
+    sorted (set, dof) lookup maps each gathered entry's column to its local
+    index within its set, and each block is filled by addition into zeros,
+    as ``toarray`` does.
+    """
+    if not dof_sets:
+        return
+    sizes = np.array([len(d) for d in dof_sets], dtype=np.int64)
+    dofs = np.concatenate(dof_sets).astype(np.int64)
+    owner = np.repeat(np.arange(len(dof_sets)), sizes)
+    local = np.arange(len(dofs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows = A[dofs]
+    counts = np.diff(rows.indptr)
+    entry_owner = np.repeat(owner, counts)
+    keys = owner * A.shape[1] + dofs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    query = entry_owner * A.shape[1] + rows.indices
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    hit = keys[pos] == query
+    r = np.repeat(local, counts)[hit]
+    c = local[order[pos[hit]]]
+    v = rows.data[hit]
+    bounds = np.searchsorted(entry_owner[hit], np.arange(len(dof_sets) + 1))
+    for l, m in enumerate(sizes):
+        block = np.zeros((m, m))
+        np.add.at(block, (r[bounds[l]:bounds[l + 1]], c[bounds[l]:bounds[l + 1]]),
+                  v[bounds[l]:bounds[l + 1]])
+        yield block
+
+
 class _LocalBlocks:
     """Subdomain submatrices, grouped into classes of identical (K_l, M_l).
 
@@ -98,15 +132,18 @@ class _LocalBlocks:
         self.dof_sets = [np.asarray(d) for d in decomp.subdomains]
         K = pencil.stiffness.tocsr()
         M = pencil.mass.tocsr()
+        dense_sets = [d for d in self.dof_sets if len(d) <= linalg.DENSE_LIMIT]
+        k_dense = _dense_blocks(K, dense_sets)
+        m_dense = _dense_blocks(M, dense_sets)
         classes = {}
         for dofs in self.dof_sets:
-            kb = K[dofs][:, dofs]
-            mb = M[dofs][:, dofs]
             if len(dofs) <= linalg.DENSE_LIMIT:
-                kb = kb.toarray()
-                mb = mb.toarray()
+                kb = next(k_dense)
+                mb = next(m_dense)
                 key = (len(dofs), kb.tobytes(), mb.tobytes())
             else:
+                kb = K[dofs][:, dofs]
+                mb = M[dofs][:, dofs]
                 kb.sort_indices()
                 mb.sort_indices()
                 key = (len(dofs),) + tuple(

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -17,6 +18,16 @@ TINY = [
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+@pytest.fixture(autouse=True)
+def restore_root_logging():
+    """``main`` configures the root logger; give it back as it was."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    yield
+    root.handlers[:] = handlers
+    root.setLevel(level)
 
 
 class TestConfigValidation:
@@ -53,9 +64,15 @@ class TestRunCommand:
         assert float(rows[2][2]) == 5.0
 
         trace = read_csv(out / "trace.csv")
-        assert trace[0] == ["k", "lambda_1", "lambda_2", "stop_norm", "wall_ms"]
+        assert trace[0] == ["k", "lambda_1", "lambda_2", "stop_norm", "value_drift",
+                            "basis_dim", "clamped_shifts", "wall_ms"]
         assert trace[1][0] == "0"
-        assert float(trace[-1][-2]) < 1e-8
+        assert float(trace[-1][3]) < 1e-8
+        assert [r[4] for r in trace[1:2]] == ["0.000000e+00"]
+        assert all(float(r[4]) >= 0.0 for r in trace[1:])
+        summary = json.loads((out / "summary.json").read_text())
+        assert [int(r[5]) for r in trace[1:]] == summary["basis_dims"]
+        assert all(int(r[6]) == 0 for r in trace[1:])
 
     def test_summary_echoes_full_config(self, tmp_path):
         out = tmp_path / "run"
@@ -81,6 +98,22 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "solve", singular)
         assert main(["run", *TINY, "--output-dir", str(tmp_path)]) == 4
         assert "error: zero pivot" in capsys.readouterr().err
+
+    def test_log_level_info_shows_ldlt_fallbacks(self, tmp_path, capsys):
+        # the cluster lies above the 9 coarse dofs and above the lowest
+        # eigenvalue of every subdomain block, as on the square-indefinite
+        # benchmark: the coarse solve is empty and local Cholesky fails
+        args = ["run", "--domain", "square", "--coarse", "2", "--fine", "4",
+                "--m", "20", "--M", "24", "--output-dir", str(tmp_path)]
+        assert main(args + ["--log-level", "info"]) == 0
+        err = capsys.readouterr().err
+        assert "INFO schwarzjd.schwarz: 20 of 20 local factorizations were indefinite" in err
+        assert main(args) == 0  # default level: warning
+        assert "local factorizations" not in capsys.readouterr().err
+
+    def test_unknown_log_level_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", *TINY, "--log-level", "verbose"])
 
     def test_non_convergence_is_distinct_exit_code_with_files(self, tmp_path):
         out = tmp_path / "run"
@@ -126,6 +159,7 @@ class TestRunCommand:
         assert code == 0
         trace = json.loads((out / "trace.json").read_text())
         assert trace[0]["k"] == "0"
+        assert {"value_drift", "basis_dim", "clamped_shifts"} <= set(trace[0])
         final = json.loads((out / "final.json").read_text())
         assert [row["i"] for row in final] == ["1", "2"]
 

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from schwarzjd import schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
@@ -92,6 +95,12 @@ class TestInitialize:
         pencil = assemble(hier.fine)
         with pytest.raises(ClusterTooLargeError):
             initialize(hier, pencil, ClusterSpec(1, 10))  # initial mesh has 9 dofs
+
+    def test_cluster_as_large_as_initial_mesh_rejected(self):
+        hier = build_hierarchy(DomainShape.SQUARE, 1, 3)
+        pencil = assemble(hier.fine)
+        with pytest.raises(ClusterTooLargeError):
+            initialize(hier, pencil, ClusterSpec(1, 9))
 
 
 class TestResidualDual:
@@ -297,6 +306,31 @@ class TestSolve:
         assert max(rec.basis_dim for rec in report.trace) <= cap + cluster.count
         ref = dense_discrete_spectrum(pencil, 5)
         assert np.allclose(report.values, ref.values[2:5], atol=1e-8)
+
+    def test_clamped_shifts_recorded(self, small, monkeypatch):
+        hier, pencil, decomp = small
+        cluster = ClusterSpec(1, 3)
+        start = initialize(hier, pencil, cluster).cluster_values()
+        build = schwarz.build_coarse_piece
+
+        def lowered(hier, cut):
+            # move the first retained coarse eigenvalue between the two
+            # largest starting values, so the cap cuts the third shift
+            piece = build(hier, cut)
+            values = piece.values.copy()
+            values[cut:] -= values[cut] - 0.5 * (start[1] + start[2])
+            return dataclasses.replace(piece, values=values)
+
+        monkeypatch.setattr(schwarz, "build_coarse_piece", lowered)
+        report = solve(hier, pencil, decomp, cluster, SolverConfig(max_iter=3))
+        cap = 0.5 * (start[1] + start[2]) * (1.0 - 1e-8)
+        clamped = [rec.clamped_shifts for rec in report.trace]
+        assert clamped[:2] == [0, 1]
+        assert clamped[1:] == [int(np.sum(rec.values > cap)) for rec in report.trace[:-1]]
+
+    def test_no_clamping_in_a_plain_run(self, medium_run):
+        _, report, _ = medium_run
+        assert all(rec.clamped_shifts == 0 for rec in report.trace)
 
     def test_shared_shift_variant_converges(self, small):
         hier, pencil, decomp = small

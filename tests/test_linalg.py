@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schwarzjd import linalg
 from schwarzjd.errors import (
+    EigensolverError,
     EmptyBasisError,
     IndefiniteMatrixError,
     InvalidArgumentError,
@@ -15,6 +21,7 @@ from schwarzjd.linalg import (
     dense_generalized_eig,
     factorize,
     factorize_shifted,
+    lowest_eigenpairs,
 )
 from schwarzjd.mesh import DomainShape, build_mesh
 
@@ -148,6 +155,68 @@ class TestDenseGeneralizedEig:
             dense_generalized_eig(np.eye(3), np.eye(4))
 
 
+def max_sin_angle(V, W, M):
+    """Sine of the largest principal angle between span(V) and the larger span(W),
+    both M-orthonormal; computed from the residual, so it resolves angles near 0."""
+    R = V - W @ (W.T @ (M @ V))
+    return float(np.sqrt(max(np.linalg.eigvalsh(R.T @ (M @ R)).max(), 0.0)))
+
+
+class TestLowestEigenpairs:
+    # 225 and 161 dofs, both below DENSE_LIMIT
+    CASES = [(DomainShape.SQUARE, 4, 20), (DomainShape.LSHAPE, 3, 30)]
+
+    @pytest.mark.parametrize("shape,level,k", CASES)
+    def test_sparse_route_matches_dense_route(self, shape, level, k, monkeypatch):
+        p = assemble(build_mesh(shape, level))
+        ref = lowest_eigenpairs(p.stiffness, p.mass, k + 6)  # dense route
+        monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
+        got = lowest_eigenpairs(p.stiffness, p.mass, k)
+        assert got.values.shape == (k,) and got.vectors.shape == (p.n, k)
+        assert np.all(np.diff(got.values) >= 0.0)
+        assert np.abs(got.values - ref.values[:k]).max() <= 1e-9 * ref.values[k - 1]
+        G = got.vectors.T @ (p.mass @ got.vectors)
+        assert np.abs(G - np.eye(k)).max() <= 1e-10
+        # a multiplet cut at k is compared against its whole span
+        stop = k
+        while ref.values[stop] - ref.values[k - 1] <= 1e-6 * ref.values[k - 1]:
+            stop += 1
+        assert max_sin_angle(got.vectors, ref.vectors[:, :stop], p.mass) <= 1e-8
+
+    def test_dense_route_is_the_plain_dense_solve(self):
+        p = assemble(build_mesh(DomainShape.SQUARE, 4))
+        got = lowest_eigenpairs(p.stiffness, p.mass, 10)
+        values, vectors = sla.eigh(p.stiffness.toarray(), p.mass.toarray(), subset_by_index=(0, 9))
+        assert got.values.tobytes() == values.tobytes()
+        assert got.vectors.tobytes() == vectors.tobytes()
+
+    def test_sparse_route_reruns_bit_identically(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
+        p = assemble(build_mesh(DomainShape.LSHAPE, 3))
+        a = lowest_eigenpairs(p.stiffness, p.mass, 12)
+        b = lowest_eigenpairs(p.stiffness, p.mass, 12)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 9, 10])
+    def test_k_outside_one_to_n_minus_one_rejected(self, k):
+        p = assemble(build_mesh(DomainShape.SQUARE, 2))
+        assert p.n == 9
+        with pytest.raises(InvalidArgumentError):
+            lowest_eigenpairs(p.stiffness, p.mass, k)
+
+    def test_arpack_failure_is_a_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(linalg, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        p = assemble(build_mesh(DomainShape.SQUARE, 4))
+        with pytest.raises(EigensolverError) as err:
+            lowest_eigenpairs(p.stiffness, p.mass, 5)
+        assert not isinstance(err.value, InvalidArgumentError)
+
+
 @pytest.fixture(scope="module")
 def pencil():
     return assemble(build_mesh(DomainShape.SQUARE, 4))
@@ -207,3 +276,22 @@ class TestBOrthonormalize:
     def test_drop_tolerance_domain(self, pencil, tol):
         with pytest.raises(InvalidArgumentError):
             b_orthonormalize(np.ones((pencil.n, 1)), pencil.mass, drop_tol=tol)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 8),
+       against_cols=st.integers(0, 5), dependent=st.booleans())
+def test_orthonormalize_property(pencil, seed, cols, against_cols, dependent):
+    rng = np.random.default_rng(seed)
+    M = pencil.mass
+    V = rng.standard_normal((pencil.n, cols))
+    if dependent:  # a combination of the earlier columns must be dropped
+        V = np.hstack([V, V @ rng.standard_normal(cols)[:, None]])
+    against = None
+    if against_cols:
+        against = b_orthonormalize(rng.standard_normal((pencil.n, against_cols)), M)
+    W = b_orthonormalize(V, M, against=against)
+    assert W.shape == (pencil.n, cols)
+    assert np.abs(W.T @ (M @ W) - np.eye(cols)).max() <= 1e-10
+    if against is not None:
+        assert np.abs(against.T @ (M @ W)).max() <= 1e-10

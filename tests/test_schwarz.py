@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from schwarzjd.mesh import (
     build_decomposition,
     build_hierarchy,
 )
-from schwarzjd.schwarz import build_coarse_piece, prepare
+from schwarzjd.schwarz import _dense_blocks, _LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import dense_preconditioner
 
@@ -89,6 +90,24 @@ class TestPrepare:
         want = B @ rho
         got = second.apply(rho, 0)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+class TestLocalBlocks:
+    @pytest.mark.parametrize("shape", DOMAINS)
+    def test_blocks_equal_fancy_indexed_submatrices_byte_for_byte(self, shape):
+        _, pencil, decomp, _ = problem(shape)
+        blocks = _LocalBlocks(pencil, decomp)
+        K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
+        for dofs, c in zip(blocks.dof_sets, blocks.class_of):
+            assert blocks.k_blocks[c].tobytes() == K[dofs][:, dofs].toarray().tobytes()
+            assert blocks.m_blocks[c].tobytes() == M[dofs][:, dofs].toarray().tobytes()
+
+    def test_unsorted_overlapping_sets_and_negative_zeros(self):
+        A = sp.random(40, 40, density=0.3, random_state=7, format="csr")
+        A.data[::3] = -0.0  # toarray turns stored -0.0 into +0.0
+        sets = [np.array([5, 1, 30, 2]), np.array([2, 3, 4, 5, 39]), np.array([17])]
+        for dofs, block in zip(sets, _dense_blocks(A, sets), strict=True):
+            assert block.tobytes() == A[dofs][:, dofs].toarray().tobytes()
 
 
 class TestApply:

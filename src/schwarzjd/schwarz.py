@@ -108,9 +108,9 @@ def _dense_blocks(A, dof_sets):
     v = rows.data[hit]
     bounds = np.searchsorted(entry_owner[hit], np.arange(len(dof_sets) + 1))
     for l, m in enumerate(sizes):
+        part = slice(bounds[l], bounds[l + 1])
         block = np.zeros((m, m))
-        np.add.at(block, (r[bounds[l]:bounds[l + 1]], c[bounds[l]:bounds[l + 1]]),
-                  v[bounds[l]:bounds[l + 1]])
+        np.add.at(block, (r[part], c[part]), v[part])
         yield block
 
 

@@ -68,8 +68,7 @@ class TestRunCommand:
                             "basis_dim", "clamped_shifts", "wall_ms"]
         assert trace[1][0] == "0"
         assert float(trace[-1][3]) < 1e-8
-        assert [r[4] for r in trace[1:2]] == ["0.000000e+00"]
-        assert all(float(r[4]) >= 0.0 for r in trace[1:])
+        assert trace[1][4] == "0.000000e+00"
         summary = json.loads((out / "summary.json").read_text())
         assert [int(r[5]) for r in trace[1:]] == summary["basis_dims"]
         assert all(int(r[6]) == 0 for r in trace[1:])
@@ -110,10 +109,6 @@ class TestRunCommand:
         assert "INFO schwarzjd.schwarz: 20 of 20 local factorizations were indefinite" in err
         assert main(args) == 0  # default level: warning
         assert "local factorizations" not in capsys.readouterr().err
-
-    def test_unknown_log_level_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", *TINY, "--log-level", "verbose"])
 
     def test_non_convergence_is_distinct_exit_code_with_files(self, tmp_path):
         out = tmp_path / "run"

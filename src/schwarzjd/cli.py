@@ -8,8 +8,15 @@ A run writes three artifacts into the output directory:
   summary.json effective configuration echo plus run statistics
 
 ``sweep`` repeats a run over a list of fine or coarse levels and aggregates
-the final columns side by side, one column per level, with iteration count
-and final stop norm rows at the bottom.
+the reports the runs return side by side, one column per level, with
+iteration count and final stop norm rows at the bottom.
+
+The library checks its own arguments.  A run builds ``ClusterSpec``,
+``SolverConfig``, ``DomainShape``, the mesh hierarchy and the decomposition,
+in that order, and ``solve`` checks the restart dimension and the
+initialization mesh; the first ``InvalidArgumentError`` is reported as a
+configuration error (exit code 2).  Only the output format, which no
+library object owns, is checked here.
 """
 
 from __future__ import annotations
@@ -54,60 +61,23 @@ class ExperimentConfig:
     output_dir: str = "."
     format: str = "csv"
 
-    def interior_dofs(self, level: int) -> int:
-        if self.domain == "square":
-            return (2**level - 1) ** 2
-        return (2 ** (level + 1) - 1) ** 2 - 4**level
+    def settings(self) -> tuple[ClusterSpec, SolverConfig, DomainShape]:
+        """The level-independent library objects; each one checks its own arguments.
 
-    def validate(self) -> list[str]:
-        errors = []
-        if self.domain not in ("square", "lshape"):
-            errors.append(f"domain must be 'square' or 'lshape', got {self.domain!r}")
-        if self.coarse < 1:
-            errors.append(f"coarse level must be >= 1, got {self.coarse}")
-        if self.fine < self.coarse + 1:
-            errors.append(
-                f"fine level {self.fine} must exceed coarse level {self.coarse}"
-            )
-        if not 0.0 < self.overlap <= 0.5:
-            errors.append(f"overlap ratio must lie in (0, 1/2], got {self.overlap}")
-        elif self.fine >= self.coarse + 1 and self.overlap * 2 ** (self.fine - self.coarse) < 1.0 - 1e-12:
-            errors.append("overlap is smaller than one fine layer")
-        if not 1 <= self.m <= self.M:
-            errors.append(f"need 1 <= m <= M, got m={self.m}, M={self.M}")
-        elif self.domain in ("square", "lshape") and self.coarse >= 1:
-            initial_dofs = self.interior_dofs(self.coarse + 1)
-            if self.M >= initial_dofs:
-                errors.append(
-                    f"M={self.M} is not below the {initial_dofs} dofs of the initialization mesh"
-                )
-        if self.tol <= 0:
-            errors.append(f"tolerance must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            errors.append(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.restart_dim is not None and self.restart_dim < 2 * self.M + 1:
-            errors.append(f"restart_dim must be at least {2 * self.M + 1}")
-        if self.format not in ("csv", "json"):
-            errors.append(f"format must be 'csv' or 'json', got {self.format!r}")
-        return errors
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
+        The output format is the one setting no library object owns, so it
+        is checked here.
+        """
+        cluster = ClusterSpec(self.m, self.M)
+        solver_config = SolverConfig(
             tol=self.tol,
             max_iter=self.max_iter,
             restart_dim=self.restart_dim,
             shared_shift=self.shared_shift,
         )
-
-
-def _run_solver(config: ExperimentConfig) -> tuple[SolverReport, fem.SparsePencil]:
-    shape = DomainShape(config.domain)
-    hier = build_hierarchy(shape, config.coarse, config.fine)
-    pencil = fem.assemble(hier.fine)
-    decomp = build_decomposition(hier, config.overlap)
-    cluster = ClusterSpec(config.m, config.M)
-    report = solve(hier, pencil, decomp, cluster, config.solver_config())
-    return report, pencil
+        shape = DomainShape(self.domain)
+        if self.format not in ("csv", "json"):
+            raise InvalidArgumentError(f"format must be 'csv' or 'json', got {self.format!r}")
+        return cluster, solver_config, shape
 
 
 def fit_gamma(trace, discrete_values, first: int, last: int) -> float | None:
@@ -180,14 +150,24 @@ def _write_table(path: Path, head, rows, fmt: str) -> None:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit status."""
-    errors = config.validate()
-    if errors:
-        raise InvalidArgumentError("; ".join(errors))
+    """Execute one experiment; returns the process exit status.
+
+    Raises the InvalidArgumentError of the first library object that rejects
+    the configuration; nothing is written then.
+    """
+    return _run(config, config.settings())[0]
+
+
+def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
+    """``run`` from prebuilt ``config.settings()``; also returns the report."""
+    cluster, solver_config, shape = settings
+    hier = build_hierarchy(shape, config.coarse, config.fine)
+    decomp = build_decomposition(hier, config.overlap)
+    pencil = fem.assemble(hier.fine)
+    report = solve(hier, pencil, decomp, cluster, solver_config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    report, pencil = _run_solver(config)
     analytic, discrete = _reference_values(config, pencil, config.M)
     reference = analytic if analytic is not None else discrete
     gamma = None
@@ -221,15 +201,20 @@ def run(config: ExperimentConfig) -> int:
         f"{'converged' if report.converged else 'NOT converged'} "
         f"after {report.iterations} iterations, stop norm {report.stop_norm:.4e}"
     )
-    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
+    return (EXIT_OK if report.converged else EXIT_NOT_CONVERGED), report
 
 
 def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
-    """Run one solve per varied level and aggregate the final columns side by side."""
+    """Run one solve per varied level and aggregate the final columns side by side.
+
+    A setting every column shares (cluster, solver, domain, format) rejects
+    the whole sweep; a level the library rejects becomes that column's error.
+    """
     if bool(vary_fine) == bool(vary_coarse):
         raise InvalidArgumentError("exactly one non-empty list of fine or coarse levels is required")
     param = "fine" if vary_fine else "coarse"
     values = list(vary_fine or vary_coarse)
+    settings = config.settings()
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,20 +225,11 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
         label = f"{param}={v}"
         sub = dataclasses.replace(config, **{param: v, "output_dir": str(out / label)})
         try:
-            code = run(sub)
-            with open(out / label / "summary.json") as fh:
-                summary = json.load(fh)
-            final_path = out / label / f"final.{sub.format}"
-            if sub.format == "csv":
-                with open(final_path) as fh:
-                    lams = [row[1] for row in list(csv.reader(fh))[1:]]
-            else:
-                with open(final_path) as fh:
-                    lams = [row["lambda"] for row in json.load(fh)]
+            code, report = _run(sub, settings)
             columns[label] = {
-                "lambdas": lams,
-                "it": str(summary["iterations"]),
-                "stop": f"{summary['final_stop_norm']:.6e}",
+                "lambdas": [row[1] for row in _final_rows(report, None)[1]],
+                "it": str(report.iterations),
+                "stop": f"{report.stop_norm:.6e}",
             }
             all_ok = all_ok and code == EXIT_OK
         except SchwarzJDError as exc:
@@ -332,11 +308,6 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s", force=True)
     try:
         config = _build_config(args)
-        errors = config.validate()
-        if errors:
-            for e in errors:
-                print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
         if args.command == "run":
             return run(config)
         return sweep(config, vary_fine=args.vary_fine, vary_coarse=args.vary_coarse)

@@ -55,7 +55,7 @@ _DROP_TOL = 1e-8  # basis-growth drop tolerance for near-dependent corrections
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Targeted 1-based eigenvalue indices first..last (inclusive)."""
+    """Targeted 1-based eigenvalue indices first..last (inclusive): the cluster m..M."""
 
     first: int
     last: int
@@ -63,7 +63,7 @@ class ClusterSpec:
     def __post_init__(self):
         if not 1 <= self.first <= self.last:
             raise InvalidArgumentError(
-                f"need 1 <= first <= last, got ({self.first}, {self.last})"
+                f"need 1 <= m <= M, got m={self.first}, M={self.last}"
             )
 
     @property

@@ -35,6 +35,12 @@ class DomainShape(Enum):
     SQUARE = "square"
     LSHAPE = "lshape"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidArgumentError(
+            f"domain must be one of {[s.value for s in cls]}, got {value!r}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -118,7 +124,8 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
     """Build the structured triangulation of ``shape`` at refinement ``level``.
 
     The square at level j has (2^j - 1)^2 interior dofs, the L-shape
-    (2^(j+1) - 1)^2 - (2^j)^2.  Raises InvalidArgumentError for level < 1.
+    (2^(j+1) - 1)^2 - (2^j)^2.  Raises InvalidArgumentError for level < 1
+    or a shape that names no DomainShape.
     """
     if not isinstance(level, (int, np.integer)) or level < 1:
         raise InvalidArgumentError(f"mesh level must be a positive integer, got {level!r}")
@@ -227,11 +234,6 @@ class MeshHierarchy:
     initial_to_fine: sp.csr_matrix
 
     @property
-    def coarse_size(self) -> float:
-        """Subdomain diameter H = sqrt(2) * coarse spacing."""
-        return self.coarse.mesh_size
-
-    @property
     def refinement_ratio(self) -> int:
         """Fine cells per coarse cell side."""
         return 1 << (self.fine.level - self.coarse.level)
@@ -271,7 +273,6 @@ class Decomposition:
 
     subdomains: list = field(repr=False)
     overlap_layers: int
-    overlap_ratio: float
     color_count: int
 
     @property
@@ -348,6 +349,5 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
     return Decomposition(
         subdomains=subdomains,
         overlap_layers=layers,
-        overlap_ratio=overlap_ratio,
         color_count=_greedy_color_count(cells, windows),
     )

@@ -35,7 +35,6 @@ class SpectrumReference:
     """Ascending eigenvalues (with multiplicities) from an independent source."""
 
     values: np.ndarray
-    source: str  # "analytic" or "dense-discrete"
     vectors: np.ndarray | None = None
 
 
@@ -59,7 +58,7 @@ def exact_square_eigenvalues(count: int) -> SpectrumReference:
         p = np.arange(1, bound + 1)
         vals = np.sort((p[:, None] ** 2 + p[None, :] ** 2).ravel())
         if len(vals) >= count and vals[count - 1] <= bound * bound:
-            return SpectrumReference(values=vals[:count].astype(np.float64), source="analytic")
+            return SpectrumReference(values=vals[:count].astype(np.float64))
         bound *= 2
 
 
@@ -83,9 +82,7 @@ def dense_discrete_spectrum(pencil: SparsePencil, count: int) -> SpectrumReferen
     C = 0.5 * (C + C.T)
     values, Y = np.linalg.eigh(C)
     vectors = sla.solve_triangular(L.T, Y[:, :count], lower=False)
-    return SpectrumReference(
-        values=values[:count], source="dense-discrete", vectors=vectors
-    )
+    return SpectrumReference(values=values[:count], vectors=vectors)
 
 
 def cluster_gaps(ref: SpectrumReference, first: int, last: int) -> GapInfo:

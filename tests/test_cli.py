@@ -30,21 +30,67 @@ def restore_root_logging():
     root.setLevel(level)
 
 
+def rejected(capsys, argv):
+    """Run ``main(argv)``; assert exit code 2 and return its stderr."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err
+
+
 class TestConfigValidation:
-    def test_defaults_are_valid(self):
-        assert ExperimentConfig(m=1, M=2).validate() == []
+    """Every configuration check is a library check that ``main`` reports with exit 2."""
 
-    def test_cluster_order_checked(self):
-        errors = ExperimentConfig(m=5, M=4).validate()
-        assert any("m <= M" in e for e in errors)
+    def test_defaults_are_valid(self, tmp_path):
+        assert main(["run", "--m", "1", "--M", "2", "--output-dir", str(tmp_path)]) == 0
 
-    def test_initial_mesh_capacity_checked(self):
-        errors = ExperimentConfig(coarse=1, fine=3, m=1, M=50).validate()
-        assert any("initialization mesh" in e for e in errors)
+    def test_cluster_order_checked(self, capsys):
+        assert "m <= M" in rejected(capsys, ["run", "--m", "5", "--M", "4"])
 
-    def test_overlap_layer_checked(self):
-        errors = ExperimentConfig(coarse=3, fine=4, overlap=0.25).validate()
-        assert any("fine layer" in e for e in errors)
+    def test_initial_mesh_capacity_checked(self, capsys, tmp_path):
+        err = rejected(capsys, ["run", "--coarse", "1", "--fine", "3", "--m", "1", "--M", "50",
+                                "--output-dir", str(tmp_path / "run")])
+        assert "initialization mesh" in err
+
+    def test_overlap_layer_checked(self, capsys, tmp_path):
+        err = rejected(capsys, ["run", "--coarse", "3", "--fine", "4", "--overlap", "0.25",
+                                "--output-dir", str(tmp_path / "run")])
+        assert "fine layer" in err
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--m", "0", "--M", "2"], "m <= M"),
+        (["--coarse", "0"], "coarse level must be >= 1"),
+        (["--coarse", "2", "--fine", "2"], "must exceed coarse level"),
+        (["--overlap", "0.75"], "overlap ratio must lie in (0, 1/2]"),
+        (["--tol", "0"], "tolerance must be positive"),
+        (["--max-iter", "0"], "max_iter must be >= 1"),
+        (["--restart-dim", "4"], "restart dimension must be at least 5"),
+    ])
+    def test_flag_rejected(self, capsys, tmp_path, flags, fragment):
+        argv = ["run", *TINY, *flags, "--output-dir", str(tmp_path / "run")]
+        assert fragment in rejected(capsys, argv)
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("domain", "hexagon", "domain must be one of ['square', 'lshape'], got 'hexagon'"),
+        ("format", "xml", "format must be 'csv' or 'json', got 'xml'"),
+    ])
+    def test_config_file_value_rejected(self, capsys, tmp_path, key, value, fragment):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["run", "--config", str(cfg), "--coarse", "2", "--fine", "4", "--m", "1",
+                "--M", "2", "--output-dir", str(tmp_path / "run")]
+        assert fragment in rejected(capsys, argv)
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "0"],  # SolverConfig
+        ["--overlap", "0.2"],  # build_decomposition
+        ["--M", "9"],  # initialize: the initialization mesh of coarse level 1 has 9 dofs
+    ])
+    def test_rejected_run_writes_nothing(self, capsys, tmp_path, flags):
+        out = tmp_path / "run"
+        rejected(capsys, ["run", "--coarse", "1", "--fine", "3", "--m", "1", "--M", "2",
+                          *flags, "--output-dir", str(out)])
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -198,6 +244,26 @@ class TestSweepCommand:
 
     def test_empty_vary_rejected(self, capsys):
         assert main(["sweep", *TINY]) == 2
+
+    @pytest.mark.parametrize("flags", [["--m", "5", "--M", "4"], ["--tol", "0"]])
+    def test_shared_setting_rejects_whole_sweep(self, capsys, tmp_path, flags):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *TINY, *flags, "--output-dir", str(out), "--vary-fine", "4"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, label", [
+        # the base fine level 2 does not exceed coarse level 2
+        (["--coarse", "2", "--fine", "2", "--m", "1", "--M", "2", "--vary-fine", "4"], "fine=4"),
+        # M = 13 is not below the 9 dofs of the base coarse level's initialization mesh
+        (["--coarse", "1", "--fine", "4", "--m", "11", "--M", "13", "--vary-coarse", "2"],
+         "coarse=2"),
+    ])
+    def test_only_the_swept_levels_are_checked(self, tmp_path, flags, label):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--domain", "square", *flags, "--output-dir", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["index", label]
 
     def test_per_column_errors_recorded_and_sweep_continues(self, tmp_path):
         out = tmp_path / "sweep"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarzjd.errors import InvalidArgumentError
+from schwarzjd.fem import assemble
 from schwarzjd.mesh import (
     DomainShape,
     build_decomposition,
@@ -68,6 +71,10 @@ class TestBuildMesh:
         with pytest.raises(InvalidArgumentError):
             build_mesh(DomainShape.SQUARE, level)
 
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="got 'hexagon'"):
+            build_mesh("hexagon", 3)
+
 
 class TestHierarchy:
     def test_levels_and_sizes(self):
@@ -124,6 +131,24 @@ class TestHierarchy:
             build_hierarchy(DomainShape.SQUARE, 3, 3)
         with pytest.raises(InvalidArgumentError):
             build_hierarchy(DomainShape.SQUARE, 0, 2)
+
+
+def galerkin_error(P, fine, coarse) -> float:
+    """max |P' A_fine P - A_coarse| / max |A_coarse|."""
+    return abs(P.T @ fine @ P - coarse).max() / abs(coarse).max()
+
+
+@pytest.mark.parametrize("shape", list(DomainShape), ids=lambda shape: shape.value)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(levels=st.integers(1, 3).flatmap(lambda c: st.tuples(st.just(c), st.integers(c + 1, 6))))
+def test_prolongations_are_galerkin(shape, levels):
+    # nested P1 spaces: interpolation reproduces the coarse forms exactly
+    hier = build_hierarchy(shape, *levels)
+    fine = assemble(hier.fine)
+    for P, mesh in ((hier.coarse_to_fine, hier.coarse), (hier.initial_to_fine, hier.initial)):
+        pencil = assemble(mesh)
+        assert galerkin_error(P, fine.stiffness, pencil.stiffness) <= 1e-13
+        assert galerkin_error(P, fine.mass, pencil.mass) <= 1e-13
 
 
 class TestDecomposition:

@@ -187,7 +187,6 @@ class TestApply:
         whole = Decomposition(
             subdomains=[np.arange(pencil.n)],
             overlap_layers=1,
-            overlap_ratio=0.25,
             color_count=1,
         )
         shift = 1.5

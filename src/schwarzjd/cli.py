@@ -272,15 +272,32 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="threshold of the log messages printed to stderr (default: warning)")
 
 
+# JSON value types accepted for each annotated ExperimentConfig type name.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+               "None": (type(None),)}
+
+
+def _check_file_value(field: dataclasses.Field, value) -> None:
+    """Reject a config file value whose JSON type does not fit ``field``'s annotation."""
+    allowed = tuple(t for name in field.type.split(" | ") for t in _JSON_TYPES[name])
+    # A JSON boolean is a Python int, but no number field takes one.
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        raise InvalidArgumentError(
+            f"config file value {field.name!r} must be {field.type}, got {value!r}"
+        )
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = {}
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(file_values) - known
+        fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        unknown = set(file_values) - set(fields)
         if unknown:
             raise InvalidArgumentError(f"unknown config file keys: {sorted(unknown)}")
+        for name, value in file_values.items():
+            _check_file_value(fields[name], value)
         merged.update(file_values)
     for f in dataclasses.fields(ExperimentConfig):
         value = getattr(args, f.name, None)

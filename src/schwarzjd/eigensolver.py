@@ -19,6 +19,15 @@ iteration then
   4. stops when the stop norm sqrt(sum_i rho_i' M^{-1} rho_i) falls below
      the tolerance.
 
+One private routine, ``_grow``, is the only Rayleigh-Ritz step: it
+mass-orthonormalizes new vectors against the trial basis, borders the
+projected stiffness matrix by the accepted columns and solves the small
+eigenproblem.  Startup grows an empty basis by the lifted vectors, each
+outer iteration grows the current basis by its corrections, and the
+optional thick restart (``restart_dim``) grows an empty basis by Ritz
+vectors 1..last and the newest corrections.  Iteration states are
+immutable; every step returns a new one.
+
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
 changes), the basis dimension and the number of shifts clamped in step 1
@@ -28,7 +37,7 @@ are recorded in the trace alongside the stop norm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,6 +94,7 @@ class SolverConfig:
             raise InvalidArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+@dataclass(frozen=True, eq=False)
 class IterationState:
     """Mass-orthonormal trial basis with its projected pencil and Ritz data.
 
@@ -92,18 +102,16 @@ class IterationState:
     projected stiffness basis' K basis, and ``ritz_values``/``ritz_coeffs``
     its full eigendecomposition.  Ritz vector j (1-based) is
     basis @ ritz_coeffs[:, j-1]; the cluster block first..last drives the
-    corrections.
+    corrections.  States are never modified; each step returns a new one.
     """
 
-    def __init__(self, cluster, basis, basis_mass, projected, ritz_values,
-                 ritz_coeffs, iteration=0):
-        self.cluster = cluster
-        self.basis = basis
-        self.basis_mass = basis_mass
-        self.projected = projected
-        self.ritz_values = ritz_values
-        self.ritz_coeffs = ritz_coeffs
-        self.iteration = iteration
+    cluster: ClusterSpec
+    basis: np.ndarray
+    basis_mass: np.ndarray
+    projected: np.ndarray
+    ritz_values: np.ndarray
+    ritz_coeffs: np.ndarray
+    iteration: int = 0
 
     @property
     def dim(self) -> int:
@@ -164,16 +172,14 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
     lifted = hier.initial_to_fine @ init.vectors
-    basis = linalg.b_orthonormalize(lifted, pencil.mass, _DROP_TOL)
-    basis_mass = pencil.mass @ basis
-    projected = basis.T @ (pencil.stiffness @ basis)
-    projected = 0.5 * (projected + projected.T)
-    values, coeffs = np.linalg.eigh(projected)
-    return IterationState(cluster, basis, basis_mass, projected, values, coeffs)
+    return _grow(_empty_state(cluster, pencil.n), lifted, pencil, 0)
 
 
 def residual_dual(pencil: fem.SparsePencil, lam: float, u: np.ndarray) -> np.ndarray:
-    """Residual of the pair (lam, u) in dual form: lam * M u - K u."""
+    """Residual of the pair (lam, u) in dual form: lam * M u - K u.
+
+    For a block u of k columns, lam may hold one value per column.
+    """
     return lam * (pencil.mass @ u) - pencil.stiffness @ u
 
 
@@ -188,12 +194,10 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner,
     c = state.cluster
     U = state.cluster_vectors()
     MU = pencil.mass @ U
-    KU = pencil.stiffness @ U
-    lams = state.ritz_values[c.first - 1 : c.last]
+    R = residual_dual(pencil, state.ritz_values[c.first - 1 : c.last], U)
     T = np.empty_like(U)
     for j in range(c.count):
-        rho = lams[j] * MU[:, j] - KU[:, j]
-        s = prec.apply(rho, j if prec.shift_count > 1 else 0)
+        s = prec.apply(R[:, j], j if prec.shift_count > 1 else 0)
         T[:, j] = s - U @ (MU.T @ s)
     return T
 
@@ -207,33 +211,7 @@ def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
     counter.  Ritz values of retained indices never increase (the subspaces
     are nested).
     """
-    new_vectors = np.asarray(new_vectors, dtype=np.float64)
-    if new_vectors.ndim == 1:
-        new_vectors = new_vectors[:, None]
-    accepted = np.empty((state.basis.shape[0], 0))
-    if new_vectors.shape[1] > 0:
-        accepted = linalg.b_orthonormalize(
-            new_vectors, pencil.mass, _DROP_TOL,
-            against=state.basis, against_mass=state.basis_mass,
-        )
-    if accepted.shape[1] == 0:
-        return IterationState(
-            state.cluster, state.basis, state.basis_mass, state.projected,
-            state.ritz_values, state.ritz_coeffs, state.iteration + 1,
-        )
-    mass_new = pencil.mass @ accepted
-    stiff_new = pencil.stiffness @ accepted
-    cross = state.basis.T @ stiff_new
-    corner = accepted.T @ stiff_new
-    corner = 0.5 * (corner + corner.T)
-    projected = np.block([[state.projected, cross], [cross.T, corner]])
-    values, coeffs = np.linalg.eigh(projected)
-    basis = np.hstack([state.basis, accepted])
-    basis_mass = np.hstack([state.basis_mass, mass_new])
-    return IterationState(
-        state.cluster, basis, basis_mass, projected, values, coeffs,
-        state.iteration + 1,
-    )
+    return _grow(state, new_vectors, pencil, state.iteration + 1)
 
 
 def stop_norm(pencil: fem.SparsePencil, values: np.ndarray, vectors: np.ndarray,
@@ -243,7 +221,7 @@ def stop_norm(pencil: fem.SparsePencil, values: np.ndarray, vectors: np.ndarray,
     Computes sqrt(sum_i rho_i' M^{-1} rho_i) with exact sparse solves, where
     rho_i = lam_i M u_i - K u_i.
     """
-    R = (pencil.mass @ vectors) * np.asarray(values)[None, :] - pencil.stiffness @ vectors
+    R = residual_dual(pencil, np.asarray(values), vectors)
     X = mass_factorization.solve(R)
     return float(np.sqrt(np.einsum("ij,ij->", R, X)))
 
@@ -251,18 +229,40 @@ def stop_norm(pencil: fem.SparsePencil, values: np.ndarray, vectors: np.ndarray,
 def _thick_restart(state: IterationState, corrections: np.ndarray,
                    pencil: fem.SparsePencil) -> IterationState:
     """Compact the basis to Ritz vectors 1..last plus the newest corrections."""
-    keep = state.ritz_block(1, state.cluster.last)
-    keep_mass = pencil.mass @ keep
-    extra = linalg.b_orthonormalize(
-        corrections, pencil.mass, _DROP_TOL, against=keep, against_mass=keep_mass,
+    kept = np.hstack([state.ritz_block(1, state.cluster.last), corrections])
+    return _grow(_empty_state(state.cluster, pencil.n), kept, pencil, state.iteration)
+
+
+def _empty_state(cluster: ClusterSpec, n: int) -> IterationState:
+    return IterationState(cluster, np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0)),
+                          np.empty(0), np.empty((0, 0)))
+
+
+def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
+          iteration: int) -> IterationState:
+    """The Rayleigh-Ritz step: the one place the trial basis grows.
+
+    Mass-orthonormalizes ``new_vectors`` against the basis, borders the
+    projected stiffness matrix by the accepted columns and re-solves it.
+    Returns ``state`` with ``iteration`` when every column is dropped.
+    """
+    accepted = linalg.b_orthonormalize(
+        new_vectors, pencil.mass, _DROP_TOL,
+        against=state.basis, against_mass=state.basis_mass,
     )
-    basis = np.hstack([keep, extra])
-    basis_mass = np.hstack([keep_mass, pencil.mass @ extra])
-    projected = basis.T @ (pencil.stiffness @ basis)
-    projected = 0.5 * (projected + projected.T)
+    if accepted.shape[1] == 0:
+        return replace(state, iteration=iteration)
+    stiff_new = pencil.stiffness @ accepted
+    cross = state.basis.T @ stiff_new
+    corner = accepted.T @ stiff_new
+    corner = 0.5 * (corner + corner.T)
+    projected = np.block([[state.projected, cross], [cross.T, corner]])
     values, coeffs = np.linalg.eigh(projected)
     return IterationState(
-        state.cluster, basis, basis_mass, projected, values, coeffs, state.iteration,
+        state.cluster,
+        np.hstack([state.basis, accepted]),
+        np.hstack([state.basis_mass, pencil.mass @ accepted]),
+        projected, values, coeffs, iteration,
     )
 
 

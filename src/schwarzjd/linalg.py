@@ -252,7 +252,8 @@ def b_orthonormalize(
     Returns
     -------
     (n, kept) array with W' M W = I.  Raises EmptyBasisError if every vector
-    is dropped and there is no ``against`` basis to fall back on.
+    is dropped and there is no ``against`` basis (or one without columns) to
+    fall back on.
     """
     if not 0.0 < drop_tol < 1.0:
         raise InvalidArgumentError(f"drop tolerance must lie in (0, 1), got {drop_tol}")
@@ -262,7 +263,9 @@ def b_orthonormalize(
         V = V[:, None]
     n = V.shape[0]
 
-    if against is not None and against.shape[1] > 0 and against_mass is None:
+    if against is not None and against.shape[1] == 0:
+        against = None
+    if against is not None and against_mass is None:
         against_mass = M @ against
     kept: list[np.ndarray] = []
     kept_m: list[np.ndarray] = []
@@ -274,7 +277,7 @@ def b_orthonormalize(
             continue
         pre = np.sqrt(pre)
         for _ in range(2):  # second sweep = full re-orthogonalization
-            if against is not None and against.shape[1] > 0:
+            if against is not None:
                 v -= against @ (against_mass.T @ v)
             for w, mw in zip(kept, kept_m):
                 v -= (mw @ v) * w

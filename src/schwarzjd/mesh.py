@@ -266,46 +266,16 @@ class Decomposition:
 
     ``subdomains[l]`` holds the fine interior dofs strictly inside the l-th
     coarse cell dilated by ``overlap_layers`` fine cells and clipped to the
-    domain.  ``color_count`` is the number of colors a greedy coloring of the
-    subdomain intersection graph used; it stays bounded as the number of
-    subdomains grows (finite covering).
+    domain.  Overlap of at most half a coarse cell means each fine dof lies
+    in at most four subdomains, however many there are (finite covering).
     """
 
     subdomains: list = field(repr=False)
     overlap_layers: int
-    color_count: int
 
     @property
     def n_subdomains(self) -> int:
         return len(self.subdomains)
-
-
-def _greedy_color_count(cells, windows) -> int:
-    """Greedy coloring of the window intersection graph, lattice order.
-
-    Overlap of at most half a cell means only the eight surrounding cells
-    can intersect, so candidates are looked up by cell coordinate.
-    """
-    color_of = {}
-    count = 0
-    index = {cell: k for k, cell in enumerate(cells)}
-    for k, (ci, cj) in enumerate(cells):
-        x0, x1, y0, y1 = windows[k]
-        used = set()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                other = index.get((ci + di, cj + dj))
-                if other is None or other >= k:
-                    continue
-                a0, a1, b0, b1 = windows[other]
-                if x0 <= a1 and a0 <= x1 and y0 <= b1 and b0 <= y1:
-                    used.add(color_of[other])
-        c = 0
-        while c in used:
-            c += 1
-        color_of[k] = c
-        count = max(count, c + 1)
-    return count
 
 
 def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposition:
@@ -332,8 +302,6 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
     _, _, _, cell_mask = _domain_masks(fine.shape, n_coarse)
 
     subdomains = []
-    windows = []
-    cells = []
     cy, cx = np.nonzero(cell_mask)  # lattice order, matches coarse cell scan
     for j, i in zip(cy, cx):
         x0 = max(i * r - layers + 1, 0)
@@ -343,11 +311,5 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
         block = grid[y0 : y1 + 1, x0 : x1 + 1].ravel()
         dofs = block[block >= 0]
         subdomains.append(dofs)
-        windows.append((x0, x1, y0, y1))
-        cells.append((int(i), int(j)))
 
-    return Decomposition(
-        subdomains=subdomains,
-        overlap_layers=layers,
-        color_count=_greedy_color_count(cells, windows),
-    )
+    return Decomposition(subdomains=subdomains, overlap_layers=layers)

@@ -73,6 +73,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value, fragment", [
         ("domain", "hexagon", "domain must be one of ['square', 'lshape'], got 'hexagon'"),
         ("format", "xml", "format must be 'csv' or 'json', got 'xml'"),
+        ("coarse", "2", "'coarse' must be int, got '2'"),
+        ("tol", "1e-8", "'tol' must be float, got '1e-8'"),
+        ("m", 1.5, "'m' must be int, got 1.5"),
+        ("shared_shift", "yes", "'shared_shift' must be bool, got 'yes'"),
     ])
     def test_config_file_value_rejected(self, capsys, tmp_path, key, value, fragment):
         cfg = tmp_path / "config.json"

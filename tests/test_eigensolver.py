@@ -8,6 +8,7 @@ from schwarzjd import schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
+    _thick_restart,
     correction_step,
     initialize,
     rayleigh_ritz,
@@ -203,6 +204,24 @@ class TestRayleighRitz:
         for j in range(out.dim):
             r = out.projected @ out.ritz_coeffs[:, j] - out.ritz_values[j] * out.ritz_coeffs[:, j]
             assert np.linalg.norm(r) <= 1e-9 * max(out.ritz_values[j], 1.0)
+
+
+class TestThickRestart:
+    def test_keeps_ritz_values_and_mass_orthonormality(self, small):
+        hier, pencil, decomp = small
+        cluster = ClusterSpec(3, 5)
+        state = initialize(hier, pencil, cluster)
+        coarse = build_coarse_piece(hier, cluster.last)
+        for _ in range(3):
+            prec = prepare(pencil, decomp, coarse, state.cluster_values())
+            corrections = correction_step(state, prec, pencil)
+            state = rayleigh_ritz(state, corrections, pencil)
+        out = _thick_restart(state, corrections, pencil)
+        # The restarted space lies inside the old one and holds Ritz vectors 1..last.
+        assert np.allclose(out.ritz_values[:5], state.ritz_values[:5], rtol=1e-10, atol=0)
+        assert out.dim < state.dim
+        assert out.iteration == state.iteration
+        assert np.abs(out.basis.T @ (pencil.mass @ out.basis) - np.eye(out.dim)).max() <= 1e-10
 
 
 class TestStopNorm:

@@ -271,6 +271,10 @@ class TestBOrthonormalize:
     def test_all_dropped_without_fallback_raises(self, pencil):
         with pytest.raises(EmptyBasisError):
             b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass)
+        # An against basis without columns is no basis to fall back on.
+        with pytest.raises(EmptyBasisError):
+            b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass,
+                             against=np.empty((pencil.n, 0)))
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5])
     def test_drop_tolerance_domain(self, pencil, tol):

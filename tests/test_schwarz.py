@@ -184,11 +184,7 @@ class TestApply:
     def test_single_subdomain_no_coarse_is_exact_shifted_solve(self):
         hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
         pencil = assemble(hier.fine)
-        whole = Decomposition(
-            subdomains=[np.arange(pencil.n)],
-            overlap_layers=1,
-            color_count=1,
-        )
+        whole = Decomposition(subdomains=[np.arange(pencil.n)], overlap_layers=1)
         shift = 1.5
         prec = prepare(pencil, whole, None, [shift])
         rng = np.random.default_rng(45)

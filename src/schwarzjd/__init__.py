@@ -5,7 +5,7 @@ Laplacian, discretized with P1 finite elements on structured triangulations
 of square and L-shaped domains.
 """
 
-from . import cli, eigensolver, errors, fem, linalg, mesh, oracle, schwarz
+from . import eigensolver, errors, fem, linalg, mesh, oracle, schwarz
 from .eigensolver import ClusterSpec, SolverConfig, SolverReport, solve
 from .fem import SparsePencil, assemble
 from .mesh import (

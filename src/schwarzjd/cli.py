@@ -182,7 +182,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
     summary = {
         "config": dataclasses.asdict(config),
         "dof_count": pencil.n,
-        "subdomain_count": report.subdomain_count,
+        "subdomain_count": decomp.n_subdomains,
         "iterations": report.iterations,
         "converged": report.converged,
         "stagnated": report.stagnated,
@@ -214,6 +214,8 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
         raise InvalidArgumentError("exactly one non-empty list of fine or coarse levels is required")
     param = "fine" if vary_fine else "coarse"
     values = list(vary_fine or vary_coarse)
+    if len(set(values)) != len(values):
+        raise InvalidArgumentError(f"swept {param} levels must be distinct, got {values}")
     settings = config.settings()
 
     out = Path(config.output_dir)
@@ -290,8 +292,15 @@ def _check_file_value(field: dataclasses.Field, value) -> None:
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = {}
     if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidArgumentError(f"cannot read config file {args.config!r}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise InvalidArgumentError(
+                f"config file must hold a JSON object, got {type(file_values).__name__}"
+            )
         fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
         unknown = set(file_values) - set(fields)
         if unknown:

@@ -154,7 +154,6 @@ class SolverReport:
     stop_norm: float
     trace: list = field(repr=False)
     timings: dict = field(repr=False)
-    subdomain_count: int = 0
 
 
 def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSpec) -> IterationState:
@@ -197,7 +196,7 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner,
     R = residual_dual(pencil, state.ritz_values[c.first - 1 : c.last], U)
     T = np.empty_like(U)
     for j in range(c.count):
-        s = prec.apply(R[:, j], j if prec.shift_count > 1 else 0)
+        s = prec.apply(R[:, j], j if len(prec.shifts) > 1 else 0)
         T[:, j] = s - U @ (MU.T @ s)
     return T
 
@@ -349,5 +348,4 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         stop_norm=sn,
         trace=trace,
         timings=timings,
-        subdomain_count=decomp.n_subdomains,
     )

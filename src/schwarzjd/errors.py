@@ -20,9 +20,9 @@ class IndefiniteMatrixError(SchwarzJDError):
     before falling back to a symmetric-indefinite factorization.
     """
 
-    def __init__(self, pivot: int, message: str | None = None):
+    def __init__(self, pivot: int):
         self.pivot = pivot
-        super().__init__(message or f"non-positive pivot at index {pivot}")
+        super().__init__(f"non-positive pivot at index {pivot}")
 
 
 class EigensolverError(SchwarzJDError):

@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 from .mesh import Mesh
 
-__all__ = ["SparsePencil", "assemble", "rayleigh_quotient", "export_matrix_market"]
+__all__ = ["SparsePencil", "assemble"]
 
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
@@ -81,18 +80,3 @@ def assemble(mesh: Mesh, *, drop_boundary: bool = True) -> SparsePencil:
     K.eliminate_zeros()
     return SparsePencil(stiffness=K, mass=M, n=n)
 
-
-def rayleigh_quotient(pencil: SparsePencil, v: np.ndarray) -> float:
-    """Return (v' K v) / (v' M v).  Raises InvalidArgumentError for v = 0."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (pencil.n,):
-        raise InvalidArgumentError(f"vector of length {pencil.n} expected, got shape {v.shape}")
-    if not np.any(v):
-        raise InvalidArgumentError("Rayleigh quotient of the zero vector is undefined")
-    return float(v @ (pencil.stiffness @ v)) / float(v @ (pencil.mass @ v))
-
-
-def export_matrix_market(pencil: SparsePencil, stiffness_path, mass_path) -> None:
-    """Write K and M in Matrix Market coordinate format with symmetric storage."""
-    scipy.io.mmwrite(stiffness_path, pencil.stiffness, symmetry="symmetric")
-    scipy.io.mmwrite(mass_path, pencil.mass, symmetry="symmetric")

@@ -243,7 +243,7 @@ def b_orthonormalize(
 
     Parameters
     ----------
-    vectors : (n, k) array or sequence of vectors
+    vectors : (n, k) array
     M : sparse or dense SPD matrix defining the inner product
     drop_tol : float in (0, 1)
     against, against_mass : optional existing M-orthonormal basis and its
@@ -257,10 +257,7 @@ def b_orthonormalize(
     """
     if not 0.0 < drop_tol < 1.0:
         raise InvalidArgumentError(f"drop tolerance must lie in (0, 1), got {drop_tol}")
-    V = np.array(np.column_stack(vectors) if isinstance(vectors, (list, tuple)) else vectors,
-                 dtype=np.float64, copy=True)
-    if V.ndim == 1:
-        V = V[:, None]
+    V = np.asarray(vectors, dtype=np.float64)
     n = V.shape[0]
 
     if against is not None and against.shape[1] == 0:

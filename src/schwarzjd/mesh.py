@@ -53,13 +53,12 @@ class Mesh:
         Refinement level j >= 1; lattice spacing is pi / 2^j.
     spacing : float
         Lattice spacing g (leg length of every triangle).
-    origin : float
-        Coordinate of lattice index 0 (0 for the square, -pi for the L).
     lattice : (n_points, 2) int array
         Integer lattice coordinates (ix, iy) of every node in the domain
         closure, ordered lexicographically by (iy, ix).
     points : (n_points, 2) float array
-        Physical coordinates, origin + lattice * spacing.
+        Physical coordinates, lattice * spacing shifted so that lattice
+        index 0 lies at 0 on the square and at -pi on the L-shape.
     triangles : (n_triangles, 3) int array
         Node index triples; each cell contributes (LL, LR, UR) and
         (LL, UR, UL), both with positive orientation.
@@ -74,7 +73,6 @@ class Mesh:
     shape: DomainShape
     level: int
     spacing: float
-    origin: float
     lattice: np.ndarray
     points: np.ndarray
     triangles: np.ndarray
@@ -89,11 +87,6 @@ class Mesh:
     @property
     def n_cells_per_side(self) -> int:
         return 1 << self.level
-
-    @property
-    def mesh_size(self) -> float:
-        """Longest edge length h = sqrt(2) * g (the cell diagonal)."""
-        return math.sqrt(2.0) * self.spacing
 
     def dof_lattice(self) -> np.ndarray:
         """Integer lattice coordinates of the interior dofs, shape (n_dofs, 2)."""
@@ -164,7 +157,6 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
         shape=shape,
         level=level,
         spacing=g,
-        origin=origin,
         lattice=lattice,
         points=points,
         triangles=triangles,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, ProblemTooLargeError
 from .fem import SparsePencil
@@ -73,8 +72,8 @@ def dense_discrete_spectrum(pencil: SparsePencil, count: int) -> SpectrumReferen
         )
     if not 1 <= count <= pencil.n:
         raise InvalidArgumentError(f"count must lie in [1, {pencil.n}], got {count}")
-    K = pencil.stiffness.toarray() if sp.issparse(pencil.stiffness) else np.asarray(pencil.stiffness)
-    M = pencil.mass.toarray() if sp.issparse(pencil.mass) else np.asarray(pencil.mass)
+    K = pencil.stiffness.toarray()
+    M = pencil.mass.toarray()
     L = np.linalg.cholesky(M)
     # C = L^-1 K L^-T, standard symmetric problem with the same eigenvalues.
     tmp = sla.solve_triangular(L, K, lower=True)

@@ -160,6 +160,8 @@ class SchwarzPreconditioner:
     """Prepared two-level additive Schwarz operator for a list of shifts.
 
     Immutable after construction; ``apply`` may be called concurrently.
+    ``apply`` checks the shift index; ``apply_coarse`` and ``apply_local``
+    trust it.
     """
 
     def __init__(self, coarse, shifts, factorizations, blocks, n):
@@ -169,38 +171,12 @@ class SchwarzPreconditioner:
         self._blocks = blocks
         self.n = n
 
-    @property
-    def shift_count(self) -> int:
-        return len(self.shifts)
-
-    @property
-    def n_local_factorizations(self) -> int:
-        return sum(len(facts) for facts in self._factorizations)
-
     def local_factorizations(self, i: int) -> list:
         """Factorizations of K_c - shift_i M_c, one per operator class."""
         return self._factorizations[i]
 
-    def coarse_margin(self, i: int) -> float | None:
-        """Smallest eigenvalue of the deflated shifted coarse operator.
-
-        Equals the first retained coarse eigenvalue minus the shift; None when
-        the deflation empties the coarse subspace entirely.
-        """
-        self._check_index(i)
-        if self.coarse is None or self.coarse.deflated_dim == 0:
-            return None
-        return float(self.coarse.values[self.coarse.cluster_cut] - self.shifts[i])
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < len(self.shifts):
-            raise InvalidArgumentError(
-                f"shift index {i} outside the prepared range 0..{len(self.shifts) - 1}"
-            )
-
     def apply_coarse(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Coarse contribution: spectral solve on the deflated coarse subspace."""
-        self._check_index(i)
         t = np.zeros(self.n)
         cp = self.coarse
         if cp is None or cp.deflated_dim == 0:
@@ -214,7 +190,6 @@ class SchwarzPreconditioner:
 
     def apply_local(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Sum of the subdomain solves, ascending subdomain order."""
-        self._check_index(i)
         t = np.zeros(self.n)
         facts = self._factorizations[i]
         for dofs, c in zip(self._blocks.dof_sets, self._blocks.class_of):
@@ -226,6 +201,10 @@ class SchwarzPreconditioner:
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.n,):
             raise InvalidArgumentError(f"dual vector of length {self.n} expected")
+        if not 0 <= i < len(self.shifts):
+            raise InvalidArgumentError(
+                f"shift index {i} outside the prepared range 0..{len(self.shifts) - 1}"
+            )
         return self.apply_coarse(rho, i) + self.apply_local(rho, i)
 
 

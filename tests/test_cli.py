@@ -1,6 +1,10 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,17 @@ class TestConfigValidation:
         argv = ["run", "--config", str(cfg), "--coarse", "2", "--fine", "4", "--m", "1",
                 "--M", "2", "--output-dir", str(tmp_path / "run")]
         assert fragment in rejected(capsys, argv)
+
+    @pytest.mark.parametrize("content, fragment", [
+        ("{", "cannot read config file"),
+        (None, "cannot read config file"),
+        ('["coarse"]', "config file must hold a JSON object, got list"),
+    ], ids=["malformed", "missing", "array"])
+    def test_config_file_unreadable_rejected(self, capsys, tmp_path, content, fragment):
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(content)
+        assert fragment in rejected(capsys, ["run", "--config", str(cfg)])
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "0"],  # SolverConfig
@@ -249,6 +264,12 @@ class TestSweepCommand:
     def test_empty_vary_rejected(self, capsys):
         assert main(["sweep", *TINY]) == 2
 
+    def test_repeated_levels_rejected(self, capsys, tmp_path):
+        out = tmp_path / "sweep"
+        err = rejected(capsys, ["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "4"])
+        assert "swept fine levels must be distinct" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--m", "5", "--M", "4"], ["--tol", "0"]])
     def test_shared_setting_rejects_whole_sweep(self, capsys, tmp_path, flags):
         out = tmp_path / "sweep"
@@ -300,3 +321,13 @@ class TestFitGamma:
         lam_h = np.array([1.0])
         trace = [Rec([1.0]), Rec([1.0])]
         assert fit_gamma(trace, lam_h, 1, 1) is None
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "schwarzjd.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-import scipy.io
 
-from schwarzjd.errors import InvalidArgumentError
-from schwarzjd.fem import assemble, export_matrix_market, rayleigh_quotient
+from schwarzjd.fem import assemble
 from schwarzjd.mesh import DomainShape, build_hierarchy, build_mesh
 
 
@@ -21,7 +19,6 @@ class TestAssembly:
         g = mesh.spacing
         assert pencil.stiffness.toarray().item() == pytest.approx(4.0)
         assert pencil.mass.toarray().item() == pytest.approx(g * g / 2)
-        assert rayleigh_quotient(pencil, np.ones(1)) == pytest.approx(8 / g**2)
 
     def test_interior_stiffness_stencil(self, square4):
         mesh, pencil = square4
@@ -98,37 +95,3 @@ class TestAssembly:
             errs.append(lam - 2.0)
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - 2.0) < 0.1)
-
-
-class TestRayleighQuotient:
-    def test_scale_invariance(self, square4):
-        _, pencil = square4
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(pencil.n)
-        assert rayleigh_quotient(pencil, 17.5 * v) == pytest.approx(rayleigh_quotient(pencil, v))
-
-    def test_discrete_eigenvector_gives_eigenvalue(self, square4):
-        import scipy.linalg as sla
-
-        _, pencil = square4
-        vals, vecs = sla.eigh(pencil.stiffness.toarray(), pencil.mass.toarray())
-        assert rayleigh_quotient(pencil, vecs[:, 0]) == pytest.approx(vals[0], rel=1e-12)
-
-    def test_zero_vector_rejected(self, square4):
-        _, pencil = square4
-        with pytest.raises(InvalidArgumentError):
-            rayleigh_quotient(pencil, np.zeros(pencil.n))
-
-
-class TestMatrixMarketExport:
-    def test_symmetric_header_and_round_trip(self, tmp_path, square4):
-        _, pencil = square4
-        kp = tmp_path / "stiffness.mtx"
-        mp = tmp_path / "mass.mtx"
-        export_matrix_market(pencil, kp, mp)
-        header = kp.read_text().splitlines()[0]
-        assert header == "%%MatrixMarket matrix coordinate real symmetric"
-        K = scipy.io.mmread(kp).tocsr()
-        assert abs(K - pencil.stiffness).max() < 1e-15
-        M = scipy.io.mmread(mp).tocsr()
-        assert abs(M - pencil.mass).max() < 1e-15

@@ -59,7 +59,6 @@ class TestBuildMesh:
     def test_spacing(self):
         mesh = build_mesh(DomainShape.SQUARE, 4)
         assert mesh.spacing == pytest.approx(np.pi / 16)
-        assert mesh.mesh_size == pytest.approx(np.sqrt(2) * np.pi / 16)
 
     def test_lshape_excludes_removed_quadrant(self):
         mesh = build_mesh(DomainShape.LSHAPE, 3)
@@ -82,9 +81,9 @@ class TestHierarchy:
         assert hier.coarse.level == 5
         assert hier.initial.level == 6
         assert hier.fine.level == 8
-        assert hier.coarse.mesh_size == pytest.approx(np.sqrt(2) * np.pi / 2**5)
-        assert hier.initial.mesh_size == pytest.approx(np.sqrt(2) * np.pi / 2**6)
-        assert hier.fine.mesh_size == pytest.approx(np.sqrt(2) * np.pi / 2**8)
+        assert hier.coarse.spacing == pytest.approx(np.pi / 2**5)
+        assert hier.initial.spacing == pytest.approx(np.pi / 2**6)
+        assert hier.fine.spacing == pytest.approx(np.pi / 2**8)
 
     def test_prolongation_shape(self):
         hier = build_hierarchy(DomainShape.SQUARE, 3, 4)

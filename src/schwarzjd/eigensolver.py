@@ -25,8 +25,16 @@ projected stiffness matrix by the accepted columns and solves the small
 eigenproblem.  Startup grows an empty basis by the lifted vectors, each
 outer iteration grows the current basis by its corrections, and the
 optional thick restart (``restart_dim``) grows an empty basis by Ritz
-vectors 1..last and the newest corrections.  Iteration states are
-immutable; every step returns a new one.
+vectors 1..last and the newest corrections.
+
+Iteration states are immutable; every step returns a new one.  A state's
+basis is a read-only view of the leading columns of a Fortran-ordered
+buffer that a chain of states shares: growing the newest state on a buffer
+writes the accepted columns in place behind the views the older states
+hold, and any other growth copies into a new buffer of doubled capacity.
+The basis takes 8 n dim bytes; a buffer that would exceed physical memory
+raises ProblemTooLargeError before it is allocated.  The cluster Ritz
+vectors are formed once per state.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -36,13 +44,15 @@ are recorded in the trace alongside the stop norm.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import fem, linalg, schwarz
-from .errors import ClusterTooLargeError, InvalidArgumentError
+from .errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
 from .mesh import Decomposition, MeshHierarchy
 
 __all__ = [
@@ -60,6 +70,9 @@ __all__ = [
 ]
 
 _DROP_TOL = 1e-8  # basis-growth drop tolerance for near-dependent corrections
+
+# Bytes a basis buffer may take: the machine's physical memory.
+_MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -94,24 +107,47 @@ class SolverConfig:
             raise InvalidArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+class _BasisBuffer:
+    """Column storage shared by a chain of states; columns [0, filled) are written."""
+
+    def __init__(self, n: int, capacity: int):
+        need = 8 * n * capacity
+        if need > _MEMORY_BUDGET:
+            raise ProblemTooLargeError(
+                f"a trial basis of {capacity} columns of {n} dofs needs "
+                f"{need / 2**30:.1f} GiB, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB "
+                f"of physical memory; bound the basis with --restart-dim"
+            )
+        self.data = np.empty((n, capacity), order="F")
+        self.filled = 0
+
+
 @dataclass(frozen=True, eq=False)
 class IterationState:
     """Mass-orthonormal trial basis with its projected pencil and Ritz data.
 
-    ``basis`` spans the trial subspace (n x dim), ``projected`` is the
-    projected stiffness basis' K basis, and ``ritz_values``/``ritz_coeffs``
-    its full eigendecomposition.  Ritz vector j (1-based) is
-    basis @ ritz_coeffs[:, j-1]; the cluster block first..last drives the
-    corrections.  States are never modified; each step returns a new one.
+    ``basis`` spans the trial subspace (n x dim) and is read-only, normally
+    a view of the leading columns of a buffer that later states may extend
+    in place; ``projected`` is the projected stiffness basis' K basis, and
+    ``ritz_values``/``ritz_coeffs`` its full eigendecomposition.  Ritz
+    vector j (1-based) is basis @ ritz_coeffs[:, j-1]; the cluster block
+    first..last drives the corrections and is formed once per state.
+    States are never modified; each step returns a new one.
     """
 
     cluster: ClusterSpec
     basis: np.ndarray
-    basis_mass: np.ndarray
     projected: np.ndarray
     ritz_values: np.ndarray
     ritz_coeffs: np.ndarray
     iteration: int = 0
+    _buffer: _BasisBuffer | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.basis.flags.writeable:  # a read-only view; the buffer stays writable
+            basis = self.basis.view()
+            basis.flags.writeable = False
+            object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -126,8 +162,15 @@ class IterationState:
         return self.ritz_values[c.first - 1 : c.last].copy()
 
     def cluster_vectors(self) -> np.ndarray:
+        """The cluster Ritz vectors first..last, formed on first use (read-only)."""
+        return self._cluster_block
+
+    @cached_property
+    def _cluster_block(self) -> np.ndarray:
         c = self.cluster
-        return self.ritz_block(c.first, c.last)
+        block = self.ritz_block(c.first, c.last)
+        block.flags.writeable = False
+        return block
 
 
 @dataclass(frozen=True)
@@ -193,12 +236,10 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner,
     c = state.cluster
     U = state.cluster_vectors()
     MU = pencil.mass @ U
-    R = residual_dual(pencil, state.ritz_values[c.first - 1 : c.last], U)
-    T = np.empty_like(U)
-    for j in range(c.count):
-        s = prec.apply(R[:, j], j if len(prec.shifts) > 1 else 0)
-        T[:, j] = s - U @ (MU.T @ s)
-    return T
+    R = state.ritz_values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
+    S = np.column_stack([prec.apply(R[:, j], j if len(prec.shifts) > 1 else 0)
+                         for j in range(c.count)])
+    return S - U @ (MU.T @ S)
 
 
 def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
@@ -233,8 +274,8 @@ def _thick_restart(state: IterationState, corrections: np.ndarray,
 
 
 def _empty_state(cluster: ClusterSpec, n: int) -> IterationState:
-    return IterationState(cluster, np.empty((n, 0)), np.empty((n, 0)), np.empty((0, 0)),
-                          np.empty(0), np.empty((0, 0)))
+    return IterationState(cluster, np.empty((n, 0)), np.empty((0, 0)), np.empty(0),
+                          np.empty((0, 0)))
 
 
 def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
@@ -244,11 +285,13 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     Mass-orthonormalizes ``new_vectors`` against the basis, borders the
     projected stiffness matrix by the accepted columns and re-solves it.
     Returns ``state`` with ``iteration`` when every column is dropped.
+
+    The accepted columns are written in place behind the basis when
+    ``state`` is the newest state on its buffer and the buffer has room;
+    otherwise the basis and the accepted columns are copied into a new
+    buffer of twice the needed capacity.  No existing state's basis changes.
     """
-    accepted = linalg.b_orthonormalize(
-        new_vectors, pencil.mass, _DROP_TOL,
-        against=state.basis, against_mass=state.basis_mass,
-    )
+    accepted = linalg.b_orthonormalize(new_vectors, pencil.mass, _DROP_TOL, against=state.basis)
     if accepted.shape[1] == 0:
         return replace(state, iteration=iteration)
     stiff_new = pencil.stiffness @ accepted
@@ -257,12 +300,16 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     corner = 0.5 * (corner + corner.T)
     projected = np.block([[state.projected, cross], [cross.T, corner]])
     values, coeffs = np.linalg.eigh(projected)
-    return IterationState(
-        state.cluster,
-        np.hstack([state.basis, accepted]),
-        np.hstack([state.basis_mass, pencil.mass @ accepted]),
-        projected, values, coeffs, iteration,
-    )
+
+    dim, dim_new = state.dim, state.dim + accepted.shape[1]
+    buffer = state._buffer
+    if buffer is None or buffer.filled != dim or buffer.data.shape[1] < dim_new:
+        buffer = _BasisBuffer(pencil.n, 2 * dim_new)
+        buffer.data[:, :dim] = state.basis
+    buffer.data[:, dim:dim_new] = accepted
+    buffer.filled = dim_new
+    return IterationState(state.cluster, buffer.data[:, :dim_new], projected, values, coeffs,
+                          iteration, buffer)
 
 
 def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
@@ -270,8 +317,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     """Run the full iteration until the stop norm falls below the tolerance.
 
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
-    stagnated when the basis stops growing while the stop norm stalls for
-    three consecutive iterations; partial results are returned either way.
+    stagnated when Rayleigh-Ritz accepts no new column in three consecutive
+    iterations; partial results are returned either way.  Raises
+    ProblemTooLargeError when the trial basis would outgrow physical memory.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(
@@ -323,6 +371,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         corrections = clocked("correction", correction_step, state, prec, pencil)
         prev_values, prev_dim = values, state.dim
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
+        grew = state.dim > prev_dim
         if config.restart_dim is not None and state.dim > config.restart_dim:
             state = clocked("restart", _thick_restart, state, corrections, pencil)
         k += 1
@@ -332,7 +381,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim, clamped)
         if sn < config.tol:
             converged = True
-        elif state.dim == prev_dim:
+        elif not grew:
             stalls += 1
             stagnated = stalls >= 3
         else:
@@ -341,7 +390,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     return SolverReport(
         cluster=cluster,
         values=values,
-        vectors=vectors,
+        vectors=vectors.copy(),  # writable, unlike the state's cached block
         iterations=k,
         converged=converged,
         stagnated=stagnated,

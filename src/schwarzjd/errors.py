@@ -42,4 +42,8 @@ class EmptyBasisError(SchwarzJDError):
 
 
 class ProblemTooLargeError(InvalidArgumentError):
-    """A dense reference computation was requested beyond its feasibility guard."""
+    """A computation was requested beyond its feasibility guard.
+
+    Raised for a dense reference spectrum above its dof limit, and for a
+    trial basis buffer larger than the machine's physical memory.
+    """

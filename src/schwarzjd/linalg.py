@@ -230,24 +230,25 @@ def b_orthonormalize(
     M,
     drop_tol: float = 1e-8,
     against: np.ndarray | None = None,
-    against_mass: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gram-Schmidt orthonormalization in the M inner product.
+    """Blocked two-pass Gram-Schmidt orthonormalization in the M inner product.
 
-    The incoming columns are processed sequentially (modified Gram-Schmidt
-    among themselves); the projection against the optional ``against`` basis,
-    which is assumed M-orthonormal already, is applied in blocked form.
-    Every vector receives one full re-orthogonalization sweep.  Vectors whose
-    post-projection M-norm falls below ``drop_tol`` times their pre-projection
-    M-norm are discarded.
+    The whole block is first projected off the optional ``against`` basis,
+    which is assumed M-orthonormal already, in exactly two blocked passes
+    ``V -= against @ (against' M V)`` (level-3 BLAS; one pass loses
+    orthogonality in proportion to the cancellation, the second restores it
+    to working precision: "twice is enough").  The columns are then
+    orthonormalized among themselves in order, with two classical
+    Gram-Schmidt sweeps per column against the columns already kept.  A
+    column is dropped when its final M-norm falls below ``drop_tol`` times
+    its input M-norm.
 
     Parameters
     ----------
     vectors : (n, k) array
     M : sparse or dense SPD matrix defining the inner product
     drop_tol : float in (0, 1)
-    against, against_mass : optional existing M-orthonormal basis and its
-        image under M (computed here if omitted)
+    against : optional existing M-orthonormal (n, m) basis
 
     Returns
     -------
@@ -257,37 +258,35 @@ def b_orthonormalize(
     """
     if not 0.0 < drop_tol < 1.0:
         raise InvalidArgumentError(f"drop tolerance must lie in (0, 1), got {drop_tol}")
-    V = np.asarray(vectors, dtype=np.float64)
-    n = V.shape[0]
-
+    V = np.array(vectors, dtype=np.float64, order="F")
+    n, k = V.shape
     if against is not None and against.shape[1] == 0:
         against = None
-    if against is not None and against_mass is None:
-        against_mass = M @ against
-    kept: list[np.ndarray] = []
-    kept_m: list[np.ndarray] = []
 
-    for j in range(V.shape[1]):
-        v = V[:, j].copy()
-        pre = float(v @ (M @ v))
-        if pre <= 0.0:
+    MV = M @ V
+    pre = np.sqrt(np.maximum(np.einsum("ij,ij->j", V, MV), 0.0))
+    if against is not None:
+        V -= against @ (against.T @ MV)
+        V -= against @ (against.T @ (M @ V))
+
+    W = np.empty((n, k), order="F")
+    MW = np.empty((n, k), order="F")
+    kept = 0
+    for j in range(k):
+        if pre[j] == 0.0:
             continue
-        pre = np.sqrt(pre)
+        v = V[:, j]
         for _ in range(2):  # second sweep = full re-orthogonalization
-            if against is not None:
-                v -= against @ (against_mass.T @ v)
-            for w, mw in zip(kept, kept_m):
-                v -= (mw @ v) * w
-        post_sq = float(v @ (M @ v))
+            v -= W[:, :kept] @ (MW[:, :kept].T @ v)
+        mv = M @ v
+        post_sq = float(v @ mv)
         post = np.sqrt(post_sq) if post_sq > 0.0 else 0.0
-        if post < drop_tol * pre:
+        if post < drop_tol * pre[j]:
             continue
-        v /= post
-        kept.append(v)
-        kept_m.append(M @ v)
+        W[:, kept] = v / post
+        MW[:, kept] = mv / post
+        kept += 1
 
-    if not kept and against is None:
+    if kept == 0 and against is None:
         raise EmptyBasisError("all vectors were dropped during orthonormalization")
-    if not kept:
-        return np.empty((n, 0))
-    return np.column_stack(kept)
+    return W[:, :kept]

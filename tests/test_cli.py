@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schwarzjd import cli
+from schwarzjd import cli, eigensolver
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
 from schwarzjd.errors import SingularMatrixError
 
@@ -109,6 +109,14 @@ class TestConfigValidation:
         out = tmp_path / "run"
         rejected(capsys, ["run", "--coarse", "1", "--fine", "3", "--m", "1", "--M", "2",
                           *flags, "--output-dir", str(out)])
+        assert not out.exists()
+
+    def test_basis_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 1024)
+        out = tmp_path / "run"
+        err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
+        assert "GiB" in err and "--restart-dim" in err
         assert not out.exists()
 
 

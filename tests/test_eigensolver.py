@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from schwarzjd import schwarz
+from schwarzjd import eigensolver, schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
@@ -16,7 +16,7 @@ from schwarzjd.eigensolver import (
     solve,
     stop_norm,
 )
-from schwarzjd.errors import ClusterTooLargeError, InvalidArgumentError
+from schwarzjd.errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy
@@ -167,12 +167,11 @@ class TestCorrectionStep:
         cluster = ClusterSpec(1, 2)
         ref = dense_discrete_spectrum(pencil, 2)
         basis = ref.vectors.copy()
-        basis_mass = pencil.mass @ basis
         projected = basis.T @ (pencil.stiffness @ basis)
         from schwarzjd.eigensolver import IterationState
 
         values, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
-        state = IterationState(cluster, basis, basis_mass, projected, values, coeffs)
+        state = IterationState(cluster, basis, projected, values, coeffs)
         coarse = build_coarse_piece(hier, cluster.last)
         prec = prepare(pencil, decomp, coarse, state.cluster_values())
         T = correction_step(state, prec, pencil)
@@ -204,6 +203,41 @@ class TestRayleighRitz:
         for j in range(out.dim):
             r = out.projected @ out.ritz_coeffs[:, j] - out.ritz_values[j] * out.ritz_coeffs[:, j]
             assert np.linalg.norm(r) <= 1e-9 * max(out.ritz_values[j], 1.0)
+
+
+class TestBasisBuffer:
+    def test_growing_one_state_twice_changes_no_existing_basis(self, small):
+        hier, pencil, _ = small
+        rng = np.random.default_rng(54)
+        parent = initialize(hier, pencil, ClusterSpec(1, 3))
+        parent_basis = parent.basis.copy()
+        first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        first_basis = first.basis.copy()
+        second = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        rayleigh_ritz(first, rng.standard_normal((pencil.n, 3)), pencil)
+        # the first child was written in place behind the parent, the second copied
+        assert np.shares_memory(first.basis, parent.basis)
+        assert not np.shares_memory(second.basis, first.basis)
+        assert np.array_equal(parent.basis, parent_basis)
+        assert np.array_equal(first.basis, first_basis)
+        assert np.array_equal(second.basis[:, :parent.dim], parent_basis)
+        assert not np.array_equal(second.basis, first.basis)
+
+    def test_basis_and_cluster_vectors_are_read_only(self, stepped):
+        pencil, _, _, state, _ = stepped
+        grown = rayleigh_ritz(state, np.random.default_rng(55).standard_normal((pencil.n, 2)),
+                              pencil)
+        for s in (state, grown):
+            assert not s.basis.flags.writeable
+            assert not s.cluster_vectors().flags.writeable
+            assert s.cluster_vectors() is s.cluster_vectors()
+
+    def test_basis_beyond_memory_budget_raises(self, small, monkeypatch):
+        hier, pencil, decomp = small
+        # room for the startup buffer (twice the 5 lifted columns), not for its first doubling
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 10)
+        with pytest.raises(ProblemTooLargeError, match=r"22 columns .* GiB.*--restart-dim"):
+            solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig(max_iter=5))
 
 
 class TestThickRestart:
@@ -325,6 +359,16 @@ class TestSolve:
         assert max(rec.basis_dim for rec in report.trace) <= cap + cluster.count
         ref = dense_discrete_spectrum(pencil, 5)
         assert np.allclose(report.values, ref.values[2:5], atol=1e-8)
+
+    @pytest.mark.parametrize("restart_dim", [11, 14])
+    def test_restart_back_to_the_same_dimension_is_no_stall(self, small, restart_dim):
+        # every iteration grows the basis to 15 and restarts it to 10
+        hier, pencil, decomp = small
+        report = solve(hier, pencil, decomp, ClusterSpec(1, 5),
+                       SolverConfig(tol=1e-8, max_iter=200, restart_dim=restart_dim))
+        assert not report.stagnated
+        assert report.converged
+        assert {rec.basis_dim for rec in report.trace} == {5, 10}
 
     def test_clamped_shifts_recorded(self, small, monkeypatch):
         hier, pencil, decomp = small

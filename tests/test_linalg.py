@@ -268,6 +268,20 @@ class TestBOrthonormalize:
                              pencil.mass, against=W)
         assert T.shape == (pencil.n, 0)
 
+    @pytest.mark.parametrize("outside, kept", [(1e-6, 1), (1e-12, 0)])
+    def test_nearly_dependent_column_projected_to_working_precision(self, pencil, outside,
+                                                                     kept):
+        # One blocked pass leaves a component of about 4e-10 along W here;
+        # the second brings it to roundoff.
+        rng = np.random.default_rng(27)
+        M = pencil.mass
+        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), M)
+        d = b_orthonormalize(rng.standard_normal((pencil.n, 1)), M, against=W)
+        v = W @ rng.standard_normal((6, 1)) + outside * d
+        T = b_orthonormalize(v, M, against=W)
+        assert T.shape == (pencil.n, kept)
+        assert np.abs(W.T @ (M @ T)).max(initial=0.0) <= 1e-12
+
     def test_all_dropped_without_fallback_raises(self, pencil):
         with pytest.raises(EmptyBasisError):
             b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass)

@@ -101,8 +101,8 @@ class SolverConfig:
     shared_shift: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidArgumentError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidArgumentError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -337,9 +337,6 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     mass_fact = clocked("mass_factorization", linalg.factorize, pencil.mass, True)
     state = clocked("initialize", initialize, hier, pencil, cluster)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
-    shift_cap = None
-    if coarse.deflated_dim > 0:
-        shift_cap = float(coarse.values[cluster.last]) * (1.0 - 1e-8)
 
     trace: list[TraceRecord] = []
     wall_start = time.perf_counter()
@@ -363,10 +360,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     k = 0
     while not converged and not stagnated and k < config.max_iter:
         shifts = values[:1] if config.shared_shift else values
-        clamped = 0
-        if shift_cap is not None:
-            clamped = int(np.count_nonzero(shifts > shift_cap))
-            shifts = np.minimum(shifts, shift_cap)
+        clamped = int(np.count_nonzero(shifts > coarse.shift_cap))
+        shifts = np.minimum(shifts, coarse.shift_cap)
         prec = clocked("prepare", schwarz.prepare, pencil, decomp, coarse, shifts, reuse=prec)
         corrections = clocked("correction", correction_step, state, prec, pencil)
         prev_values, prev_dim = values, state.dim

@@ -13,18 +13,6 @@ class SingularMatrixError(SchwarzJDError):
     """A matrix was singular to working precision during factorization."""
 
 
-class IndefiniteMatrixError(SchwarzJDError):
-    """An SPD factorization met a non-positive pivot.
-
-    Carries the 0-based index of the offending pivot so callers can log it
-    before falling back to a symmetric-indefinite factorization.
-    """
-
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"non-positive pivot at index {pivot}")
-
-
 class EigensolverError(SchwarzJDError):
     """An iterative eigensolver failed or did not converge."""
 

@@ -1,10 +1,10 @@
 """Numerical kernels: reusable factorizations, generalized eigensolves,
 and Gram-Schmidt orthonormalization in a mass inner product.
 
-Factorizations below a size threshold use dense LAPACK (Cholesky for SPD
-operands, Bunch-Kaufman LDL^T otherwise); larger operands go through
-SuperLU.  All returned handles are immutable after construction and safe
-for repeated solves.
+Factorizations below a size threshold use dense LAPACK: Cholesky first,
+and Bunch-Kaufman LDL^T when Cholesky meets a non-positive pivot.  Larger
+operands go through SuperLU.  All returned handles are immutable after
+construction and safe for repeated solves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from scipy.linalg import lapack
 from .errors import (
     EmptyBasisError,
     EigensolverError,
-    IndefiniteMatrixError,
     InvalidArgumentError,
     SingularMatrixError,
 )
@@ -63,23 +62,23 @@ class Factorization:
         return self._solve(rhs)
 
 
-def _dense_spd(a: np.ndarray) -> Factorization:
+def _dense(a: np.ndarray) -> Factorization:
+    """Cholesky of ``a``, or Bunch-Kaufman LDL^T when Cholesky meets a non-positive pivot."""
+    n = a.shape[0]
     c, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=0)
-    if info > 0:
-        raise IndefiniteMatrixError(pivot=info - 1)
     if info < 0:
         raise InvalidArgumentError(f"illegal value in argument {-info} of dpotrf")
+    if info == 0:
+        def solve(rhs):
+            x, sinfo = lapack.dpotrs(c, rhs, lower=1)
+            if sinfo != 0:
+                raise SingularMatrixError("Cholesky solve failed")
+            return x
 
-    def solve(rhs):
-        x, sinfo = lapack.dpotrs(c, rhs, lower=1)
-        if sinfo != 0:
-            raise SingularMatrixError("Cholesky solve failed")
-        return x
+        return Factorization("spd-cholesky", n, solve)
 
-    return Factorization("spd-cholesky", a.shape[0], solve)
-
-
-def _dense_ldlt(a: np.ndarray) -> Factorization:
+    log.debug("operand of order %d indefinite at pivot %d; refactorizing as symmetric-indefinite",
+              n, info - 1)
     ldu, ipiv, info = lapack.dsytrf(a, lower=1)
     if info > 0:
         raise SingularMatrixError(f"zero pivot at index {info - 1} in LDL^T factorization")
@@ -92,7 +91,7 @@ def _dense_ldlt(a: np.ndarray) -> Factorization:
             raise SingularMatrixError("LDL^T solve failed")
         return x
 
-    return Factorization("symmetric-indefinite", a.shape[0], solve)
+    return Factorization("symmetric-indefinite", n, solve)
 
 
 def _sparse_lu(S, symmetric_spd: bool) -> Factorization:
@@ -119,11 +118,11 @@ def _sparse_lu(S, symmetric_spd: bool) -> Factorization:
 def factorize(S, expect_spd: bool = False) -> Factorization:
     """Factorize the symmetric operand ``S`` for repeated solves.
 
-    Dense path (order <= DENSE_LIMIT or ndarray input): Cholesky when
-    ``expect_spd``, raising IndefiniteMatrixError with the failing pivot if a
-    non-positive pivot is met so the caller can refactorize with
-    ``expect_spd=False`` (Bunch-Kaufman).  Sparse path: SuperLU, configured
-    for symmetric-definite operands when ``expect_spd``.
+    Dense path (order <= DENSE_LIMIT or ndarray input): always Cholesky
+    first; a non-positive pivot falls back to Bunch-Kaufman LDL^T (logged at
+    debug level), so the kind tells whether ``S`` is positive definite.
+    Sparse path: SuperLU, configured for symmetric-definite operands when
+    ``expect_spd``; it serves definite and indefinite operands alike.
 
     Raises SingularMatrixError when the operand is singular to working
     precision.
@@ -138,35 +137,12 @@ def factorize(S, expect_spd: bool = False) -> Factorization:
         n = dense.shape[0]
     if dense.shape != (n, n):
         raise InvalidArgumentError(f"square operand expected, got shape {dense.shape}")
-    dense = np.asfortranarray(dense)
-    if expect_spd:
-        return _dense_spd(dense)
-    return _dense_ldlt(dense)
+    return _dense(np.asfortranarray(dense))
 
 
 def factorize_shifted(K, M, shift: float) -> Factorization:
-    """Factorize K - shift * M, attempting the SPD path first.
-
-    On the dense path an indefinite operand triggers a transparent fallback
-    to the symmetric-indefinite factorization (logged).  On the sparse path
-    the pivot signs are not observable, so a positive shift goes straight to
-    the general LU factorization.
-    """
-    S = K - shift * M
-    small = (not sp.issparse(S)) or S.shape[0] <= DENSE_LIMIT
-    if small:
-        try:
-            return factorize(S, expect_spd=True)
-        except IndefiniteMatrixError as exc:
-            log.debug(
-                "shifted operator (shift=%.6g, n=%d) indefinite at pivot %d; "
-                "refactorizing as symmetric-indefinite",
-                shift,
-                S.shape[0],
-                exc.pivot,
-            )
-            return factorize(S, expect_spd=False)
-    return factorize(S, expect_spd=shift <= 0.0)
+    """Factorize K - shift * M; SuperLU treats it as definite only for ``shift <= 0``."""
+    return factorize(K - shift * M, expect_spd=shift <= 0.0)
 
 
 @dataclass(frozen=True, eq=False)

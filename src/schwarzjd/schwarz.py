@@ -14,10 +14,10 @@ deflates the targeted invariant subspace, which keeps the shifted coarse
 operator positive there; applying it spectrally is exact even when the shift
 collides with a deflated coarse eigenvalue.
 
-Subdomains with identical (K_l, M_l) form one operator class; on structured
-meshes most subdomains are translated copies of a few classes (interior,
-edges, corners).  Each class is factorized once per shift, and every
-subdomain solve uses its class's factorization.
+Subdomains whose (K_l, M_l) have identical local entries form one operator
+class; on structured meshes most subdomains are translated copies of a few
+classes (interior, edges, corners).  Each class is factorized once per
+shift, and every subdomain solve uses its class's factorization.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ class CoarsePiece:
         """Dimension of the high-frequency coarse subspace the solve acts on."""
         return max(self.dim - self.cluster_cut, 0)
 
+    @property
+    def shift_cap(self) -> float:
+        """Cap on preconditioner shifts: just below the first retained coarse
+        eigenvalue, or infinity when no coarse eigenvalue is retained."""
+        if self.deflated_dim == 0:
+            return np.inf
+        return float(self.values[self.cluster_cut]) * (1.0 - 1e-8)
+
 
 def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     """Assemble the coarse pencil of ``hier`` and eigendecompose it fully."""
@@ -80,13 +88,13 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     )
 
 
-def _dense_blocks(A, dof_sets):
-    """Yield ``A[dofs][:, dofs].toarray()`` for each dof set, byte for byte.
+def _local_entries(A, dof_sets):
+    """Yield the local ``(rows, cols, values)`` entries of ``A[dofs][:, dofs]`` per dof set.
 
     The rows of all sets are gathered from the CSR matrix ``A`` at once; a
     sorted (set, dof) lookup maps each gathered entry's column to its local
-    index within its set, and each block is filled by addition into zeros,
-    as ``toarray`` does.
+    index within its set and drops the entries outside it.  Entries come in
+    the gathered order: by local row, then by the column order of ``A``.
     """
     if not dof_sets:
         return
@@ -107,20 +115,32 @@ def _dense_blocks(A, dof_sets):
     c = local[order[pos[hit]]]
     v = rows.data[hit]
     bounds = np.searchsorted(entry_owner[hit], np.arange(len(dof_sets) + 1))
-    for l, m in enumerate(sizes):
-        part = slice(bounds[l], bounds[l + 1])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield r[lo:hi], c[lo:hi], v[lo:hi]
+
+
+def _block(m, rows, cols, values):
+    """The m x m block of the given local entries: dense up to DENSE_LIMIT, else CSR.
+
+    Dense blocks are summed into zeros as ``toarray`` does; sparse ones come
+    out with sorted indices, as ``A[dofs][:, dofs]`` after ``sort_indices``.
+    """
+    if m <= linalg.DENSE_LIMIT:
         block = np.zeros((m, m))
-        np.add.at(block, (r[part], c[part]), v[part])
-        yield block
+        np.add.at(block, (rows, cols), values)
+        return block
+    return sp.csr_matrix((values, (rows, cols)), shape=(m, m))
 
 
 class _LocalBlocks:
-    """Subdomain submatrices, grouped into classes of identical (K_l, M_l).
+    """Subdomain submatrices, grouped into classes of identical local entries.
 
     ``class_of[l]`` is the class of subdomain l; ``k_blocks``/``m_blocks``
-    hold one pair per class, in order of first appearance.  Blocks are dense
-    up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it; the class key is
-    their exact bytes.
+    hold one pair per class, in order of first appearance.  The class key is
+    the subdomain size and the exact bytes of its local K and M entries, so
+    subdomains share a class only if their blocks are equal.  A block is
+    built only for the first member of each class: dense up to
+    ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
     """
 
     def __init__(self, pencil, decomp: Decomposition):
@@ -130,29 +150,15 @@ class _LocalBlocks:
         self.k_blocks = []
         self.m_blocks = []
         self.dof_sets = [np.asarray(d) for d in decomp.subdomains]
-        K = pencil.stiffness.tocsr()
-        M = pencil.mass.tocsr()
-        dense_sets = [d for d in self.dof_sets if len(d) <= linalg.DENSE_LIMIT]
-        k_dense = _dense_blocks(K, dense_sets)
-        m_dense = _dense_blocks(M, dense_sets)
+        k_entries = _local_entries(pencil.stiffness.tocsr(), self.dof_sets)
+        m_entries = _local_entries(pencil.mass.tocsr(), self.dof_sets)
         classes = {}
-        for dofs in self.dof_sets:
-            if len(dofs) <= linalg.DENSE_LIMIT:
-                kb = next(k_dense)
-                mb = next(m_dense)
-                key = (len(dofs), kb.tobytes(), mb.tobytes())
-            else:
-                kb = K[dofs][:, dofs]
-                mb = M[dofs][:, dofs]
-                kb.sort_indices()
-                mb.sort_indices()
-                key = (len(dofs),) + tuple(
-                    a.tobytes() for b in (kb, mb) for a in (b.indptr, b.indices, b.data)
-                )
+        for dofs, k, m in zip(self.dof_sets, k_entries, m_entries):
+            key = (len(dofs),) + tuple(a.tobytes() for a in k + m)
             c = classes.setdefault(key, len(classes))
             if c == len(self.k_blocks):
-                self.k_blocks.append(kb)
-                self.m_blocks.append(mb)
+                self.k_blocks.append(_block(len(dofs), *k))
+                self.m_blocks.append(_block(len(dofs), *m))
             self.class_of.append(c)
 
 

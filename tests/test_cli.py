@@ -69,6 +69,8 @@ class TestConfigValidation:
         (["--tol", "0"], "tolerance must be positive"),
         (["--max-iter", "0"], "max_iter must be >= 1"),
         (["--restart-dim", "4"], "restart dimension must be at least 5"),
+        (["--tol", "inf"], "tolerance must be positive and finite, got inf"),
+        (["--tol", "nan"], "tolerance must be positive and finite, got nan"),
     ])
     def test_flag_rejected(self, capsys, tmp_path, flags, fragment):
         argv = ["run", *TINY, *flags, "--output-dir", str(tmp_path / "run")]
@@ -81,6 +83,7 @@ class TestConfigValidation:
         ("tol", "1e-8", "'tol' must be float, got '1e-8'"),
         ("m", 1.5, "'m' must be int, got 1.5"),
         ("shared_shift", "yes", "'shared_shift' must be bool, got 'yes'"),
+        ("tol", float("nan"), "tolerance must be positive and finite, got nan"),
     ])
     def test_config_file_value_rejected(self, capsys, tmp_path, key, value, fragment):
         cfg = tmp_path / "config.json"

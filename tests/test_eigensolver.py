@@ -54,8 +54,9 @@ class TestClusterAndConfig:
         assert ClusterSpec(2, 6).count == 5
 
     def test_config_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            SolverConfig(tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError, match="positive and finite"):
+                SolverConfig(tol=tol)
         with pytest.raises(InvalidArgumentError):
             SolverConfig(max_iter=0)
 

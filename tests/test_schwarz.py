@@ -1,4 +1,6 @@
 import functools
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from schwarzjd.mesh import (
     build_decomposition,
     build_hierarchy,
 )
-from schwarzjd.schwarz import _dense_blocks, _LocalBlocks, build_coarse_piece, prepare
+from schwarzjd.schwarz import _LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import dense_preconditioner
 
@@ -104,9 +106,53 @@ class TestLocalBlocks:
     def test_unsorted_overlapping_sets_and_negative_zeros(self):
         A = sp.random(40, 40, density=0.3, random_state=7, format="csr")
         A.data[::3] = -0.0  # toarray turns stored -0.0 into +0.0
+        pencil = SimpleNamespace(stiffness=A, mass=A)
         sets = [np.array([5, 1, 30, 2]), np.array([2, 3, 4, 5, 39]), np.array([17])]
-        for dofs, block in zip(sets, _dense_blocks(A, sets), strict=True):
-            assert block.tobytes() == A[dofs][:, dofs].toarray().tobytes()
+        blocks = _LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
+        for dofs, c in zip(sets, blocks.class_of, strict=True):
+            assert blocks.k_blocks[c].tobytes() == A[dofs][:, dofs].toarray().tobytes()
+
+
+def assert_block_equals_submatrix(block, A, dofs):
+    want = A[dofs][:, dofs]
+    if sp.issparse(block):
+        want.sort_indices()
+        assert block.shape == want.shape and block.has_sorted_indices
+        assert np.array_equal(block.indptr, want.indptr)
+        assert np.array_equal(block.indices, want.indices)
+        assert block.data.tobytes() == want.data.tobytes()
+    else:
+        assert block.tobytes() == want.toarray().tobytes()
+
+
+@pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(1, 16), density=st.floats(0.1, 0.6), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=12))
+def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, picks):
+    rng = np.random.default_rng(seed)
+
+    def symmetric():
+        # mostly stored diagonals and few distinct values, so that unequal
+        # blocks often share their pattern or their values
+        A = sp.random(n, n, density=density, random_state=rng, format="csr",
+                      data_rvs=lambda k: rng.choice([-0.0, 1.0, 2.0], k))
+        return (A + A.T + sp.diags(rng.choice([0.0, 1.0, 2.0], n))).tocsr()
+
+    K, M = symmetric(), symmetric()
+    # unsorted, overlapping dof sets, mostly small so that blocks collide;
+    # repeated picks of the same set must share a class
+    pool = [rng.permutation(n)[: int(rng.integers(1, min(n, 3) + 1))] for _ in range(7)]
+    pool.append(rng.permutation(n))
+    sets = [pool[i] for i in picks]
+    pencil = SimpleNamespace(stiffness=K, mass=M)
+    with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
+        blocks = _LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
+    assert len(blocks.k_blocks) == len(blocks.m_blocks) == max(blocks.class_of) + 1
+    for i, dofs, c in zip(picks, sets, blocks.class_of, strict=True):
+        assert_block_equals_submatrix(blocks.k_blocks[c], K, dofs)
+        assert_block_equals_submatrix(blocks.m_blocks[c], M, dofs)
+        assert c == blocks.class_of[picks.index(i)]
 
 
 class TestApply:
@@ -175,6 +221,7 @@ class TestApply:
         hier, pencil, decomp, _ = setup
         big_cut = build_coarse_piece(hier, 10_000)
         assert big_cut.deflated_dim == 0
+        assert big_cut.shift_cap == np.inf
         prec = prepare(pencil, decomp, big_cut, [1.5])
         rng = np.random.default_rng(44)
         rho = rng.standard_normal(pencil.n)

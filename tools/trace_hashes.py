@@ -1,0 +1,65 @@
+"""Fingerprint the solver's full trace on seven fixed cases, to prove bit-identity.
+
+    python3 tools/trace_hashes.py
+
+Run it on two checkouts and compare the output: a refactor that claims not to
+change the numerics must print the same lines.  Each line gives the case, the
+iteration count and the first 16 hex digits of one sha256 over the final
+cluster values, then each trace row's values and its stop norm, all as
+float64 bytes.  BLAS runs on one thread (set before NumPy loads), with
+overlap 0.25 and tolerance 1e-8, so the reduction orders are fixed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from schwarzjd.eigensolver import ClusterSpec, SolverConfig, solve  # noqa: E402
+from schwarzjd.fem import assemble  # noqa: E402
+from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy  # noqa: E402
+
+OVERLAP = 0.25
+TOL = 1e-8
+
+# (domain, coarse level, fine level, first, last, extra SolverConfig fields)
+CASES = [
+    ("square", 3, 6, 21, 26, {}),
+    ("square", 3, 5, 99, 108, {}),
+    ("lshape", 4, 6, 41, 43, {}),
+    ("square", 2, 5, 10, 14, {}),
+    ("lshape", 3, 5, 41, 47, {}),
+    ("square", 2, 5, 2, 4, {"shared_shift": True}),
+    ("square", 2, 4, 3, 5, {"restart_dim": 13}),
+]
+
+
+def trace_hash(report) -> str:
+    h = hashlib.sha256(np.asarray(report.values, dtype=np.float64).tobytes())
+    for rec in report.trace:
+        h.update(np.asarray(rec.values, dtype=np.float64).tobytes())
+        h.update(np.float64(rec.stop_norm).tobytes())
+    return h.hexdigest()[:16]
+
+
+def main() -> None:
+    for domain, coarse, fine, first, last, extra in CASES:
+        hier = build_hierarchy(DomainShape(domain), coarse, fine)
+        pencil = assemble(hier.fine)
+        decomp = build_decomposition(hier, OVERLAP)
+        report = solve(hier, pencil, decomp, ClusterSpec(first, last),
+                       SolverConfig(tol=TOL, **extra))
+        options = " ".join(f"{k}={v}" for k, v in extra.items())
+        print(f"{domain} {coarse}/{fine} {first}..{last} {options}".rstrip()
+              + f"  iterations={report.iterations}  {trace_hash(report)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -189,6 +189,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "final_stop_norm": report.stop_norm,
         "gamma": gamma,
         "basis_dims": [rec.basis_dim for rec in report.trace],
+        "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),
         "timings_s": {k: round(v, 6) for k, v in report.timings.items()},
     }
     with open(out / "summary.json", "w") as fh:

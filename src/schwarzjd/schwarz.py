@@ -17,7 +17,9 @@ collides with a deflated coarse eigenvalue.
 Subdomains whose (K_l, M_l) have identical local entries form one operator
 class; on structured meshes most subdomains are translated copies of a few
 classes (interior, edges, corners).  Each class is factorized once per
-shift, and every subdomain solve uses its class's factorization.
+shift, and the local solves of all its members are one multi-right-hand-side
+solve with that factorization, summed into the correction in ascending
+subdomain order.
 """
 
 from __future__ import annotations
@@ -141,6 +143,13 @@ class _LocalBlocks:
     subdomains share a class only if their blocks are equal.  A block is
     built only for the first member of each class: dense up to
     ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
+
+    The batched local solve reads ``class_dofs``, ``scatter`` and ``order``.
+    ``class_dofs[c]`` holds the dof sets of the members of class c as rows, in ascending
+    subdomain order; the rows have equal length because the size is part of
+    the key.  ``scatter`` concatenates all dof sets in subdomain order, and
+    ``order`` permutes the member-major concatenation of the ``class_dofs``
+    into that order.
     """
 
     def __init__(self, pencil, decomp: Decomposition):
@@ -160,6 +169,13 @@ class _LocalBlocks:
                 self.k_blocks.append(_block(len(dofs), *k))
                 self.m_blocks.append(_block(len(dofs), *m))
             self.class_of.append(c)
+
+        members = [np.flatnonzero(np.equal(self.class_of, c)) for c in range(len(classes))]
+        self.class_dofs = [np.stack([self.dof_sets[l] for l in ls]) for ls in members]
+        self.scatter = np.concatenate(self.dof_sets)
+        cuts = np.cumsum([len(d) for d in self.dof_sets])[:-1]
+        positions = np.split(np.arange(len(self.scatter)), cuts)
+        self.order = np.argsort(np.concatenate([positions[l] for ls in members for l in ls]))
 
 
 class SchwarzPreconditioner:
@@ -195,12 +211,12 @@ class SchwarzPreconditioner:
         return t
 
     def apply_local(self, rho: np.ndarray, i: int) -> np.ndarray:
-        """Sum of the subdomain solves, ascending subdomain order."""
-        t = np.zeros(self.n)
+        """Sum of the subdomain solves: one multi-right-hand-side solve per
+        operator class, summed in ascending subdomain order."""
+        b = self._blocks
         facts = self._factorizations[i]
-        for dofs, c in zip(self._blocks.dof_sets, self._blocks.class_of):
-            t[dofs] += facts[c].solve(rho[dofs])
-        return t
+        x = np.concatenate([f.solve(rho[idx].T).T.ravel() for f, idx in zip(facts, b.class_dofs)])
+        return np.bincount(b.scatter, weights=x[b.order], minlength=self.n)
 
     def apply(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Apply the preconditioner for the i-th prepared shift to a dual vector."""

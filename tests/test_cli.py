@@ -148,6 +148,7 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert [int(r[5]) for r in trace[1:]] == summary["basis_dims"]
         assert all(int(r[6]) == 0 for r in trace[1:])
+        assert summary["clamped_shifts_total"] == 0
 
     def test_summary_echoes_full_config(self, tmp_path):
         out = tmp_path / "run"

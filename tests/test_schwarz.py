@@ -93,6 +93,17 @@ class TestPrepare:
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+# unsorted, overlapping dof sets of unequal sizes on a 40-dof stand-in pencil
+UNSORTED_SETS = [np.array([5, 1, 30, 2]), np.array([2, 3, 4, 5, 39]), np.array([17])]
+
+
+def stand_in_matrix():
+    """A random 40 x 40 CSR matrix with stored negative zeros."""
+    A = sp.random(40, 40, density=0.3, random_state=7, format="csr")
+    A.data[::3] = -0.0  # toarray turns stored -0.0 into +0.0
+    return A
+
+
 class TestLocalBlocks:
     @pytest.mark.parametrize("shape", DOMAINS)
     def test_blocks_equal_fancy_indexed_submatrices_byte_for_byte(self, shape):
@@ -104,12 +115,10 @@ class TestLocalBlocks:
             assert blocks.m_blocks[c].tobytes() == M[dofs][:, dofs].toarray().tobytes()
 
     def test_unsorted_overlapping_sets_and_negative_zeros(self):
-        A = sp.random(40, 40, density=0.3, random_state=7, format="csr")
-        A.data[::3] = -0.0  # toarray turns stored -0.0 into +0.0
+        A = stand_in_matrix()
         pencil = SimpleNamespace(stiffness=A, mass=A)
-        sets = [np.array([5, 1, 30, 2]), np.array([2, 3, 4, 5, 39]), np.array([17])]
-        blocks = _LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
-        for dofs, c in zip(sets, blocks.class_of, strict=True):
+        blocks = _LocalBlocks(pencil, Decomposition(subdomains=UNSORTED_SETS, overlap_layers=1))
+        for dofs, c in zip(UNSORTED_SETS, blocks.class_of, strict=True):
             assert blocks.k_blocks[c].tobytes() == A[dofs][:, dofs].toarray().tobytes()
 
 
@@ -153,6 +162,54 @@ def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, pic
         assert_block_equals_submatrix(blocks.k_blocks[c], K, dofs)
         assert_block_equals_submatrix(blocks.m_blocks[c], M, dofs)
         assert c == blocks.class_of[picks.index(i)]
+
+
+def loop_apply_local(prec, rho, i):
+    """Reference: one single-right-hand-side solve per subdomain, ascending order."""
+    t = np.zeros(prec.n)
+    facts = prec.local_factorizations(i)
+    for dofs, c in zip(prec._blocks.dof_sets, prec._blocks.class_of):
+        t[dofs] += facts[c].solve(rho[dofs])
+    return t
+
+
+def assert_batched_local_solve_matches_loop(prec, rho):
+    """Bitwise equal when every class is Cholesky; LDL^T solves round differently."""
+    got = prec.apply_local(rho, 0)
+    want = loop_apply_local(prec, rho, 0)
+    if all(f.kind == "spd-cholesky" for f in prec.local_factorizations(0)):
+        assert np.array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
+@pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(shift=st.one_of(st.floats(-50.0, 0.0), st.floats(0.0, 400.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_local_solve_matches_subdomain_loop(dense_limit, shape, shift, seed):
+    _, pencil, decomp, _ = problem(shape)
+    with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
+        prec = prepare(pencil, decomp, None, [shift])
+    rho = np.random.default_rng(seed).standard_normal(pencil.n)
+    assert_batched_local_solve_matches_loop(prec, rho)
+
+
+@pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+# on these sets, I - shift * A is singular only at shifts near -2.37 and 0.76
+# for the dense path (lower triangle) and -6.08 and 0.95 for SuperLU
+@given(shift=st.one_of(st.floats(-2.0, 0.5), st.floats(1.0, 20.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, seed):
+    # the repeated sets give two-member classes interleaved with a single-member one
+    sets = UNSORTED_SETS + UNSORTED_SETS[:2]
+    pencil = SimpleNamespace(stiffness=sp.identity(40, format="csr"), mass=stand_in_matrix(), n=40)
+    with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
+        prec = prepare(pencil, Decomposition(subdomains=sets, overlap_layers=1), None, [shift])
+    assert prec._blocks.class_of == [0, 1, 2, 0, 1]
+    assert_batched_local_solve_matches_loop(prec, np.random.default_rng(seed).standard_normal(40))
 
 
 class TestApply:

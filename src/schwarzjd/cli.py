@@ -3,7 +3,7 @@
 A run writes three artifacts into the output directory:
 
   trace.csv    per-iteration cluster Ritz values, stop norm, value drift,
-               basis dimension, clamped shifts, wall time
+               basis dimension, clamped shifts, LDL^T fallbacks, wall time
   final.csv    final eigenvalues with reference values where available
   summary.json effective configuration echo plus run statistics
 
@@ -112,13 +112,14 @@ def _reference_values(config: ExperimentConfig, pencil, count: int):
 
 def _trace_rows(report: SolverReport):
     head = ["k"] + [f"lambda_{i}" for i in range(report.cluster.first, report.cluster.last + 1)]
-    head += ["stop_norm", "value_drift", "basis_dim", "clamped_shifts", "wall_ms"]
+    head += ["stop_norm", "value_drift", "basis_dim", "clamped_shifts", "ldlt_fallbacks",
+             "wall_ms"]
     rows = []
     for rec in report.trace:
         row = [str(rec.iteration)]
         row += [f"{v:.9f}" for v in rec.values]
         row += [f"{rec.stop_norm:.6e}", f"{rec.value_drift:.6e}", str(rec.basis_dim),
-                str(rec.clamped_shifts), f"{rec.wall_ms:.3f}"]
+                str(rec.clamped_shifts), str(rec.ldlt_fallbacks), f"{rec.wall_ms:.3f}"]
         rows.append(row)
     return head, rows
 
@@ -190,6 +191,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "gamma": gamma,
         "basis_dims": [rec.basis_dim for rec in report.trace],
         "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),
+        "ldlt_fallbacks_total": sum(rec.ldlt_fallbacks for rec in report.trace),
         "timings_s": {k: round(v, 6) for k, v in report.timings.items()},
     }
     with open(out / "summary.json", "w") as fh:

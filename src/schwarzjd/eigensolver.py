@@ -38,8 +38,9 @@ vectors are formed once per state.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
-changes), the basis dimension and the number of shifts clamped in step 1
-are recorded in the trace alongside the stop norm.
+changes), the basis dimension, the number of shifts clamped in step 1 and
+the number of local factorizations of step 1 that fell back from Cholesky
+to LDL^T are recorded in the trace alongside the stop norm.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class IterationState:
 
     def ritz_block(self, first: int, last: int) -> np.ndarray:
         """Ritz vectors with 1-based indices first..last as columns."""
-        return self.basis @ self.ritz_coeffs[:, first - 1 : last]
+        return linalg.basis_times(self.basis, self.ritz_coeffs[:, first - 1 : last])
 
     def cluster_values(self) -> np.ndarray:
         c = self.cluster
@@ -181,6 +182,7 @@ class TraceRecord:
     value_drift: float
     basis_dim: int
     clamped_shifts: int
+    ldlt_fallbacks: int
     wall_ms: float
 
 
@@ -341,17 +343,17 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     trace: list[TraceRecord] = []
     wall_start = time.perf_counter()
 
-    def record(k, values, sn, drift, dim, clamped):
+    def record(k, values, sn, drift, dim, clamped, fallbacks):
         trace.append(TraceRecord(
             iteration=k, values=values.copy(), stop_norm=sn, value_drift=drift,
-            basis_dim=dim, clamped_shifts=clamped,
+            basis_dim=dim, clamped_shifts=clamped, ldlt_fallbacks=fallbacks,
             wall_ms=(time.perf_counter() - wall_start) * 1e3,
         ))
 
     vectors = state.cluster_vectors()
     values = state.cluster_values()
     sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-    record(0, values, sn, 0.0, state.dim, 0)
+    record(0, values, sn, 0.0, state.dim, 0, 0)
 
     converged = sn < config.tol
     stagnated = False
@@ -373,7 +375,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         values = state.cluster_values()
         vectors = state.cluster_vectors()
         sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim, clamped)
+        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim, clamped,
+               prec.ldlt_fallbacks)
         if sn < config.tol:
             converged = True
         elif not grew:

@@ -193,6 +193,13 @@ class SchwarzPreconditioner:
         self._blocks = blocks
         self.n = n
 
+    @property
+    def ldlt_fallbacks(self) -> int:
+        """Local factorizations, over all shifts and classes, whose Cholesky
+        met a non-positive pivot and fell back to LDL^T."""
+        return sum(f.kind == "symmetric-indefinite"
+                   for facts in self._factorizations for f in facts)
+
     def local_factorizations(self, i: int) -> list:
         """Factorizations of K_c - shift_i M_c, one per operator class."""
         return self._factorizations[i]
@@ -265,18 +272,17 @@ def prepare(
         [linalg.factorize_shifted(kb, mb, shift) for kb, mb in zip(blocks.k_blocks, blocks.m_blocks)]
         for shift in shifts
     ]
-
-    fallbacks = sum(f.kind == "symmetric-indefinite" for facts in factorizations for f in facts)
-    if fallbacks:
-        log.info(
-            "%d of %d local factorizations were indefinite and used LDL^T",
-            fallbacks,
-            len(shifts) * len(blocks.k_blocks),
-        )
-    return SchwarzPreconditioner(
+    prec = SchwarzPreconditioner(
         coarse=coarse,
         shifts=shifts,
         factorizations=factorizations,
         blocks=blocks,
         n=pencil.n,
     )
+    if prec.ldlt_fallbacks:
+        log.info(
+            "%d of %d local factorizations were indefinite and used LDL^T",
+            prec.ldlt_fallbacks,
+            len(shifts) * len(blocks.k_blocks),
+        )
+    return prec

@@ -141,7 +141,7 @@ class TestRunCommand:
 
         trace = read_csv(out / "trace.csv")
         assert trace[0] == ["k", "lambda_1", "lambda_2", "stop_norm", "value_drift",
-                            "basis_dim", "clamped_shifts", "wall_ms"]
+                            "basis_dim", "clamped_shifts", "ldlt_fallbacks", "wall_ms"]
         assert trace[1][0] == "0"
         assert float(trace[-1][3]) < 1e-8
         assert trace[1][4] == "0.000000e+00"
@@ -149,6 +149,8 @@ class TestRunCommand:
         assert [int(r[5]) for r in trace[1:]] == summary["basis_dims"]
         assert all(int(r[6]) == 0 for r in trace[1:])
         assert summary["clamped_shifts_total"] == 0
+        assert all(int(r[7]) == 0 for r in trace[1:])
+        assert summary["ldlt_fallbacks_total"] == 0
 
     def test_summary_echoes_full_config(self, tmp_path):
         out = tmp_path / "run"
@@ -186,6 +188,12 @@ class TestRunCommand:
         assert "INFO schwarzjd.schwarz: 20 of 20 local factorizations were indefinite" in err
         assert main(args) == 0  # default level: warning
         assert "local factorizations" not in capsys.readouterr().err
+        # the output files count the fallbacks too, per iteration and in total
+        trace = read_csv(tmp_path / "trace.csv")
+        column = [int(r[trace[0].index("ldlt_fallbacks")]) for r in trace[1:]]
+        assert column[:2] == [0, 20]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["ldlt_fallbacks_total"] == sum(column)
 
     def test_non_convergence_is_distinct_exit_code_with_files(self, tmp_path):
         out = tmp_path / "run"
@@ -231,7 +239,7 @@ class TestRunCommand:
         assert code == 0
         trace = json.loads((out / "trace.json").read_text())
         assert trace[0]["k"] == "0"
-        assert {"value_drift", "basis_dim", "clamped_shifts"} <= set(trace[0])
+        assert {"value_drift", "basis_dim", "clamped_shifts", "ldlt_fallbacks"} <= set(trace[0])
         final = json.loads((out / "final.json").read_text())
         assert [row["i"] for row in final] == ["1", "2"]
 

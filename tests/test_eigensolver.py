@@ -392,6 +392,26 @@ class TestSolve:
         assert clamped[:2] == [0, 1]
         assert clamped[1:] == [int(np.sum(rec.values > cap)) for rec in report.trace[:-1]]
 
+    def test_ldlt_fallbacks_recorded_when_every_local_operator_is_indefinite(self):
+        # the square-indefinite benchmark case: 10 shifts above the lowest
+        # eigenvalue of each of the 4 operator classes, in every iteration
+        hier = build_hierarchy(DomainShape.SQUARE, 3, 5)
+        pencil = assemble(hier.fine)
+        report = solve(hier, pencil, build_decomposition(hier, 0.25), ClusterSpec(99, 108),
+                       SolverConfig(tol=1e-8))
+        # (53 iterations, 2120 fallbacks in all, with one BLAS thread)
+        assert report.converged
+        assert [rec.ldlt_fallbacks for rec in report.trace] == [0] + [40] * report.iterations
+
+    def test_no_ldlt_fallbacks_when_every_local_operator_is_definite(self):
+        # the square-spd benchmark case: every local factorization is Cholesky
+        hier = build_hierarchy(DomainShape.SQUARE, 3, 6)
+        pencil = assemble(hier.fine)
+        report = solve(hier, pencil, build_decomposition(hier, 0.25), ClusterSpec(21, 26),
+                       SolverConfig(tol=1e-8))
+        assert report.converged
+        assert [rec.ldlt_fallbacks for rec in report.trace] == [0] * (report.iterations + 1)
+
     def test_shared_shift_variant_converges(self, small):
         hier, pencil, decomp = small
         report = solve(hier, pencil, decomp, ClusterSpec(2, 4),

@@ -17,6 +17,7 @@ from schwarzjd.fem import assemble
 from schwarzjd.linalg import (
     DENSE_LIMIT,
     b_orthonormalize,
+    basis_times,
     dense_generalized_eig,
     factorize,
     factorize_shifted,
@@ -321,3 +322,22 @@ def test_orthonormalize_property(pencil, seed, cols, against_cols, dependent):
     assert np.abs(W.T @ (M @ W) - np.eye(cols)).max() <= 1e-10
     if against is not None:
         assert np.abs(against.T @ (M @ W)).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), dim=st.integers(1, 80), spare=st.integers(0, 40),
+       cols=st.integers(1, 16), offset=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_basis_times_agrees_with_plain_product(n, dim, spare, cols, offset, seed):
+    # the basis is a read-only leading-column view of a wider Fortran
+    # buffer, and the coefficients a column slice of a C-ordered array, as
+    # in eigensolver._grow and IterationState.ritz_block
+    rng = np.random.default_rng(seed)
+    buffer = np.asfortranarray(rng.standard_normal((n, dim + spare)))
+    basis = buffer[:, :dim].view()
+    basis.flags.writeable = False
+    coeffs = rng.standard_normal((dim, cols + offset))[:, offset:]
+    out = basis_times(basis, coeffs)
+    assert out.shape == (n, cols)
+    # agreement, not bits: OpenBLAS picks another kernel from 12 columns on
+    scale = np.abs(basis) @ np.abs(coeffs)
+    assert np.all(np.abs(out - basis @ coeffs) <= 1e-14 * scale)

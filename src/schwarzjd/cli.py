@@ -57,7 +57,6 @@ class ExperimentConfig:
     tol: float = 1e-8
     max_iter: int = 200
     restart_dim: int | None = None
-    shared_shift: bool = False
     output_dir: str = "."
     format: str = "csv"
 
@@ -72,7 +71,6 @@ class ExperimentConfig:
             tol=self.tol,
             max_iter=self.max_iter,
             restart_dim=self.restart_dim,
-            shared_shift=self.shared_shift,
         )
         shape = DomainShape(self.domain)
         if self.format not in ("csv", "json"):
@@ -268,8 +266,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, help="stopping tolerance on the residual stop norm")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--restart-dim", type=int, dest="restart_dim")
-    p.add_argument("--shared-shift", action="store_const", const=True, dest="shared_shift",
-                   help="use the single shift of the first cluster index for all corrections")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--log-level", dest="log_level", default="warning",
@@ -278,15 +274,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 # JSON value types accepted for each annotated ExperimentConfig type name.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-               "None": (type(None),)}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
 
 
 def _check_file_value(field: dataclasses.Field, value) -> None:
     """Reject a config file value whose JSON type does not fit ``field``'s annotation."""
     allowed = tuple(t for name in field.type.split(" | ") for t in _JSON_TYPES[name])
-    # A JSON boolean is a Python int, but no number field takes one.
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+    # A JSON boolean is a Python int, but no field takes one.
+    if not isinstance(value, allowed) or isinstance(value, bool):
         raise InvalidArgumentError(
             f"config file value {field.name!r} must be {field.type}, got {value!r}"
         )

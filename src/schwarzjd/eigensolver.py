@@ -9,8 +9,9 @@ fine mesh, and Rayleigh-Ritz projects there; by nestedness the starting
 values coincide with the initialization-mesh eigenvalues.  Each outer
 iteration then
 
-  1. refreshes the preconditioner with the current cluster Ritz values as
-     shifts (clamped below the first retained coarse eigenvalue),
+  1. refactorizes the subdomain operator classes, grouped once per solve,
+     with the current cluster Ritz values as shifts, which
+     ``schwarz.prepare`` clamps below the first retained coarse eigenvalue,
   2. solves one preconditioned correction per cluster index,
      t_i = (I - Q) B_i^{-1} rho_i, with Q the mass-orthogonal projector
      onto the current cluster Ritz vectors,
@@ -99,7 +100,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 200
     restart_dim: int | None = None
-    shared_shift: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
@@ -239,8 +239,7 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner,
     U = state.cluster_vectors()
     MU = pencil.mass @ U
     R = state.ritz_values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-    S = np.column_stack([prec.apply(R[:, j], j if len(prec.shifts) > 1 else 0)
-                         for j in range(c.count)])
+    S = np.column_stack([prec.apply(R[:, j], j) for j in range(c.count)])
     return S - U @ (MU.T @ S)
 
 
@@ -339,6 +338,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     mass_fact = clocked("mass_factorization", linalg.factorize, pencil.mass, True)
     state = clocked("initialize", initialize, hier, pencil, cluster)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
+    blocks = clocked("local_blocks", schwarz.LocalBlocks, pencil, decomp)
 
     trace: list[TraceRecord] = []
     wall_start = time.perf_counter()
@@ -357,14 +357,10 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
 
     converged = sn < config.tol
     stagnated = False
-    prec = None
     stalls = 0
     k = 0
     while not converged and not stagnated and k < config.max_iter:
-        shifts = values[:1] if config.shared_shift else values
-        clamped = int(np.count_nonzero(shifts > coarse.shift_cap))
-        shifts = np.minimum(shifts, coarse.shift_cap)
-        prec = clocked("prepare", schwarz.prepare, pencil, decomp, coarse, shifts, reuse=prec)
+        prec = clocked("prepare", schwarz.prepare, blocks, coarse, values)
         corrections = clocked("correction", correction_step, state, prec, pencil)
         prev_values, prev_dim = values, state.dim
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
@@ -375,8 +371,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         values = state.cluster_values()
         vectors = state.cluster_vectors()
         sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim, clamped,
-               prec.ldlt_fallbacks)
+        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim,
+               prec.clamped_shifts, prec.ldlt_fallbacks)
         if sn < config.tol:
             converged = True
         elif not grew:

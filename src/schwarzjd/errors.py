@@ -17,10 +17,6 @@ class EigensolverError(SchwarzJDError):
     """An iterative eigensolver failed or did not converge."""
 
 
-class ShiftOutOfRangeError(InvalidArgumentError):
-    """A preconditioner shift reached the deflation threshold of the coarse operator."""
-
-
 class ClusterTooLargeError(InvalidArgumentError):
     """The targeted cluster does not fit on the initialization mesh."""
 

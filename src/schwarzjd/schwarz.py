@@ -16,10 +16,10 @@ collides with a deflated coarse eigenvalue.
 
 Subdomains whose (K_l, M_l) have identical local entries form one operator
 class; on structured meshes most subdomains are translated copies of a few
-classes (interior, edges, corners).  Each class is factorized once per
-shift, and the local solves of all its members are one multi-right-hand-side
-solve with that factorization, summed into the correction in ascending
-subdomain order.
+classes (interior, edges, corners).  ``LocalBlocks`` groups the subdomains
+once per solve; ``prepare`` factorizes each class once per shift, and the
+local solves of all its members are one multi-right-hand-side solve with
+that factorization, summed into the correction in ascending subdomain order.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .errors import InvalidArgumentError, ShiftOutOfRangeError
+from .errors import InvalidArgumentError
 from .mesh import Decomposition, MeshHierarchy
 
 __all__ = [
     "CoarsePiece",
+    "LocalBlocks",
     "SchwarzPreconditioner",
     "build_coarse_piece",
     "prepare",
@@ -134,15 +135,16 @@ def _block(m, rows, cols, values):
     return sp.csr_matrix((values, (rows, cols)), shape=(m, m))
 
 
-class _LocalBlocks:
+class LocalBlocks:
     """Subdomain submatrices, grouped into classes of identical local entries.
 
-    ``class_of[l]`` is the class of subdomain l; ``k_blocks``/``m_blocks``
-    hold one pair per class, in order of first appearance.  The class key is
-    the subdomain size and the exact bytes of its local K and M entries, so
-    subdomains share a class only if their blocks are equal.  A block is
-    built only for the first member of each class: dense up to
-    ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
+    ``solve`` builds them once and passes them to every ``prepare`` call.
+    ``n`` is the number of fine dofs.  ``class_of[l]`` is the class of
+    subdomain l; ``k_blocks``/``m_blocks`` hold one pair per class, in order
+    of first appearance.  The class key is the subdomain size and the exact
+    bytes of its local K and M entries, so subdomains share a class only if
+    their blocks are equal.  A block is built only for the first member of
+    each class: dense up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
 
     The batched local solve reads ``class_dofs``, ``scatter`` and ``order``.
     ``class_dofs[c]`` holds the dof sets of the members of class c as rows, in ascending
@@ -153,8 +155,7 @@ class _LocalBlocks:
     """
 
     def __init__(self, pencil, decomp: Decomposition):
-        self.pencil = pencil
-        self.decomp = decomp
+        self.n = pencil.stiffness.shape[0]
         self.class_of = []
         self.k_blocks = []
         self.m_blocks = []
@@ -183,15 +184,17 @@ class SchwarzPreconditioner:
 
     Immutable after construction; ``apply`` may be called concurrently.
     ``apply`` checks the shift index; ``apply_coarse`` and ``apply_local``
-    trust it.
+    trust it.  ``clamped_shifts`` counts the requested shifts that
+    ``prepare`` lowered to the coarse shift cap.
     """
 
-    def __init__(self, coarse, shifts, factorizations, blocks, n):
+    def __init__(self, coarse, shifts, factorizations, blocks, clamped_shifts):
         self.coarse = coarse
-        self.shifts = np.asarray(shifts, dtype=np.float64)
+        self.shifts = shifts
         self._factorizations = factorizations  # per shift, one per operator class
         self._blocks = blocks
-        self.n = n
+        self.n = blocks.n
+        self.clamped_shifts = clamped_shifts
 
     @property
     def ldlt_fallbacks(self) -> int:
@@ -199,10 +202,6 @@ class SchwarzPreconditioner:
         met a non-positive pivot and fell back to LDL^T."""
         return sum(f.kind == "symmetric-indefinite"
                    for facts in self._factorizations for f in facts)
-
-    def local_factorizations(self, i: int) -> list:
-        """Factorizations of K_c - shift_i M_c, one per operator class."""
-        return self._factorizations[i]
 
     def apply_coarse(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Coarse contribution: spectral solve on the deflated coarse subspace."""
@@ -237,48 +236,25 @@ class SchwarzPreconditioner:
         return self.apply_coarse(rho, i) + self.apply_local(rho, i)
 
 
-def prepare(
-    pencil,
-    decomp: Decomposition,
-    coarse: CoarsePiece | None,
-    shifts,
-    *,
-    reuse: SchwarzPreconditioner | None = None,
-) -> SchwarzPreconditioner:
+def prepare(blocks: LocalBlocks, coarse: CoarsePiece | None, shifts) -> SchwarzPreconditioner:
     """Factorize each subdomain operator class once per shift; share the coarse piece.
 
-    Every shift must stay below the first retained coarse eigenvalue, else
-    the deflated coarse operator would lose positivity (ShiftOutOfRangeError).
-    Passing the previous preconditioner as ``reuse`` recycles its extracted
-    and grouped subdomain blocks when it was built from the same ``pencil``
-    and ``decomp`` objects; otherwise the blocks are extracted afresh.
+    Shifts above ``coarse.shift_cap`` are lowered to it, so that the
+    deflated coarse operator stays positive; the preconditioner's
+    ``clamped_shifts`` counts them.
     """
     shifts = np.asarray(list(shifts), dtype=np.float64)
     if shifts.size == 0 or not np.all(np.isfinite(shifts)):
         raise InvalidArgumentError("a non-empty list of finite shifts is required")
-    if coarse is not None and coarse.deflated_dim > 0:
-        bound = float(coarse.values[coarse.cluster_cut])
-        worst = float(np.max(shifts))
-        if worst >= bound:
-            raise ShiftOutOfRangeError(
-                f"shift {worst:.9g} reaches the first retained coarse eigenvalue "
-                f"{bound:.9g}; the deflated coarse operator would not stay positive"
-            )
+    cap = np.inf if coarse is None else coarse.shift_cap
+    clamped = int(np.count_nonzero(shifts > cap))
+    shifts = np.minimum(shifts, cap)
 
-    blocks = reuse._blocks if reuse is not None else None
-    if blocks is None or blocks.pencil is not pencil or blocks.decomp is not decomp:
-        blocks = _LocalBlocks(pencil, decomp)
     factorizations = [
         [linalg.factorize_shifted(kb, mb, shift) for kb, mb in zip(blocks.k_blocks, blocks.m_blocks)]
         for shift in shifts
     ]
-    prec = SchwarzPreconditioner(
-        coarse=coarse,
-        shifts=shifts,
-        factorizations=factorizations,
-        blocks=blocks,
-        n=pencil.n,
-    )
+    prec = SchwarzPreconditioner(coarse, shifts, factorizations, blocks, clamped)
     if prec.ldlt_fallbacks:
         log.info(
             "%d of %d local factorizations were indefinite and used LDL^T",

@@ -23,7 +23,7 @@ from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy, build_mesh
 from schwarzjd.oracle import cluster_gaps, dense_discrete_spectrum, exact_square_eigenvalues
-from schwarzjd.schwarz import build_coarse_piece, prepare
+from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import dense_preconditioner
 
@@ -123,21 +123,15 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
     decomp = build_decomposition(hier, 0.25)
     mass_fact = factorize(pencil.mass, expect_spd=True)
     coarse_piece = build_coarse_piece(hier, cluster.last)
-    cap = None
-    if coarse_piece.deflated_dim > 0:
-        cap = float(coarse_piece.values[cluster.last]) * (1.0 - 1e-8)
+    blocks = LocalBlocks(pencil, decomp)
 
     state = initialize(hier, pencil, cluster)
     budget = min(pencil.n, cluster.last + cluster.count * max_iter)
     lam_h = dense_discrete_spectrum(pencil, budget).values
 
-    prec = None
     for _ in range(max_iter):
         assert np.all(state.ritz_values >= lam_h[: state.dim] - 1e-10)
-        shifts = state.cluster_values()
-        if cap is not None:
-            shifts = np.minimum(shifts, cap)
-        prec = prepare(pencil, decomp, coarse_piece, shifts, reuse=prec)
+        prec = prepare(blocks, coarse_piece, state.cluster_values())
         corrections = correction_step(state, prec, pencil)
         prev = state.ritz_values.copy()
         state = rayleigh_ritz(state, corrections, pencil)
@@ -210,7 +204,7 @@ def test_criterion_8_preconditioner_correctness():
     decomp = build_decomposition(hier, 0.25)
     coarse = build_coarse_piece(hier, 2)
     shift = 1.5
-    prec = prepare(pencil, decomp, coarse, [shift])
+    prec = prepare(LocalBlocks(pencil, decomp), coarse, [shift])
     B = dense_preconditioner(pencil, decomp, coarse, shift)
     rng = np.random.default_rng(81)
     worst_equiv = 0.0

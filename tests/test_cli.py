@@ -82,7 +82,7 @@ class TestConfigValidation:
         ("coarse", "2", "'coarse' must be int, got '2'"),
         ("tol", "1e-8", "'tol' must be float, got '1e-8'"),
         ("m", 1.5, "'m' must be int, got 1.5"),
-        ("shared_shift", "yes", "'shared_shift' must be bool, got 'yes'"),
+        ("coarse", True, "'coarse' must be int, got True"),
         ("tol", float("nan"), "tolerance must be positive and finite, got nan"),
     ])
     def test_config_file_value_rejected(self, capsys, tmp_path, key, value, fragment):

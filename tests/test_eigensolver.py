@@ -21,7 +21,7 @@ from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy
 from schwarzjd.oracle import dense_discrete_spectrum
-from schwarzjd.schwarz import build_coarse_piece, prepare
+from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def stepped(small):
     cluster = ClusterSpec(1, 2)
     state = initialize(hier, pencil, cluster)
     coarse = build_coarse_piece(hier, cluster.last)
-    prec = prepare(pencil, decomp, coarse, state.cluster_values())
+    prec = prepare(LocalBlocks(pencil, decomp), coarse, state.cluster_values())
     return pencil, decomp, coarse, state, prec
 
 
@@ -174,7 +174,7 @@ class TestCorrectionStep:
         values, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
         state = IterationState(cluster, basis, projected, values, coeffs)
         coarse = build_coarse_piece(hier, cluster.last)
-        prec = prepare(pencil, decomp, coarse, state.cluster_values())
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, state.cluster_values())
         T = correction_step(state, prec, pencil)
         assert np.abs(T).max() <= 1e-9
 
@@ -247,8 +247,9 @@ class TestThickRestart:
         cluster = ClusterSpec(3, 5)
         state = initialize(hier, pencil, cluster)
         coarse = build_coarse_piece(hier, cluster.last)
+        blocks = LocalBlocks(pencil, decomp)
         for _ in range(3):
-            prec = prepare(pencil, decomp, coarse, state.cluster_values())
+            prec = prepare(blocks, coarse, state.cluster_values())
             corrections = correction_step(state, prec, pencil)
             state = rayleigh_ritz(state, corrections, pencil)
         out = _thick_restart(state, corrections, pencil)
@@ -411,11 +412,3 @@ class TestSolve:
                        SolverConfig(tol=1e-8))
         assert report.converged
         assert [rec.ldlt_fallbacks for rec in report.trace] == [0] * (report.iterations + 1)
-
-    def test_shared_shift_variant_converges(self, small):
-        hier, pencil, decomp = small
-        report = solve(hier, pencil, decomp, ClusterSpec(2, 4),
-                       SolverConfig(tol=1e-8, max_iter=60, shared_shift=True))
-        assert report.converged
-        ref = dense_discrete_spectrum(pencil, 4)
-        assert np.allclose(report.values, ref.values[1:4], atol=1e-8)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schwarzjd import linalg
-from schwarzjd.errors import InvalidArgumentError, ShiftOutOfRangeError
+from schwarzjd.errors import InvalidArgumentError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
 from schwarzjd.mesh import (
@@ -18,7 +18,7 @@ from schwarzjd.mesh import (
     build_decomposition,
     build_hierarchy,
 )
-from schwarzjd.schwarz import _LocalBlocks, build_coarse_piece, prepare
+from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import dense_preconditioner
 
@@ -43,54 +43,42 @@ def setup():
 class TestPrepare:
     def test_factorization_count(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [1.9, 4.7])
+        blocks = LocalBlocks(pencil, decomp)
+        prec = prepare(blocks, coarse, [1.9, 4.7])
         # interior, two edge orientations and corner: 4 classes of 16 subdomains
         assert decomp.n_subdomains == 16
-        assert len(prec.local_factorizations(0)) == 4
-        assert len(prec.local_factorizations(1)) == 4
+        assert len(blocks.k_blocks) == 4
+        assert [len(facts) for facts in prec._factorizations] == [4, 4]
 
     def test_zero_shift_gives_spd_blocks(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [0.0])
-        kinds = {f.kind for f in prec.local_factorizations(0)}
-        assert kinds == {"spd-cholesky"}
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [0.0])
+        assert prec.ldlt_fallbacks == 0
 
     def test_initialization_shift_within_coarse_margin(self, setup):
         hier, pencil, decomp, coarse = setup
         init = assemble(hier.initial)
         lam1 = dense_generalized_eig(init.stiffness.toarray(), init.mass.toarray()).values[0]
         assert coarse.values[CUT] - lam1 > 0
-        prec = prepare(pencil, decomp, coarse, [lam1])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [lam1])
         assert prec.shifts.tolist() == [lam1]
+        assert prec.clamped_shifts == 0
 
-    def test_shift_at_retained_coarse_eigenvalue_rejected(self, setup):
+    def test_shift_at_retained_coarse_eigenvalue_clamped(self, setup):
         _, pencil, decomp, coarse = setup
-        with pytest.raises(ShiftOutOfRangeError):
-            prepare(pencil, decomp, coarse, [coarse.values[CUT]])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [coarse.values[CUT], 1.0])
+        assert prec.shifts.tolist() == [coarse.shift_cap, 1.0]
+        assert prec.clamped_shifts == 1
+        B = dense_preconditioner(pencil, decomp, coarse, coarse.shift_cap)
+        rho = np.random.default_rng(40).standard_normal(pencil.n)
+        want = B @ rho
+        got = prec.apply(rho, 0)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_empty_shift_list_rejected(self, setup):
         _, pencil, decomp, coarse = setup
         with pytest.raises(InvalidArgumentError):
-            prepare(pencil, decomp, coarse, [])
-
-    def test_blocks_recycled_through_reuse(self, setup):
-        _, pencil, decomp, coarse = setup
-        first = prepare(pencil, decomp, coarse, [1.0])
-        second = prepare(pencil, decomp, coarse, [2.0], reuse=first)
-        assert second._blocks is first._blocks
-
-    def test_reuse_from_another_pencil_with_same_subdomain_count(self, setup):
-        _, pencil, decomp, coarse = setup
-        first = prepare(pencil, decomp, coarse, [1.5])
-        _, pencil5, decomp5, coarse5 = problem(DomainShape.SQUARE, 2, 5)
-        assert decomp5.n_subdomains == decomp.n_subdomains
-        second = prepare(pencil5, decomp5, coarse5, [1.5], reuse=first)
-        assert second._blocks is not first._blocks
-        B = dense_preconditioner(pencil5, decomp5, coarse5, 1.5)
-        rho = np.random.default_rng(40).standard_normal(pencil5.n)
-        want = B @ rho
-        got = second.apply(rho, 0)
-        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+            prepare(LocalBlocks(pencil, decomp), coarse, [])
 
 
 # unsorted, overlapping dof sets of unequal sizes on a 40-dof stand-in pencil
@@ -108,7 +96,7 @@ class TestLocalBlocks:
     @pytest.mark.parametrize("shape", DOMAINS)
     def test_blocks_equal_fancy_indexed_submatrices_byte_for_byte(self, shape):
         _, pencil, decomp, _ = problem(shape)
-        blocks = _LocalBlocks(pencil, decomp)
+        blocks = LocalBlocks(pencil, decomp)
         K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
         for dofs, c in zip(blocks.dof_sets, blocks.class_of):
             assert blocks.k_blocks[c].tobytes() == K[dofs][:, dofs].toarray().tobytes()
@@ -117,7 +105,7 @@ class TestLocalBlocks:
     def test_unsorted_overlapping_sets_and_negative_zeros(self):
         A = stand_in_matrix()
         pencil = SimpleNamespace(stiffness=A, mass=A)
-        blocks = _LocalBlocks(pencil, Decomposition(subdomains=UNSORTED_SETS, overlap_layers=1))
+        blocks = LocalBlocks(pencil, Decomposition(subdomains=UNSORTED_SETS, overlap_layers=1))
         for dofs, c in zip(UNSORTED_SETS, blocks.class_of, strict=True):
             assert blocks.k_blocks[c].tobytes() == A[dofs][:, dofs].toarray().tobytes()
 
@@ -156,7 +144,7 @@ def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, pic
     sets = [pool[i] for i in picks]
     pencil = SimpleNamespace(stiffness=K, mass=M)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        blocks = _LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
+        blocks = LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
     assert len(blocks.k_blocks) == len(blocks.m_blocks) == max(blocks.class_of) + 1
     for i, dofs, c in zip(picks, sets, blocks.class_of, strict=True):
         assert_block_equals_submatrix(blocks.k_blocks[c], K, dofs)
@@ -167,7 +155,7 @@ def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, pic
 def loop_apply_local(prec, rho, i):
     """Reference: one single-right-hand-side solve per subdomain, ascending order."""
     t = np.zeros(prec.n)
-    facts = prec.local_factorizations(i)
+    facts = prec._factorizations[i]
     for dofs, c in zip(prec._blocks.dof_sets, prec._blocks.class_of):
         t[dofs] += facts[c].solve(rho[dofs])
     return t
@@ -177,7 +165,7 @@ def assert_batched_local_solve_matches_loop(prec, rho):
     """Bitwise equal when every class is Cholesky; LDL^T solves round differently."""
     got = prec.apply_local(rho, 0)
     want = loop_apply_local(prec, rho, 0)
-    if all(f.kind == "spd-cholesky" for f in prec.local_factorizations(0)):
+    if all(f.kind == "spd-cholesky" for f in prec._factorizations[0]):
         assert np.array_equal(got, want)
     else:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -191,7 +179,7 @@ def assert_batched_local_solve_matches_loop(prec, rho):
 def test_batched_local_solve_matches_subdomain_loop(dense_limit, shape, shift, seed):
     _, pencil, decomp, _ = problem(shape)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        prec = prepare(pencil, decomp, None, [shift])
+        prec = prepare(LocalBlocks(pencil, decomp), None, [shift])
     rho = np.random.default_rng(seed).standard_normal(pencil.n)
     assert_batched_local_solve_matches_loop(prec, rho)
 
@@ -207,7 +195,8 @@ def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, se
     sets = UNSORTED_SETS + UNSORTED_SETS[:2]
     pencil = SimpleNamespace(stiffness=sp.identity(40, format="csr"), mass=stand_in_matrix(), n=40)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        prec = prepare(pencil, Decomposition(subdomains=sets, overlap_layers=1), None, [shift])
+        blocks = LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
+        prec = prepare(blocks, None, [shift])
     assert prec._blocks.class_of == [0, 1, 2, 0, 1]
     assert_batched_local_solve_matches_loop(prec, np.random.default_rng(seed).standard_normal(40))
 
@@ -215,19 +204,19 @@ def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, se
 class TestApply:
     def test_zero_input_zero_output(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [1.5])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
         assert np.all(prec.apply(np.zeros(pencil.n), 0) == 0.0)
 
     def test_unprepared_index_rejected(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [1.5, 2.5])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5, 2.5])
         for i in (2, -1):
             with pytest.raises(InvalidArgumentError, match="outside the prepared range 0..1"):
                 prec.apply(np.zeros(pencil.n), i)
 
     def test_symmetry(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [1.5])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
         rng = np.random.default_rng(41)
         for _ in range(20):
             r1 = rng.standard_normal(pencil.n)
@@ -238,7 +227,7 @@ class TestApply:
 
     def test_linearity(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [1.5])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
         rng = np.random.default_rng(42)
         r1 = rng.standard_normal(pencil.n)
         r2 = rng.standard_normal(pencil.n)
@@ -255,8 +244,9 @@ class TestApply:
         monkeypatch.setattr(linalg, "DENSE_LIMIT", dense_limit)
         _, pencil, decomp, coarse = problem(shape)
         shift = 1.5
-        prec = prepare(pencil, decomp, coarse, [shift])
-        assert len(prec.local_factorizations(0)) < decomp.n_subdomains
+        blocks = LocalBlocks(pencil, decomp)
+        assert len(blocks.k_blocks) < decomp.n_subdomains
+        prec = prepare(blocks, coarse, [shift])
         B = dense_preconditioner(pencil, decomp, coarse, shift)
         rng = np.random.default_rng(43)
         for _ in range(5):
@@ -267,7 +257,7 @@ class TestApply:
 
     def test_coarse_term_annihilates_deflated_directions(self, setup):
         _, pencil, decomp, coarse = setup
-        prec = prepare(pencil, decomp, coarse, [1.5])
+        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
         for j in range(CUT):
             lifted = coarse.prolongation @ coarse.vectors[:, j]
             rho = pencil.mass @ lifted
@@ -279,7 +269,7 @@ class TestApply:
         big_cut = build_coarse_piece(hier, 10_000)
         assert big_cut.deflated_dim == 0
         assert big_cut.shift_cap == np.inf
-        prec = prepare(pencil, decomp, big_cut, [1.5])
+        prec = prepare(LocalBlocks(pencil, decomp), big_cut, [1.5])
         rng = np.random.default_rng(44)
         rho = rng.standard_normal(pencil.n)
         assert np.all(prec.apply_coarse(rho, 0) == 0.0)
@@ -289,7 +279,7 @@ class TestApply:
         pencil = assemble(hier.fine)
         whole = Decomposition(subdomains=[np.arange(pencil.n)], overlap_layers=1)
         shift = 1.5
-        prec = prepare(pencil, whole, None, [shift])
+        prec = prepare(LocalBlocks(pencil, whole), None, [shift])
         rng = np.random.default_rng(45)
         rho = rng.standard_normal(pencil.n)
         S = (pencil.stiffness - shift * pencil.mass).toarray()
@@ -306,7 +296,7 @@ def test_random_shift_symmetric_and_matches_dense_assembly(shape, fraction, seed
     _, pencil, decomp, coarse = problem(shape)
     shift = fraction * coarse.values[CUT]
     assume(shift < coarse.values[CUT])  # the product may round up to the bound
-    prec = prepare(pencil, decomp, coarse, [shift])
+    prec = prepare(LocalBlocks(pencil, decomp), coarse, [shift])
     rng = np.random.default_rng(seed)
     r1 = rng.standard_normal(pencil.n)
     r2 = rng.standard_normal(pencil.n)

@@ -36,7 +36,7 @@ CASES = [
     ("lshape", 4, 6, 41, 43, {}),
     ("square", 2, 5, 10, 14, {}),
     ("lshape", 3, 5, 41, 47, {}),
-    ("square", 2, 5, 2, 4, {"shared_shift": True}),
+    ("square", 2, 5, 2, 4, {}),
     ("square", 2, 4, 3, 5, {"restart_dim": 13}),
 ]
 

@@ -2,8 +2,10 @@
 
 A run writes three artifacts into the output directory:
 
-  trace.csv    per-iteration cluster Ritz values, stop norm, value drift,
-               basis dimension, clamped shifts, LDL^T fallbacks, wall time
+  trace.csv    per-iteration cluster Ritz values, stop norm (blank where it
+               was not solved for) with its lower and upper bounds, value
+               drift, basis dimension, clamped shifts, LDL^T fallbacks, wall
+               time
   final.csv    final eigenvalues with reference values where available
   summary.json effective configuration echo plus run statistics
 
@@ -110,14 +112,16 @@ def _reference_values(config: ExperimentConfig, pencil, count: int):
 
 def _trace_rows(report: SolverReport):
     head = ["k"] + [f"lambda_{i}" for i in range(report.cluster.first, report.cluster.last + 1)]
-    head += ["stop_norm", "value_drift", "basis_dim", "clamped_shifts", "ldlt_fallbacks",
-             "wall_ms"]
+    head += ["stop_norm", "stop_lower", "stop_upper", "value_drift", "basis_dim",
+             "clamped_shifts", "ldlt_fallbacks", "wall_ms"]
     rows = []
     for rec in report.trace:
         row = [str(rec.iteration)]
         row += [f"{v:.9f}" for v in rec.values]
-        row += [f"{rec.stop_norm:.6e}", f"{rec.value_drift:.6e}", str(rec.basis_dim),
-                str(rec.clamped_shifts), str(rec.ldlt_fallbacks), f"{rec.wall_ms:.3f}"]
+        row += ["" if math.isnan(rec.stop_norm) else f"{rec.stop_norm:.6e}",
+                f"{rec.stop_lower:.6e}", f"{rec.stop_upper:.6e}", f"{rec.value_drift:.6e}",
+                str(rec.basis_dim), str(rec.clamped_shifts), str(rec.ldlt_fallbacks),
+                f"{rec.wall_ms:.3f}"]
         rows.append(row)
     return head, rows
 
@@ -186,6 +190,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "converged": report.converged,
         "stagnated": report.stagnated,
         "final_stop_norm": report.stop_norm,
+        "exact_stop_solves": sum(not math.isnan(rec.stop_norm) for rec in report.trace),
         "gamma": gamma,
         "basis_dims": [rec.basis_dim for rec in report.trace],
         "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),

@@ -18,7 +18,16 @@ iteration then
   3. grows the trial basis by the corrections and solves the projected
      eigenvalue problem,
   4. stops when the stop norm sqrt(sum_i rho_i' M^{-1} rho_i) falls below
-     the tolerance.
+     the tolerance.  The mass diagonal D brackets it: on P1 triangles
+     every element mass matrix lies between half and twice its diagonal
+     (Wathen 1987), so with q = sum_i rho_i' D^{-1} rho_i the stop norm
+     lies in [sqrt(q/2), sqrt(2q)].  The exact norm, one sparse solve with
+     M, is computed only when the lower bound is below the tolerance, and
+     once at the end of a run that stops unconverged; convergence is
+     declared from the exact norm alone.
+
+The residual block rho_i of a state is formed once, on the state, and
+read by both the stop test and the next correction.
 
 One private routine, ``_grow``, is the only Rayleigh-Ritz step: it
 mass-orthonormalizes new vectors against the trial basis, borders the
@@ -41,7 +50,8 @@ Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
 changes), the basis dimension, the number of shifts clamped in step 1 and
 the number of local factorizations of step 1 that fell back from Cholesky
-to LDL^T are recorded in the trace alongside the stop norm.
+to LDL^T are recorded in the trace alongside the stop norm bounds and,
+where it was computed, the exact stop norm.
 """
 
 from __future__ import annotations
@@ -68,10 +78,18 @@ __all__ = [
     "correction_step",
     "rayleigh_ritz",
     "stop_norm",
+    "stop_bounds",
     "solve",
 ]
 
 _DROP_TOL = 1e-8  # basis-growth drop tolerance for near-dependent corrections
+
+# Wathen's P1 element bounds 1/2 D_e <= M_e <= 2 D_e, summed over the elements:
+# _MASS_LOWER r'D^{-1}r <= r'M^{-1}r <= _MASS_UPPER r'D^{-1}r for D = diag(M).
+_MASS_LOWER = 0.5
+_MASS_UPPER = 2.0
+# Relative margin of the exact-solve gate against rounding in the lower bound.
+_GATE_MARGIN = 1e-12
 
 # Bytes a basis buffer may take: the machine's physical memory.
 _MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -132,8 +150,9 @@ class IterationState:
     in place; ``projected`` is the projected stiffness basis' K basis, and
     ``ritz_values``/``ritz_coeffs`` its full eigendecomposition.  Ritz
     vector j (1-based) is basis @ ritz_coeffs[:, j-1]; the cluster block
-    first..last drives the corrections and is formed once per state.
-    States are never modified; each step returns a new one.
+    first..last drives the corrections and is formed once per state, as is
+    its residual block.  States are never modified; each step returns a
+    new one.
     """
 
     cluster: ClusterSpec
@@ -143,6 +162,7 @@ class IterationState:
     ritz_coeffs: np.ndarray
     iteration: int = 0
     _buffer: _BasisBuffer | None = field(default=None, repr=False)
+    _residual: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.basis.flags.writeable:  # a read-only view; the buffer stays writable
@@ -173,12 +193,36 @@ class IterationState:
         block.flags.writeable = False
         return block
 
+    def cluster_residual(self, pencil: fem.SparsePencil) -> tuple[np.ndarray, np.ndarray]:
+        """(M U, R) for the cluster block U, with R = lam M U - K U as columns.
+
+        Formed on first use for ``pencil`` and kept (read-only): the stop
+        test and the next correction read the same arrays.
+        """
+        if self._residual is None or self._residual[0] is not pencil:
+            c = self.cluster
+            U = self.cluster_vectors()
+            MU = pencil.mass @ U
+            R = self.ritz_values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
+            MU.flags.writeable = False
+            R.flags.writeable = False
+            object.__setattr__(self, "_residual", (pencil, MU, R))
+        return self._residual[1], self._residual[2]
+
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One row of the run history.
+
+    ``stop_lower`` and ``stop_upper`` bound the stop norm on every row;
+    ``stop_norm`` is the exact value where it was computed and NaN elsewhere.
+    """
+
     iteration: int
     values: np.ndarray
     stop_norm: float
+    stop_lower: float
+    stop_upper: float
     value_drift: float
     basis_dim: int
     clamped_shifts: int
@@ -235,11 +279,9 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner,
     off the current cluster Ritz vectors, so the trial subspace grows in new
     directions only.
     """
-    c = state.cluster
     U = state.cluster_vectors()
-    MU = pencil.mass @ U
-    R = state.ritz_values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-    S = np.column_stack([prec.apply(R[:, j], j) for j in range(c.count)])
+    MU, R = state.cluster_residual(pencil)
+    S = np.column_stack([prec.apply(R[:, j], j) for j in range(state.cluster.count)])
     return S - U @ (MU.T @ S)
 
 
@@ -265,6 +307,17 @@ def stop_norm(pencil: fem.SparsePencil, values: np.ndarray, vectors: np.ndarray,
     R = residual_dual(pencil, np.asarray(values), vectors)
     X = mass_factorization.solve(R)
     return float(np.sqrt(np.einsum("ij,ij->", R, X)))
+
+
+def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float, float]:
+    """Lower and upper bounds on the stop norm of a residual block, from diag(M).
+
+    With q = sum_i rho_i' D^{-1} rho_i over the columns rho_i of ``residual``
+    and D = ``mass_diagonal``, returns (sqrt(q/2), sqrt(2q)), which bracket
+    sqrt(sum_i rho_i' M^{-1} rho_i) for a P1 mass matrix M.
+    """
+    q = float(np.einsum("ij,ij->", residual, residual / mass_diagonal[:, None]))
+    return float(np.sqrt(_MASS_LOWER * q)), float(np.sqrt(_MASS_UPPER * q))
 
 
 def _thick_restart(state: IterationState, corrections: np.ndarray,
@@ -317,6 +370,12 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
           cluster: ClusterSpec, config: SolverConfig) -> SolverReport:
     """Run the full iteration until the stop norm falls below the tolerance.
 
+    Every iteration bounds the stop norm by the mass diagonal; the exact
+    norm (``stop_norm``, one solve with M) is computed only when the lower
+    bound is below the tolerance, so only an exact norm ends the run.  A
+    run that stops unconverged computes it once more for its last row, so
+    ``SolverReport.stop_norm`` is always exact.
+
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
@@ -340,20 +399,32 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
     blocks = clocked("local_blocks", schwarz.LocalBlocks, pencil, decomp)
 
+    mass_diagonal = pencil.mass.diagonal()
+
     trace: list[TraceRecord] = []
     wall_start = time.perf_counter()
 
-    def record(k, values, sn, drift, dim, clamped, fallbacks):
-        trace.append(TraceRecord(
-            iteration=k, values=values.copy(), stop_norm=sn, value_drift=drift,
-            basis_dim=dim, clamped_shifts=clamped, ldlt_fallbacks=fallbacks,
-            wall_ms=(time.perf_counter() - wall_start) * 1e3,
-        ))
+    def stop_test(k, state, values, drift, clamped, fallbacks):
+        """Bound the stop norm, solve for it only near the tolerance, and trace row k.
 
-    vectors = state.cluster_vectors()
+        Returns the exact stop norm, or NaN where the lower bound rules out
+        convergence.
+        """
+        vectors = state.cluster_vectors()
+        lower, upper = clocked(
+            "stop_bound", lambda: stop_bounds(state.cluster_residual(pencil)[1], mass_diagonal))
+        sn = np.nan
+        if lower < config.tol * (1.0 + _GATE_MARGIN):
+            sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
+        trace.append(TraceRecord(
+            iteration=k, values=values.copy(), stop_norm=sn, stop_lower=lower,
+            stop_upper=upper, value_drift=drift, basis_dim=state.dim, clamped_shifts=clamped,
+            ldlt_fallbacks=fallbacks, wall_ms=(time.perf_counter() - wall_start) * 1e3,
+        ))
+        return sn
+
     values = state.cluster_values()
-    sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-    record(0, values, sn, 0.0, state.dim, 0, 0)
+    sn = stop_test(0, state, values, 0.0, 0, 0)
 
     converged = sn < config.tol
     stagnated = False
@@ -369,10 +440,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
             state = clocked("restart", _thick_restart, state, corrections, pencil)
         k += 1
         values = state.cluster_values()
-        vectors = state.cluster_vectors()
-        sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
-        record(k, values, sn, float(np.sum(np.abs(values - prev_values))), state.dim,
-               prec.clamped_shifts, prec.ldlt_fallbacks)
+        sn = stop_test(k, state, values, float(np.sum(np.abs(values - prev_values))),
+                         prec.clamped_shifts, prec.ldlt_fallbacks)
         if sn < config.tol:
             converged = True
         elif not grew:
@@ -380,6 +449,11 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
             stagnated = stalls >= 3
         else:
             stalls = 0
+
+    vectors = state.cluster_vectors()
+    if np.isnan(sn):  # an unconverged run still reports its exact stop norm
+        sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
+        trace[-1] = replace(trace[-1], stop_norm=sn)
 
     return SolverReport(
         cluster=cluster,

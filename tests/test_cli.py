@@ -140,16 +140,24 @@ class TestRunCommand:
         assert float(rows[2][2]) == 5.0
 
         trace = read_csv(out / "trace.csv")
-        assert trace[0] == ["k", "lambda_1", "lambda_2", "stop_norm", "value_drift",
-                            "basis_dim", "clamped_shifts", "ldlt_fallbacks", "wall_ms"]
+        assert trace[0] == ["k", "lambda_1", "lambda_2", "stop_norm", "stop_lower",
+                            "stop_upper", "value_drift", "basis_dim", "clamped_shifts",
+                            "ldlt_fallbacks", "wall_ms"]
         assert trace[1][0] == "0"
         assert float(trace[-1][3]) < 1e-8
-        assert trace[1][4] == "0.000000e+00"
+        assert trace[1][6] == "0.000000e+00"
         summary = json.loads((out / "summary.json").read_text())
-        assert [int(r[5]) for r in trace[1:]] == summary["basis_dims"]
-        assert all(int(r[6]) == 0 for r in trace[1:])
+        # the last row holds the exact final stop norm; a blank cell had no solve
+        assert trace[-1][3] == f"{summary['final_stop_norm']:.6e}"
+        solved = [r for r in trace[1:] if r[3]]
+        assert summary["exact_stop_solves"] == len(solved) >= 1
+        for r in solved:
+            assert float(r[4]) <= float(r[3]) <= float(r[5])
+        assert all(float(r[4]) >= 1e-8 for r in trace[1:] if not r[3])
+        assert [int(r[7]) for r in trace[1:]] == summary["basis_dims"]
+        assert all(int(r[8]) == 0 for r in trace[1:])
         assert summary["clamped_shifts_total"] == 0
-        assert all(int(r[7]) == 0 for r in trace[1:])
+        assert all(int(r[9]) == 0 for r in trace[1:])
         assert summary["ldlt_fallbacks_total"] == 0
 
     def test_summary_echoes_full_config(self, tmp_path):
@@ -203,6 +211,9 @@ class TestRunCommand:
         assert (out / "trace.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
+        # an unconverged run still ends with an exact stop norm
+        assert read_csv(out / "trace.csv")[-1][3] == f"{summary['final_stop_norm']:.6e}"
+        assert summary["exact_stop_solves"] == 1
 
     def test_rerun_reproduces_trace_bit_exactly(self, tmp_path):
         # wall_ms is the one nondeterministic column; the solver content
@@ -239,7 +250,9 @@ class TestRunCommand:
         assert code == 0
         trace = json.loads((out / "trace.json").read_text())
         assert trace[0]["k"] == "0"
-        assert {"value_drift", "basis_dim", "clamped_shifts", "ldlt_fallbacks"} <= set(trace[0])
+        assert {"stop_norm", "stop_lower", "stop_upper", "value_drift", "basis_dim",
+                "clamped_shifts", "ldlt_fallbacks"} <= set(trace[0])
+        assert trace[-1]["stop_norm"] != ""
         final = json.loads((out / "final.json").read_text())
         assert [row["i"] for row in final] == ["1", "2"]
 

@@ -1,8 +1,12 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarzjd import eigensolver, schwarz
 from schwarzjd.eigensolver import (
@@ -14,6 +18,7 @@ from schwarzjd.eigensolver import (
     rayleigh_ritz,
     residual_dual,
     solve,
+    stop_bounds,
     stop_norm,
 )
 from schwarzjd.errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
@@ -232,6 +237,11 @@ class TestBasisBuffer:
             assert not s.basis.flags.writeable
             assert not s.cluster_vectors().flags.writeable
             assert s.cluster_vectors() is s.cluster_vectors()
+            MU, R = s.cluster_residual(pencil)
+            assert not MU.flags.writeable and not R.flags.writeable
+            assert s.cluster_residual(pencil)[1] is R
+            values = s.cluster_values()
+            assert np.array_equal(R, residual_dual(pencil, values, s.cluster_vectors()))
 
     def test_basis_beyond_memory_budget_raises(self, small, monkeypatch):
         hier, pencil, decomp = small
@@ -280,16 +290,42 @@ class TestStopNorm:
         assert sn == pytest.approx(want, rel=1e-10)
 
     def test_homogeneous_in_residual_scale(self, small):
-        # doubling (lambda M u - K u) by doubling both inputs is not linear,
-        # so scale through an explicit residual instead
         _, pencil, _ = small
-        rng = np.random.default_rng(53)
-        mass_fact = factorize(pencil.mass, expect_spd=True)
-        R = rng.standard_normal((pencil.n, 2))
-        X = mass_fact.solve(R)
-        base = np.sqrt(np.einsum("ij,ij->", R, X))
-        scaled = np.sqrt(np.einsum("ij,ij->", 3.0 * R, mass_fact.solve(3.0 * R)))
-        assert scaled == pytest.approx(3.0 * base, rel=1e-12)
+        diagonal = pencil.mass.diagonal()
+        R = np.random.default_rng(53).standard_normal((pencil.n, 2))
+        lower, upper = stop_bounds(R, diagonal)
+        scaled = stop_bounds(3.0 * R, diagonal)
+        assert scaled[0] == pytest.approx(3.0 * lower, rel=1e-12)
+        assert scaled[1] == pytest.approx(3.0 * upper, rel=1e-12)
+        ref = dense_discrete_spectrum(pencil, 3)
+        lower, upper = stop_bounds(residual_dual(pencil, ref.values, ref.vectors), diagonal)
+        assert 0.0 <= lower <= upper <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _mass_and_factorization(domain, level):
+    pencil = assemble(build_hierarchy(DomainShape(domain), 1, level).fine)
+    return pencil, factorize(pencil.mass, expect_spd=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(domain=st.sampled_from(["square", "lshape"]), level=st.integers(2, 5),
+       cols=st.integers(1, 4), kind=st.sampled_from(["random", "mass", "stiffness"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mass_diagonal_brackets_the_stop_norm(domain, level, cols, kind, seed):
+    # 1/2 R'D^{-1}R <= R'M^{-1}R <= 2 R'D^{-1}R for D = diag(M); images
+    # of random blocks under M and K lean towards either end
+    pencil, mass_fact = _mass_and_factorization(domain, level)
+    R = np.random.default_rng(seed).standard_normal((pencil.n, cols))
+    if kind == "mass":
+        R = pencil.mass @ R
+    elif kind == "stiffness":
+        R = pencil.stiffness @ R
+    exact = math.sqrt(np.einsum("ij,ij->", R, mass_fact.solve(R)))
+    lower, upper = stop_bounds(R, pencil.mass.diagonal())
+    assert lower <= exact * (1 + 1e-12)
+    assert exact <= upper * (1 + 1e-12)
+    assert upper == pytest.approx(2.0 * lower, rel=1e-12)
 
 
 class TestSolve:
@@ -339,6 +375,8 @@ class TestSolve:
         assert not report.converged
         assert report.iterations == 2
         assert len(report.values) == 3
+        assert report.trace[-1].stop_norm == report.stop_norm
+        assert np.isfinite(report.stop_norm)
 
     def test_stagnation_detected_when_basis_saturates(self):
         hier = build_hierarchy(DomainShape.SQUARE, 1, 3)
@@ -348,6 +386,8 @@ class TestSolve:
                        SolverConfig(tol=1e-300, max_iter=100))
         assert report.stagnated
         assert not report.converged
+        assert report.trace[-1].stop_norm == report.stop_norm
+        assert np.isfinite(report.stop_norm)
         ref = dense_discrete_spectrum(pencil, 2)
         assert np.allclose(report.values, ref.values[:2], atol=1e-10)
 
@@ -412,3 +452,40 @@ class TestSolve:
                        SolverConfig(tol=1e-8))
         assert report.converged
         assert [rec.ldlt_fallbacks for rec in report.trace] == [0] * (report.iterations + 1)
+
+
+# (domain, coarse, fine, overlap, first, last, SolverConfig): converged,
+# restarted, max_iter-bound and stagnated runs
+_GATE_CASES = [
+    ("square", 2, 4, 0.25, 1, 3, SolverConfig(tol=1e-8, max_iter=40)),
+    ("lshape", 2, 4, 0.25, 3, 6, SolverConfig(tol=1e-8, max_iter=60)),
+    ("square", 2, 4, 0.25, 3, 5, SolverConfig(tol=1e-8, max_iter=80, restart_dim=13)),
+    ("square", 2, 4, 0.25, 1, 3, SolverConfig(tol=1e-12, max_iter=2)),
+    ("square", 1, 3, 0.5, 1, 2, SolverConfig(tol=1e-300, max_iter=100)),
+]
+
+
+@pytest.mark.parametrize("case", _GATE_CASES, ids=lambda c: f"{c[0]}-{c[1]}/{c[2]}-{c[4]}..{c[5]}")
+def test_bound_gate_changes_no_result(case, monkeypatch):
+    domain, coarse, fine, overlap, first, last, config = case
+    hier = build_hierarchy(DomainShape(domain), coarse, fine)
+    pencil = assemble(hier.fine)
+    decomp = build_decomposition(hier, overlap)
+    gated = solve(hier, pencil, decomp, ClusterSpec(first, last), config)
+    # a zero lower bound sends every row to the exact solve
+    monkeypatch.setattr(eigensolver, "_MASS_LOWER", 0.0)
+    exact = solve(hier, pencil, decomp, ClusterSpec(first, last), config)
+
+    assert gated.values.tobytes() == exact.values.tobytes()
+    assert (gated.iterations, gated.converged, gated.stagnated) == (
+        exact.iterations, exact.converged, exact.stagnated)
+    assert np.float64(gated.stop_norm).tobytes() == np.float64(exact.stop_norm).tobytes()
+    assert all(np.isfinite(rec.stop_norm) for rec in exact.trace)
+    for g, e in zip(gated.trace, exact.trace, strict=True):
+        assert g.values.tobytes() == e.values.tobytes()
+        assert g.stop_lower <= e.stop_norm <= g.stop_upper
+        if np.isnan(g.stop_norm):  # skipped only where the bound rules out convergence
+            assert g.stop_lower >= config.tol
+        else:
+            assert g.stop_norm == e.stop_norm
+    assert np.isfinite(gated.trace[-1].stop_norm)

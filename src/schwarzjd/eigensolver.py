@@ -26,16 +26,16 @@ iteration then
      once at the end of a run that stops unconverged; convergence is
      declared from the exact norm alone.
 
-The residual block rho_i of a state is formed once, on the state, and
-read by both the stop test and the next correction.
-
 One private routine, ``_grow``, is the only Rayleigh-Ritz step: it
 mass-orthonormalizes new vectors against the trial basis, borders the
 projected stiffness matrix by the accepted columns and solves the small
-eigenproblem.  Startup grows an empty basis by the lifted vectors, each
-outer iteration grows the current basis by its corrections, and the
-optional thick restart (``restart_dim``) grows an empty basis by Ritz
-vectors 1..last and the newest corrections.
+eigenproblem.  It also forms, once per state, the cluster Ritz vectors U,
+their mass images M U and the residual block R = lam M U - K U, whose
+columns are the rho_i; the stop bounds, the exact stop norm and the next
+correction all read that block.  Startup grows an empty basis by the
+lifted vectors, each outer iteration grows the current basis by its
+corrections, and the optional thick restart (``restart_dim``) grows an
+empty basis by Ritz vectors 1..last and the newest corrections.
 
 Iteration states are immutable; every step returns a new one.  A state's
 basis is a read-only view of the leading columns of a Fortran-ordered
@@ -43,8 +43,7 @@ buffer that a chain of states shares: growing the newest state on a buffer
 writes the accepted columns in place behind the views the older states
 hold, and any other growth copies into a new buffer of doubled capacity.
 The basis takes 8 n dim bytes; a buffer that would exceed physical memory
-raises ProblemTooLargeError before it is allocated.  The cluster Ritz
-vectors are formed once per state.
+raises ProblemTooLargeError before it is allocated.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -59,7 +58,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +72,6 @@ __all__ = [
     "TraceRecord",
     "SolverReport",
     "initialize",
-    "residual_dual",
     "correction_step",
     "rayleigh_ritz",
     "stop_norm",
@@ -145,14 +142,15 @@ class _BasisBuffer:
 class IterationState:
     """Mass-orthonormal trial basis with its projected pencil and Ritz data.
 
-    ``basis`` spans the trial subspace (n x dim) and is read-only, normally
-    a view of the leading columns of a buffer that later states may extend
-    in place; ``projected`` is the projected stiffness basis' K basis, and
+    ``basis`` spans the trial subspace (n x dim), normally a view of the
+    leading columns of a buffer that later states may extend in place;
+    ``projected`` is the projected stiffness basis' K basis, and
     ``ritz_values``/``ritz_coeffs`` its full eigendecomposition.  Ritz
-    vector j (1-based) is basis @ ritz_coeffs[:, j-1]; the cluster block
-    first..last drives the corrections and is formed once per state, as is
-    its residual block.  States are never modified; each step returns a
-    new one.
+    vector j (1-based) is basis @ ritz_coeffs[:, j-1].  The Rayleigh-Ritz
+    step forms the cluster block first..last once: ``cluster_vectors`` U,
+    ``mass_vectors`` M U and the ``residual`` block R, one column rho_i per
+    cluster index.  All four n-row arrays are read-only.  States are never
+    modified; each step returns a new one.
     """
 
     cluster: ClusterSpec
@@ -160,15 +158,19 @@ class IterationState:
     projected: np.ndarray
     ritz_values: np.ndarray
     ritz_coeffs: np.ndarray
+    cluster_vectors: np.ndarray
+    mass_vectors: np.ndarray
+    residual: np.ndarray
     iteration: int = 0
     _buffer: _BasisBuffer | None = field(default=None, repr=False)
-    _residual: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.basis.flags.writeable:  # a read-only view; the buffer stays writable
-            basis = self.basis.view()
-            basis.flags.writeable = False
-            object.__setattr__(self, "basis", basis)
+        for name in ("basis", "cluster_vectors", "mass_vectors", "residual"):
+            array = getattr(self, name)
+            if array.flags.writeable:  # a read-only view; a basis buffer stays writable
+                view = array.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
     @property
     def dim(self) -> int:
@@ -181,33 +183,6 @@ class IterationState:
     def cluster_values(self) -> np.ndarray:
         c = self.cluster
         return self.ritz_values[c.first - 1 : c.last].copy()
-
-    def cluster_vectors(self) -> np.ndarray:
-        """The cluster Ritz vectors first..last, formed on first use (read-only)."""
-        return self._cluster_block
-
-    @cached_property
-    def _cluster_block(self) -> np.ndarray:
-        c = self.cluster
-        block = self.ritz_block(c.first, c.last)
-        block.flags.writeable = False
-        return block
-
-    def cluster_residual(self, pencil: fem.SparsePencil) -> tuple[np.ndarray, np.ndarray]:
-        """(M U, R) for the cluster block U, with R = lam M U - K U as columns.
-
-        Formed on first use for ``pencil`` and kept (read-only): the stop
-        test and the next correction read the same arrays.
-        """
-        if self._residual is None or self._residual[0] is not pencil:
-            c = self.cluster
-            U = self.cluster_vectors()
-            MU = pencil.mass @ U
-            R = self.ritz_values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-            MU.flags.writeable = False
-            R.flags.writeable = False
-            object.__setattr__(self, "_residual", (pencil, MU, R))
-        return self._residual[1], self._residual[2]
 
 
 @dataclass(frozen=True)
@@ -263,26 +238,16 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     return _grow(_empty_state(cluster, pencil.n), lifted, pencil, 0)
 
 
-def residual_dual(pencil: fem.SparsePencil, lam: float, u: np.ndarray) -> np.ndarray:
-    """Residual of the pair (lam, u) in dual form: lam * M u - K u.
-
-    For a block u of k columns, lam may hold one value per column.
-    """
-    return lam * (pencil.mass @ u) - pencil.stiffness @ u
-
-
-def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner,
-                    pencil: fem.SparsePencil) -> np.ndarray:
+def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) -> np.ndarray:
     """One preconditioned correction per cluster index, as columns.
 
     Each correction is the preconditioned residual projected mass-orthogonally
     off the current cluster Ritz vectors, so the trial subspace grows in new
     directions only.
     """
-    U = state.cluster_vectors()
-    MU, R = state.cluster_residual(pencil)
+    R = state.residual
     S = np.column_stack([prec.apply(R[:, j], j) for j in range(state.cluster.count)])
-    return S - U @ (MU.T @ S)
+    return S - state.cluster_vectors @ (state.mass_vectors.T @ S)
 
 
 def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
@@ -297,16 +262,14 @@ def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
     return _grow(state, new_vectors, pencil, state.iteration + 1)
 
 
-def stop_norm(pencil: fem.SparsePencil, values: np.ndarray, vectors: np.ndarray,
-              mass_factorization: linalg.Factorization) -> float:
-    """Root of the summed squared mass-norms of the cluster residuals.
+def stop_norm(residual: np.ndarray, mass_factorization: linalg.Factorization) -> float:
+    """The stop norm of a residual block, with exact sparse solves.
 
-    Computes sqrt(sum_i rho_i' M^{-1} rho_i) with exact sparse solves, where
-    rho_i = lam_i M u_i - K u_i.
+    Returns sqrt(sum_i rho_i' M^{-1} rho_i) over the columns rho_i of
+    ``residual``, with M the matrix that ``mass_factorization`` factorizes.
     """
-    R = residual_dual(pencil, np.asarray(values), vectors)
-    X = mass_factorization.solve(R)
-    return float(np.sqrt(np.einsum("ij,ij->", R, X)))
+    X = mass_factorization.solve(residual)
+    return float(np.sqrt(np.einsum("ij,ij->", residual, X)))
 
 
 def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float, float]:
@@ -328,8 +291,9 @@ def _thick_restart(state: IterationState, corrections: np.ndarray,
 
 
 def _empty_state(cluster: ClusterSpec, n: int) -> IterationState:
-    return IterationState(cluster, np.empty((n, 0)), np.empty((0, 0)), np.empty(0),
-                          np.empty((0, 0)))
+    empty = np.empty((n, 0))
+    return IterationState(cluster, empty, np.empty((0, 0)), np.empty(0), np.empty((0, 0)),
+                          empty, empty, empty)
 
 
 def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
@@ -337,7 +301,8 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     """The Rayleigh-Ritz step: the one place the trial basis grows.
 
     Mass-orthonormalizes ``new_vectors`` against the basis, borders the
-    projected stiffness matrix by the accepted columns and re-solves it.
+    projected stiffness matrix by the accepted columns, re-solves it and
+    forms the cluster block U, M U and R of the new state.
     Returns ``state`` with ``iteration`` when every column is dropped.
 
     The accepted columns are written in place behind the basis when
@@ -362,8 +327,13 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
         buffer.data[:, :dim] = state.basis
     buffer.data[:, dim:dim_new] = accepted
     buffer.filled = dim_new
-    return IterationState(state.cluster, buffer.data[:, :dim_new], projected, values, coeffs,
-                          iteration, buffer)
+    basis = buffer.data[:, :dim_new]
+
+    c = state.cluster
+    U = linalg.basis_times(basis, coeffs[:, c.first - 1 : c.last])
+    MU = pencil.mass @ U
+    R = values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
+    return IterationState(c, basis, projected, values, coeffs, U, MU, R, iteration, buffer)
 
 
 def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
@@ -410,12 +380,10 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         Returns the exact stop norm, or NaN where the lower bound rules out
         convergence.
         """
-        vectors = state.cluster_vectors()
-        lower, upper = clocked(
-            "stop_bound", lambda: stop_bounds(state.cluster_residual(pencil)[1], mass_diagonal))
+        lower, upper = clocked("stop_bound", stop_bounds, state.residual, mass_diagonal)
         sn = np.nan
         if lower < config.tol * (1.0 + _GATE_MARGIN):
-            sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
+            sn = clocked("stop_norm", stop_norm, state.residual, mass_fact)
         trace.append(TraceRecord(
             iteration=k, values=values.copy(), stop_norm=sn, stop_lower=lower,
             stop_upper=upper, value_drift=drift, basis_dim=state.dim, clamped_shifts=clamped,
@@ -432,7 +400,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     k = 0
     while not converged and not stagnated and k < config.max_iter:
         prec = clocked("prepare", schwarz.prepare, blocks, coarse, values)
-        corrections = clocked("correction", correction_step, state, prec, pencil)
+        corrections = clocked("correction", correction_step, state, prec)
         prev_values, prev_dim = values, state.dim
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
         grew = state.dim > prev_dim
@@ -450,15 +418,14 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         else:
             stalls = 0
 
-    vectors = state.cluster_vectors()
     if np.isnan(sn):  # an unconverged run still reports its exact stop norm
-        sn = clocked("stop_norm", stop_norm, pencil, values, vectors, mass_fact)
+        sn = clocked("stop_norm", stop_norm, state.residual, mass_fact)
         trace[-1] = replace(trace[-1], stop_norm=sn)
 
     return SolverReport(
         cluster=cluster,
         values=values,
-        vectors=vectors.copy(),  # writable, unlike the state's cached block
+        vectors=state.cluster_vectors.copy(),  # writable, unlike the state's block
         iterations=k,
         converged=converged,
         stagnated=stagnated,

@@ -207,7 +207,7 @@ class SchwarzPreconditioner:
         """Coarse contribution: spectral solve on the deflated coarse subspace."""
         t = np.zeros(self.n)
         cp = self.coarse
-        if cp is None or cp.deflated_dim == 0:
+        if cp.deflated_dim == 0:
             return t
         cut = cp.cluster_cut
         c = cp.prolongation.T @ rho
@@ -236,7 +236,7 @@ class SchwarzPreconditioner:
         return self.apply_coarse(rho, i) + self.apply_local(rho, i)
 
 
-def prepare(blocks: LocalBlocks, coarse: CoarsePiece | None, shifts) -> SchwarzPreconditioner:
+def prepare(blocks: LocalBlocks, coarse: CoarsePiece, shifts) -> SchwarzPreconditioner:
     """Factorize each subdomain operator class once per shift; share the coarse piece.
 
     Shifts above ``coarse.shift_cap`` are lowered to it, so that the
@@ -246,9 +246,8 @@ def prepare(blocks: LocalBlocks, coarse: CoarsePiece | None, shifts) -> SchwarzP
     shifts = np.asarray(list(shifts), dtype=np.float64)
     if shifts.size == 0 or not np.all(np.isfinite(shifts)):
         raise InvalidArgumentError("a non-empty list of finite shifts is required")
-    cap = np.inf if coarse is None else coarse.shift_cap
-    clamped = int(np.count_nonzero(shifts > cap))
-    shifts = np.minimum(shifts, cap)
+    clamped = int(np.count_nonzero(shifts > coarse.shift_cap))
+    shifts = np.minimum(shifts, coarse.shift_cap)
 
     factorizations = [
         [linalg.factorize_shifted(kb, mb, shift) for kb, mb in zip(blocks.k_blocks, blocks.m_blocks)]

@@ -12,7 +12,7 @@ def dense_preconditioner(pencil, decomp, coarse, shift):
     for dofs in decomp.subdomains:
         block = np.linalg.inv(K[np.ix_(dofs, dofs)] - shift * M[np.ix_(dofs, dofs)])
         B[np.ix_(dofs, dofs)] += block
-    if coarse is not None and coarse.deflated_dim > 0:
+    if coarse.deflated_dim > 0:
         P = coarse.prolongation.toarray()
         UR = coarse.vectors[:, coarse.cluster_cut:]
         D = np.diag(1.0 / (coarse.values[coarse.cluster_cut:] - shift))

@@ -132,11 +132,11 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
     for _ in range(max_iter):
         assert np.all(state.ritz_values >= lam_h[: state.dim] - 1e-10)
         prec = prepare(blocks, coarse_piece, state.cluster_values())
-        corrections = correction_step(state, prec, pencil)
+        corrections = correction_step(state, prec)
         prev = state.ritz_values.copy()
         state = rayleigh_ritz(state, corrections, pencil)
         assert np.all(state.ritz_values[: len(prev)] <= prev + 1e-12)
-        sn = stop_norm(pencil, state.cluster_values(), state.cluster_vectors(), mass_fact)
+        sn = stop_norm(state.residual, mass_fact)
         if sn < 1e-8:
             return True
     return False

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -12,11 +11,12 @@ from schwarzjd import eigensolver, schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
+    _empty_state,
+    _grow,
     _thick_restart,
     correction_step,
     initialize,
     rayleigh_ritz,
-    residual_dual,
     solve,
     stop_bounds,
     stop_norm,
@@ -110,30 +110,35 @@ class TestInitialize:
             initialize(hier, pencil, ClusterSpec(1, 9))
 
 
+def exact_state(pencil, cluster):
+    """A state grown from the exact discrete eigenvectors 1..cluster.last."""
+    ref = dense_discrete_spectrum(pencil, cluster.last)
+    return _grow(_empty_state(cluster, pencil.n), ref.vectors, pencil, 0)
+
+
 class TestResidualDual:
+    """``IterationState.residual``: the cluster residuals in dual form, lam M u - K u."""
+
     def test_exact_eigenpair_has_zero_residual(self, small):
         _, pencil, _ = small
-        ref = dense_discrete_spectrum(pencil, 3)
-        u = ref.vectors[:, 0]
-        u = u / np.sqrt(u @ (pencil.mass @ u))
-        rho = residual_dual(pencil, ref.values[0], u)
-        assert np.linalg.norm(rho) <= 1e-10
+        state = exact_state(pencil, ClusterSpec(1, 3))
+        assert np.linalg.norm(state.residual) <= 1e-10
 
     def test_residual_is_mass_orthogonal_to_ritz_vector(self, small):
         hier, pencil, _ = small
-        state = initialize(hier, pencil, ClusterSpec(1, 4))
-        u = state.ritz_block(2, 2).ravel()
-        rho = residual_dual(pencil, state.ritz_values[1], u)
-        assert abs(rho @ u) <= 1e-10
+        state = initialize(hier, pencil, ClusterSpec(2, 4))
+        pairings = np.einsum("ij,ij->j", state.residual, state.cluster_vectors)
+        assert np.abs(pairings).max() <= 1e-10
 
     def test_matches_independent_dense_evaluation(self, small):
-        _, pencil, _ = small
+        hier, pencil, _ = small
         rng = np.random.default_rng(51)
-        u = rng.standard_normal(pencil.n)
-        lam = 3.7
-        rho = residual_dual(pencil, lam, u)
-        dense = lam * (pencil.mass.toarray() @ u) - pencil.stiffness.toarray() @ u
-        assert np.allclose(rho, dense, atol=1e-12)
+        state = initialize(hier, pencil, ClusterSpec(2, 4))
+        state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
+        U = state.cluster_vectors
+        lam = state.cluster_values()
+        dense = lam * (pencil.mass.toarray() @ U) - pencil.stiffness.toarray() @ U
+        assert np.allclose(state.residual, dense, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -149,20 +154,20 @@ def stepped(small):
 class TestCorrectionStep:
     def test_corrections_mass_orthogonal_to_cluster_ritz_vectors(self, stepped):
         pencil, _, _, state, prec = stepped
-        T = correction_step(state, prec, pencil)
-        U = state.cluster_vectors()
+        T = correction_step(state, prec)
+        U = state.cluster_vectors
         assert np.abs(U.T @ (pencil.mass @ T)).max() <= 1e-10
 
     def test_matches_dense_projected_preconditioner(self, stepped):
         from .helpers import dense_preconditioner
 
         pencil, decomp, coarse, state, prec = stepped
-        T = correction_step(state, prec, pencil)
-        U = state.cluster_vectors()
+        T = correction_step(state, prec)
+        U = state.cluster_vectors
         MU = pencil.mass @ U
         for j, lam in enumerate(state.cluster_values()):
             B = dense_preconditioner(pencil, decomp, coarse, prec.shifts[j])
-            rho = residual_dual(pencil, lam, U[:, j])
+            rho = lam * (pencil.mass @ U[:, j]) - pencil.stiffness @ U[:, j]
             want = B @ rho
             want -= U @ (MU.T @ want)
             assert np.linalg.norm(T[:, j] - want) <= 1e-9 * np.linalg.norm(want)
@@ -171,16 +176,10 @@ class TestCorrectionStep:
         # feed exact discrete eigenpairs: residuals vanish, so do corrections
         hier, pencil, decomp = small
         cluster = ClusterSpec(1, 2)
-        ref = dense_discrete_spectrum(pencil, 2)
-        basis = ref.vectors.copy()
-        projected = basis.T @ (pencil.stiffness @ basis)
-        from schwarzjd.eigensolver import IterationState
-
-        values, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
-        state = IterationState(cluster, basis, projected, values, coeffs)
+        state = exact_state(pencil, cluster)
         coarse = build_coarse_piece(hier, cluster.last)
         prec = prepare(LocalBlocks(pencil, decomp), coarse, state.cluster_values())
-        T = correction_step(state, prec, pencil)
+        T = correction_step(state, prec)
         assert np.abs(T).max() <= 1e-9
 
 
@@ -234,14 +233,10 @@ class TestBasisBuffer:
         grown = rayleigh_ritz(state, np.random.default_rng(55).standard_normal((pencil.n, 2)),
                               pencil)
         for s in (state, grown):
-            assert not s.basis.flags.writeable
-            assert not s.cluster_vectors().flags.writeable
-            assert s.cluster_vectors() is s.cluster_vectors()
-            MU, R = s.cluster_residual(pencil)
-            assert not MU.flags.writeable and not R.flags.writeable
-            assert s.cluster_residual(pencil)[1] is R
-            values = s.cluster_values()
-            assert np.array_equal(R, residual_dual(pencil, values, s.cluster_vectors()))
+            for array in (s.basis, s.cluster_vectors, s.mass_vectors, s.residual):
+                assert not array.flags.writeable
+            assert np.array_equal(s.cluster_vectors, s.ritz_block(1, 2))
+            assert np.array_equal(s.mass_vectors, pencil.mass @ s.cluster_vectors)
 
     def test_basis_beyond_memory_budget_raises(self, small, monkeypatch):
         hier, pencil, decomp = small
@@ -260,7 +255,7 @@ class TestThickRestart:
         blocks = LocalBlocks(pencil, decomp)
         for _ in range(3):
             prec = prepare(blocks, coarse, state.cluster_values())
-            corrections = correction_step(state, prec, pencil)
+            corrections = correction_step(state, prec)
             state = rayleigh_ritz(state, corrections, pencil)
         out = _thick_restart(state, corrections, pencil)
         # The restarted space lies inside the old one and holds Ritz vectors 1..last.
@@ -273,19 +268,19 @@ class TestThickRestart:
 class TestStopNorm:
     def test_exact_pairs_give_zero(self, small):
         _, pencil, _ = small
-        ref = dense_discrete_spectrum(pencil, 3)
+        state = exact_state(pencil, ClusterSpec(1, 3))
         mass_fact = factorize(pencil.mass, expect_spd=True)
-        sn = stop_norm(pencil, ref.values, ref.vectors, mass_fact)
+        sn = stop_norm(state.residual, mass_fact)
         assert sn <= 1e-10
 
     def test_matches_dense_mass_inverse(self, small):
         hier, pencil, _ = small
         state = initialize(hier, pencil, ClusterSpec(1, 1))
         mass_fact = factorize(pencil.mass, expect_spd=True)
-        lam = state.ritz_values[:1]
-        u = state.ritz_block(1, 1)
-        sn = stop_norm(pencil, lam, u, mass_fact)
-        rho = residual_dual(pencil, lam[0], u.ravel())
+        lam = state.ritz_values[0]
+        u = state.ritz_block(1, 1).ravel()
+        sn = stop_norm(state.residual, mass_fact)
+        rho = lam * (pencil.mass @ u) - pencil.stiffness @ u
         want = np.sqrt(rho @ np.linalg.solve(pencil.mass.toarray(), rho))
         assert sn == pytest.approx(want, rel=1e-10)
 
@@ -297,8 +292,7 @@ class TestStopNorm:
         scaled = stop_bounds(3.0 * R, diagonal)
         assert scaled[0] == pytest.approx(3.0 * lower, rel=1e-12)
         assert scaled[1] == pytest.approx(3.0 * upper, rel=1e-12)
-        ref = dense_discrete_spectrum(pencil, 3)
-        lower, upper = stop_bounds(residual_dual(pencil, ref.values, ref.vectors), diagonal)
+        lower, upper = stop_bounds(exact_state(pencil, ClusterSpec(1, 3)).residual, diagonal)
         assert 0.0 <= lower <= upper <= 1e-10
 
 
@@ -321,7 +315,7 @@ def test_mass_diagonal_brackets_the_stop_norm(domain, level, cols, kind, seed):
         R = pencil.mass @ R
     elif kind == "stiffness":
         R = pencil.stiffness @ R
-    exact = math.sqrt(np.einsum("ij,ij->", R, mass_fact.solve(R)))
+    exact = stop_norm(R, mass_fact)
     lower, upper = stop_bounds(R, pencil.mass.diagonal())
     assert lower <= exact * (1 + 1e-12)
     assert exact <= upper * (1 + 1e-12)

@@ -18,7 +18,7 @@ from schwarzjd.mesh import (
     build_decomposition,
     build_hierarchy,
 )
-from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
+from schwarzjd.schwarz import CoarsePiece, LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import dense_preconditioner
 
@@ -177,9 +177,10 @@ def assert_batched_local_solve_matches_loop(prec, rho):
 @given(shift=st.one_of(st.floats(-50.0, 0.0), st.floats(0.0, 400.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_local_solve_matches_subdomain_loop(dense_limit, shape, shift, seed):
-    _, pencil, decomp, _ = problem(shape)
+    hier, pencil, decomp, _ = problem(shape)
+    no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        prec = prepare(LocalBlocks(pencil, decomp), None, [shift])
+        prec = prepare(LocalBlocks(pencil, decomp), no_coarse, [shift])
     rho = np.random.default_rng(seed).standard_normal(pencil.n)
     assert_batched_local_solve_matches_loop(prec, rho)
 
@@ -194,9 +195,10 @@ def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, se
     # the repeated sets give two-member classes interleaved with a single-member one
     sets = UNSORTED_SETS + UNSORTED_SETS[:2]
     pencil = SimpleNamespace(stiffness=sp.identity(40, format="csr"), mass=stand_in_matrix(), n=40)
+    no_coarse = CoarsePiece(sp.csr_matrix((40, 0)), np.empty(0), np.empty((0, 0)), 0)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
         blocks = LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
-        prec = prepare(blocks, None, [shift])
+        prec = prepare(blocks, no_coarse, [shift])
     assert prec._blocks.class_of == [0, 1, 2, 0, 1]
     assert_batched_local_solve_matches_loop(prec, np.random.default_rng(seed).standard_normal(40))
 
@@ -279,7 +281,8 @@ class TestApply:
         pencil = assemble(hier.fine)
         whole = Decomposition(subdomains=[np.arange(pencil.n)], overlap_layers=1)
         shift = 1.5
-        prec = prepare(LocalBlocks(pencil, whole), None, [shift])
+        no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
+        prec = prepare(LocalBlocks(pencil, whole), no_coarse, [shift])
         rng = np.random.default_rng(45)
         rho = rng.standard_normal(pencil.n)
         S = (pencil.stiffness - shift * pencil.mass).toarray()

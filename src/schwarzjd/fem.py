@@ -6,6 +6,10 @@ leg vertices) is [[1, -1/2, -1/2], [-1/2, 1/2, 0], [-1/2, 0, 1/2]] and the
 element mass is (g^2/24) * [[2, 1, 1], [1, 2, 1], [1, 1, 2]].  Stiffness
 entries are computed from integer lattice differences so they come out as
 exact dyadic rationals, independent of g.
+
+K and M share one sparsity pattern and come from one COO-to-CSR conversion
+of K + iM.  Its summation order cannot change a bit: the dyadic stiffness
+sums are exact, and all mass contributions to one entry are equal.
 """
 
 from __future__ import annotations
@@ -37,15 +41,9 @@ class SparsePencil:
     n: int
 
 
-def assemble(mesh: Mesh, *, drop_boundary: bool = True) -> SparsePencil:
-    """Assemble the P1 pencil on ``mesh``.
-
-    With ``drop_boundary`` (the default) boundary rows and columns are
-    eliminated and the matrices act on the interior dofs only; otherwise the
-    full node set is kept (useful for whole-domain integral checks).
-    """
-    tri = mesh.triangles
-    lat = mesh.lattice[tri]  # (n_tri, 3, 2) integer vertex coordinates
+def _element_matrices(mesh: Mesh) -> np.ndarray:
+    """Element stiffness plus i times element mass, shape (n_triangles, 3, 3)."""
+    lat = np.take(mesh.lattice, mesh.triangles, axis=0)  # (n_tri, 3, 2) lattice coordinates
     ix = lat[:, :, 0]
     iy = lat[:, :, 1]
 
@@ -55,28 +53,40 @@ def assemble(mesh: Mesh, *, drop_boundary: bool = True) -> SparsePencil:
     det = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]  # = 2 * area / g^2, equals 1 here
     if np.any(det <= 0):
         raise InvalidArgumentError("mesh contains a non-positively oriented triangle")
+    det = det.astype(np.float64)
 
-    scale = 1.0 / (2.0 * det.astype(np.float64))
-    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * scale[:, None, None]
+    bc = b[:, :, None] * b[:, None, :]
+    bc += c[:, :, None] * c[:, None, :]
+    km = np.empty(bc.shape, dtype=np.complex128)
+    np.multiply(bc, (1.0 / (2.0 * det))[:, None, None], out=km.real)
     g = mesh.spacing
-    area = 0.5 * det.astype(np.float64) * (g * g)
-    me = area[:, None, None] * _MASS_PATTERN[None, :, :]
+    np.multiply((0.5 * det * (g * g))[:, None, None], _MASS_PATTERN, out=km.imag)
+    return km
 
+
+def assemble(mesh: Mesh, *, drop_boundary: bool = True) -> SparsePencil:
+    """Assemble the P1 pencil on ``mesh``.
+
+    With ``drop_boundary`` (the default) boundary rows and columns are
+    eliminated and the matrices act on the interior dofs only; otherwise the
+    full node set is kept (useful for whole-domain integral checks).
+    """
+    km = _element_matrices(mesh)
     if drop_boundary:
-        idx = mesh.dof_index[tri]
+        idx = mesh.dof_index[mesh.triangles]
         n = mesh.n_dofs
     else:
-        idx = tri
+        idx = mesh.triangles
         n = len(mesh.points)
 
+    idx = idx.astype(np.int32)
     rows = np.repeat(idx, 3, axis=1).ravel()
     cols = np.tile(idx, (1, 3)).ravel()
-    kv = ke.ravel()
-    mv = me.ravel()
     keep = (rows >= 0) & (cols >= 0)
-
-    K = sp.coo_matrix((kv[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((mv[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    # One conversion of K + iM; K's structural zeros are dropped afterwards.
+    KM = sp.coo_matrix((km.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    K = sp.csr_matrix((KM.data.real.copy(), KM.indices.copy(), KM.indptr.copy()), shape=(n, n))
+    M = sp.csr_matrix((KM.data.imag.copy(), KM.indices, KM.indptr), shape=(n, n))
     K.eliminate_zeros()
     return SparsePencil(stiffness=K, mass=M, n=n)
 

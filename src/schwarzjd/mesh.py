@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
 
@@ -90,7 +91,7 @@ class Mesh:
 
     def dof_lattice(self) -> np.ndarray:
         """Integer lattice coordinates of the interior dofs, shape (n_dofs, 2)."""
-        return self.lattice[self.dof_nodes]
+        return np.take(self.lattice, self.dof_nodes, axis=0)
 
 
 def _domain_masks(shape: DomainShape, n: int):
@@ -180,35 +181,20 @@ def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     s = sx / r
     t = sy / r
 
-    nf = fine.n_dofs
-    rows = np.arange(nf)
     lower = s >= t
-    # Corner weights on (LL, LR, UR) for the lower triangle, (LL, UR, UL) above.
-    w_ll = np.where(lower, 1.0 - s, 1.0 - t)
-    w_lr = np.where(lower, s - t, 0.0)
-    w_ur = np.where(lower, t, s)
-    w_ul = np.where(lower, 0.0, t - s)
-
-    grid = coarse.dof_grid
-    cols = [
-        grid[cy, cx],
-        grid[cy, cx + 1],
-        grid[cy + 1, cx + 1],
-        grid[cy + 1, cx],
-    ]
-    weights = [w_ll, w_lr, w_ur, w_ul]
-
-    ri, ci, vi = [], [], []
-    for col, w in zip(cols, weights):
-        keep = (col >= 0) & (w != 0.0)
-        ri.append(rows[keep])
-        ci.append(col[keep])
-        vi.append(w[keep])
-    P = sp.coo_matrix(
-        (np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))),
-        shape=(nf, coarse.n_dofs),
-    )
-    return P.tocsr()
+    # Corner columns in ascending coarse-dof order (LL, LR, UL, UR), weighted
+    # on the lower triangle (LL, LR, UR) or the upper one (LL, UR, UL).
+    n = coarse.dof_grid.shape[1]
+    cols = np.take(coarse.dof_grid, (cy * n + cx)[:, None] + np.array([0, 1, n, n + 1]))
+    weights = np.column_stack([
+        np.where(lower, 1.0 - s, 1.0 - t),
+        np.where(lower, s - t, 0.0),
+        np.where(lower, 0.0, t - s),
+        np.where(lower, t, s),
+    ])
+    keep = (cols >= 0) & (weights != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((weights[keep], cols[keep], indptr), shape=(fine.n_dofs, coarse.n_dofs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +246,8 @@ class Decomposition:
     coarse cell dilated by ``overlap_layers`` fine cells and clipped to the
     domain.  Overlap of at most half a coarse cell means each fine dof lies
     in at most four subdomains, however many there are (finite covering).
+    The subdomains are ascending int64 dof arrays in coarse cell order; they
+    may be views of one array.
     """
 
     subdomains: list = field(repr=False)
@@ -287,21 +275,15 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
         )
     layers = max(1, int(math.floor(overlap_ratio * r + 0.5)))
 
-    fine = hier.fine
-    grid = fine.dof_grid
-    N = grid.shape[0]
     n_coarse = 1 << hier.coarse.level
-    _, _, _, cell_mask = _domain_masks(fine.shape, n_coarse)
-
-    subdomains = []
+    _, _, _, cell_mask = _domain_masks(hier.fine.shape, n_coarse)
     cy, cx = np.nonzero(cell_mask)  # lattice order, matches coarse cell scan
-    for j, i in zip(cy, cx):
-        x0 = max(i * r - layers + 1, 0)
-        x1 = min((i + 1) * r + layers - 1, N - 1)
-        y0 = max(j * r - layers + 1, 0)
-        y1 = min((j + 1) * r + layers - 1, N - 1)
-        block = grid[y0 : y1 + 1, x0 : x1 + 1].ravel()
-        dofs = block[block >= 0]
-        subdomains.append(dofs)
+    # Cell (cy, cx) covers fine grid rows and columns from c*r - layers + 1 to
+    # (c + 1)*r + layers - 1; padded by layers - 1, its window starts at (cy*r, cx*r).
+    width = r + 2 * layers - 1
+    padded = np.pad(hier.fine.dof_grid, layers - 1, constant_values=-1)
+    windows = sliding_window_view(padded, (width, width))[cy * r, cx * r].reshape(len(cy), -1)
+    inside = windows >= 0
+    subdomains = np.split(windows[inside], np.cumsum(inside.sum(axis=1))[:-1])
 
     return Decomposition(subdomains=subdomains, overlap_layers=layers)

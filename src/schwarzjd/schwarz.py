@@ -25,7 +25,7 @@ that factorization, summed into the correction in ascending subdomain order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,13 +51,18 @@ class CoarsePiece:
 
     ``values``/``vectors`` are the ascending eigenpairs of the coarse pencil,
     mass-orthonormal.  Indices 1..cluster_cut are deflated; the coarse solve
-    acts only on the span of the remaining eigenvectors.
+    acts only on the span of the remaining eigenvectors.  ``restriction``, the
+    CSR transpose of ``prolongation``, sums in the bit order of ``P.T``.
     """
 
     prolongation: sp.csr_matrix
     values: np.ndarray
     vectors: np.ndarray
     cluster_cut: int
+    restriction: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "restriction", self.prolongation.T.tocsr())
 
     @property
     def dim(self) -> int:
@@ -210,7 +215,7 @@ class SchwarzPreconditioner:
         if cp.deflated_dim == 0:
             return t
         cut = cp.cluster_cut
-        c = cp.prolongation.T @ rho
+        c = cp.restriction @ rho
         d = cp.vectors[:, cut:].T @ c
         d /= cp.values[cut:] - self.shifts[i]
         t += cp.prolongation @ (cp.vectors[:, cut:] @ d)

@@ -18,3 +18,15 @@ def dense_preconditioner(pencil, decomp, coarse, shift):
         D = np.diag(1.0 / (coarse.values[coarse.cluster_cut:] - shift))
         B += P @ (UR @ D @ UR.T) @ P.T
     return B
+
+
+def assert_same_csr(A, B):
+    """A and B are the same CSR matrix bit for bit: arrays, index dtypes and format flag."""
+    assert A.format == B.format == "csr"
+    assert A.shape == B.shape
+    assert A.indptr.dtype == B.indptr.dtype and A.indices.dtype == B.indices.dtype
+    assert A.data.dtype == B.data.dtype
+    assert A.indptr.tobytes() == B.indptr.tobytes()
+    assert A.indices.tobytes() == B.indices.tobytes()
+    assert A.data.tobytes() == B.data.tobytes()
+    assert A.has_canonical_format == B.has_canonical_format

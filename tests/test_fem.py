@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import DomainShape, build_hierarchy, build_mesh
+
+from .helpers import assert_same_csr
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +100,47 @@ class TestAssembly:
             errs.append(lam - 2.0)
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - 2.0) < 0.1)
+
+
+def reference_assemble(mesh, drop_boundary):
+    """(K, M) with one COO-to-CSR conversion per matrix, from the element matrices."""
+    lat = mesh.lattice[mesh.triangles]
+    ix, iy = lat[:, :, 0], lat[:, :, 1]
+    b = iy[:, [1, 2, 0]] - iy[:, [2, 0, 1]]
+    c = ix[:, [2, 0, 1]] - ix[:, [1, 2, 0]]
+    det = (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]).astype(np.float64)
+    ke = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    ke = ke * (1.0 / (2.0 * det))[:, None, None]
+    pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    me = (0.5 * det * mesh.spacing**2)[:, None, None] * pattern
+    idx = mesh.dof_index[mesh.triangles] if drop_boundary else mesh.triangles
+    n = mesh.n_dofs if drop_boundary else len(mesh.points)
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    K = sp.coo_matrix((ke.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((me.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    K.eliminate_zeros()
+    return K, M
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7),
+       drop_boundary=st.booleans())
+def test_assembly_matches_two_conversion_reference(shape, level, drop_boundary):
+    # One conversion for both matrices gives the bits of one per matrix.
+    mesh = build_mesh(shape, level)
+    pencil = assemble(mesh, drop_boundary=drop_boundary)
+    K, M = reference_assemble(mesh, drop_boundary)
+    assert_same_csr(pencil.stiffness, K)
+    assert_same_csr(pencil.mass, M)
+    assert pencil.n == K.shape[0]
+
+
+@pytest.mark.parametrize("shape", list(DomainShape))
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_full_stiffness_annihilates_constants_exactly(shape, level):
+    # Without Dirichlet elimination constants lie in the kernel of K, and
+    # the dyadic row sums are exact.
+    pencil = assemble(build_mesh(shape, level), drop_boundary=False)
+    assert np.all(pencil.stiffness @ np.ones(pencil.n) == 0.0)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,8 @@ from schwarzjd.mesh import (
     build_hierarchy,
     build_mesh,
 )
+
+from .helpers import assert_same_csr
 
 
 def expected_dofs(shape, level):
@@ -148,6 +153,76 @@ def test_prolongations_are_galerkin(shape, levels):
         pencil = assemble(mesh)
         assert galerkin_error(P, fine.stiffness, pencil.stiffness) <= 1e-13
         assert galerkin_error(P, fine.mass, pencil.mass) <= 1e-13
+
+
+def reference_prolongation(coarse, fine):
+    """Interpolation matrix as four COO groups (LL, LR, UR, UL), converted once."""
+    r = 1 << (fine.level - coarse.level)
+    fl = fine.dof_lattice()
+    cx, sx = np.divmod(fl[:, 0], r)
+    cy, sy = np.divmod(fl[:, 1], r)
+    s, t = sx / r, sy / r
+    lower = s >= t
+    grid = coarse.dof_grid
+    groups = [
+        (grid[cy, cx], np.where(lower, 1.0 - s, 1.0 - t)),
+        (grid[cy, cx + 1], np.where(lower, s - t, 0.0)),
+        (grid[cy + 1, cx + 1], np.where(lower, t, s)),
+        (grid[cy + 1, cx], np.where(lower, 0.0, t - s)),
+    ]
+    rows = np.arange(fine.n_dofs)
+    ri, ci, vi = [], [], []
+    for col, w in groups:
+        keep = (col >= 0) & (w != 0.0)
+        ri.append(rows[keep])
+        ci.append(col[keep])
+        vi.append(w[keep])
+    P = sp.coo_matrix((np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))),
+                      shape=(fine.n_dofs, coarse.n_dofs))
+    return P.tocsr()
+
+
+def reference_subdomains(hier, overlap_ratio):
+    """Subdomain dof arrays from one clipped grid window per coarse cell."""
+    r = hier.refinement_ratio
+    layers = max(1, int(math.floor(overlap_ratio * r + 0.5)))
+    grid = hier.fine.dof_grid
+    N = grid.shape[0]
+    coarse = build_mesh(hier.fine.shape, hier.coarse.level)
+    cells = coarse.lattice[coarse.triangles[0::2, 0]]  # LL corner of each cell, in cell order
+    subdomains = []
+    for i, j in cells:
+        x0, x1 = max(i * r - layers + 1, 0), min((i + 1) * r + layers - 1, N - 1)
+        y0, y1 = max(j * r - layers + 1, 0), min((j + 1) * r + layers - 1, N - 1)
+        block = grid[y0 : y1 + 1, x0 : x1 + 1].ravel()
+        subdomains.append(block[block >= 0])
+    return subdomains
+
+
+level_pairs = st.integers(1, 6).flatmap(lambda c: st.tuples(st.just(c), st.integers(c + 1, 7)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(DomainShape)), levels=level_pairs)
+def test_prolongation_matches_coo_reference(shape, levels):
+    hier = build_hierarchy(shape, *levels)
+    assert_same_csr(hier.coarse_to_fine, reference_prolongation(hier.coarse, hier.fine))
+    assert_same_csr(hier.initial_to_fine, reference_prolongation(hier.initial, hier.fine))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(DomainShape)),
+       case=level_pairs.flatmap(lambda lv: st.tuples(
+           st.just(lv), st.floats(1.0 / (1 << (lv[1] - lv[0])), 0.5))))
+def test_decomposition_matches_per_cell_reference(shape, case):
+    levels, ratio = case
+    hier = build_hierarchy(shape, *levels)
+    subdomains = build_decomposition(hier, ratio).subdomains
+    expected = reference_subdomains(hier, ratio)
+    assert len(subdomains) == len(expected)
+    for dofs, ref in zip(subdomains, expected):
+        assert dofs.dtype == ref.dtype == np.int64
+        assert dofs.tobytes() == ref.tobytes()
 
 
 class TestDecomposition:

@@ -203,6 +203,17 @@ def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, se
     assert_batched_local_solve_matches_loop(prec, np.random.default_rng(seed).standard_normal(40))
 
 
+@pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
+def test_restriction_products_match_transpose(shape):
+    # The CSR restriction sums each coarse row in ascending fine-dof order,
+    # as a product with the transposed prolongation does.
+    coarse = problem(shape, 3, 6)[3]
+    assert coarse.restriction.format == "csr"
+    rng = np.random.default_rng(5)
+    for x in rng.standard_normal((50, coarse.prolongation.shape[0])):
+        assert (coarse.restriction @ x).tobytes() == (coarse.prolongation.T @ x).tobytes()
+
+
 class TestApply:
     def test_zero_input_zero_output(self, setup):
         _, pencil, decomp, coarse = setup

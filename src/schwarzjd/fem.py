@@ -64,22 +64,11 @@ def _element_matrices(mesh: Mesh) -> np.ndarray:
     return km
 
 
-def assemble(mesh: Mesh, *, drop_boundary: bool = True) -> SparsePencil:
-    """Assemble the P1 pencil on ``mesh``.
-
-    With ``drop_boundary`` (the default) boundary rows and columns are
-    eliminated and the matrices act on the interior dofs only; otherwise the
-    full node set is kept (useful for whole-domain integral checks).
-    """
+def assemble(mesh: Mesh) -> SparsePencil:
+    """Assemble the P1 pencil on ``mesh``, boundary rows and columns eliminated."""
     km = _element_matrices(mesh)
-    if drop_boundary:
-        idx = mesh.dof_index[mesh.triangles]
-        n = mesh.n_dofs
-    else:
-        idx = mesh.triangles
-        n = len(mesh.points)
-
-    idx = idx.astype(np.int32)
+    idx = mesh.dof_index[mesh.triangles].astype(np.int32)
+    n = mesh.n_dofs
     rows = np.repeat(idx, 3, axis=1).ravel()
     cols = np.tile(idx, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)

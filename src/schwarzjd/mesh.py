@@ -242,20 +242,28 @@ def build_hierarchy(shape: DomainShape, coarse_level: int, fine_level: int) -> M
 class Decomposition:
     """Overlapping subdomains: one per coarse cell, extended by fine layers.
 
-    ``subdomains[l]`` holds the fine interior dofs strictly inside the l-th
-    coarse cell dilated by ``overlap_layers`` fine cells and clipped to the
-    domain.  Overlap of at most half a coarse cell means each fine dof lies
-    in at most four subdomains, however many there are (finite covering).
-    The subdomains are ascending int64 dof arrays in coarse cell order; they
-    may be views of one array.
+    Subdomain l holds the fine interior dofs strictly inside the l-th coarse
+    cell dilated by ``overlap_layers`` fine cells and clipped to the domain.
+    Overlap of at most half a coarse cell means each fine dof lies in at most
+    four subdomains, however many there are (finite covering).  All
+    subdomains are stored in one int64 array ``dofs``, subdomain after
+    subdomain in coarse cell order, each ascending; the int64 ``offsets``
+    (length L + 1, from 0 to ``len(dofs)``) delimit them, so subdomain l is
+    ``dofs[offsets[l]:offsets[l + 1]]``.
     """
 
-    subdomains: list = field(repr=False)
+    dofs: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     overlap_layers: int
 
     @property
     def n_subdomains(self) -> int:
-        return len(self.subdomains)
+        return len(self.offsets) - 1
+
+    @property
+    def subdomains(self) -> list:
+        """The subdomains as one array each (views of ``dofs``)."""
+        return np.split(self.dofs, self.offsets[1:-1])
 
 
 def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposition:
@@ -284,6 +292,6 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
     padded = np.pad(hier.fine.dof_grid, layers - 1, constant_values=-1)
     windows = sliding_window_view(padded, (width, width))[cy * r, cx * r].reshape(len(cy), -1)
     inside = windows >= 0
-    subdomains = np.split(windows[inside], np.cumsum(inside.sum(axis=1))[:-1])
-
-    return Decomposition(subdomains=subdomains, overlap_layers=layers)
+    offsets = np.zeros(len(cy) + 1, dtype=np.int64)
+    np.cumsum(inside.sum(axis=1), out=offsets[1:])
+    return Decomposition(dofs=windows[inside], offsets=offsets, overlap_layers=layers)

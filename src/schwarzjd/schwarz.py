@@ -96,20 +96,19 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     )
 
 
-def _local_entries(A, dof_sets):
-    """Yield the local ``(rows, cols, values)`` entries of ``A[dofs][:, dofs]`` per dof set.
+def _local_entries(A, dofs, offsets):
+    """Yield the local ``(rows, cols, values)`` entries of ``A[d][:, d]`` per subdomain d.
 
-    The rows of all sets are gathered from the CSR matrix ``A`` at once; a
-    sorted (set, dof) lookup maps each gathered entry's column to its local
-    index within its set and drops the entries outside it.  Entries come in
-    the gathered order: by local row, then by the column order of ``A``.
+    ``dofs`` and ``offsets`` hold the subdomains flat, as in ``Decomposition``.
+    The rows of all subdomains are gathered from the CSR matrix ``A`` at
+    once; a sorted (subdomain, dof) lookup maps each gathered entry's column
+    to its local index within its subdomain and drops the entries outside
+    it.  Entries come in the gathered order: by local row, then by the column
+    order of ``A``.
     """
-    if not dof_sets:
-        return
-    sizes = np.array([len(d) for d in dof_sets], dtype=np.int64)
-    dofs = np.concatenate(dof_sets).astype(np.int64)
-    owner = np.repeat(np.arange(len(dof_sets)), sizes)
-    local = np.arange(len(dofs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    L = len(offsets) - 1
+    owner = np.repeat(np.arange(L), np.diff(offsets))
+    local = np.arange(len(dofs)) - offsets[owner]
     rows = A[dofs]
     counts = np.diff(rows.indptr)
     entry_owner = np.repeat(owner, counts)
@@ -122,7 +121,7 @@ def _local_entries(A, dof_sets):
     r = np.repeat(local, counts)[hit]
     c = local[order[pos[hit]]]
     v = rows.data[hit]
-    bounds = np.searchsorted(entry_owner[hit], np.arange(len(dof_sets) + 1))
+    bounds = np.searchsorted(entry_owner[hit], np.arange(L + 1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         yield r[lo:hi], c[lo:hi], v[lo:hi]
 
@@ -152,11 +151,11 @@ class LocalBlocks:
     each class: dense up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
 
     The batched local solve reads ``class_dofs``, ``scatter`` and ``order``.
-    ``class_dofs[c]`` holds the dof sets of the members of class c as rows, in ascending
-    subdomain order; the rows have equal length because the size is part of
-    the key.  ``scatter`` concatenates all dof sets in subdomain order, and
-    ``order`` permutes the member-major concatenation of the ``class_dofs``
-    into that order.
+    ``scatter`` is the decomposition's flat ``dofs`` array, subdomain after
+    subdomain.  ``class_dofs[c]`` holds the members of class c as rows, in
+    ascending subdomain order; the rows have equal length because the size
+    is part of the key.  ``order`` permutes the member-major concatenation
+    of the ``class_dofs`` into the order of ``scatter``.
     """
 
     def __init__(self, pencil, decomp: Decomposition):
@@ -164,24 +163,24 @@ class LocalBlocks:
         self.class_of = []
         self.k_blocks = []
         self.m_blocks = []
-        self.dof_sets = [np.asarray(d) for d in decomp.subdomains]
-        k_entries = _local_entries(pencil.stiffness.tocsr(), self.dof_sets)
-        m_entries = _local_entries(pencil.mass.tocsr(), self.dof_sets)
+        dofs, offsets = decomp.dofs, decomp.offsets
+        sizes = np.diff(offsets).tolist()
+        k_entries = _local_entries(pencil.stiffness.tocsr(), dofs, offsets)
+        m_entries = _local_entries(pencil.mass.tocsr(), dofs, offsets)
         classes = {}
-        for dofs, k, m in zip(self.dof_sets, k_entries, m_entries):
-            key = (len(dofs),) + tuple(a.tobytes() for a in k + m)
+        for size, k, m in zip(sizes, k_entries, m_entries):
+            key = (size,) + tuple(a.tobytes() for a in k + m)
             c = classes.setdefault(key, len(classes))
             if c == len(self.k_blocks):
-                self.k_blocks.append(_block(len(dofs), *k))
-                self.m_blocks.append(_block(len(dofs), *m))
+                self.k_blocks.append(_block(size, *k))
+                self.m_blocks.append(_block(size, *m))
             self.class_of.append(c)
 
         members = [np.flatnonzero(np.equal(self.class_of, c)) for c in range(len(classes))]
-        self.class_dofs = [np.stack([self.dof_sets[l] for l in ls]) for ls in members]
-        self.scatter = np.concatenate(self.dof_sets)
-        cuts = np.cumsum([len(d) for d in self.dof_sets])[:-1]
-        positions = np.split(np.arange(len(self.scatter)), cuts)
-        self.order = np.argsort(np.concatenate([positions[l] for ls in members for l in ls]))
+        positions = [offsets[ls, None] + np.arange(sizes[ls[0]]) for ls in members]
+        self.class_dofs = [dofs[pos] for pos in positions]
+        self.scatter = dofs
+        self.order = np.argsort(np.concatenate([pos.ravel() for pos in positions]))
 
 
 class SchwarzPreconditioner:

@@ -2,6 +2,16 @@
 
 import numpy as np
 
+from schwarzjd.mesh import Decomposition
+
+
+def decomposition(sets):
+    """A flat Decomposition of hand-made dof sets, in the given order."""
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(d) for d in sets], out=offsets[1:])
+    return Decomposition(dofs=np.concatenate(sets).astype(np.int64), offsets=offsets,
+                         overlap_layers=1)
+
 
 def dense_preconditioner(pencil, decomp, coarse, shift):
     """Explicit assembly of the two-level preconditioner as a dense matrix."""

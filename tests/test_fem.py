@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzjd.fem import assemble
+from schwarzjd.fem import _element_matrices, assemble
 from schwarzjd.mesh import DomainShape, build_hierarchy, build_mesh
 
 from .helpers import assert_same_csr
@@ -54,8 +54,8 @@ class TestAssembly:
 
     def test_full_mass_total_equals_domain_area(self):
         for shape, area in [(DomainShape.SQUARE, np.pi**2), (DomainShape.LSHAPE, 3 * np.pi**2)]:
-            pencil = assemble(build_mesh(shape, 3), drop_boundary=False)
-            assert pencil.mass.sum() == pytest.approx(area, rel=1e-13)
+            element_mass = _element_matrices(build_mesh(shape, 3)).imag
+            assert element_mass.sum() == pytest.approx(area, rel=1e-13)
 
     @pytest.mark.parametrize("shape,level", [(DomainShape.SQUARE, 3), (DomainShape.LSHAPE, 2)])
     def test_exact_symmetry(self, shape, level):
@@ -102,7 +102,7 @@ class TestAssembly:
         assert np.all(np.abs(rates - 2.0) < 0.1)
 
 
-def reference_assemble(mesh, drop_boundary):
+def reference_assemble(mesh):
     """(K, M) with one COO-to-CSR conversion per matrix, from the element matrices."""
     lat = mesh.lattice[mesh.triangles]
     ix, iy = lat[:, :, 0], lat[:, :, 1]
@@ -113,8 +113,8 @@ def reference_assemble(mesh, drop_boundary):
     ke = ke * (1.0 / (2.0 * det))[:, None, None]
     pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     me = (0.5 * det * mesh.spacing**2)[:, None, None] * pattern
-    idx = mesh.dof_index[mesh.triangles] if drop_boundary else mesh.triangles
-    n = mesh.n_dofs if drop_boundary else len(mesh.points)
+    idx = mesh.dof_index[mesh.triangles]
+    n = mesh.n_dofs
     rows = np.repeat(idx, 3, axis=1).ravel()
     cols = np.tile(idx, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
@@ -125,13 +125,12 @@ def reference_assemble(mesh, drop_boundary):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7),
-       drop_boundary=st.booleans())
-def test_assembly_matches_two_conversion_reference(shape, level, drop_boundary):
+@given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7))
+def test_assembly_matches_two_conversion_reference(shape, level):
     # One conversion for both matrices gives the bits of one per matrix.
     mesh = build_mesh(shape, level)
-    pencil = assemble(mesh, drop_boundary=drop_boundary)
-    K, M = reference_assemble(mesh, drop_boundary)
+    pencil = assemble(mesh)
+    K, M = reference_assemble(mesh)
     assert_same_csr(pencil.stiffness, K)
     assert_same_csr(pencil.mass, M)
     assert pencil.n == K.shape[0]
@@ -140,7 +139,7 @@ def test_assembly_matches_two_conversion_reference(shape, level, drop_boundary):
 @pytest.mark.parametrize("shape", list(DomainShape))
 @pytest.mark.parametrize("level", [1, 3, 5])
 def test_full_stiffness_annihilates_constants_exactly(shape, level):
-    # Without Dirichlet elimination constants lie in the kernel of K, and
-    # the dyadic row sums are exact.
-    pencil = assemble(build_mesh(shape, level), drop_boundary=False)
-    assert np.all(pencil.stiffness @ np.ones(pencil.n) == 0.0)
+    # Constants lie in the kernel of every element stiffness, so the whole-
+    # domain stiffness annihilates them; the dyadic row sums are exact.
+    element_stiffness = _element_matrices(build_mesh(shape, level)).real
+    assert np.all(element_stiffness.sum(axis=2) == 0.0)

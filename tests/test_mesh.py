@@ -217,12 +217,12 @@ def test_prolongation_matches_coo_reference(shape, levels):
 def test_decomposition_matches_per_cell_reference(shape, case):
     levels, ratio = case
     hier = build_hierarchy(shape, *levels)
-    subdomains = build_decomposition(hier, ratio).subdomains
+    dec = build_decomposition(hier, ratio)
     expected = reference_subdomains(hier, ratio)
-    assert len(subdomains) == len(expected)
-    for dofs, ref in zip(subdomains, expected):
-        assert dofs.dtype == ref.dtype == np.int64
-        assert dofs.tobytes() == ref.tobytes()
+    assert dec.dofs.dtype == dec.offsets.dtype == np.int64
+    assert dec.offsets[0] == 0 and dec.offsets[-1] == len(dec.dofs)
+    assert dec.dofs.tobytes() == np.concatenate(expected).tobytes()
+    assert np.diff(dec.offsets).tolist() == [len(ref) for ref in expected]
 
 
 class TestDecomposition:
@@ -253,7 +253,7 @@ class TestDecomposition:
     def test_subdomains_cover_all_fine_dofs(self, shape, coarse, fine, ratio):
         hier = build_hierarchy(shape, coarse, fine)
         dec = build_decomposition(hier, ratio)
-        union = np.unique(np.concatenate(dec.subdomains))
+        union = np.unique(dec.dofs)
         assert len(union) == hier.fine.n_dofs
 
     def test_subdomain_dofs_sorted_and_interior(self):
@@ -270,7 +270,7 @@ class TestDecomposition:
         for coarse, fine in [(2, 4), (3, 5), (4, 6)]:
             hier = build_hierarchy(DomainShape.SQUARE, coarse, fine)
             dec = build_decomposition(hier, 0.25)
-            assert np.bincount(np.concatenate(dec.subdomains)).max() == 4
+            assert np.bincount(dec.dofs).max() == 4
 
     def test_overlap_too_small_rejected(self):
         hier = build_hierarchy(DomainShape.SQUARE, 3, 4)

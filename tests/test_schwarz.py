@@ -12,15 +12,10 @@ from schwarzjd import linalg
 from schwarzjd.errors import InvalidArgumentError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
-from schwarzjd.mesh import (
-    Decomposition,
-    DomainShape,
-    build_decomposition,
-    build_hierarchy,
-)
+from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy
 from schwarzjd.schwarz import CoarsePiece, LocalBlocks, build_coarse_piece, prepare
 
-from .helpers import dense_preconditioner
+from .helpers import decomposition, dense_preconditioner
 
 CUT = 2  # deflate the first two coarse eigenpairs throughout
 DOMAINS = [DomainShape.SQUARE, DomainShape.LSHAPE]
@@ -98,14 +93,14 @@ class TestLocalBlocks:
         _, pencil, decomp, _ = problem(shape)
         blocks = LocalBlocks(pencil, decomp)
         K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
-        for dofs, c in zip(blocks.dof_sets, blocks.class_of):
+        for dofs, c in zip(decomp.subdomains, blocks.class_of, strict=True):
             assert blocks.k_blocks[c].tobytes() == K[dofs][:, dofs].toarray().tobytes()
             assert blocks.m_blocks[c].tobytes() == M[dofs][:, dofs].toarray().tobytes()
 
     def test_unsorted_overlapping_sets_and_negative_zeros(self):
         A = stand_in_matrix()
         pencil = SimpleNamespace(stiffness=A, mass=A)
-        blocks = LocalBlocks(pencil, Decomposition(subdomains=UNSORTED_SETS, overlap_layers=1))
+        blocks = LocalBlocks(pencil, decomposition(UNSORTED_SETS))
         for dofs, c in zip(UNSORTED_SETS, blocks.class_of, strict=True):
             assert blocks.k_blocks[c].tobytes() == A[dofs][:, dofs].toarray().tobytes()
 
@@ -144,7 +139,7 @@ def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, pic
     sets = [pool[i] for i in picks]
     pencil = SimpleNamespace(stiffness=K, mass=M)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        blocks = LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
+        blocks = LocalBlocks(pencil, decomposition(sets))
     assert len(blocks.k_blocks) == len(blocks.m_blocks) == max(blocks.class_of) + 1
     for i, dofs, c in zip(picks, sets, blocks.class_of, strict=True):
         assert_block_equals_submatrix(blocks.k_blocks[c], K, dofs)
@@ -152,19 +147,19 @@ def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, pic
         assert c == blocks.class_of[picks.index(i)]
 
 
-def loop_apply_local(prec, rho, i):
+def loop_apply_local(prec, decomp, rho, i):
     """Reference: one single-right-hand-side solve per subdomain, ascending order."""
     t = np.zeros(prec.n)
     facts = prec._factorizations[i]
-    for dofs, c in zip(prec._blocks.dof_sets, prec._blocks.class_of):
+    for dofs, c in zip(decomp.subdomains, prec._blocks.class_of, strict=True):
         t[dofs] += facts[c].solve(rho[dofs])
     return t
 
 
-def assert_batched_local_solve_matches_loop(prec, rho):
+def assert_batched_local_solve_matches_loop(prec, decomp, rho):
     """Bitwise equal when every class is Cholesky; LDL^T solves round differently."""
     got = prec.apply_local(rho, 0)
-    want = loop_apply_local(prec, rho, 0)
+    want = loop_apply_local(prec, decomp, rho, 0)
     if all(f.kind == "spd-cholesky" for f in prec._factorizations[0]):
         assert np.array_equal(got, want)
     else:
@@ -182,7 +177,7 @@ def test_batched_local_solve_matches_subdomain_loop(dense_limit, shape, shift, s
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
         prec = prepare(LocalBlocks(pencil, decomp), no_coarse, [shift])
     rho = np.random.default_rng(seed).standard_normal(pencil.n)
-    assert_batched_local_solve_matches_loop(prec, rho)
+    assert_batched_local_solve_matches_loop(prec, decomp, rho)
 
 
 @pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
@@ -197,10 +192,11 @@ def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, se
     pencil = SimpleNamespace(stiffness=sp.identity(40, format="csr"), mass=stand_in_matrix(), n=40)
     no_coarse = CoarsePiece(sp.csr_matrix((40, 0)), np.empty(0), np.empty((0, 0)), 0)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        blocks = LocalBlocks(pencil, Decomposition(subdomains=sets, overlap_layers=1))
-        prec = prepare(blocks, no_coarse, [shift])
+        decomp = decomposition(sets)
+        prec = prepare(LocalBlocks(pencil, decomp), no_coarse, [shift])
     assert prec._blocks.class_of == [0, 1, 2, 0, 1]
-    assert_batched_local_solve_matches_loop(prec, np.random.default_rng(seed).standard_normal(40))
+    rho = np.random.default_rng(seed).standard_normal(40)
+    assert_batched_local_solve_matches_loop(prec, decomp, rho)
 
 
 @pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
@@ -290,7 +286,7 @@ class TestApply:
     def test_single_subdomain_no_coarse_is_exact_shifted_solve(self):
         hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
         pencil = assemble(hier.fine)
-        whole = Decomposition(subdomains=[np.arange(pencil.n)], overlap_layers=1)
+        whole = decomposition([np.arange(pencil.n)])
         shift = 1.5
         no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
         prec = prepare(LocalBlocks(pencil, whole), no_coarse, [shift])

@@ -1,4 +1,4 @@
-"""Fingerprint the solver's full trace on seven fixed cases, to prove bit-identity.
+"""Fingerprint the solver's full trace on eight fixed cases, to prove bit-identity.
 
     python3 tools/trace_hashes.py
 
@@ -45,6 +45,7 @@ CASES = [
     ("lshape", 3, 5, 41, 47, {}),
     ("square", 2, 5, 2, 4, {}),
     ("square", 2, 4, 3, 5, {"restart_dim": 13}),
+    ("square", 2, 7, 3, 5, {}),
 ]
 
 

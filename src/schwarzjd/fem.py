@@ -1,15 +1,26 @@
 """P1 stiffness and mass assembly with Dirichlet elimination.
 
-The element integrals are evaluated in closed form.  On a right triangle
-with legs of length g the element stiffness over (right-angle vertex,
-leg vertices) is [[1, -1/2, -1/2], [-1/2, 1/2, 0], [-1/2, 0, 1/2]] and the
-element mass is (g^2/24) * [[2, 1, 1], [1, 2, 1], [1, 1, 2]].  Stiffness
-entries are computed from integer lattice differences so they come out as
-exact dyadic rationals, independent of g.
+On a right triangle with legs of length g the element stiffness over
+(right-angle vertex, leg vertices) is [[1, -1/2, -1/2], [-1/2, 1/2, 0],
+[-1/2, 0, 1/2]] and the element mass is (g^2/2) * [[2, 1, 1], [1, 2, 1],
+[1, 1, 2]] / 12.  Every lattice cell is split by its lower-left to
+upper-right diagonal, so an interior node touches six triangles: it is the
+right-angle vertex of two and a leg vertex of four.  Summing the element
+entries over them gives two stencils on the dof grid:
 
-K and M share one sparsity pattern and come from one COO-to-CSR conversion
-of K + iM.  Its summation order cannot change a bit: the dyadic stiffness
-sums are exact, and all mass contributions to one entry are equal.
+- stiffness, 5 points: 2 * 1 + 4 * 1/2 = 4 on the diagonal and -1/2 - 1/2 = -1
+  on each horizontal and vertical edge.  The diagonal edge joins two leg
+  vertices in both of its triangles, so its entry is exactly 0 and is not
+  stored.
+- mass, 7 points: six terms d = (g^2/2) * 2/12 on the diagonal and two terms
+  o = (g^2/2) * 1/12 on each of the six edges, the diagonal one included.
+
+The stencils give the bits of the element-by-element assembly.  The
+stiffness sums are of dyadic rationals and so exact in any order.  Each
+mass diagonal is a sum of six equal terms, which any order adds as
+((((d + d) + d) + d) + d) + d (not 6 * d, which rounds differently), and
+each edge gets o + o.  This assumes that every interior node has all four
+of its cells, which holds on both domains.
 """
 
 from __future__ import annotations
@@ -19,12 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError
 from .mesh import Mesh
 
 __all__ = ["SparsePencil", "assemble"]
 
-_MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+# Stencil offsets (dy, dx) on the dof grid in ascending dof order, since dofs
+# are numbered lexicographically by (y, x).  The first and last lie on the
+# cell diagonal, which the stiffness stencil leaves out.
+_OFFSETS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+_STIFFNESS_STENCIL = np.array([-1.0, -1.0, 4.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,41 +55,29 @@ class SparsePencil:
     n: int
 
 
-def _element_matrices(mesh: Mesh) -> np.ndarray:
-    """Element stiffness plus i times element mass, shape (n_triangles, 3, 3)."""
-    lat = np.take(mesh.lattice, mesh.triangles, axis=0)  # (n_tri, 3, 2) lattice coordinates
-    ix = lat[:, :, 0]
-    iy = lat[:, :, 1]
-
-    # Standard P1 gradient coefficients from integer lattice differences.
-    b = iy[:, [1, 2, 0]] - iy[:, [2, 0, 1]]
-    c = ix[:, [2, 0, 1]] - ix[:, [1, 2, 0]]
-    det = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]  # = 2 * area / g^2, equals 1 here
-    if np.any(det <= 0):
-        raise InvalidArgumentError("mesh contains a non-positively oriented triangle")
-    det = det.astype(np.float64)
-
-    bc = b[:, :, None] * b[:, None, :]
-    bc += c[:, :, None] * c[:, None, :]
-    km = np.empty(bc.shape, dtype=np.complex128)
-    np.multiply(bc, (1.0 / (2.0 * det))[:, None, None], out=km.real)
-    g = mesh.spacing
-    np.multiply((0.5 * det * (g * g))[:, None, None], _MASS_PATTERN, out=km.imag)
-    return km
+def _stencil_matrix(neighbors: np.ndarray, stencil: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix whose row i holds ``stencil`` at the columns ``neighbors[i]`` that are dofs."""
+    present = neighbors >= 0
+    n = len(neighbors)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    data = np.broadcast_to(stencil, neighbors.shape)[present]
+    return sp.csr_matrix((data, neighbors[present], indptr), shape=(n, n))
 
 
 def assemble(mesh: Mesh) -> SparsePencil:
     """Assemble the P1 pencil on ``mesh``, boundary rows and columns eliminated."""
-    km = _element_matrices(mesh)
-    idx = mesh.dof_index[mesh.triangles].astype(np.int32)
-    n = mesh.n_dofs
-    rows = np.repeat(idx, 3, axis=1).ravel()
-    cols = np.tile(idx, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    # One conversion of K + iM; K's structural zeros are dropped afterwards.
-    KM = sp.coo_matrix((km.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    K = sp.csr_matrix((KM.data.real.copy(), KM.indices.copy(), KM.indptr.copy()), shape=(n, n))
-    M = sp.csr_matrix((KM.data.imag.copy(), KM.indices, KM.indptr), shape=(n, n))
-    K.eliminate_zeros()
-    return SparsePencil(stiffness=K, mass=M, n=n)
-
+    grid = np.pad(mesh.dof_grid.astype(np.int32), 1, constant_values=-1)
+    steps = np.array([dy * grid.shape[1] + dx for dy, dx in _OFFSETS], dtype=np.int32)
+    at = np.flatnonzero(grid >= 0).astype(np.int32)  # dof order
+    neighbors = np.take(grid, at[:, None] + steps)
+    scale = 0.5 * (mesh.spacing * mesh.spacing)
+    d = scale * (2.0 / 12.0)
+    o = scale * (1.0 / 12.0)
+    edge = o + o
+    mass_stencil = np.array([edge, edge, edge, ((((d + d) + d) + d) + d) + d, edge, edge, edge])
+    return SparsePencil(
+        stiffness=_stencil_matrix(neighbors[:, 1:6], _STIFFNESS_STENCIL),
+        mass=_stencil_matrix(neighbors, mass_stencil),
+        n=mesh.n_dofs,
+    )

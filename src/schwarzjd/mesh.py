@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,13 +48,20 @@ class DomainShape(Enum):
 class Mesh:
     """Triangulation of one domain at a fixed dyadic refinement level.
 
-    Attributes
-    ----------
+    Stored fields
+    -------------
     shape : DomainShape
     level : int
         Refinement level j >= 1; lattice spacing is pi / 2^j.
     spacing : float
         Lattice spacing g (leg length of every triangle).
+    n_dofs : int
+        Number of interior nodes, the degrees of freedom.
+    dof_grid : (N, N) int array
+        Lattice lookup: dof number at lattice (iy, ix), -1 elsewhere.
+
+    Derived on first access (the solver reads none of them)
+    -------------------------------------------------------
     lattice : (n_points, 2) int array
         Integer lattice coordinates (ix, iy) of every node in the domain
         closure, ordered lexicographically by (iy, ix).
@@ -67,23 +75,13 @@ class Mesh:
         Dense interior dof number per node, -1 on the Dirichlet boundary.
     dof_nodes : (n_dofs,) int array
         Node index of each interior dof (inverse of ``dof_index``).
-    dof_grid : (N, N) int array
-        Lattice lookup: dof number at lattice (iy, ix), -1 elsewhere.
     """
 
     shape: DomainShape
     level: int
     spacing: float
-    lattice: np.ndarray
-    points: np.ndarray
-    triangles: np.ndarray
-    dof_index: np.ndarray
-    dof_nodes: np.ndarray
+    n_dofs: int
     dof_grid: np.ndarray
-
-    @property
-    def n_dofs(self) -> int:
-        return len(self.dof_nodes)
 
     @property
     def n_cells_per_side(self) -> int:
@@ -91,7 +89,46 @@ class Mesh:
 
     def dof_lattice(self) -> np.ndarray:
         """Integer lattice coordinates of the interior dofs, shape (n_dofs, 2)."""
-        return np.take(self.lattice, self.dof_nodes, axis=0)
+        iy, ix = np.divmod(np.flatnonzero(self.dof_grid >= 0), self.dof_grid.shape[1])
+        return np.column_stack([ix, iy])
+
+    @cached_property
+    def _node_grid(self) -> np.ndarray:
+        """Node number at lattice (iy, ix) over the domain closure, -1 elsewhere."""
+        _, node_mask, _, _ = _domain_masks(self.shape, self.n_cells_per_side)
+        node_grid = np.full(node_mask.shape, -1, dtype=np.int64)
+        node_grid[node_mask] = np.arange(int(node_mask.sum()))
+        return node_grid
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        iy, ix = np.nonzero(self._node_grid >= 0)  # row-major scan = lexicographic by (y, x)
+        return np.column_stack([ix, iy]).astype(np.int64)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        origin = 0.0 if self.shape is DomainShape.SQUARE else -math.pi
+        return origin + self.lattice * self.spacing
+
+    @cached_property
+    def dof_nodes(self) -> np.ndarray:
+        return self._node_grid[self.dof_grid >= 0]
+
+    @cached_property
+    def dof_index(self) -> np.ndarray:
+        return self.dof_grid[self._node_grid >= 0]
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        _, _, _, cell_mask = _domain_masks(self.shape, self.n_cells_per_side)
+        node_grid = self._node_grid
+        cy, cx = np.nonzero(cell_mask)
+        ll = node_grid[cy, cx]
+        lr = node_grid[cy, cx + 1]
+        ur = node_grid[cy + 1, cx + 1]
+        ul = node_grid[cy + 1, cx]
+        # Triangles 2c, 2c+1 belong to cell c.
+        return np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
 
 def _domain_masks(shape: DomainShape, n: int):
@@ -125,46 +162,11 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
         raise InvalidArgumentError(f"mesh level must be a positive integer, got {level!r}")
     shape = DomainShape(shape)
     n = 1 << level
-    g = math.pi / n
-    origin = 0.0 if shape is DomainShape.SQUARE else -math.pi
-
-    N, node_mask, interior_mask, cell_mask = _domain_masks(shape, n)
-
-    node_grid = np.full((N, N), -1, dtype=np.int64)
-    node_grid[node_mask] = np.arange(int(node_mask.sum()))
-    iy, ix = np.nonzero(node_mask)  # row-major scan = lexicographic by (y, x)
-    lattice = np.column_stack([ix, iy]).astype(np.int64)
-    points = origin + lattice * g
-
+    N, _, interior_mask, _ = _domain_masks(shape, n)
+    n_dofs = int(interior_mask.sum())
     dof_grid = np.full((N, N), -1, dtype=np.int64)
-    dof_grid[interior_mask] = np.arange(int(interior_mask.sum()))
-    dof_index = np.full(len(lattice), -1, dtype=np.int64)
-    dof_index[node_grid[interior_mask]] = dof_grid[interior_mask]
-    dof_nodes = node_grid[interior_mask]
-
-    cy, cx = np.nonzero(cell_mask)
-    ll = node_grid[cy, cx]
-    lr = node_grid[cy, cx + 1]
-    ur = node_grid[cy + 1, cx + 1]
-    ul = node_grid[cy + 1, cx]
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    # Interleave so triangles 2c, 2c+1 belong to cell c.
-    triangles = np.empty((2 * len(ll), 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    return Mesh(
-        shape=shape,
-        level=level,
-        spacing=g,
-        lattice=lattice,
-        points=points,
-        triangles=triangles,
-        dof_index=dof_index,
-        dof_nodes=dof_nodes,
-        dof_grid=dof_grid,
-    )
+    dof_grid[interior_mask] = np.arange(n_dofs)
+    return Mesh(shape=shape, level=level, spacing=math.pi / n, n_dofs=n_dofs, dof_grid=dof_grid)
 
 
 def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:

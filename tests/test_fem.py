@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzjd.fem import _element_matrices, assemble
+from schwarzjd.fem import assemble
 from schwarzjd.mesh import DomainShape, build_hierarchy, build_mesh
 
 from .helpers import assert_same_csr
@@ -18,7 +18,7 @@ def square4():
 
 class TestAssembly:
     def test_level1_single_dof(self):
-        # hand assembly over the 8 incident triangles of the single node
+        # hand assembly over the 6 incident triangles of the single node
         mesh = build_mesh(DomainShape.SQUARE, 1)
         pencil = assemble(mesh)
         g = mesh.spacing
@@ -54,7 +54,7 @@ class TestAssembly:
 
     def test_full_mass_total_equals_domain_area(self):
         for shape, area in [(DomainShape.SQUARE, np.pi**2), (DomainShape.LSHAPE, 3 * np.pi**2)]:
-            element_mass = _element_matrices(build_mesh(shape, 3)).imag
+            _, element_mass = element_matrices(build_mesh(shape, 3))
             assert element_mass.sum() == pytest.approx(area, rel=1e-13)
 
     @pytest.mark.parametrize("shape,level", [(DomainShape.SQUARE, 3), (DomainShape.LSHAPE, 2)])
@@ -102,8 +102,12 @@ class TestAssembly:
         assert np.all(np.abs(rates - 2.0) < 0.1)
 
 
-def reference_assemble(mesh):
-    """(K, M) with one COO-to-CSR conversion per matrix, from the element matrices."""
+def element_matrices(mesh):
+    """Element stiffness and mass, each (n_triangles, 3, 3), in closed form.
+
+    Stiffness entries come from integer lattice differences, so they are
+    exact dyadic rationals independent of the spacing.
+    """
     lat = mesh.lattice[mesh.triangles]
     ix, iy = lat[:, :, 0], lat[:, :, 1]
     b = iy[:, [1, 2, 0]] - iy[:, [2, 0, 1]]
@@ -113,6 +117,12 @@ def reference_assemble(mesh):
     ke = ke * (1.0 / (2.0 * det))[:, None, None]
     pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     me = (0.5 * det * mesh.spacing**2)[:, None, None] * pattern
+    return ke, me
+
+
+def reference_assemble(mesh):
+    """(K, M) with one COO-to-CSR conversion per matrix, from the element matrices."""
+    ke, me = element_matrices(mesh)
     idx = mesh.dof_index[mesh.triangles]
     n = mesh.n_dofs
     rows = np.repeat(idx, 3, axis=1).ravel()
@@ -124,11 +134,7 @@ def reference_assemble(mesh):
     return K, M
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7))
-def test_assembly_matches_two_conversion_reference(shape, level):
-    # One conversion for both matrices gives the bits of one per matrix.
-    mesh = build_mesh(shape, level)
+def assert_matches_reference(mesh):
     pencil = assemble(mesh)
     K, M = reference_assemble(mesh)
     assert_same_csr(pencil.stiffness, K)
@@ -136,10 +142,22 @@ def test_assembly_matches_two_conversion_reference(shape, level):
     assert pencil.n == K.shape[0]
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7))
+def test_assembly_matches_two_conversion_reference(shape, level):
+    # The stencils give the bits of the element-by-element assembly.
+    assert_matches_reference(build_mesh(shape, level))
+
+
+@pytest.mark.parametrize("shape", list(DomainShape))
+def test_level8_assembly_matches_two_conversion_reference(shape):
+    assert_matches_reference(build_mesh(shape, 8))
+
+
 @pytest.mark.parametrize("shape", list(DomainShape))
 @pytest.mark.parametrize("level", [1, 3, 5])
 def test_full_stiffness_annihilates_constants_exactly(shape, level):
     # Constants lie in the kernel of every element stiffness, so the whole-
     # domain stiffness annihilates them; the dyadic row sums are exact.
-    element_stiffness = _element_matrices(build_mesh(shape, level)).real
+    element_stiffness, _ = element_matrices(build_mesh(shape, level))
     assert np.all(element_stiffness.sum(axis=2) == 0.0)

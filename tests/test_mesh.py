@@ -80,6 +80,20 @@ class TestBuildMesh:
             build_mesh("hexagon", 3)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7))
+def test_derived_mesh_arrays_agree_with_the_dof_grid(shape, level):
+    # The prolongations read dof coordinates from the dof grid alone; they
+    # must be the node-lattice coordinates of each dof.
+    mesh = build_mesh(shape, level)
+    dofs = np.arange(mesh.n_dofs)
+    lat = mesh.dof_lattice()
+    assert lat.dtype == mesh.lattice.dtype
+    np.testing.assert_array_equal(lat, mesh.lattice[mesh.dof_nodes])
+    np.testing.assert_array_equal(mesh.dof_index[mesh.dof_nodes], dofs)
+    np.testing.assert_array_equal(mesh.dof_grid[lat[:, 1], lat[:, 0]], dofs)
+
+
 class TestHierarchy:
     def test_levels_and_sizes(self):
         hier = build_hierarchy(DomainShape.SQUARE, 5, 8)

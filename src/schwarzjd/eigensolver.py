@@ -55,7 +55,6 @@ where it was computed, the exact stop norm.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -63,7 +62,7 @@ import numpy as np
 
 from . import fem, linalg, schwarz
 from .errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
-from .mesh import Decomposition, MeshHierarchy
+from .mesh import _MEMORY_BUDGET, Decomposition, MeshHierarchy
 
 __all__ = [
     "ClusterSpec",
@@ -79,17 +78,12 @@ __all__ = [
     "solve",
 ]
 
-_DROP_TOL = 1e-8  # basis-growth drop tolerance for near-dependent corrections
-
 # Wathen's P1 element bounds 1/2 D_e <= M_e <= 2 D_e, summed over the elements:
 # _MASS_LOWER r'D^{-1}r <= r'M^{-1}r <= _MASS_UPPER r'D^{-1}r for D = diag(M).
 _MASS_LOWER = 0.5
 _MASS_UPPER = 2.0
 # Relative margin of the exact-solve gate against rounding in the lower bound.
 _GATE_MARGIN = 1e-12
-
-# Bytes a basis buffer may take: the machine's physical memory.
-_MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -310,7 +304,7 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     otherwise the basis and the accepted columns are copied into a new
     buffer of twice the needed capacity.  No existing state's basis changes.
     """
-    accepted = linalg.b_orthonormalize(new_vectors, pencil.mass, _DROP_TOL, against=state.basis)
+    accepted = linalg.b_orthonormalize(new_vectors, pencil.mass, against=state.basis)
     if accepted.shape[1] == 0:
         return replace(state, iteration=iteration)
     stiff_new = pencil.stiffness @ accepted

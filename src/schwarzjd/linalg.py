@@ -41,6 +41,9 @@ log = logging.getLogger(__name__)
 # Below this order a dense factorization is faster and the memory is modest.
 DENSE_LIMIT = 600
 
+# b_orthonormalize drops a column whose M-norm falls below this share of its input M-norm.
+_DROP_TOL = 1e-8
+
 
 class Factorization:
     """Handle for a symmetric factorization, reusable for many solves.
@@ -142,8 +145,12 @@ def factorize(S, expect_spd: bool = False) -> Factorization:
 
 
 def factorize_shifted(K, M, shift: float) -> Factorization:
-    """Factorize K - shift * M; SuperLU treats it as definite only for ``shift <= 0``."""
-    return factorize(K - shift * M, expect_spd=shift <= 0.0)
+    """Factorize K - shift * M, indefinite when ``shift`` lies inside the spectrum.
+
+    The solver's shifts are Ritz values of an SPD pencil, hence positive,
+    so a sparse operand always takes SuperLU's general mode.
+    """
+    return factorize(K - shift * M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,12 +222,7 @@ def basis_times(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (coeffs.T @ basis.T).T
 
 
-def b_orthonormalize(
-    vectors,
-    M,
-    drop_tol: float = 1e-8,
-    against: np.ndarray | None = None,
-) -> np.ndarray:
+def b_orthonormalize(vectors, M, against: np.ndarray | None = None) -> np.ndarray:
     """Blocked two-pass Gram-Schmidt orthonormalization in the M inner product.
 
     The whole block is first projected off the optional ``against`` basis,
@@ -230,14 +232,13 @@ def b_orthonormalize(
     to working precision: "twice is enough").  The columns are then
     orthonormalized among themselves in order, with two classical
     Gram-Schmidt sweeps per column against the columns already kept.  A
-    column is dropped when its final M-norm falls below ``drop_tol`` times
+    column is dropped when its final M-norm falls below ``_DROP_TOL`` times
     its input M-norm.
 
     Parameters
     ----------
     vectors : (n, k) array
     M : sparse or dense SPD matrix defining the inner product
-    drop_tol : float in (0, 1)
     against : optional existing M-orthonormal (n, m) basis
 
     Returns
@@ -246,8 +247,6 @@ def b_orthonormalize(
     is dropped and there is no ``against`` basis (or one without columns) to
     fall back on.
     """
-    if not 0.0 < drop_tol < 1.0:
-        raise InvalidArgumentError(f"drop tolerance must lie in (0, 1), got {drop_tol}")
     V = np.array(vectors, dtype=np.float64, order="F")
     n, k = V.shape
     if against is not None and against.shape[1] == 0:
@@ -271,7 +270,7 @@ def b_orthonormalize(
         mv = M @ v
         post_sq = float(v @ mv)
         post = np.sqrt(post_sq) if post_sq > 0.0 else 0.0
-        if post < drop_tol * pre[j]:
+        if post < _DROP_TOL * pre[j]:
             continue
         W[:, kept] = v / post
         MW[:, kept] = mv / post

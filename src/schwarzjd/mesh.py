@@ -12,15 +12,15 @@ numbered lexicographically by (y, x).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ProblemTooLargeError
 
 __all__ = [
     "DomainShape",
@@ -31,6 +31,10 @@ __all__ = [
     "build_hierarchy",
     "build_decomposition",
 ]
+
+# Bytes one array may take: the machine's physical memory.  The dof grid
+# guard here and the trial basis guard in eigensolver both read it.
+_MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class DomainShape(Enum):
@@ -48,8 +52,10 @@ class DomainShape(Enum):
 class Mesh:
     """Triangulation of one domain at a fixed dyadic refinement level.
 
-    Stored fields
-    -------------
+    The mesh is its dof grid: every lattice cell of the domain holds the
+    triangles (LL, LR, UR) and (LL, UR, UL), so assembly, interpolation and
+    decomposition read all they need from the lattice position of each dof.
+
     shape : DomainShape
     level : int
         Refinement level j >= 1; lattice spacing is pi / 2^j.
@@ -57,24 +63,10 @@ class Mesh:
         Lattice spacing g (leg length of every triangle).
     n_dofs : int
         Number of interior nodes, the degrees of freedom.
-    dof_grid : (N, N) int array
-        Lattice lookup: dof number at lattice (iy, ix), -1 elsewhere.
-
-    Derived on first access (the solver reads none of them)
-    -------------------------------------------------------
-    lattice : (n_points, 2) int array
-        Integer lattice coordinates (ix, iy) of every node in the domain
-        closure, ordered lexicographically by (iy, ix).
-    points : (n_points, 2) float array
-        Physical coordinates, lattice * spacing shifted so that lattice
-        index 0 lies at 0 on the square and at -pi on the L-shape.
-    triangles : (n_triangles, 3) int array
-        Node index triples; each cell contributes (LL, LR, UR) and
-        (LL, UR, UL), both with positive orientation.
-    dof_index : (n_points,) int array
-        Dense interior dof number per node, -1 on the Dirichlet boundary.
-    dof_nodes : (n_dofs,) int array
-        Node index of each interior dof (inverse of ``dof_index``).
+    dof_grid : (N, N) int64 array
+        Dof number at lattice (iy, ix), -1 on the Dirichlet boundary and
+        outside the domain.  Lattice index 0 lies at 0 on the square and at
+        -pi on the L-shape.
     """
 
     shape: DomainShape
@@ -88,67 +80,27 @@ class Mesh:
         return 1 << self.level
 
     def dof_lattice(self) -> np.ndarray:
-        """Integer lattice coordinates of the interior dofs, shape (n_dofs, 2)."""
+        """Integer lattice coordinates (ix, iy) of the interior dofs, shape (n_dofs, 2)."""
         iy, ix = np.divmod(np.flatnonzero(self.dof_grid >= 0), self.dof_grid.shape[1])
         return np.column_stack([ix, iy])
 
-    @cached_property
-    def _node_grid(self) -> np.ndarray:
-        """Node number at lattice (iy, ix) over the domain closure, -1 elsewhere."""
-        _, node_mask, _, _ = _domain_masks(self.shape, self.n_cells_per_side)
-        node_grid = np.full(node_mask.shape, -1, dtype=np.int64)
-        node_grid[node_mask] = np.arange(int(node_mask.sum()))
-        return node_grid
-
-    @cached_property
-    def lattice(self) -> np.ndarray:
-        iy, ix = np.nonzero(self._node_grid >= 0)  # row-major scan = lexicographic by (y, x)
-        return np.column_stack([ix, iy]).astype(np.int64)
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        origin = 0.0 if self.shape is DomainShape.SQUARE else -math.pi
-        return origin + self.lattice * self.spacing
-
-    @cached_property
-    def dof_nodes(self) -> np.ndarray:
-        return self._node_grid[self.dof_grid >= 0]
-
-    @cached_property
-    def dof_index(self) -> np.ndarray:
-        return self.dof_grid[self._node_grid >= 0]
-
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        _, _, _, cell_mask = _domain_masks(self.shape, self.n_cells_per_side)
-        node_grid = self._node_grid
-        cy, cx = np.nonzero(cell_mask)
-        ll = node_grid[cy, cx]
-        lr = node_grid[cy, cx + 1]
-        ur = node_grid[cy + 1, cx + 1]
-        ul = node_grid[cy + 1, cx]
-        # Triangles 2c, 2c+1 belong to cell c.
-        return np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
-
 
 def _domain_masks(shape: DomainShape, n: int):
-    """Node-closure, interior, and cell masks on the full bounding lattice."""
+    """Lattice side N, the (N, N) interior-dof mask and the (N-1, N-1) cell mask."""
     if shape is DomainShape.SQUARE:
         N = n + 1
-        iy, ix = np.mgrid[0:N, 0:N]
-        node = np.ones((N, N), dtype=bool)
+        iy, ix = np.ogrid[0:N, 0:N]
         interior = (0 < ix) & (ix < n) & (0 < iy) & (iy < n)
         cell = np.ones((N - 1, N - 1), dtype=bool)
     else:
         # Bounding lattice covers (-pi, pi)^2; index n is the reentrant corner.
         N = 2 * n + 1
-        iy, ix = np.mgrid[0:N, 0:N]
-        node = ~((ix > n) & (iy < n))
+        iy, ix = np.ogrid[0:N, 0:N]
         inside_box = (0 < ix) & (ix < 2 * n) & (0 < iy) & (iy < 2 * n)
         interior = inside_box & ~((ix >= n) & (iy <= n))
-        cy, cx = np.mgrid[0 : N - 1, 0 : N - 1]
+        cy, cx = np.ogrid[0 : N - 1, 0 : N - 1]
         cell = ~((cx >= n) & (cy <= n - 1))
-    return N, node, interior, cell
+    return N, interior, cell
 
 
 def build_mesh(shape: DomainShape, level: int) -> Mesh:
@@ -156,13 +108,22 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
 
     The square at level j has (2^j - 1)^2 interior dofs, the L-shape
     (2^(j+1) - 1)^2 - (2^j)^2.  Raises InvalidArgumentError for level < 1
-    or a shape that names no DomainShape.
+    or a shape that names no DomainShape, and ProblemTooLargeError, before
+    allocating, when the int64 dof grid would exceed physical memory.
     """
     if not isinstance(level, (int, np.integer)) or level < 1:
         raise InvalidArgumentError(f"mesh level must be a positive integer, got {level!r}")
     shape = DomainShape(shape)
+    # The dof grid has 2^k + 1 lattice points per side and 8 bytes per point.
+    k = level if shape is DomainShape.SQUARE else level + 1
+    max_side = math.isqrt(_MEMORY_BUDGET // 8)
+    if k >= (max_side - 1).bit_length():  # 2^k + 1 > max_side, without forming 2^k
+        raise ProblemTooLargeError(
+            f"a {shape.value} mesh at level {level} needs a dof grid of (2^{k} + 1)^2 int64 "
+            f"entries, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory"
+        )
     n = 1 << level
-    N, _, interior_mask, _ = _domain_masks(shape, n)
+    N, interior_mask, _ = _domain_masks(shape, n)
     n_dofs = int(interior_mask.sum())
     dof_grid = np.full((N, N), -1, dtype=np.int64)
     dof_grid[interior_mask] = np.arange(n_dofs)
@@ -286,7 +247,7 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
     layers = max(1, int(math.floor(overlap_ratio * r + 0.5)))
 
     n_coarse = 1 << hier.coarse.level
-    _, _, _, cell_mask = _domain_masks(hier.fine.shape, n_coarse)
+    _, _, cell_mask = _domain_masks(hier.fine.shape, n_coarse)
     cy, cx = np.nonzero(cell_mask)  # lattice order, matches coarse cell scan
     # Cell (cy, cx) covers fine grid rows and columns from c*r - layers + 1 to
     # (c + 1)*r + layers - 1; padded by layers - 1, its window starts at (cy*r, cx*r).

@@ -2,7 +2,21 @@
 
 import numpy as np
 
-from schwarzjd.mesh import Decomposition
+from schwarzjd.mesh import Decomposition, _domain_masks
+
+
+def mesh_triangles(mesh):
+    """Lattice corners (n_triangles, 3, 2) as (ix, iy), and dof numbers (n_triangles, 3).
+
+    Cells come from the cell mask in np.nonzero order; cell c holds
+    triangles 2c = (LL, LR, UR) and 2c + 1 = (LL, UR, UL), both positively
+    oriented.  Corners on the Dirichlet boundary have dof number -1.
+    """
+    _, _, cell = _domain_masks(mesh.shape, mesh.n_cells_per_side)
+    cy, cx = np.nonzero(cell)
+    ix = np.column_stack([cx, cx + 1, cx + 1, cx, cx + 1, cx]).reshape(-1, 3)
+    iy = np.column_stack([cy, cy, cy + 1, cy, cy + 1, cy + 1]).reshape(-1, 3)
+    return np.stack([ix, iy], axis=-1), mesh.dof_grid[iy, ix]
 
 
 def decomposition(sets):

@@ -122,6 +122,14 @@ class TestConfigValidation:
         assert "GiB" in err and "--restart-dim" in err
         assert not out.exists()
 
+    def test_mesh_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path):
+        # The fine dof grid alone would take 8 (2^40 + 1)^2 bytes.
+        out = tmp_path / "run"
+        err = rejected(capsys, ["run", "--domain", "square", "--coarse", "3", "--fine", "40",
+                                "--m", "1", "--M", "2", "--output-dir", str(out)])
+        assert "level 40" in err and "GiB of physical memory" in err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_converged_run_writes_artifacts(self, tmp_path):
@@ -333,6 +341,17 @@ class TestSweepCommand:
         it_row = next(r for r in rows if r[0] == "it.")
         assert it_row[1] == "error"
         assert it_row[2] != "error"
+
+    def test_level_beyond_memory_is_a_column_error(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "40"])
+        assert code == 3
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["index", "fine=4", "fine=40"]
+        it_row, stop_row = rows[-2], rows[-1]
+        assert it_row[0] == "it." and it_row[1] != "error" and it_row[2] == "error"
+        assert "physical memory" in stop_row[2]
+        assert not (out / "fine=40").exists()
 
 
 class TestFitGamma:

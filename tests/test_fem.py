@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import DomainShape, build_hierarchy, build_mesh
 
-from .helpers import assert_same_csr
+from .helpers import assert_same_csr, mesh_triangles
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +108,8 @@ def element_matrices(mesh):
     Stiffness entries come from integer lattice differences, so they are
     exact dyadic rationals independent of the spacing.
     """
-    lat = mesh.lattice[mesh.triangles]
-    ix, iy = lat[:, :, 0], lat[:, :, 1]
+    corners, _ = mesh_triangles(mesh)
+    ix, iy = corners[:, :, 0], corners[:, :, 1]
     b = iy[:, [1, 2, 0]] - iy[:, [2, 0, 1]]
     c = ix[:, [2, 0, 1]] - ix[:, [1, 2, 0]]
     det = (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]).astype(np.float64)
@@ -123,7 +123,7 @@ def element_matrices(mesh):
 def reference_assemble(mesh):
     """(K, M) with one COO-to-CSR conversion per matrix, from the element matrices."""
     ke, me = element_matrices(mesh)
-    idx = mesh.dof_index[mesh.triangles]
+    _, idx = mesh_triangles(mesh)
     n = mesh.n_dofs
     rows = np.repeat(idx, 3, axis=1).ravel()
     cols = np.tile(idx, (1, 3)).ravel()

@@ -299,11 +299,6 @@ class TestBOrthonormalize:
             b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass,
                              against=np.empty((pencil.n, 0)))
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5])
-    def test_drop_tolerance_domain(self, pencil, tol):
-        with pytest.raises(InvalidArgumentError):
-            b_orthonormalize(np.ones((pencil.n, 1)), pencil.mass, drop_tol=tol)
-
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 8),

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzjd.errors import InvalidArgumentError
+from schwarzjd import mesh as mesh_module
+from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import (
     DomainShape,
@@ -15,7 +16,13 @@ from schwarzjd.mesh import (
     build_mesh,
 )
 
-from .helpers import assert_same_csr
+from .helpers import assert_same_csr, mesh_triangles
+
+
+def dof_points(mesh):
+    """Physical coordinates of the interior dofs, shape (n_dofs, 2)."""
+    origin = 0.0 if mesh.shape is DomainShape.SQUARE else -math.pi
+    return origin + mesh.dof_lattice() * mesh.spacing
 
 
 def expected_dofs(shape, level):
@@ -40,16 +47,18 @@ class TestBuildMesh:
     def test_square_level1_single_dof_eight_triangles(self):
         mesh = build_mesh(DomainShape.SQUARE, 1)
         assert mesh.n_dofs == 1
-        assert len(mesh.triangles) == 8
+        _, dofs = mesh_triangles(mesh)
+        assert len(dofs) == 8
+        assert np.count_nonzero((dofs == 0).any(axis=1)) == 6  # the dof's six triangles
 
     def test_triangle_count(self):
-        assert len(build_mesh(DomainShape.SQUARE, 3).triangles) == 2 * 4**3
-        assert len(build_mesh(DomainShape.LSHAPE, 3).triangles) == 6 * 4**3
+        assert len(mesh_triangles(build_mesh(DomainShape.SQUARE, 3))[1]) == 2 * 4**3
+        assert len(mesh_triangles(build_mesh(DomainShape.LSHAPE, 3))[1]) == 6 * 4**3
 
     @pytest.mark.parametrize("shape", list(DomainShape))
     def test_triangle_areas_exactly_half_cell(self, shape):
         mesh = build_mesh(shape, 3)
-        lat = mesh.lattice[mesh.triangles]
+        lat, _ = mesh_triangles(mesh)
         d1 = lat[:, 1] - lat[:, 0]
         d2 = lat[:, 2] - lat[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -57,7 +66,7 @@ class TestBuildMesh:
 
     def test_node_ordering_lexicographic_by_y_then_x(self):
         mesh = build_mesh(DomainShape.SQUARE, 3)
-        pts = mesh.points[mesh.dof_nodes]
+        pts = dof_points(mesh)
         keys = pts[:, 1] * 100.0 + pts[:, 0]
         assert np.all(np.diff(keys) > 0)
 
@@ -67,13 +76,25 @@ class TestBuildMesh:
 
     def test_lshape_excludes_removed_quadrant(self):
         mesh = build_mesh(DomainShape.LSHAPE, 3)
-        pts = mesh.points[mesh.dof_nodes]
+        pts = dof_points(mesh)
         assert not np.any((pts[:, 0] >= -1e-12) & (pts[:, 1] <= 1e-12))
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_invalid_level_rejected(self, level):
         with pytest.raises(InvalidArgumentError):
             build_mesh(DomainShape.SQUARE, level)
+
+    @pytest.mark.parametrize("shape, fits", [(DomainShape.SQUARE, 4), (DomainShape.LSHAPE, 3)])
+    def test_dof_grid_beyond_memory_rejected(self, monkeypatch, shape, fits):
+        # Both meshes at level ``fits`` have a 17 x 17 int64 dof grid.
+        monkeypatch.setattr(mesh_module, "_MEMORY_BUDGET", 8 * 17**2)
+        assert build_mesh(shape, fits).dof_grid.shape == (17, 17)
+        with pytest.raises(ProblemTooLargeError, match=f"level {fits + 1} .* GiB"):
+            build_mesh(shape, fits + 1)
+
+    def test_huge_level_rejected_without_forming_its_grid_size(self):
+        with pytest.raises(ProblemTooLargeError, match=r"\(2\^1000000001 \+ 1\)\^2"):
+            build_mesh(DomainShape.LSHAPE, 10**9)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(InvalidArgumentError, match="got 'hexagon'"):
@@ -83,15 +104,14 @@ class TestBuildMesh:
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(shape=st.sampled_from(list(DomainShape)), level=st.integers(1, 7))
 def test_derived_mesh_arrays_agree_with_the_dof_grid(shape, level):
-    # The prolongations read dof coordinates from the dof grid alone; they
-    # must be the node-lattice coordinates of each dof.
+    # The prolongations read dof coordinates from dof_lattice(): dof d sits
+    # at the d-th interior lattice point in (y, x) order.
     mesh = build_mesh(shape, level)
-    dofs = np.arange(mesh.n_dofs)
     lat = mesh.dof_lattice()
-    assert lat.dtype == mesh.lattice.dtype
-    np.testing.assert_array_equal(lat, mesh.lattice[mesh.dof_nodes])
-    np.testing.assert_array_equal(mesh.dof_index[mesh.dof_nodes], dofs)
-    np.testing.assert_array_equal(mesh.dof_grid[lat[:, 1], lat[:, 0]], dofs)
+    assert lat.dtype == np.int64 and lat.shape == (mesh.n_dofs, 2)
+    np.testing.assert_array_equal(mesh.dof_grid[lat[:, 1], lat[:, 0]], np.arange(mesh.n_dofs))
+    keys = lat[:, 1] * mesh.dof_grid.shape[1] + lat[:, 0]
+    assert np.all(np.diff(keys) > 0)
 
 
 class TestHierarchy:
@@ -113,8 +133,8 @@ class TestHierarchy:
         e1 = np.zeros(49)
         e1[0] = 1.0
         lifted = hier.coarse_to_fine @ e1
-        coarse_xy = hier.coarse.points[hier.coarse.dof_nodes[0]]
-        fine_xy = hier.fine.points[hier.fine.dof_nodes]
+        coarse_xy = dof_points(hier.coarse)[0]
+        fine_xy = dof_points(hier.fine)
         at = np.where(np.all(np.isclose(fine_xy, coarse_xy), axis=1))[0]
         assert len(at) == 1
         assert lifted[at[0]] == pytest.approx(1.0)
@@ -137,7 +157,7 @@ class TestHierarchy:
         hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
         ones = np.ones(hier.coarse.n_dofs)
         lifted = hier.coarse_to_fine @ ones
-        fine_xy = hier.fine.points[hier.fine.dof_nodes]
+        fine_xy = dof_points(hier.fine)
         g_coarse = hier.coarse.spacing
         interior = np.all(
             (fine_xy > g_coarse - 1e-12) & (fine_xy < np.pi - g_coarse + 1e-12), axis=1
@@ -202,8 +222,8 @@ def reference_subdomains(hier, overlap_ratio):
     layers = max(1, int(math.floor(overlap_ratio * r + 0.5)))
     grid = hier.fine.dof_grid
     N = grid.shape[0]
-    coarse = build_mesh(hier.fine.shape, hier.coarse.level)
-    cells = coarse.lattice[coarse.triangles[0::2, 0]]  # LL corner of each cell, in cell order
+    corners, _ = mesh_triangles(hier.coarse)
+    cells = corners[0::2, 0]  # LL corner of each cell, in cell order
     subdomains = []
     for i, j in cells:
         x0, x1 = max(i * r - layers + 1, 0), min((i + 1) * r + layers - 1, N - 1)

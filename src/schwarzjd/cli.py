@@ -17,8 +17,9 @@ The library checks its own arguments.  A run builds ``ClusterSpec``,
 ``SolverConfig``, ``DomainShape``, the mesh hierarchy and the decomposition,
 in that order, and ``solve`` checks the restart dimension and the
 initialization mesh; the first ``InvalidArgumentError`` is reported as a
-configuration error (exit code 2).  Only the output format, which no
-library object owns, is checked here.
+configuration error (exit code 2).  Only the output format and directory,
+which no library object owns, are checked here, before any solve; an
+``OSError`` while writing the outputs is a configuration error too.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class ExperimentConfig:
     def settings(self) -> tuple[ClusterSpec, SolverConfig, DomainShape]:
         """The level-independent library objects; each one checks its own arguments.
 
-        The output format is the one setting no library object owns, so it
-        is checked here.
+        The output format and directory are the settings no library object
+        owns, so they are checked here.
         """
         cluster = ClusterSpec(self.m, self.M)
         solver_config = SolverConfig(
@@ -77,6 +78,8 @@ class ExperimentConfig:
         shape = DomainShape(self.domain)
         if self.format not in ("csv", "json"):
             raise InvalidArgumentError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if Path(self.output_dir).exists() and not Path(self.output_dir).is_dir():
+            raise InvalidArgumentError(f"output directory {self.output_dir!r} is not a directory")
         return cluster, solver_config, shape
 
 
@@ -346,6 +349,9 @@ def main(argv=None) -> int:
     except SchwarzJDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"config error: cannot write the outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -361,7 +361,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     mass_fact = clocked("mass_factorization", linalg.factorize, pencil.mass, True)
     state = clocked("initialize", initialize, hier, pencil, cluster)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
-    blocks = clocked("local_blocks", schwarz.LocalBlocks, pencil, decomp)
+    blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
 
     mass_diagonal = pencil.mass.diagonal()
 

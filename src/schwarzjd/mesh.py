@@ -219,6 +219,13 @@ class Decomposition:
     offsets: np.ndarray = field(repr=False)
     overlap_layers: int
 
+    def __post_init__(self):
+        """Reject an empty subdomain or one that is not strictly ascending."""
+        if not np.all(np.diff(self.offsets) > 0) or not np.all(
+            np.delete(np.diff(self.dofs), self.offsets[1:-1] - 1) > 0
+        ):
+            raise InvalidArgumentError("every subdomain must be non-empty and strictly ascending")
+
     @property
     def n_subdomains(self) -> int:
         return len(self.offsets) - 1

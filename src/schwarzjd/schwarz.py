@@ -14,25 +14,26 @@ deflates the targeted invariant subspace, which keeps the shifted coarse
 operator positive there; applying it spectrally is exact even when the shift
 collides with a deflated coarse eigenvalue.
 
-Subdomains whose (K_l, M_l) have identical local entries form one operator
-class; on structured meshes most subdomains are translated copies of a few
-classes (interior, edges, corners).  ``LocalBlocks`` groups the subdomains
-once per solve; ``prepare`` factorizes each class once per shift, and the
-local solves of all its members are one multi-right-hand-side solve with
-that factorization, summed into the correction in ascending subdomain order.
+The P1 stencils do not depend on position, so subdomains whose dof patterns
+are translates of each other share (K_l, M_l) and form one operator class;
+on structured meshes there are a few (interior, edges, corners).
+``LocalBlocks`` assembles each class once per solve with ``fem.assemble``;
+``prepare`` factorizes each class once per shift, and the local solves of
+all its members are one multi-right-hand-side solve with that
+factorization, summed into the correction in ascending subdomain order.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linalg
 from .errors import InvalidArgumentError
-from .mesh import Decomposition, MeshHierarchy
+from .mesh import Decomposition, Mesh, MeshHierarchy
 
 __all__ = [
     "CoarsePiece",
@@ -96,59 +97,18 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     )
 
 
-def _local_entries(A, dofs, offsets):
-    """Yield the local ``(rows, cols, values)`` entries of ``A[d][:, d]`` per subdomain d.
-
-    ``dofs`` and ``offsets`` hold the subdomains flat, as in ``Decomposition``.
-    The rows of all subdomains are gathered from the CSR matrix ``A`` at
-    once; a sorted (subdomain, dof) lookup maps each gathered entry's column
-    to its local index within its subdomain and drops the entries outside
-    it.  Entries come in the gathered order: by local row, then by the column
-    order of ``A``.
-    """
-    L = len(offsets) - 1
-    owner = np.repeat(np.arange(L), np.diff(offsets))
-    local = np.arange(len(dofs)) - offsets[owner]
-    rows = A[dofs]
-    counts = np.diff(rows.indptr)
-    entry_owner = np.repeat(owner, counts)
-    keys = owner * A.shape[1] + dofs
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    query = entry_owner * A.shape[1] + rows.indices
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    hit = keys[pos] == query
-    r = np.repeat(local, counts)[hit]
-    c = local[order[pos[hit]]]
-    v = rows.data[hit]
-    bounds = np.searchsorted(entry_owner[hit], np.arange(L + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield r[lo:hi], c[lo:hi], v[lo:hi]
-
-
-def _block(m, rows, cols, values):
-    """The m x m block of the given local entries: dense up to DENSE_LIMIT, else CSR.
-
-    Dense blocks are summed into zeros as ``toarray`` does; sparse ones come
-    out with sorted indices, as ``A[dofs][:, dofs]`` after ``sort_indices``.
-    """
-    if m <= linalg.DENSE_LIMIT:
-        block = np.zeros((m, m))
-        np.add.at(block, (rows, cols), values)
-        return block
-    return sp.csr_matrix((values, (rows, cols)), shape=(m, m))
-
-
 class LocalBlocks:
-    """Subdomain submatrices, grouped into classes of identical local entries.
+    """Subdomain operators, one pair (K_l, M_l) per class of translated dof patterns.
 
     ``solve`` builds them once and passes them to every ``prepare`` call.
     ``n`` is the number of fine dofs.  ``class_of[l]`` is the class of
     subdomain l; ``k_blocks``/``m_blocks`` hold one pair per class, in order
-    of first appearance.  The class key is the subdomain size and the exact
-    bytes of its local K and M entries, so subdomains share a class only if
-    their blocks are equal.  A block is built only for the first member of
-    each class: dense up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
+    of first appearance.  The class key is the subdomain's dof pattern moved
+    to its lower-left corner.  For the first member of each class,
+    ``fem.assemble`` builds the pencil on the pattern alone, numbered in
+    lattice order with a Dirichlet boundary around it; since subdomains are
+    ascending, that is ``A[d][:, d]`` of the fine pencil for every member d.
+    Blocks are dense up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
 
     The batched local solve reads ``class_dofs``, ``scatter`` and ``order``.
     ``scatter`` is the decomposition's flat ``dofs`` array, subdomain after
@@ -158,22 +118,24 @@ class LocalBlocks:
     of the ``class_dofs`` into the order of ``scatter``.
     """
 
-    def __init__(self, pencil, decomp: Decomposition):
-        self.n = pencil.stiffness.shape[0]
-        self.class_of = []
-        self.k_blocks = []
-        self.m_blocks = []
+    def __init__(self, mesh: Mesh, decomp: Decomposition):
+        self.n = mesh.n_dofs
+        self.class_of, self.k_blocks, self.m_blocks = [], [], []
         dofs, offsets = decomp.dofs, decomp.offsets
-        sizes = np.diff(offsets).tolist()
-        k_entries = _local_entries(pencil.stiffness.tocsr(), dofs, offsets)
-        m_entries = _local_entries(pencil.mass.tocsr(), dofs, offsets)
+        sizes = np.diff(offsets)
+        local = mesh.dof_lattice()[dofs]  # then less its subdomain's lower-left corner
+        local -= np.repeat(np.minimum.reduceat(local, offsets[:-1], axis=0), sizes, axis=0)
         classes = {}
-        for size, k, m in zip(sizes, k_entries, m_entries):
-            key = (size,) + tuple(a.tobytes() for a in k + m)
-            c = classes.setdefault(key, len(classes))
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            pattern = local[lo:hi]
+            c = classes.setdefault(pattern.tobytes(), len(classes))
             if c == len(self.k_blocks):
-                self.k_blocks.append(_block(size, *k))
-                self.m_blocks.append(_block(size, *m))
+                grid = np.full(tuple(pattern.max(axis=0)[::-1] + 1), -1, dtype=np.int64)
+                grid[pattern[:, 1], pattern[:, 0]] = np.arange(len(pattern))
+                pencil = fem.assemble(replace(mesh, n_dofs=len(pattern), dof_grid=grid))
+                dense = len(pattern) <= linalg.DENSE_LIMIT
+                self.k_blocks.append(pencil.stiffness.toarray() if dense else pencil.stiffness)
+                self.m_blocks.append(pencil.mass.toarray() if dense else pencil.mass)
             self.class_of.append(c)
 
         members = [np.flatnonzero(np.equal(self.class_of, c)) for c in range(len(classes))]

@@ -123,7 +123,7 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
     decomp = build_decomposition(hier, 0.25)
     mass_fact = factorize(pencil.mass, expect_spd=True)
     coarse_piece = build_coarse_piece(hier, cluster.last)
-    blocks = LocalBlocks(pencil, decomp)
+    blocks = LocalBlocks(hier.fine, decomp)
 
     state = initialize(hier, pencil, cluster)
     budget = min(pencil.n, cluster.last + cluster.count * max_iter)
@@ -204,7 +204,7 @@ def test_criterion_8_preconditioner_correctness():
     decomp = build_decomposition(hier, 0.25)
     coarse = build_coarse_piece(hier, 2)
     shift = 1.5
-    prec = prepare(LocalBlocks(pencil, decomp), coarse, [shift])
+    prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [shift])
     B = dense_preconditioner(pencil, decomp, coarse, shift)
     rng = np.random.default_rng(81)
     worst_equiv = 0.0

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,37 @@ def test_committed_bench_files_match_their_runs(path):
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     assert bench_pairs.summarize(record["runs"], workloads, metrics) == record["summary"]
     assert bench_pairs.count_failed(record["runs"], workloads) == record["failed"]
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.parametrize("layout", ["checkout", "plain", "inside-checkout"])
+def test_parent_commit_recorded_only_for_a_checkout(tmp_path, monkeypatch, capsys, layout):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    if layout != "plain":
+        _git(repo, "init", "-q")
+        _git(repo, "commit", "-q", "--allow-empty", "-m", "parent")
+    parent = repo / "export" if layout == "inside-checkout" else repo
+    parent.mkdir(exist_ok=True)
+
+    def fake_run_side(checkout, seed, seconds):
+        return {"nproc": 2}, {"square-spd": _run(1, "parent", 1.0, 1)["results"]["w"]}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(ROOT), "--pairs", "1",
+                             "--first-seed", "1", "--seconds", "0", "--what", "test",
+                             "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    err = capsys.readouterr().err
+    if layout == "checkout":
+        assert record["parent_commit"] == _git(repo, "rev-parse", "HEAD")
+        assert err == ""
+    else:
+        assert record["parent_commit"] is None
+        assert "parent_commit is null" in err
+    assert record["failed"] == {"parent": 2, "change": 2}  # two workloads without a result

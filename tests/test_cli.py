@@ -131,6 +131,28 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary-fine", "4", "5"]],
+                             ids=["run", "sweep"])
+    def test_output_dir_that_is_a_file_rejected_before_solving(self, capsys, tmp_path,
+                                                               monkeypatch, command):
+        target = tmp_path / "afile"
+        target.write_text("kept\n")
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        err = rejected(capsys, [*command, *TINY, "--output-dir", str(target)])
+        assert "is not a directory" in err
+        assert target.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path):
+        # the output directory would lie inside a file: mkdir fails after the solve
+        target = tmp_path / "afile"
+        target.write_text("kept\n")
+        err = rejected(capsys, ["run", *TINY, "--output-dir", str(target / "run")])
+        assert "cannot write the outputs" in err
+        assert target.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+
 class TestRunCommand:
     def test_converged_run_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -147,7 +147,7 @@ def stepped(small):
     cluster = ClusterSpec(1, 2)
     state = initialize(hier, pencil, cluster)
     coarse = build_coarse_piece(hier, cluster.last)
-    prec = prepare(LocalBlocks(pencil, decomp), coarse, state.cluster_values())
+    prec = prepare(LocalBlocks(hier.fine, decomp), coarse, state.cluster_values())
     return pencil, decomp, coarse, state, prec
 
 
@@ -178,7 +178,7 @@ class TestCorrectionStep:
         cluster = ClusterSpec(1, 2)
         state = exact_state(pencil, cluster)
         coarse = build_coarse_piece(hier, cluster.last)
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, state.cluster_values())
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, state.cluster_values())
         T = correction_step(state, prec)
         assert np.abs(T).max() <= 1e-9
 
@@ -252,7 +252,7 @@ class TestThickRestart:
         cluster = ClusterSpec(3, 5)
         state = initialize(hier, pencil, cluster)
         coarse = build_coarse_piece(hier, cluster.last)
-        blocks = LocalBlocks(pencil, decomp)
+        blocks = LocalBlocks(hier.fine, decomp)
         for _ in range(3):
             prec = prepare(blocks, coarse, state.cluster_values())
             corrections = correction_step(state, prec)

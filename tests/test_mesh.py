@@ -10,6 +10,7 @@ from schwarzjd import mesh as mesh_module
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import (
+    Decomposition,
     DomainShape,
     build_decomposition,
     build_hierarchy,
@@ -316,3 +317,15 @@ class TestDecomposition:
         hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
         with pytest.raises(InvalidArgumentError):
             build_decomposition(hier, ratio)
+
+    @pytest.mark.parametrize("sets", [
+        [[], [1, 2]],
+        [[1, 2], [], [3]],
+        [[1, 2], [4, 3]],
+        [[1, 2, 2], [3]],
+    ], ids=["empty-first", "empty-middle", "descending", "repeated"])
+    def test_empty_or_unsorted_subdomain_rejected(self, sets):
+        offsets = np.cumsum([0] + [len(d) for d in sets])
+        dofs = np.array([i for d in sets for i in d], dtype=np.int64)
+        with pytest.raises(InvalidArgumentError, match="non-empty and strictly ascending"):
+            Decomposition(dofs=dofs, offsets=offsets, overlap_layers=1)

@@ -1,5 +1,4 @@
 import functools
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ from schwarzjd.errors import InvalidArgumentError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy
-from schwarzjd.schwarz import CoarsePiece, LocalBlocks, build_coarse_piece, prepare
+from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import decomposition, dense_preconditioner
 
@@ -37,8 +36,8 @@ def setup():
 
 class TestPrepare:
     def test_factorization_count(self, setup):
-        _, pencil, decomp, coarse = setup
-        blocks = LocalBlocks(pencil, decomp)
+        hier, pencil, decomp, coarse = setup
+        blocks = LocalBlocks(hier.fine, decomp)
         prec = prepare(blocks, coarse, [1.9, 4.7])
         # interior, two edge orientations and corner: 4 classes of 16 subdomains
         assert decomp.n_subdomains == 16
@@ -46,8 +45,8 @@ class TestPrepare:
         assert [len(facts) for facts in prec._factorizations] == [4, 4]
 
     def test_zero_shift_gives_spd_blocks(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [0.0])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [0.0])
         assert prec.ldlt_fallbacks == 0
 
     def test_initialization_shift_within_coarse_margin(self, setup):
@@ -55,13 +54,13 @@ class TestPrepare:
         init = assemble(hier.initial)
         lam1 = dense_generalized_eig(init.stiffness.toarray(), init.mass.toarray()).values[0]
         assert coarse.values[CUT] - lam1 > 0
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [lam1])
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [lam1])
         assert prec.shifts.tolist() == [lam1]
         assert prec.clamped_shifts == 0
 
     def test_shift_at_retained_coarse_eigenvalue_clamped(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [coarse.values[CUT], 1.0])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [coarse.values[CUT], 1.0])
         assert prec.shifts.tolist() == [coarse.shift_cap, 1.0]
         assert prec.clamped_shifts == 1
         B = dense_preconditioner(pencil, decomp, coarse, coarse.shift_cap)
@@ -71,38 +70,20 @@ class TestPrepare:
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_empty_shift_list_rejected(self, setup):
-        _, pencil, decomp, coarse = setup
+        hier, pencil, decomp, coarse = setup
         with pytest.raises(InvalidArgumentError):
-            prepare(LocalBlocks(pencil, decomp), coarse, [])
-
-
-# unsorted, overlapping dof sets of unequal sizes on a 40-dof stand-in pencil
-UNSORTED_SETS = [np.array([5, 1, 30, 2]), np.array([2, 3, 4, 5, 39]), np.array([17])]
-
-
-def stand_in_matrix():
-    """A random 40 x 40 CSR matrix with stored negative zeros."""
-    A = sp.random(40, 40, density=0.3, random_state=7, format="csr")
-    A.data[::3] = -0.0  # toarray turns stored -0.0 into +0.0
-    return A
+            prepare(LocalBlocks(hier.fine, decomp), coarse, [])
 
 
 class TestLocalBlocks:
     @pytest.mark.parametrize("shape", DOMAINS)
     def test_blocks_equal_fancy_indexed_submatrices_byte_for_byte(self, shape):
-        _, pencil, decomp, _ = problem(shape)
-        blocks = LocalBlocks(pencil, decomp)
+        hier, pencil, decomp, _ = problem(shape)
+        blocks = LocalBlocks(hier.fine, decomp)
         K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
         for dofs, c in zip(decomp.subdomains, blocks.class_of, strict=True):
             assert blocks.k_blocks[c].tobytes() == K[dofs][:, dofs].toarray().tobytes()
             assert blocks.m_blocks[c].tobytes() == M[dofs][:, dofs].toarray().tobytes()
-
-    def test_unsorted_overlapping_sets_and_negative_zeros(self):
-        A = stand_in_matrix()
-        pencil = SimpleNamespace(stiffness=A, mass=A)
-        blocks = LocalBlocks(pencil, decomposition(UNSORTED_SETS))
-        for dofs, c in zip(UNSORTED_SETS, blocks.class_of, strict=True):
-            assert blocks.k_blocks[c].tobytes() == A[dofs][:, dofs].toarray().tobytes()
 
 
 def assert_block_equals_submatrix(block, A, dofs):
@@ -117,34 +98,41 @@ def assert_block_equals_submatrix(block, A, dofs):
         assert block.tobytes() == want.toarray().tobytes()
 
 
+def entry_classes(K, M, decomp):
+    """Reference grouping: equal size and equal bytes of the local K and M entries."""
+    classes, class_of = {}, []
+    for dofs in decomp.subdomains:
+        key = (len(dofs),)
+        for A in (K, M):
+            block = A[dofs][:, dofs]
+            block.sort_indices()
+            key += (block.indptr.tobytes(), block.indices.tobytes(), block.data.tobytes())
+        class_of.append(classes.setdefault(key, len(classes)))
+    return class_of
+
+
+@functools.cache
+def overlapped_problem(shape, coarse_level, fine_level, overlap):
+    hier = build_hierarchy(shape, coarse_level, fine_level)
+    return hier, assemble(hier.fine), build_decomposition(hier, overlap)
+
+
 @pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(n=st.integers(1, 16), density=st.floats(0.1, 0.6), seed=st.integers(0, 2**32 - 1),
-       picks=st.lists(st.integers(0, 7), min_size=1, max_size=12))
-def test_local_blocks_group_only_equal_blocks(dense_limit, n, density, seed, picks):
-    rng = np.random.default_rng(seed)
-
-    def symmetric():
-        # mostly stored diagonals and few distinct values, so that unequal
-        # blocks often share their pattern or their values
-        A = sp.random(n, n, density=density, random_state=rng, format="csr",
-                      data_rvs=lambda k: rng.choice([-0.0, 1.0, 2.0], k))
-        return (A + A.T + sp.diags(rng.choice([0.0, 1.0, 2.0], n))).tocsr()
-
-    K, M = symmetric(), symmetric()
-    # unsorted, overlapping dof sets, mostly small so that blocks collide;
-    # repeated picks of the same set must share a class
-    pool = [rng.permutation(n)[: int(rng.integers(1, min(n, 3) + 1))] for _ in range(7)]
-    pool.append(rng.permutation(n))
-    sets = [pool[i] for i in picks]
-    pencil = SimpleNamespace(stiffness=K, mass=M)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(DOMAINS), coarse_level=st.integers(1, 3), extra=st.integers(1, 3),
+       overlap=st.sampled_from([0.125, 0.25, 0.5]))
+def test_local_blocks_group_only_equal_blocks(dense_limit, shape, coarse_level, extra, overlap):
+    assume(overlap * (1 << extra) >= 1.0)  # at least one fine layer
+    hier, pencil, decomp = overlapped_problem(shape, coarse_level, coarse_level + extra, overlap)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        blocks = LocalBlocks(pencil, decomposition(sets))
+        blocks = LocalBlocks(hier.fine, decomp)
     assert len(blocks.k_blocks) == len(blocks.m_blocks) == max(blocks.class_of) + 1
-    for i, dofs, c in zip(picks, sets, blocks.class_of, strict=True):
+    K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
+    for dofs, c in zip(decomp.subdomains, blocks.class_of, strict=True):
         assert_block_equals_submatrix(blocks.k_blocks[c], K, dofs)
         assert_block_equals_submatrix(blocks.m_blocks[c], M, dofs)
-        assert c == blocks.class_of[picks.index(i)]
+    # neither coarser nor finer than grouping by the blocks' entries
+    assert blocks.class_of == entry_classes(K, M, decomp)
 
 
 def loop_apply_local(prec, decomp, rho, i):
@@ -175,27 +163,35 @@ def test_batched_local_solve_matches_subdomain_loop(dense_limit, shape, shift, s
     hier, pencil, decomp, _ = problem(shape)
     no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        prec = prepare(LocalBlocks(pencil, decomp), no_coarse, [shift])
+        prec = prepare(LocalBlocks(hier.fine, decomp), no_coarse, [shift])
     rho = np.random.default_rng(seed).standard_normal(pencil.n)
     assert_batched_local_solve_matches_loop(prec, decomp, rho)
 
 
+def lattice_boxes(mesh, boxes):
+    """The dofs of each lattice box (x0, x1, y0, y1), inclusive, in ascending order."""
+    return [mesh.dof_grid[y0:y1 + 1, x0:x1 + 1].ravel() for x0, x1, y0, y1 in boxes]
+
+
 @pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
 @settings(max_examples=20, deadline=None, derandomize=True)
-# on these sets, I - shift * A is singular only at shifts near -2.37 and 0.76
-# for the dense path (lower triangle) and -6.08 and 0.95 for SuperLU
-@given(shift=st.one_of(st.floats(-2.0, 0.5), st.floats(1.0, 20.0)),
+# the local pencils of these sets have no eigenvalue below 37.06 or in
+# (70, 73.13): shifts in the first range leave every class positive
+# definite, those in the second make the 3 x 3 class indefinite
+@given(shift=st.one_of(st.floats(-50.0, 30.0), st.floats(40.0, 70.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, seed):
-    # the repeated sets give two-member classes interleaved with a single-member one
-    sets = UNSORTED_SETS + UNSORTED_SETS[:2]
-    pencil = SimpleNamespace(stiffness=sp.identity(40, format="csr"), mass=stand_in_matrix(), n=40)
-    no_coarse = CoarsePiece(sp.csr_matrix((40, 0)), np.empty(0), np.empty((0, 0)), 0)
+    hier, pencil, _, _ = problem(DomainShape.SQUARE)
+    # overlapping sets in no lattice order: a 2 x 2 box, a row of three and a
+    # 3 x 3 box, then translates of the first two, so that the two-member
+    # classes interleave with a single-member one
+    decomp = decomposition(lattice_boxes(hier.fine, [
+        (1, 2, 1, 2), (2, 4, 2, 2), (2, 4, 2, 4), (3, 4, 3, 4), (3, 5, 4, 4)]))
+    no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
-        decomp = decomposition(sets)
-        prec = prepare(LocalBlocks(pencil, decomp), no_coarse, [shift])
+        prec = prepare(LocalBlocks(hier.fine, decomp), no_coarse, [shift])
     assert prec._blocks.class_of == [0, 1, 2, 0, 1]
-    rho = np.random.default_rng(seed).standard_normal(40)
+    rho = np.random.default_rng(seed).standard_normal(pencil.n)
     assert_batched_local_solve_matches_loop(prec, decomp, rho)
 
 
@@ -212,20 +208,20 @@ def test_restriction_products_match_transpose(shape):
 
 class TestApply:
     def test_zero_input_zero_output(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5])
         assert np.all(prec.apply(np.zeros(pencil.n), 0) == 0.0)
 
     def test_unprepared_index_rejected(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5, 2.5])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5, 2.5])
         for i in (2, -1):
             with pytest.raises(InvalidArgumentError, match="outside the prepared range 0..1"):
                 prec.apply(np.zeros(pencil.n), i)
 
     def test_symmetry(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5])
         rng = np.random.default_rng(41)
         for _ in range(20):
             r1 = rng.standard_normal(pencil.n)
@@ -235,8 +231,8 @@ class TestApply:
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
     def test_linearity(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5])
         rng = np.random.default_rng(42)
         r1 = rng.standard_normal(pencil.n)
         r2 = rng.standard_normal(pencil.n)
@@ -247,13 +243,13 @@ class TestApply:
     @pytest.mark.parametrize("shape, dense_limit", [
         (DomainShape.SQUARE, linalg.DENSE_LIMIT),
         (DomainShape.LSHAPE, linalg.DENSE_LIMIT),
-        (DomainShape.SQUARE, 0),  # sparse blocks, grouped by their CSR arrays
+        (DomainShape.SQUARE, 0),  # sparse blocks
     ], ids=["square", "lshape", "square-sparse"])
     def test_matches_densely_assembled_operator(self, shape, dense_limit, monkeypatch):
         monkeypatch.setattr(linalg, "DENSE_LIMIT", dense_limit)
-        _, pencil, decomp, coarse = problem(shape)
+        hier, pencil, decomp, coarse = problem(shape)
         shift = 1.5
-        blocks = LocalBlocks(pencil, decomp)
+        blocks = LocalBlocks(hier.fine, decomp)
         assert len(blocks.k_blocks) < decomp.n_subdomains
         prec = prepare(blocks, coarse, [shift])
         B = dense_preconditioner(pencil, decomp, coarse, shift)
@@ -265,8 +261,8 @@ class TestApply:
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_coarse_term_annihilates_deflated_directions(self, setup):
-        _, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(pencil, decomp), coarse, [1.5])
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5])
         for j in range(CUT):
             lifted = coarse.prolongation @ coarse.vectors[:, j]
             rho = pencil.mass @ lifted
@@ -278,7 +274,7 @@ class TestApply:
         big_cut = build_coarse_piece(hier, 10_000)
         assert big_cut.deflated_dim == 0
         assert big_cut.shift_cap == np.inf
-        prec = prepare(LocalBlocks(pencil, decomp), big_cut, [1.5])
+        prec = prepare(LocalBlocks(hier.fine, decomp), big_cut, [1.5])
         rng = np.random.default_rng(44)
         rho = rng.standard_normal(pencil.n)
         assert np.all(prec.apply_coarse(rho, 0) == 0.0)
@@ -289,7 +285,7 @@ class TestApply:
         whole = decomposition([np.arange(pencil.n)])
         shift = 1.5
         no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
-        prec = prepare(LocalBlocks(pencil, whole), no_coarse, [shift])
+        prec = prepare(LocalBlocks(hier.fine, whole), no_coarse, [shift])
         rng = np.random.default_rng(45)
         rho = rng.standard_normal(pencil.n)
         S = (pencil.stiffness - shift * pencil.mass).toarray()
@@ -303,10 +299,10 @@ class TestApply:
 @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
        seed=st.integers(0, 2**32 - 1))
 def test_random_shift_symmetric_and_matches_dense_assembly(shape, fraction, seed):
-    _, pencil, decomp, coarse = problem(shape)
+    hier, pencil, decomp, coarse = problem(shape)
     shift = fraction * coarse.values[CUT]
     assume(shift < coarse.values[CUT])  # the product may round up to the bound
-    prec = prepare(LocalBlocks(pencil, decomp), coarse, [shift])
+    prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [shift])
     rng = np.random.default_rng(seed)
     r1 = rng.standard_normal(pencil.n)
     r2 = rng.standard_normal(pencil.n)

@@ -10,11 +10,15 @@ change first in even ones.  Each checkout runs its own ``perfbench/``.
 
 The output has the keys ``command``, ``parent_commit``, ``what``, ``env``
 (the environment record of the first run), ``summary``, ``failed`` and
-``runs``.  ``summary`` holds, per workload and end-to-end metric of the
-change checkout's ``BENCHMARK.json``, each side's quartiles, the pairs the
-change won (by the metric's ``better`` direction), the ties and the ratio
-of the medians.  ``failed`` counts each side's failed solves, plus one per
-workload that a run reported no result for.
+``runs``.  ``parent_commit`` is the HEAD of ``--parent`` when that
+directory is the top of a git checkout; for any other directory (say, a
+``git archive`` export, even one placed inside another checkout) it is
+null, and a note on stderr says so.  ``summary`` holds, per workload and
+end-to-end metric of the change checkout's ``BENCHMARK.json``, each side's
+quartiles, the pairs the change won (by the metric's ``better``
+direction), the ties and the ratio of the medians.  ``failed`` counts each
+side's failed solves, plus one per workload that a run reported no result
+for.
 """
 
 from __future__ import annotations
@@ -53,6 +57,21 @@ def run_side(checkout: Path, seed: int, seconds: float) -> tuple[dict | None, di
     if proc.returncode != 0:
         print(f"{checkout}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
     return parse_output(proc.stdout)
+
+
+def parent_commit(parent: Path) -> str | None:
+    """HEAD of ``parent`` if it is the top of a git checkout, else None."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(parent), *args], capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode == 0 and Path(top.stdout.strip()).resolve() == parent.resolve():
+        head = git("rev-parse", "HEAD")
+        if head.returncode == 0:
+            return head.stdout.strip()
+    print(f"note: {parent} is not a git checkout of its own; parent_commit is null",
+          file=sys.stderr)
+    return None
 
 
 def _quartiles(values) -> list[float]:
@@ -121,8 +140,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    parent_commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent, check=True,
-                                   capture_output=True, text=True).stdout.strip()
+    commit = parent_commit(args.parent)
     checkouts = {"parent": args.parent, "change": args.change}
 
     env, runs = None, []
@@ -141,7 +159,7 @@ def main(argv=None) -> int:
 
     record = {
         "command": COMMAND.format(seconds=args.seconds),
-        "parent_commit": parent_commit,
+        "parent_commit": commit,
         "what": args.what,
         "env": env,
         "summary": summarize(runs, workloads, metrics),

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzjd import eigensolver, schwarz
+from schwarzjd import eigensolver, linalg, schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
@@ -23,8 +23,8 @@ from schwarzjd.eigensolver import (
 )
 from schwarzjd.errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
-from schwarzjd.linalg import factorize
-from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy
+from schwarzjd.linalg import factorize, mass_chebyshev
+from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy, build_mesh
 from schwarzjd.oracle import dense_discrete_spectrum
 from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
@@ -298,8 +298,18 @@ class TestStopNorm:
 
 @functools.lru_cache(maxsize=None)
 def _mass_and_factorization(domain, level):
-    pencil = assemble(build_hierarchy(DomainShape(domain), 1, level).fine)
+    pencil = assemble(build_mesh(DomainShape(domain), level))
     return pencil, factorize(pencil.mass, expect_spd=True)
+
+
+def _residual_block(pencil, cols, kind, seed):
+    """A random block, or its image under M or K (leaning to either end of D^{-1}M)."""
+    R = np.random.default_rng(seed).standard_normal((pencil.n, cols))
+    if kind == "mass":
+        R = pencil.mass @ R
+    elif kind == "stiffness":
+        R = pencil.stiffness @ R
+    return R
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -310,16 +320,35 @@ def test_mass_diagonal_brackets_the_stop_norm(domain, level, cols, kind, seed):
     # 1/2 R'D^{-1}R <= R'M^{-1}R <= 2 R'D^{-1}R for D = diag(M); images
     # of random blocks under M and K lean towards either end
     pencil, mass_fact = _mass_and_factorization(domain, level)
-    R = np.random.default_rng(seed).standard_normal((pencil.n, cols))
-    if kind == "mass":
-        R = pencil.mass @ R
-    elif kind == "stiffness":
-        R = pencil.stiffness @ R
+    R = _residual_block(pencil, cols, kind, seed)
     exact = stop_norm(R, mass_fact)
     lower, upper = stop_bounds(R, pencil.mass.diagonal())
     assert lower <= exact * (1 + 1e-12)
     assert exact <= upper * (1 + 1e-12)
     assert upper == pytest.approx(2.0 * lower, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(domain=st.sampled_from(["square", "lshape"]), level=st.integers(1, 7),
+       cols=st.integers(1, 10), kind=st.sampled_from(["random", "mass", "stiffness"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chebyshev_stop_norm_matches_the_sparse_factorization(domain, level, cols, kind, seed):
+    pencil, mass_fact = _mass_and_factorization(domain, level)
+    R = _residual_block(pencil, cols, kind, seed)
+    chebyshev = mass_chebyshev(pencil.mass)
+    assert chebyshev.kind == "chebyshev"
+    assert stop_norm(R, chebyshev) == pytest.approx(stop_norm(R, mass_fact), rel=1e-13)
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_mass_diagonal_brackets_the_mass_spectrum(domain, level):
+    # Wathen's bracket, which stop_bounds and mass_chebyshev rest on: the
+    # eigenvalues of D^{-1}M, D = diag(M), lie in [1/2, 2]
+    mass = assemble(build_mesh(DomainShape(domain), level)).mass
+    scale = 1.0 / np.sqrt(mass.diagonal())
+    values = np.linalg.eigvalsh(scale[:, None] * mass.toarray() * scale[None, :])
+    assert 0.5 <= values[0] and values[-1] <= 2.0
 
 
 class TestSolve:
@@ -361,6 +390,22 @@ class TestSolve:
         pencil, report, _ = medium_run
         G = report.vectors.T @ (pencil.mass @ report.vectors)
         assert np.abs(G - np.eye(report.cluster.count)).max() <= 1e-10
+
+    def test_makes_no_factorization_of_the_fine_mass(self, small, monkeypatch):
+        hier, pencil, decomp = small
+        sizes = []
+        factorize_ = linalg.factorize
+
+        def recording(S, *args, **kwargs):
+            sizes.append(S.shape[0])
+            return factorize_(S, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "factorize", recording)
+        report = solve(hier, pencil, decomp, ClusterSpec(1, 3), SolverConfig(tol=1e-8, max_iter=40))
+        assert report.converged and np.isfinite(report.stop_norm)
+        assert sizes  # the local factorizations were recorded
+        assert pencil.n not in sizes
+        assert "mass_factorization" not in report.timings
 
     def test_max_iter_reached_flags_non_convergence(self, small):
         hier, pencil, decomp = small

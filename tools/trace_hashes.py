@@ -4,15 +4,19 @@
 
 Run it on two checkouts and compare the output: a refactor that claims not to
 change the numerics must print the same lines.  Each line gives the case, the
-iteration count and two hashes, each the first 16 hex digits of a sha256:
+iteration count, the number of trace rows with an exact stop norm and two
+hashes, each the first 16 hex digits of a sha256:
 
+  exact   the rows whose stop norm was computed exactly (not NaN);
   trace   the final cluster values, then each trace row's values and its
           stop norm (NaN on rows without an exact stop-norm solve);
   values  the final cluster values, each trace row's values and the
           iteration count, without stop norms.
 
 All values are hashed as float64 bytes.  The values hash compares runs
-whose stop norms are computed on different rows.  BLAS runs on one thread
+whose stop norms are computed on different rows or rounded differently; a
+change that moves only the exact stop norms keeps the iteration counts, the
+exact-row counts and the values hashes, and changes only trace hashes.  BLAS runs on one thread
 (set before NumPy loads), with overlap 0.25 and tolerance 1e-8, so the
 reduction orders are fixed.
 """
@@ -69,7 +73,9 @@ def main() -> None:
                        SolverConfig(tol=TOL, **extra))
         options = " ".join(f"{k}={v}" for k, v in extra.items())
         print(f"{domain} {coarse}/{fine} {first}..{last} {options}".rstrip()
-              + f"  iterations={report.iterations}  trace={trace_hash(report)}"
+              + f"  iterations={report.iterations}"
+              + f"  exact={sum(not np.isnan(rec.stop_norm) for rec in report.trace)}"
+              + f"  trace={trace_hash(report)}"
               + f"  values={trace_hash(report, with_stop_norms=False)}", flush=True)
 
 

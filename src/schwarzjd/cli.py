@@ -7,7 +7,9 @@ A run writes three artifacts into the output directory:
                drift, basis dimension, clamped shifts, LDL^T fallbacks, wall
                time
   final.csv    final eigenvalues with reference values where available
-  summary.json effective configuration echo plus run statistics
+  summary.json effective configuration echo plus run statistics, with the
+               process's peak RSS when the solve returned (in a sweep, the
+               maximum over the runs so far)
 
 ``sweep`` repeats a run over a list of fine or coarse levels and aggregates
 the reports the runs return side by side, one column per level, with
@@ -30,6 +32,7 @@ import dataclasses
 import json
 import logging
 import math
+import resource
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,6 +178,8 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
     decomp = build_decomposition(hier, config.overlap)
     pencil = fem.assemble(hier.fine)
     report = solve(hier, pencil, decomp, cluster, solver_config)
+    # before the reference values, which are not the solver's; ru_maxrss is in KiB on Linux
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -203,6 +208,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),
         "ldlt_fallbacks_total": sum(rec.ldlt_fallbacks for rec in report.trace),
         "timings_s": {k: round(v, 6) for k, v in report.timings.items()},
+        "peak_rss_mib": round(peak_rss_mib, 1),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)

@@ -41,11 +41,17 @@ empty basis by Ritz vectors 1..last and the newest corrections.
 
 Iteration states are immutable; every step returns a new one.  A state's
 basis is a read-only view of the leading columns of a Fortran-ordered
-buffer that a chain of states shares: growing the newest state on a buffer
-writes the accepted columns in place behind the views the older states
-hold, and any other growth copies into a new buffer of doubled capacity.
-The basis takes 8 n dim bytes; a buffer that would exceed physical memory
-raises ProblemTooLargeError before it is allocated.
+buffer that a chain of states shares.  ``solve`` reserves each chain's
+buffer once, when the chain starts (startup, and each thick restart), for
+the largest basis the run can reach: last + max_iter * count columns, or
+restart_dim + count with restarts, capped at the columns that fit in
+physical memory.  Growing the newest state on a buffer with room writes the
+accepted columns in place behind the views the older states hold; only
+growing an older state, or past the reservation, copies into a new buffer.
+The reservation is an anonymous memory map, so pages are backed only as
+columns are written and the process holds the basis, not the reservation.
+The basis takes 8 n dim bytes; a basis that would exceed physical memory
+raises ProblemTooLargeError before its buffer is allocated.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -57,6 +63,7 @@ where it was computed, the exact stop norm.
 
 from __future__ import annotations
 
+import mmap
 import time
 from dataclasses import dataclass, field, replace
 
@@ -120,17 +127,30 @@ class SolverConfig:
 
 
 class _BasisBuffer:
-    """Column storage shared by a chain of states; columns [0, filled) are written."""
+    """Column storage shared by a chain of states; columns [0, filled) are written.
 
-    def __init__(self, n: int, capacity: int):
-        need = 8 * n * capacity
-        if need > _MEMORY_BUDGET:
+    Reserves ``capacity`` columns, but never fewer than ``need`` nor more
+    than fit in physical memory, as a private anonymous memory map viewed
+    as a Fortran-ordered n x capacity array.  Its pages are backed only as
+    columns are written; a shared map would be shmem, slower to fault in.
+    The map also keeps the reservation out of malloc: glibc raises its mmap
+    threshold when it frees a mapped chunk under 32 MiB, and the dense
+    workspaces that follow then fragment the heap.
+    Raises ProblemTooLargeError when ``need`` columns alone do not fit.
+    """
+
+    def __init__(self, n: int, need: int, capacity: int):
+        fits = _MEMORY_BUDGET // (8 * n)
+        if need > fits:
             raise ProblemTooLargeError(
-                f"a trial basis of {capacity} columns of {n} dofs needs "
-                f"{need / 2**30:.1f} GiB, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB "
-                f"of physical memory; bound the basis with --restart-dim"
+                f"a trial basis of {need} columns of {n} dofs needs "
+                f"{8 * n * need / 2**30:.1f} GiB, more than the "
+                f"{_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory; "
+                f"bound the basis with --restart-dim"
             )
-        self.data = np.empty((n, capacity), order="F")
+        capacity = min(max(capacity, need), fits)
+        memory = mmap.mmap(-1, 8 * n * capacity, flags=mmap.MAP_PRIVATE)
+        self.data = np.frombuffer(memory).reshape((n, capacity), order="F")
         self.filled = 0
 
 
@@ -216,11 +236,15 @@ class SolverReport:
     timings: dict = field(repr=False)
 
 
-def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSpec) -> IterationState:
+def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSpec,
+               reserve: int = 0) -> IterationState:
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
-    Raises ClusterTooLargeError unless the initialization mesh has more dofs
-    than ``cluster.last`` (the hierarchy must be coarsened less aggressively).
+    The new state starts a chain whose buffer reserves ``reserve`` columns
+    (0: twice the startup basis), so that growth up to that dimension
+    writes in place.  Raises ClusterTooLargeError unless the
+    initialization mesh has more dofs than ``cluster.last`` (the hierarchy
+    must be coarsened less aggressively).
     """
     n_init = hier.initial.n_dofs
     if cluster.last >= n_init:
@@ -231,7 +255,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
     lifted = hier.initial_to_fine @ init.vectors
-    return _grow(_empty_state(cluster, pencil.n), lifted, pencil, 0)
+    return _grow(_empty_state(cluster, pencil.n), lifted, pencil, 0, reserve)
 
 
 def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) -> np.ndarray:
@@ -283,10 +307,14 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
 
 
 def _thick_restart(state: IterationState, corrections: np.ndarray,
-                   pencil: fem.SparsePencil) -> IterationState:
-    """Compact the basis to Ritz vectors 1..last plus the newest corrections."""
+                   pencil: fem.SparsePencil, reserve: int = 0) -> IterationState:
+    """Compact the basis to Ritz vectors 1..last plus the newest corrections.
+
+    The compacted state starts a new chain whose buffer reserves ``reserve``
+    columns (0: twice the compacted basis).
+    """
     kept = np.hstack([state.ritz_block(1, state.cluster.last), corrections])
-    return _grow(_empty_state(state.cluster, pencil.n), kept, pencil, state.iteration)
+    return _grow(_empty_state(state.cluster, pencil.n), kept, pencil, state.iteration, reserve)
 
 
 def _empty_state(cluster: ClusterSpec, n: int) -> IterationState:
@@ -296,7 +324,7 @@ def _empty_state(cluster: ClusterSpec, n: int) -> IterationState:
 
 
 def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
-          iteration: int) -> IterationState:
+          iteration: int, reserve: int = 0) -> IterationState:
     """The Rayleigh-Ritz step: the one place the trial basis grows.
 
     Mass-orthonormalizes ``new_vectors`` against the basis, borders the
@@ -305,9 +333,14 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     Returns ``state`` with ``iteration`` when every column is dropped.
 
     The accepted columns are written in place behind the basis when
-    ``state`` is the newest state on its buffer and the buffer has room;
-    otherwise the basis and the accepted columns are copied into a new
-    buffer of twice the needed capacity.  No existing state's basis changes.
+    ``state`` is the newest state on its buffer and the buffer has room.
+    Otherwise (an empty state, an older state, or a full buffer) the basis
+    and the accepted columns go into a new buffer that reserves ``reserve``
+    columns, or twice the grown dimension when ``reserve`` is 0, so that a
+    caller growing state by state without a reservation copies only
+    O(log dim) times.  Growing an empty state copies nothing.  No existing
+    state's basis changes.  Raises ProblemTooLargeError when the grown
+    basis alone exceeds physical memory.
     """
     accepted = linalg.b_orthonormalize(new_vectors, pencil.mass, against=state.basis)
     if accepted.shape[1] == 0:
@@ -322,7 +355,7 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     dim, dim_new = state.dim, state.dim + accepted.shape[1]
     buffer = state._buffer
     if buffer is None or buffer.filled != dim or buffer.data.shape[1] < dim_new:
-        buffer = _BasisBuffer(pencil.n, 2 * dim_new)
+        buffer = _BasisBuffer(pencil.n, dim_new, reserve or 2 * dim_new)
         buffer.data[:, :dim] = state.basis
     buffer.data[:, dim:dim_new] = accepted
     buffer.filled = dim_new
@@ -348,7 +381,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
-    ProblemTooLargeError when the trial basis would outgrow physical memory.
+    ProblemTooLargeError when the trial basis itself would outgrow physical
+    memory; the buffer reserved for it is capped there and never copied.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(
@@ -363,8 +397,14 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
         return out
 
+    # The largest basis the run can reach: each chain's buffer reserves it.
+    if config.restart_dim is None:
+        reserve = cluster.last + config.max_iter * cluster.count
+    else:
+        reserve = config.restart_dim + cluster.count
+
     mass_solver = linalg.mass_chebyshev(pencil.mass)
-    state = clocked("initialize", initialize, hier, pencil, cluster)
+    state = clocked("initialize", initialize, hier, pencil, cluster, reserve)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
     blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
 
@@ -404,7 +444,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
         grew = state.dim > prev_dim
         if config.restart_dim is not None and state.dim > config.restart_dim:
-            state = clocked("restart", _thick_restart, state, corrections, pencil)
+            state = clocked("restart", _thick_restart, state, corrections, pencil, reserve)
         k += 1
         values = state.cluster_values()
         sn = stop_test(k, state, values, float(np.sum(np.abs(values - prev_values))),

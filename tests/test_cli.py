@@ -202,6 +202,9 @@ class TestRunCommand:
         assert summary["gamma"] is None or summary["gamma"] < 1.0
         assert summary["subdomain_count"] == 16
         assert len(summary["basis_dims"]) == summary["iterations"] + 1
+        # the process held at least the final trial basis
+        basis_mib = 8 * summary["dof_count"] * summary["basis_dims"][-1] / 2**20
+        assert summary["peak_rss_mib"] >= basis_mib
 
     def test_validation_failure_is_exit_code_2(self, capsys):
         assert main(["run", "--m", "5", "--M", "4"]) == 2

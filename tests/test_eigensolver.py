@@ -240,10 +240,82 @@ class TestBasisBuffer:
 
     def test_basis_beyond_memory_budget_raises(self, small, monkeypatch):
         hier, pencil, decomp = small
-        # room for the startup buffer (twice the 5 lifted columns), not for its first doubling
+        # room for 10 columns: the basis grows 5 -> 8 -> 11, and 11 columns do not fit
         monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 10)
-        with pytest.raises(ProblemTooLargeError, match=r"22 columns .* GiB.*--restart-dim"):
+        with pytest.raises(ProblemTooLargeError, match=r"11 columns .* GiB.*--restart-dim"):
             solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig(max_iter=5))
+
+    def test_basis_that_exactly_fits_the_budget_finishes(self, small, monkeypatch):
+        hier, pencil, decomp = small
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 11)
+        report = solve(hier, pencil, decomp, ClusterSpec(3, 5),
+                       SolverConfig(tol=1e-12, max_iter=2))
+        assert [rec.basis_dim for rec in report.trace] == [5, 8, 11]
+
+    def test_reservation_capped_at_memory_raises_only_past_the_cap(self, small, monkeypatch):
+        hier, pencil, _ = small
+        rng = np.random.default_rng(56)
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 11)
+        state = initialize(hier, pencil, ClusterSpec(3, 5), reserve=100)
+        buffer = state._buffer
+        assert buffer.data.shape == (pencil.n, 11)
+        for dim in (8, 11):
+            state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
+            assert state.dim == dim and state._buffer is buffer  # written in place
+        with pytest.raises(ProblemTooLargeError, match=r"12 columns"):
+            rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)), pencil)
+
+
+class TestOneBufferPerChain:
+    """``solve`` reserves one basis buffer per chain of states and never copies a basis."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every basis buffer made and every state returned by a growth, in order."""
+        buffers, states = [], []
+
+        class Recording(eigensolver._BasisBuffer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                buffers.append(self)
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                states.append(fn(*args, **kwargs))
+                return states[-1]
+            return wrapper
+
+        monkeypatch.setattr(eigensolver, "_BasisBuffer", Recording)
+        for name in ("initialize", "rayleigh_ritz", "_thick_restart"):
+            monkeypatch.setattr(eigensolver, name, recording(getattr(eigensolver, name)))
+        return buffers, states
+
+    def test_without_restarts_one_buffer_holds_every_basis(self, small, recorded):
+        hier, pencil, decomp = small
+        buffers, states = recorded
+        cluster, config = ClusterSpec(1, 3), SolverConfig(tol=1e-8, max_iter=40)
+        report = solve(hier, pencil, decomp, cluster, config)
+        assert report.converged
+        assert len(buffers) == 1
+        final = states[-1]
+        assert all(np.shares_memory(s.basis, final.basis) for s in states)
+        capacity = buffers[0].data.shape[1]
+        assert final.dim <= capacity <= cluster.last + config.max_iter * cluster.count
+
+    def test_each_thick_restart_starts_one_buffer(self, recorded):
+        buffers, states = recorded
+        hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
+        pencil = assemble(hier.fine)
+        decomp = build_decomposition(hier, 0.25)
+        cluster, config = ClusterSpec(3, 5), SolverConfig(tol=1e-8, restart_dim=13)
+        report = solve(hier, pencil, decomp, cluster, config)
+        dims = [rec.basis_dim for rec in report.trace]
+        restarts = sum(b < a for a, b in zip(dims, dims[1:]))
+        assert report.converged and restarts >= 1
+        assert len(buffers) == 1 + restarts
+        for buffer in buffers:
+            assert buffer.data.shape[1] == config.restart_dim + cluster.count
+        assert states[-1].dim <= buffers[-1].data.shape[1]
 
 
 class TestThickRestart:

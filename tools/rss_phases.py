@@ -1,0 +1,73 @@
+"""Peak resident memory per solver phase, sampled from outside the library.
+
+    python3 tools/rss_phases.py square 5 8 99 108 [restart_dim]
+
+Wraps the set-up calls and the phases of ``eigensolver.solve`` as module
+attributes, as perfbench's tracer does, while a thread reads /proc/self/statm
+every 2 ms.  Prints each phase's calls and the process RSS high-water mark
+while one of its calls ran (a nested call counts for every enclosing phase).
+"""
+
+import os
+import sys
+import threading
+import time
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from schwarzjd import eigensolver, fem, mesh, schwarz  # noqa: E402
+
+PHASES = [(mesh, "build_hierarchy"), (mesh, "build_decomposition"), (fem, "assemble"),
+          *[(schwarz, a) for a in ("build_coarse_piece", "LocalBlocks", "prepare")],
+          *[(eigensolver, a) for a in ("initialize", "correction_step", "rayleigh_ritz",
+                                       "_thick_restart", "stop_bounds", "stop_norm")]]
+PAGE = os.sysconf("SC_PAGE_SIZE")
+active, calls, peak = [], {}, {}
+
+
+def sample(period=None):
+    while True:
+        with open("/proc/self/statm") as fh:
+            rss = int(fh.read().split()[1]) * PAGE
+        for name in list(active):
+            peak[name] = max(peak.get(name, 0), rss)
+        if period is None:
+            return
+        time.sleep(period)
+
+
+def wrap(owner, attr):
+    original, name = getattr(owner, attr), f"{owner.__name__.split('.')[-1]}.{attr}"
+
+    def traced(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        active.append(name)
+        sample()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            sample()
+            active.remove(name)
+
+    setattr(owner, attr, traced)
+
+
+def main(domain, coarse, fine, m, M, restart_dim=None):
+    for owner, attr in PHASES:
+        wrap(owner, attr)
+    threading.Thread(target=sample, args=(0.002,), daemon=True).start()
+    hier = mesh.build_hierarchy(mesh.DomainShape(domain), int(coarse), int(fine))
+    pencil = fem.assemble(hier.fine)
+    report = eigensolver.solve(hier, pencil, mesh.build_decomposition(hier, 0.25),
+                               eigensolver.ClusterSpec(int(m), int(M)),
+                               eigensolver.SolverConfig(restart_dim=restart_dim and int(restart_dim)))
+    dim = report.trace[-1].basis_dim
+    print(f"iterations={report.iterations}  basis {dim} columns {8 * pencil.n * dim / 2**20:.1f} MiB")
+    for name, count in calls.items():
+        print(f"{name:28s} calls={count:<5d} peak_rss={peak[name] / 2**20:8.1f} MiB")
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:])

@@ -45,9 +45,9 @@ buffer that a chain of states shares.  ``solve`` reserves each chain's
 buffer once, when the chain starts (startup, and each thick restart), for
 the largest basis the run can reach: last + max_iter * count columns, or
 restart_dim + count with restarts, capped at the columns that fit in
-physical memory.  Growing the newest state on a buffer with room writes the
-accepted columns in place behind the views the older states hold; only
-growing an older state, or past the reservation, copies into a new buffer.
+physical memory.  Growing the newest state on a buffer with room
+orthonormalizes the new vectors in place, behind the views the older states
+hold; only growing an older state, or past the reservation, copies a basis.
 The reservation is an anonymous memory map, so pages are backed only as
 columns are written and the process holds the basis, not the reservation.
 The basis takes 8 n dim bytes; a basis that would exceed physical memory
@@ -63,7 +63,6 @@ where it was computed, the exact stop norm.
 
 from __future__ import annotations
 
-import mmap
 import time
 from dataclasses import dataclass, field, replace
 
@@ -130,12 +129,8 @@ class _BasisBuffer:
     """Column storage shared by a chain of states; columns [0, filled) are written.
 
     Reserves ``capacity`` columns, but never fewer than ``need`` nor more
-    than fit in physical memory, as a private anonymous memory map viewed
-    as a Fortran-ordered n x capacity array.  Its pages are backed only as
-    columns are written; a shared map would be shmem, slower to fault in.
-    The map also keeps the reservation out of malloc: glibc raises its mmap
-    threshold when it frees a mapped chunk under 32 MiB, and the dense
-    workspaces that follow then fragment the heap.
+    than fit in physical memory, as a ``linalg.mapped_zeros`` n x capacity
+    array, off the malloc heap and backed only as columns are written.
     Raises ProblemTooLargeError when ``need`` columns alone do not fit.
     """
 
@@ -148,9 +143,7 @@ class _BasisBuffer:
                 f"{_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory; "
                 f"bound the basis with --restart-dim"
             )
-        capacity = min(max(capacity, need), fits)
-        memory = mmap.mmap(-1, 8 * n * capacity, flags=mmap.MAP_PRIVATE)
-        self.data = np.frombuffer(memory).reshape((n, capacity), order="F")
+        self.data = linalg.mapped_zeros(n, min(max(capacity, need), fits))
         self.filled = 0
 
 
@@ -254,8 +247,8 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
         )
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    lifted = hier.initial_to_fine @ init.vectors
-    return _grow(_empty_state(cluster, pencil.n), lifted, pencil, 0, reserve)
+    return _grow(_empty_state(cluster, pencil.n), hier.initial_to_fine @ init.vectors,
+                 pencil, 0, reserve)
 
 
 def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) -> np.ndarray:
@@ -327,22 +320,30 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
           iteration: int, reserve: int = 0) -> IterationState:
     """The Rayleigh-Ritz step: the one place the trial basis grows.
 
-    Mass-orthonormalizes ``new_vectors`` against the basis, borders the
-    projected stiffness matrix by the accepted columns, re-solves it and
-    forms the cluster block U, M U and R of the new state.
+    Mass-orthonormalizes the k columns of ``new_vectors`` against the basis,
+    borders the projected stiffness matrix by the accepted columns,
+    re-solves it and forms the cluster block U, M U and R of the new state.
     Returns ``state`` with ``iteration`` when every column is dropped.
 
-    The accepted columns are written in place behind the basis when
-    ``state`` is the newest state on its buffer and the buffer has room.
-    Otherwise (an empty state, an older state, or a full buffer) the basis
-    and the accepted columns go into a new buffer that reserves ``reserve``
-    columns, or twice the grown dimension when ``reserve`` is 0, so that a
+    The orthonormalization writes straight into the buffer, behind the
+    basis, when ``state`` is the newest state on its buffer and the buffer
+    has room for all k columns.  Otherwise (an empty state, an older state,
+    or a full buffer) the basis is copied into a new buffer that reserves
+    ``reserve`` columns, or twice dim + k when ``reserve`` is 0, so that a
     caller growing state by state without a reservation copies only
     O(log dim) times.  Growing an empty state copies nothing.  No existing
-    state's basis changes.  Raises ProblemTooLargeError when the grown
-    basis alone exceeds physical memory.
+    state's basis changes.  Raises ProblemTooLargeError when dim + k
+    columns exceed physical memory.
     """
-    accepted = linalg.b_orthonormalize(new_vectors, pencil.mass, against=state.basis)
+    dim, k = state.dim, np.shape(new_vectors)[1]
+    buffer = state._buffer
+    if buffer is None or buffer.filled != dim or buffer.data.shape[1] < dim + k:
+        buffer = _BasisBuffer(pencil.n, dim + k, reserve or 2 * (dim + k))
+        buffer.data[:, :dim] = state.basis
+    out = buffer.data[:, dim:dim + k]
+    np.copyto(out, new_vectors)
+    del new_vectors  # frees a block passed unnamed, as initialize passes the lifted one
+    accepted = linalg.b_orthonormalize(out, pencil.mass, against=state.basis, out=out)
     if accepted.shape[1] == 0:
         return replace(state, iteration=iteration)
     stiff_new = pencil.stiffness @ accepted
@@ -352,14 +353,8 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     projected = np.block([[state.projected, cross], [cross.T, corner]])
     values, coeffs = np.linalg.eigh(projected)
 
-    dim, dim_new = state.dim, state.dim + accepted.shape[1]
-    buffer = state._buffer
-    if buffer is None or buffer.filled != dim or buffer.data.shape[1] < dim_new:
-        buffer = _BasisBuffer(pencil.n, dim_new, reserve or 2 * dim_new)
-        buffer.data[:, :dim] = state.basis
-    buffer.data[:, dim:dim_new] = accepted
-    buffer.filled = dim_new
-    basis = buffer.data[:, :dim_new]
+    buffer.filled = dim + accepted.shape[1]
+    basis = buffer.data[:, :buffer.filled]
 
     c = state.cluster
     U = linalg.basis_times(basis, coeffs[:, c.first - 1 : c.last])
@@ -381,8 +376,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
-    ProblemTooLargeError when the trial basis itself would outgrow physical
-    memory; the buffer reserved for it is capped there and never copied.
+    ProblemTooLargeError before the startup when the coarse eigensolve, and
+    later when the trial basis, would outgrow physical memory.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(
@@ -404,8 +399,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         reserve = config.restart_dim + cluster.count
 
     mass_solver = linalg.mass_chebyshev(pencil.mass)
-    state = clocked("initialize", initialize, hier, pencil, cluster, reserve)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
+    state = clocked("initialize", initialize, hier, pencil, cluster, reserve)
     blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
 
     mass_diagonal = pencil.mass.diagonal()

@@ -29,6 +29,6 @@ class ProblemTooLargeError(InvalidArgumentError):
     """A computation was requested beyond its feasibility guard.
 
     Raised for a dense reference spectrum above its dof limit, and for a
-    mesh dof grid or a trial basis larger than the machine's physical
-    memory.
+    mesh dof grid, a trial basis or a dense coarse eigensolve larger than
+    the machine's physical memory.
     """

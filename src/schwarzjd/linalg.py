@@ -6,13 +6,17 @@ and Bunch-Kaufman LDL^T when Cholesky meets a non-positive pivot.  Larger
 operands go through SuperLU.  A P1 mass matrix is solved without a
 factorization, by a fixed-step Chebyshev semi-iteration (``mass_chebyshev``).
 All returned handles are immutable after construction and safe for
-repeated solves.
+repeated solves.  Large dense temporaries stay off the malloc heap, which
+keeps freed blocks once glibc's mmap threshold has risen: the dense
+eigensolves overwrite copies of their operands in ``mapped_zeros`` maps,
+and ``b_orthonormalize`` works in, and returns a view of, an ``out`` block.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,7 @@ __all__ = [
     "factorize",
     "factorize_shifted",
     "mass_chebyshev",
+    "mapped_zeros",
     "dense_generalized_eig",
     "lowest_eigenpairs",
     "b_orthonormalize",
@@ -202,19 +207,34 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-def dense_generalized_eig(A: np.ndarray, B: np.ndarray) -> EigenBasis:
+def mapped_zeros(n: int, k: int) -> np.ndarray:
+    """A zero-filled Fortran-ordered float64 (n, k) array over a private anonymous map,
+    backed as it is written and unmapped when freed (a shared map faults in slower)."""
+    memory = mmap.mmap(-1, 8 * max(n * k, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(memory, count=n * k).reshape((n, k), order="F")
+
+
+def _mapped_copy(S) -> np.ndarray:
+    """A copy of the sparse or dense matrix ``S`` in a fresh ``mapped_zeros`` array."""
+    out = mapped_zeros(*np.shape(S))
+    S.toarray(out=out) if sp.issparse(S) else np.copyto(out, S)  # toarray adds to the zeros
+    return out
+
+
+def dense_generalized_eig(A, B) -> EigenBasis:
     """Solve A x = lambda B x for symmetric A and SPD B, full spectrum.
 
-    Returns ascending eigenvalues with vectors normalized so that
-    V' B V = I.  Raises InvalidArgumentError when B is not positive definite
-    or the dimensions disagree.
+    A and B, sparse or dense, are not modified: LAPACK overwrites mapped
+    copies and returns the vectors in A's.  Returns ascending eigenvalues
+    with vectors normalized so that V' B V = I.  Raises InvalidArgumentError
+    when B is not positive definite or the dimensions disagree.
     """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"matching square operands expected, got {A.shape} and {B.shape}")
+    shape = np.shape(A)
+    if np.shape(B) != shape or len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidArgumentError(f"matching square operands expected, got {shape} and {np.shape(B)}")
     try:
-        values, vectors = sla.eigh(A, B)
+        values, vectors = sla.eigh(_mapped_copy(A), _mapped_copy(B),
+                                   overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise InvalidArgumentError(f"mass operand is not positive definite: {exc}") from exc
     return EigenBasis(values=values, vectors=vectors)
@@ -234,7 +254,8 @@ def lowest_eigenpairs(K, M, k: int) -> EigenBasis:
     if not 1 <= k < n:
         raise InvalidArgumentError(f"need 1 <= k < {n} eigenpairs, got k={k}")
     if n <= DENSE_LIMIT or 2 * k >= n:
-        values, vectors = sla.eigh(K.toarray(), M.toarray(), subset_by_index=(0, k - 1))
+        values, vectors = sla.eigh(_mapped_copy(K), _mapped_copy(M), subset_by_index=(0, k - 1),
+                                   overwrite_a=True, overwrite_b=True)
         return EigenBasis(values=values, vectors=vectors)
     fact = factorize(K, expect_spd=True)
     op_inv = spla.LinearOperator((n, n), matvec=fact.solve, dtype=np.float64)
@@ -263,7 +284,8 @@ def basis_times(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (coeffs.T @ basis.T).T
 
 
-def b_orthonormalize(vectors, M, against: np.ndarray | None = None) -> np.ndarray:
+def b_orthonormalize(vectors, M, against: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Blocked two-pass Gram-Schmidt orthonormalization in the M inner product.
 
     The whole block is first projected off the optional ``against`` basis,
@@ -281,42 +303,45 @@ def b_orthonormalize(vectors, M, against: np.ndarray | None = None) -> np.ndarra
     vectors : (n, k) array
     M : sparse or dense SPD matrix defining the inner product
     against : optional existing M-orthonormal (n, m) basis
+    out : optional Fortran-ordered (n, k) block to work in, such as a slice
+        of a basis buffer; it may be ``vectors``, which is otherwise kept
 
     Returns
     -------
-    (n, kept) array with W' M W = I.  Raises EmptyBasisError if every vector
-    is dropped and there is no ``against`` basis (or one without columns) to
-    fall back on.
+    (n, kept) array with W' M W = I, the view ``out[:, :kept]`` when ``out``
+    is given.  Raises EmptyBasisError if every vector is dropped and there
+    is no ``against`` basis (or one without columns) to fall back on.
     """
-    V = np.array(vectors, dtype=np.float64, order="F")
-    n, k = V.shape
+    V = np.empty(np.shape(vectors), order="F") if out is None else out
+    np.copyto(V, vectors)
     if against is not None and against.shape[1] == 0:
         against = None
 
     MV = M @ V
     pre = np.sqrt(np.maximum(np.einsum("ij,ij->j", V, MV), 0.0))
+    coeffs = None if against is None else against.T @ MV
+    del MV  # not resident beside the n x k temporaries that follow
     if against is not None:
-        V -= basis_times(against, against.T @ MV)
+        V -= basis_times(against, coeffs)
         V -= basis_times(against, against.T @ (M @ V))
 
-    W = np.empty((n, k), order="F")
-    MW = np.empty((n, k), order="F")
+    MW = np.empty(V.shape, order="F")
     kept = 0
-    for j in range(k):
+    for j in range(V.shape[1]):
         if pre[j] == 0.0:
             continue
         v = V[:, j]
         for _ in range(2):  # second sweep = full re-orthogonalization
-            v -= W[:, :kept] @ (MW[:, :kept].T @ v)
+            v -= V[:, :kept] @ (MW[:, :kept].T @ v)
         mv = M @ v
         post_sq = float(v @ mv)
         post = np.sqrt(post_sq) if post_sq > 0.0 else 0.0
         if post < _DROP_TOL * pre[j]:
             continue
-        W[:, kept] = v / post
+        V[:, kept] = v / post  # compacted into column kept <= j, already read
         MW[:, kept] = mv / post
         kept += 1
 
     if kept == 0 and against is None:
         raise EmptyBasisError("all vectors were dropped during orthonormalization")
-    return W[:, :kept]
+    return V[:, :kept]

@@ -32,8 +32,8 @@ __all__ = [
     "build_decomposition",
 ]
 
-# Bytes one array may take: the machine's physical memory.  The dof grid
-# guard here and the trial basis guard in eigensolver both read it.
+# Bytes one array may take: the machine's physical memory.  The guards of the dof
+# grid here, the trial basis in eigensolver and the coarse eigensolve in schwarz read it.
 _MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schwarzjd import cli, eigensolver
+from schwarzjd import cli, eigensolver, schwarz
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
 from schwarzjd.errors import SingularMatrixError
 
@@ -120,6 +120,15 @@ class TestConfigValidation:
         out = tmp_path / "run"
         err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
         assert "GiB" in err and "--restart-dim" in err
+        assert not out.exists()
+
+    def test_coarse_eigensolve_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
+                                                                           monkeypatch):
+        # TINY's coarse level 2 has 9 dofs: the eigensolve needs about 32 * 9^2 bytes
+        monkeypatch.setattr(schwarz, "_MEMORY_BUDGET", 32 * 9**2 - 1)
+        out = tmp_path / "run"
+        err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
+        assert "coarse eigensolve at level 2 (9 dofs)" in err and "GiB of physical memory" in err
         assert not out.exists()
 
     def test_mesh_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path):

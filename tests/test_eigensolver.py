@@ -228,6 +228,29 @@ class TestBasisBuffer:
         assert np.array_equal(second.basis[:, :parent.dim], parent_basis)
         assert not np.array_equal(second.basis, first.basis)
 
+    def test_newest_state_grows_by_orthonormalizing_into_its_buffer(self, small, monkeypatch):
+        hier, pencil, _ = small
+        rng = np.random.default_rng(57)
+        results, original = [], linalg.b_orthonormalize
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(linalg, "b_orthonormalize", recording)
+        state = initialize(hier, pencil, ClusterSpec(1, 3), reserve=20)
+        V = rng.standard_normal((pencil.n, 3))
+        V[:, 2] = V[:, 0] + V[:, 1]  # dropped
+        for new in (V, rng.standard_normal((pencil.n, 3))):
+            grown = rayleigh_ritz(state, new, pencil)
+            accepted = results[-1]
+            assert grown._buffer is state._buffer and grown._buffer.filled == grown.dim
+            # the accepted columns are the basis columns, not a copy of them
+            assert accepted.ctypes.data == grown.basis[:, state.dim:].ctypes.data
+            assert grown.dim == state.dim + accepted.shape[1]
+            state = grown
+        assert [r.shape[1] for r in results] == [3, 2, 3]
+
     def test_basis_and_cluster_vectors_are_read_only(self, stepped):
         pencil, _, _, state, _ = stepped
         grown = rayleigh_ritz(state, np.random.default_rng(55).standard_normal((pencil.n, 2)),

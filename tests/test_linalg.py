@@ -162,6 +162,27 @@ class TestDenseGeneralizedEig:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             dense_generalized_eig(np.eye(3), np.eye(4))
+        with pytest.raises(InvalidArgumentError):
+            dense_generalized_eig(sp.identity(3, format="csr"), np.eye(4))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_same_bits_as_scipy_and_operands_kept(self, sparse):
+        # the operands are copied into maps that LAPACK overwrites
+        pencil = assemble(build_mesh(DomainShape.LSHAPE, 3))
+        K, M = pencil.stiffness.toarray(), pencil.mass.toarray()
+        values, vectors = sla.eigh(K, M)
+        A, B = (pencil.stiffness, pencil.mass) if sparse else (K.copy(), M.copy())
+        eig = dense_generalized_eig(A, B)
+        assert np.array_equal(eig.values, values) and np.array_equal(eig.vectors, vectors)
+        if not sparse:
+            assert np.array_equal(A, K) and np.array_equal(B, M)
+
+    def test_dense_lowest_eigenpairs_same_bits_as_scipy(self):
+        pencil = assemble(build_mesh(DomainShape.SQUARE, 4))
+        K, M = pencil.stiffness.toarray(), pencil.mass.toarray()
+        values, vectors = sla.eigh(K, M, subset_by_index=(0, 11))
+        got = lowest_eigenpairs(pencil.stiffness, pencil.mass, 12)  # 225 dofs: the dense route
+        assert np.array_equal(got.values, values) and np.array_equal(got.vectors, vectors)
 
 
 def max_sin_angle(V, W, M):
@@ -290,6 +311,28 @@ class TestBOrthonormalize:
         T = b_orthonormalize(v, M, against=W)
         assert T.shape == (pencil.n, kept)
         assert np.abs(W.T @ (M @ T)).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("dependent", [False, True], ids=["all-kept", "one-dropped"])
+    def test_out_block_gets_the_same_bits_in_place(self, pencil, dependent):
+        rng = np.random.default_rng(28)
+        M = pencil.mass
+        against = b_orthonormalize(rng.standard_normal((pencil.n, 4)), M)
+        V = rng.standard_normal((pencil.n, 5))
+        if dependent:
+            V[:, 2] = V[:, 0] - 2.0 * V[:, 1]
+        given = V.copy()
+        ref = b_orthonormalize(V, M, against=against)
+        assert ref.shape[1] == (4 if dependent else 5)
+        buffer = linalg.mapped_zeros(pencil.n, 9)
+        W = b_orthonormalize(V, M, against=against, out=buffer[:, 2:7])
+        assert np.array_equal(V, given)
+        assert np.shares_memory(W, buffer) and W.ctypes.data == buffer[:, 2:].ctypes.data
+        assert np.array_equal(W, ref)
+        assert not buffer[:, :2].any() and not buffer[:, 7:].any()
+        # the block to orthonormalize may be the out block itself
+        block = buffer[:, 4:]
+        block[:] = given
+        assert np.array_equal(b_orthonormalize(block, M, against=against, out=block), ref)
 
     def test_all_dropped_without_fallback_raises(self, pencil):
         with pytest.raises(EmptyBasisError):

@@ -4,10 +4,14 @@
 
 Wraps the set-up calls and the phases of ``eigensolver.solve`` as module
 attributes, as perfbench's tracer does, while a thread reads /proc/self/statm
-every 2 ms.  Prints each phase's calls and the process RSS high-water mark
-while one of its calls ran (a nested call counts for every enclosing phase).
+every 2 ms.  Prints each phase's calls, the process RSS high-water mark
+while one of its calls ran (a nested call counts for every enclosing phase)
+and the largest free heap that glibc retained as one of its calls returned
+(``mallinfo2().fordblks``: memory freed to malloc but not to the kernel;
+``n/a`` where the C library has no ``mallinfo2``).
 """
 
+import ctypes
 import os
 import sys
 import threading
@@ -24,7 +28,18 @@ PHASES = [(mesh, "build_hierarchy"), (mesh, "build_decomposition"), (fem, "assem
           *[(eigensolver, a) for a in ("initialize", "correction_step", "rayleigh_ritz",
                                        "_thick_restart", "stop_bounds", "stop_norm")]]
 PAGE = os.sysconf("SC_PAGE_SIZE")
-active, calls, peak = [], {}, {}
+active, calls, peak, retained = [], {}, {}, {}
+
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(field, ctypes.c_size_t) for field in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+if mallinfo2 is not None:
+    mallinfo2.restype = Mallinfo2
 
 
 def sample(period=None):
@@ -50,6 +65,8 @@ def wrap(owner, attr):
         finally:
             sample()
             active.remove(name)
+            if mallinfo2 is not None:
+                retained[name] = max(retained.get(name, 0), mallinfo2().fordblks)
 
     setattr(owner, attr, traced)
 
@@ -66,7 +83,9 @@ def main(domain, coarse, fine, m, M, restart_dim=None):
     dim = report.trace[-1].basis_dim
     print(f"iterations={report.iterations}  basis {dim} columns {8 * pencil.n * dim / 2**20:.1f} MiB")
     for name, count in calls.items():
-        print(f"{name:28s} calls={count:<5d} peak_rss={peak[name] / 2**20:8.1f} MiB")
+        heap = f"{retained[name] / 2**20:6.1f} MiB" if name in retained else "n/a"
+        print(f"{name:28s} calls={count:<5d} peak_rss={peak[name] / 2**20:8.1f} MiB  "
+              f"retained_heap={heap}")
 
 
 if __name__ == "__main__":

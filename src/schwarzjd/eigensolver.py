@@ -37,7 +37,8 @@ columns are the rho_i; the stop bounds, the exact stop norm and the next
 correction all read that block.  Startup grows an empty basis by the
 lifted vectors, each outer iteration grows the current basis by its
 corrections, and the optional thick restart (``restart_dim``) grows an
-empty basis by Ritz vectors 1..last and the newest corrections.
+empty basis by Ritz vectors 1..last and the newest corrections, which it
+writes straight into the new chain's buffer.
 
 Iteration states are immutable; every step returns a new one.  A state's
 basis is a read-only view of the leading columns of a Fortran-ordered
@@ -235,9 +236,18 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
 
     The new state starts a chain whose buffer reserves ``reserve`` columns
     (0: twice the startup basis), so that growth up to that dimension
-    writes in place.  Raises ClusterTooLargeError unless the
-    initialization mesh has more dofs than ``cluster.last`` (the hierarchy
-    must be coarsened less aggressively).
+    writes in place.  The startup's temporaries (the sparse factorization
+    of the initialization pencil, the lifted block, the Gram-Schmidt
+    blocks) outgrow those of any later iteration, so it ends by returning
+    the heap they freed to the operating system
+    (``linalg.release_free_heap``).
+
+    Raises ClusterTooLargeError unless the initialization mesh has more
+    dofs than ``cluster.last`` (the hierarchy must be coarsened less
+    aggressively), and ProblemTooLargeError, before the eigensolve, when
+    the startup block does not fit in physical memory: three n x last
+    blocks, the basis columns plus the C-ordered copy of them and the
+    product that a sparse mass product makes.
     """
     n_init = hier.initial.n_dofs
     if cluster.last >= n_init:
@@ -245,10 +255,20 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
             f"cluster needs {cluster.last} eigenpairs but the initialization mesh "
             f"has only {n_init} dofs; it must have more"
         )
+    need = 3 * 8 * pencil.n * cluster.last
+    if need > _MEMORY_BUDGET:
+        raise ProblemTooLargeError(
+            f"the startup block, three blocks of {cluster.last} columns of {pencil.n} dofs, "
+            f"needs {need / 2**30:.1f} GiB, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB "
+            f"of physical memory; a lower cluster end or fine level needs less"
+        )
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    return _grow(_empty_state(cluster, pencil.n), hier.initial_to_fine @ init.vectors,
-                 pencil, 0, reserve)
+    state = _grow(_empty_state(cluster, pencil.n), hier.initial_to_fine @ init.vectors,
+                  pencil, 0, reserve)
+    del init_pencil, init  # their heap is released too
+    linalg.release_free_heap()
+    return state
 
 
 def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) -> np.ndarray:
@@ -304,16 +324,26 @@ def _thick_restart(state: IterationState, corrections: np.ndarray,
     """Compact the basis to Ritz vectors 1..last plus the newest corrections.
 
     The compacted state starts a new chain whose buffer reserves ``reserve``
-    columns (0: twice the compacted basis).
+    columns (0: twice the compacted basis).  The Ritz vectors are formed
+    straight into that buffer, by the product of ``ritz_block``, and the
+    corrections are copied beside them, where ``_grow`` orthonormalizes
+    them in place: besides the old basis, the restart holds only the new
+    block.
     """
-    kept = np.hstack([state.ritz_block(1, state.cluster.last), corrections])
-    return _grow(_empty_state(state.cluster, pencil.n), kept, pencil, state.iteration, reserve)
+    last = state.cluster.last
+    k = last + corrections.shape[1]
+    buffer = _BasisBuffer(pencil.n, k, reserve or 2 * k)
+    block = buffer.data[:, :k]
+    np.matmul(state.ritz_coeffs[:, :last].T, state.basis.T, out=block[:, :last].T)
+    block[:, last:] = corrections
+    return _grow(_empty_state(state.cluster, pencil.n, buffer), block, pencil, state.iteration)
 
 
-def _empty_state(cluster: ClusterSpec, n: int) -> IterationState:
+def _empty_state(cluster: ClusterSpec, n: int, buffer: _BasisBuffer | None = None
+                 ) -> IterationState:
     empty = np.empty((n, 0))
     return IterationState(cluster, empty, np.empty((0, 0)), np.empty(0), np.empty((0, 0)),
-                          empty, empty, empty)
+                          empty, empty, empty, _buffer=buffer)
 
 
 def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
@@ -327,7 +357,8 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
 
     The orthonormalization writes straight into the buffer, behind the
     basis, when ``state`` is the newest state on its buffer and the buffer
-    has room for all k columns.  Otherwise (an empty state, an older state,
+    has room for all k columns; ``new_vectors`` may be those very columns.
+    Otherwise (an empty state without a buffer, an older state,
     or a full buffer) the basis is copied into a new buffer that reserves
     ``reserve`` columns, or twice dim + k when ``reserve`` is 0, so that a
     caller growing state by state without a reservation copies only
@@ -341,7 +372,8 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
         buffer = _BasisBuffer(pencil.n, dim + k, reserve or 2 * (dim + k))
         buffer.data[:, :dim] = state.basis
     out = buffer.data[:, dim:dim + k]
-    np.copyto(out, new_vectors)
+    if not np.shares_memory(out, new_vectors):  # a thick restart writes them in place
+        np.copyto(out, new_vectors)
     del new_vectors  # frees a block passed unnamed, as initialize passes the lifted one
     accepted = linalg.b_orthonormalize(out, pencil.mass, against=state.basis, out=out)
     if accepted.shape[1] == 0:
@@ -376,8 +408,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
-    ProblemTooLargeError before the startup when the coarse eigensolve, and
-    later when the trial basis, would outgrow physical memory.
+    ProblemTooLargeError before the startup eigensolve when the coarse
+    eigensolve or the startup block, and later when the trial basis, would
+    outgrow physical memory.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(

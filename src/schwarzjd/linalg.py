@@ -10,10 +10,13 @@ repeated solves.  Large dense temporaries stay off the malloc heap, which
 keeps freed blocks once glibc's mmap threshold has risen: the dense
 eigensolves overwrite copies of their operands in ``mapped_zeros`` maps,
 and ``b_orthonormalize`` works in, and returns a view of, an ``out`` block.
+``release_free_heap`` hands the heap that a one-off phase freed back to
+the operating system.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import mmap
@@ -39,6 +42,7 @@ __all__ = [
     "factorize_shifted",
     "mass_chebyshev",
     "mapped_zeros",
+    "release_free_heap",
     "dense_generalized_eig",
     "lowest_eigenpairs",
     "b_orthonormalize",
@@ -212,6 +216,21 @@ def mapped_zeros(n: int, k: int) -> np.ndarray:
     backed as it is written and unmapped when freed (a shared map faults in slower)."""
     memory = mmap.mmap(-1, 8 * max(n * k, 1), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(memory, count=n * k).reshape((n, k), order="F")
+
+
+try:  # glibc's malloc_trim; other C libraries lack it
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def release_free_heap() -> None:
+    """Return the malloc heap's free pages to the operating system (glibc
+    ``malloc_trim(0)``); does nothing where the C library lacks it.  Values
+    in live arrays are untouched."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _mapped_copy(S) -> np.ndarray:

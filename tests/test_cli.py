@@ -116,10 +116,21 @@ class TestConfigValidation:
 
     def test_basis_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
                                                               monkeypatch):
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 1024)
+        # TINY has 225 dofs: room for 6 columns, the startup's three 2-column
+        # blocks, but not for the basis of 8 columns after three iterations
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * 225 * 6)
         out = tmp_path / "run"
         err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
         assert "GiB" in err and "--restart-dim" in err
+        assert not out.exists()
+
+    def test_startup_block_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
+                                                                      monkeypatch):
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * 225 * 6 - 1)
+        out = tmp_path / "run"
+        err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
+        assert "startup block, three blocks of 2 columns of 225 dofs" in err
+        assert "GiB of physical memory" in err
         assert not out.exists()
 
     def test_coarse_eigensolve_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,

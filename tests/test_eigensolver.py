@@ -261,32 +261,49 @@ class TestBasisBuffer:
             assert np.array_equal(s.cluster_vectors, s.ritz_block(1, 2))
             assert np.array_equal(s.mass_vectors, pencil.mass @ s.cluster_vectors)
 
+    # The budgets below admit the startup block of cluster 3..5, three 5-column blocks.
+
     def test_basis_beyond_memory_budget_raises(self, small, monkeypatch):
         hier, pencil, decomp = small
-        # room for 10 columns: the basis grows 5 -> 8 -> 11, and 11 columns do not fit
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 10)
-        with pytest.raises(ProblemTooLargeError, match=r"11 columns .* GiB.*--restart-dim"):
-            solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig(max_iter=5))
+        # room for 16 columns: the basis grows 5 -> 8 -> ... -> 17, and 17 columns do not fit
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 16)
+        with pytest.raises(ProblemTooLargeError, match=r"17 columns .* GiB.*--restart-dim"):
+            solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig(tol=1e-12, max_iter=5))
 
     def test_basis_that_exactly_fits_the_budget_finishes(self, small, monkeypatch):
         hier, pencil, decomp = small
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 11)
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 17)
         report = solve(hier, pencil, decomp, ClusterSpec(3, 5),
-                       SolverConfig(tol=1e-12, max_iter=2))
-        assert [rec.basis_dim for rec in report.trace] == [5, 8, 11]
+                       SolverConfig(tol=1e-12, max_iter=4))
+        assert [rec.basis_dim for rec in report.trace] == [5, 8, 11, 14, 17]
 
     def test_reservation_capped_at_memory_raises_only_past_the_cap(self, small, monkeypatch):
         hier, pencil, _ = small
         rng = np.random.default_rng(56)
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 11)
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 17)
         state = initialize(hier, pencil, ClusterSpec(3, 5), reserve=100)
         buffer = state._buffer
-        assert buffer.data.shape == (pencil.n, 11)
-        for dim in (8, 11):
+        assert buffer.data.shape == (pencil.n, 17)
+        for dim in (8, 11, 14, 17):
             state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
             assert state.dim == dim and state._buffer is buffer  # written in place
-        with pytest.raises(ProblemTooLargeError, match=r"12 columns"):
+        with pytest.raises(ProblemTooLargeError, match=r"18 columns"):
             rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)), pencil)
+
+    def test_startup_block_admitted_up_to_three_blocks(self, small, monkeypatch):
+        hier, pencil, _ = small
+        cluster = ClusterSpec(3, 5)
+        need = 3 * 8 * pencil.n * cluster.last
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", need)
+        assert initialize(hier, pencil, cluster).dim == cluster.last
+        eigensolves = []
+        monkeypatch.setattr(linalg, "lowest_eigenpairs", lambda *a: eigensolves.append(a))
+        # one byte short of three blocks, though the basis's 5 columns fit
+        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ProblemTooLargeError,
+                           match=r"startup block, three blocks of 5 columns of 225 dofs.*GiB"):
+            initialize(hier, pencil, cluster)
+        assert eigensolves == []  # refused before the startup eigensolve
 
 
 class TestOneBufferPerChain:
@@ -341,23 +358,63 @@ class TestOneBufferPerChain:
         assert states[-1].dim <= buffers[-1].data.shape[1]
 
 
+class TestStartupHeapRelease:
+    def test_release_changes_no_bit_of_a_sparse_startup_solve(self, monkeypatch):
+        hier = build_hierarchy(DomainShape.SQUARE, 4, 6)
+        assert hier.initial.n_dofs > linalg.DENSE_LIMIT  # SuperLU and Lanczos at startup
+        pencil = assemble(hier.fine)
+        decomp = build_decomposition(hier, 0.25)
+        releases, release = [], linalg.release_free_heap
+        monkeypatch.setattr(linalg, "release_free_heap", lambda: releases.append(release()))
+        released = solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig())
+        monkeypatch.setattr(linalg, "release_free_heap", lambda: None)
+        kept = solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig())
+        assert len(releases) == 1 and released.converged
+        assert released.iterations == kept.iterations
+        assert np.array_equal(released.values, kept.values)
+        assert np.array_equal(released.vectors, kept.vectors)
+        assert len(released.trace) == len(kept.trace)
+        for a, b in zip(released.trace, kept.trace):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal([a.stop_norm, a.stop_lower, a.stop_upper],
+                                  [b.stop_norm, b.stop_lower, b.stop_upper], equal_nan=True)
+
+
+def _iterated(hier, pencil, decomp, cluster, steps):
+    """The state after ``steps`` outer iterations, and its newest corrections."""
+    state = initialize(hier, pencil, cluster)
+    coarse = build_coarse_piece(hier, cluster.last)
+    blocks = LocalBlocks(hier.fine, decomp)
+    for _ in range(steps):
+        prec = prepare(blocks, coarse, state.cluster_values())
+        corrections = correction_step(state, prec)
+        state = rayleigh_ritz(state, corrections, pencil)
+    return state, corrections
+
+
 class TestThickRestart:
     def test_keeps_ritz_values_and_mass_orthonormality(self, small):
         hier, pencil, decomp = small
-        cluster = ClusterSpec(3, 5)
-        state = initialize(hier, pencil, cluster)
-        coarse = build_coarse_piece(hier, cluster.last)
-        blocks = LocalBlocks(hier.fine, decomp)
-        for _ in range(3):
-            prec = prepare(blocks, coarse, state.cluster_values())
-            corrections = correction_step(state, prec)
-            state = rayleigh_ritz(state, corrections, pencil)
+        state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3)
         out = _thick_restart(state, corrections, pencil)
         # The restarted space lies inside the old one and holds Ritz vectors 1..last.
         assert np.allclose(out.ritz_values[:5], state.ritz_values[:5], rtol=1e-10, atol=0)
         assert out.dim < state.dim
         assert out.iteration == state.iteration
         assert np.abs(out.basis.T @ (pencil.mass @ out.basis) - np.eye(out.dim)).max() <= 1e-10
+
+    @pytest.mark.parametrize("cluster", [ClusterSpec(3, 5), ClusterSpec(10, 14)],
+                             ids=["last-5", "last-14"])
+    def test_block_built_in_the_new_buffer_gives_the_same_bits(self, small, cluster):
+        hier, pencil, decomp = small
+        state, corrections = _iterated(hier, pencil, decomp, cluster, 4)
+        kept = np.hstack([state.ritz_block(1, cluster.last), corrections])
+        want = _grow(_empty_state(cluster, pencil.n), kept, pencil, state.iteration, 40)
+        got = _thick_restart(state, corrections, pencil, 40)
+        assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
+        for name in ("basis", "projected", "ritz_values", "ritz_coeffs", "residual"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.iteration == want.iteration
 
 
 class TestStopNorm:

@@ -252,6 +252,18 @@ def pencil():
     return assemble(build_mesh(DomainShape.SQUARE, 4))
 
 
+class TestReleaseFreeHeap:
+    def test_calls_malloc_trim_with_no_padding(self, monkeypatch):
+        pads = []
+        monkeypatch.setattr(linalg, "_malloc_trim", pads.append)
+        linalg.release_free_heap()
+        assert pads == [0]
+
+    def test_does_nothing_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_malloc_trim", None)
+        assert linalg.release_free_heap() is None
+
+
 class TestBOrthonormalize:
     def test_random_set_is_mass_orthonormal(self, pencil):
         rng = np.random.default_rng(21)

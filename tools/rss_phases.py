@@ -2,13 +2,16 @@
 
     python3 tools/rss_phases.py square 5 8 99 108 [restart_dim]
 
-Wraps the set-up calls and the phases of ``eigensolver.solve`` as module
-attributes, as perfbench's tracer does, while a thread reads /proc/self/statm
-every 2 ms.  Prints each phase's calls, the process RSS high-water mark
-while one of its calls ran (a nested call counts for every enclosing phase)
-and the largest free heap that glibc retained as one of its calls returned
+Wraps the set-up calls, the phases of ``eigensolver.solve`` and the
+startup's heap release (``linalg.release_free_heap``) as module attributes,
+as perfbench's tracer does, while a thread reads /proc/self/statm every
+2 ms.  Prints each phase's calls, the process RSS high-water mark while one
+of its calls ran (a nested call counts for every enclosing phase), the
+largest free heap that glibc retained as one of its calls returned
 (``mallinfo2().fordblks``: memory freed to malloc but not to the kernel;
-``n/a`` where the C library has no ``mallinfo2``).
+``n/a`` where the C library has no ``mallinfo2``), and the RSS and free heap
+as its last call started and returned (``last=``), which for the release
+shows what it handed back.
 """
 
 import ctypes
@@ -21,14 +24,15 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from schwarzjd import eigensolver, fem, mesh, schwarz  # noqa: E402
+from schwarzjd import eigensolver, fem, linalg, mesh, schwarz  # noqa: E402
 
 PHASES = [(mesh, "build_hierarchy"), (mesh, "build_decomposition"), (fem, "assemble"),
           *[(schwarz, a) for a in ("build_coarse_piece", "LocalBlocks", "prepare")],
           *[(eigensolver, a) for a in ("initialize", "correction_step", "rayleigh_ritz",
-                                       "_thick_restart", "stop_bounds", "stop_norm")]]
+                                       "_thick_restart", "stop_bounds", "stop_norm")],
+          (linalg, "release_free_heap")]
 PAGE = os.sysconf("SC_PAGE_SIZE")
-active, calls, peak, retained = [], {}, {}, {}
+active, calls, peak, retained, last = [], {}, {}, {}, {}
 
 
 class Mallinfo2(ctypes.Structure):
@@ -49,8 +53,16 @@ def sample(period=None):
         for name in list(active):
             peak[name] = max(peak.get(name, 0), rss)
         if period is None:
-            return
+            return rss
         time.sleep(period)
+
+
+def free_heap():
+    return None if mallinfo2 is None else mallinfo2().fordblks
+
+
+def mib(size):
+    return "n/a" if size is None else f"{size / 2**20:.1f} MiB"
 
 
 def wrap(owner, attr):
@@ -59,14 +71,15 @@ def wrap(owner, attr):
     def traced(*args, **kwargs):
         calls[name] = calls.get(name, 0) + 1
         active.append(name)
-        sample()
+        before = sample(), free_heap()
         try:
             return original(*args, **kwargs)
         finally:
-            sample()
+            after = sample(), free_heap()
             active.remove(name)
-            if mallinfo2 is not None:
-                retained[name] = max(retained.get(name, 0), mallinfo2().fordblks)
+            last[name] = before, after
+            if after[1] is not None:
+                retained[name] = max(retained.get(name, 0), after[1])
 
     setattr(owner, attr, traced)
 
@@ -83,9 +96,10 @@ def main(domain, coarse, fine, m, M, restart_dim=None):
     dim = report.trace[-1].basis_dim
     print(f"iterations={report.iterations}  basis {dim} columns {8 * pencil.n * dim / 2**20:.1f} MiB")
     for name, count in calls.items():
-        heap = f"{retained[name] / 2**20:6.1f} MiB" if name in retained else "n/a"
+        (rss_in, heap_in), (rss_out, heap_out) = last[name]
         print(f"{name:28s} calls={count:<5d} peak_rss={peak[name] / 2**20:8.1f} MiB  "
-              f"retained_heap={heap}")
+              f"retained_heap={mib(retained.get(name)):>10s}  last=rss {mib(rss_in)} -> "
+              f"{mib(rss_out)}, heap {mib(heap_in)} -> {mib(heap_out)}")
 
 
 if __name__ == "__main__":

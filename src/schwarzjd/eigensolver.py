@@ -51,8 +51,8 @@ orthonormalizes the new vectors in place, behind the views the older states
 hold; only growing an older state, or past the reservation, copies a basis.
 The reservation is an anonymous memory map, so pages are backed only as
 columns are written and the process holds the basis, not the reservation.
-The basis takes 8 n dim bytes; a basis that would exceed physical memory
-raises ProblemTooLargeError before its buffer is allocated.
+The basis takes 8 n dim bytes and the startup block 24 n last; ``linalg.admit``
+refuses either, before it is allocated, when it exceeds physical memory.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -70,8 +70,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, linalg, schwarz
-from .errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
-from .mesh import _MEMORY_BUDGET, Decomposition, MeshHierarchy
+from .errors import ClusterTooLargeError, InvalidArgumentError
+from .mesh import Decomposition, MeshHierarchy
 
 __all__ = [
     "ClusterSpec",
@@ -136,14 +136,8 @@ class _BasisBuffer:
     """
 
     def __init__(self, n: int, need: int, capacity: int):
-        fits = _MEMORY_BUDGET // (8 * n)
-        if need > fits:
-            raise ProblemTooLargeError(
-                f"a trial basis of {need} columns of {n} dofs needs "
-                f"{8 * n * need / 2**30:.1f} GiB, more than the "
-                f"{_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory; "
-                f"bound the basis with --restart-dim"
-            )
+        fits = linalg.admit(f"a trial basis of {need} columns of {n} dofs", 8 * n, need,
+                            "; bound the basis with --restart-dim")
         self.data = linalg.mapped_zeros(n, min(max(capacity, need), fits))
         self.filled = 0
 
@@ -185,10 +179,6 @@ class IterationState:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def ritz_block(self, first: int, last: int) -> np.ndarray:
-        """Ritz vectors with 1-based indices first..last as columns."""
-        return linalg.basis_times(self.basis, self.ritz_coeffs[:, first - 1 : last])
 
     def cluster_values(self) -> np.ndarray:
         c = self.cluster
@@ -255,13 +245,8 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
             f"cluster needs {cluster.last} eigenpairs but the initialization mesh "
             f"has only {n_init} dofs; it must have more"
         )
-    need = 3 * 8 * pencil.n * cluster.last
-    if need > _MEMORY_BUDGET:
-        raise ProblemTooLargeError(
-            f"the startup block, three blocks of {cluster.last} columns of {pencil.n} dofs, "
-            f"needs {need / 2**30:.1f} GiB, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB "
-            f"of physical memory; a lower cluster end or fine level needs less"
-        )
+    linalg.admit(f"the startup block, three blocks of {cluster.last} columns of {pencil.n} dofs,",
+                 3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
     state = _grow(_empty_state(cluster, pencil.n), hier.initial_to_fine @ init.vectors,
@@ -325,10 +310,10 @@ def _thick_restart(state: IterationState, corrections: np.ndarray,
 
     The compacted state starts a new chain whose buffer reserves ``reserve``
     columns (0: twice the compacted basis).  The Ritz vectors are formed
-    straight into that buffer, by the product of ``ritz_block``, and the
-    corrections are copied beside them, where ``_grow`` orthonormalizes
-    them in place: besides the old basis, the restart holds only the new
-    block.
+    straight into that buffer, by the product that ``linalg.basis_times``
+    forms, and the corrections are copied beside them, where ``_grow``
+    orthonormalizes them in place: besides the old basis, the restart holds
+    only the new block.
     """
     last = state.cluster.last
     k = last + corrections.shape[1]

@@ -28,7 +28,7 @@ class EmptyBasisError(SchwarzJDError):
 class ProblemTooLargeError(InvalidArgumentError):
     """A computation was requested beyond its feasibility guard.
 
-    Raised for a dense reference spectrum above its dof limit, and for a
-    mesh dof grid, a trial basis or a dense coarse eigensolve larger than
-    the machine's physical memory.
+    Raised for a dense reference spectrum above its dof limit, and by
+    ``linalg.admit`` for a mesh dof grid, a dense coarse eigensolve, a
+    startup block or a trial basis larger than the machine's physical memory.
     """

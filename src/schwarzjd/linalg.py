@@ -7,11 +7,12 @@ operands go through SuperLU.  A P1 mass matrix is solved without a
 factorization, by a fixed-step Chebyshev semi-iteration (``mass_chebyshev``).
 All returned handles are immutable after construction and safe for
 repeated solves.  Large dense temporaries stay off the malloc heap, which
-keeps freed blocks once glibc's mmap threshold has risen: the dense
+keeps freed blocks once glibc's mmap threshold has risen: both dense
 eigensolves overwrite copies of their operands in ``mapped_zeros`` maps,
 and ``b_orthonormalize`` works in, and returns a view of, an ``out`` block.
 ``release_free_heap`` hands the heap that a one-off phase freed back to
-the operating system.
+the operating system.  ``admit`` checks each large allocation of the
+package against physical memory before it is made.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import ctypes
 import logging
 import math
 import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .errors import (
     EmptyBasisError,
     EigensolverError,
     InvalidArgumentError,
+    ProblemTooLargeError,
     SingularMatrixError,
 )
 
@@ -41,6 +44,7 @@ __all__ = [
     "factorize",
     "factorize_shifted",
     "mass_chebyshev",
+    "admit",
     "mapped_zeros",
     "release_free_heap",
     "dense_generalized_eig",
@@ -211,6 +215,24 @@ class EigenBasis:
     vectors: np.ndarray
 
 
+# Bytes one allocation may take: the machine's physical memory.  Only ``admit`` reads it.
+_MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def admit(what: str, unit: int, count: int = 1, remedy: str = "") -> int:
+    """The number of ``unit``-byte pieces that fit in physical memory, when ``count`` do.
+
+    Otherwise raises ProblemTooLargeError: "<what> needs X GiB, more than the
+    Y GiB of physical memory<remedy>".
+    """
+    need = unit * count
+    if need > _MEMORY_BUDGET:
+        raise ProblemTooLargeError(
+            f"{what} needs {need / 2**30:.1f} GiB, more than the "
+            f"{_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory{remedy}")
+    return _MEMORY_BUDGET // unit
+
+
 def mapped_zeros(n: int, k: int) -> np.ndarray:
     """A zero-filled Fortran-ordered float64 (n, k) array over a private anonymous map,
     backed as it is written and unmapped when freed (a shared map faults in slower)."""
@@ -233,11 +255,18 @@ def release_free_heap() -> None:
         _malloc_trim(0)
 
 
-def _mapped_copy(S) -> np.ndarray:
-    """A copy of the sparse or dense matrix ``S`` in a fresh ``mapped_zeros`` array."""
-    out = mapped_zeros(*np.shape(S))
-    S.toarray(out=out) if sp.issparse(S) else np.copyto(out, S)  # toarray adds to the zeros
-    return out
+def _mapped_eigh(A, B, subset=None) -> EigenBasis:
+    """Eigenpairs ``subset`` = (lo, hi), or all, of A x = lambda B x by LAPACK, which
+    overwrites copies of A and B (sparse or dense) in fresh ``mapped_zeros`` maps and
+    leaves the vectors in A's.  Raises InvalidArgumentError unless B is positive definite."""
+    a, b = mapped_zeros(*np.shape(A)), mapped_zeros(*np.shape(B))
+    for S, out in ((A, a), (B, b)):
+        S.toarray(out=out) if sp.issparse(S) else np.copyto(out, S)  # toarray adds to the zeros
+    try:
+        values, vectors = sla.eigh(a, b, subset_by_index=subset, overwrite_a=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidArgumentError(f"mass operand is not positive definite: {exc}") from exc
+    return EigenBasis(values=values, vectors=vectors)
 
 
 def dense_generalized_eig(A, B) -> EigenBasis:
@@ -251,12 +280,7 @@ def dense_generalized_eig(A, B) -> EigenBasis:
     shape = np.shape(A)
     if np.shape(B) != shape or len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidArgumentError(f"matching square operands expected, got {shape} and {np.shape(B)}")
-    try:
-        values, vectors = sla.eigh(_mapped_copy(A), _mapped_copy(B),
-                                   overwrite_a=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError(f"mass operand is not positive definite: {exc}") from exc
-    return EigenBasis(values=values, vectors=vectors)
+    return _mapped_eigh(A, B)
 
 
 def lowest_eigenpairs(K, M, k: int) -> EigenBasis:
@@ -266,16 +290,14 @@ def lowest_eigenpairs(K, M, k: int) -> EigenBasis:
     or more, are solved densely.  Otherwise shift-invert Lanczos (ARPACK)
     at shift zero runs on the sparse factorization of K, from a fixed start
     vector so that repeated calls are bit-identical.  Raises
-    InvalidArgumentError unless 1 <= k < n, and EigensolverError when
-    ARPACK fails or does not converge.
+    InvalidArgumentError unless 1 <= k < n (and, densely, M is SPD), and
+    EigensolverError when ARPACK fails or does not converge.
     """
     n = K.shape[0]
     if not 1 <= k < n:
         raise InvalidArgumentError(f"need 1 <= k < {n} eigenpairs, got k={k}")
     if n <= DENSE_LIMIT or 2 * k >= n:
-        values, vectors = sla.eigh(_mapped_copy(K), _mapped_copy(M), subset_by_index=(0, k - 1),
-                                   overwrite_a=True, overwrite_b=True)
-        return EigenBasis(values=values, vectors=vectors)
+        return _mapped_eigh(K, M, subset=(0, k - 1))
     fact = factorize(K, expect_spd=True)
     op_inv = spla.LinearOperator((n, n), matvec=fact.solve, dtype=np.float64)
     # A generic fixed start vector: a constant one would be mass-orthogonal

@@ -12,7 +12,6 @@ numbered lexicographically by (y, x).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError, ProblemTooLargeError
+from . import linalg
+from .errors import InvalidArgumentError
 
 __all__ = [
     "DomainShape",
@@ -31,10 +31,6 @@ __all__ = [
     "build_hierarchy",
     "build_decomposition",
 ]
-
-# Bytes one array may take: the machine's physical memory.  The guards of the dof
-# grid here, the trial basis in eigensolver and the coarse eigensolve in schwarz read it.
-_MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class DomainShape(Enum):
@@ -108,20 +104,18 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
 
     The square at level j has (2^j - 1)^2 interior dofs, the L-shape
     (2^(j+1) - 1)^2 - (2^j)^2.  Raises InvalidArgumentError for level < 1
-    or a shape that names no DomainShape, and ProblemTooLargeError, before
-    allocating, when the int64 dof grid would exceed physical memory.
+    or a shape that names no DomainShape, and ProblemTooLargeError
+    (``linalg.admit``), before allocating, when the int64 dof grid would
+    exceed physical memory.
     """
     if not isinstance(level, (int, np.integer)) or level < 1:
         raise InvalidArgumentError(f"mesh level must be a positive integer, got {level!r}")
     shape = DomainShape(shape)
-    # The dof grid has 2^k + 1 lattice points per side and 8 bytes per point.
+    # The dof grid has 2^k + 1 lattice points per side, 8 bytes each.  No memory holds
+    # a side of 2^64 + 1: past k = 64 the count (and the GiB reported) is that of 64.
     k = level if shape is DomainShape.SQUARE else level + 1
-    max_side = math.isqrt(_MEMORY_BUDGET // 8)
-    if k >= (max_side - 1).bit_length():  # 2^k + 1 > max_side, without forming 2^k
-        raise ProblemTooLargeError(
-            f"a {shape.value} mesh at level {level} needs a dof grid of (2^{k} + 1)^2 int64 "
-            f"entries, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory"
-        )
+    linalg.admit(f"a {shape.value} mesh at level {level} with a dof grid of (2^{k} + 1)^2 "
+                 "int64 entries", 8, ((1 << min(k, 64)) + 1) ** 2)
     n = 1 << level
     N, interior_mask, _ = _domain_masks(shape, n)
     n_dofs = int(interior_mask.sum())

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .errors import InvalidArgumentError, ProblemTooLargeError
-from .mesh import _MEMORY_BUDGET, Decomposition, Mesh, MeshHierarchy
+from .errors import InvalidArgumentError
+from .mesh import Decomposition, Mesh, MeshHierarchy
 
 __all__ = [
     "CoarsePiece",
@@ -92,11 +92,7 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     if cluster_cut < 0:
         raise InvalidArgumentError(f"cluster cut must be >= 0, got {cluster_cut}")
     n_c = hier.coarse.n_dofs
-    if 32 * n_c**2 > _MEMORY_BUDGET:
-        raise ProblemTooLargeError(
-            f"the coarse eigensolve at level {hier.coarse.level} ({n_c} dofs) needs "
-            f"{32 * n_c**2 / 2**30:.1f} GiB, more than the {_MEMORY_BUDGET / 2**30:.1f} GiB "
-            "of physical memory")
+    linalg.admit(f"the coarse eigensolve at level {hier.coarse.level} ({n_c} dofs)", 32 * n_c**2)
     pencil = fem.assemble(hier.coarse)
     eig = linalg.dense_generalized_eig(pencil.stiffness, pencil.mass)
     return CoarsePiece(

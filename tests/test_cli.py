@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schwarzjd import cli, eigensolver, schwarz
+from schwarzjd import cli, linalg
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
 from schwarzjd.errors import SingularMatrixError
 
@@ -118,7 +118,7 @@ class TestConfigValidation:
                                                               monkeypatch):
         # TINY has 225 dofs: room for 6 columns, the startup's three 2-column
         # blocks, but not for the basis of 8 columns after three iterations
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * 225 * 6)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * 225 * 6)
         out = tmp_path / "run"
         err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
         assert "GiB" in err and "--restart-dim" in err
@@ -126,7 +126,7 @@ class TestConfigValidation:
 
     def test_startup_block_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
                                                                       monkeypatch):
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * 225 * 6 - 1)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * 225 * 6 - 1)
         out = tmp_path / "run"
         err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
         assert "startup block, three blocks of 2 columns of 225 dofs" in err
@@ -136,7 +136,7 @@ class TestConfigValidation:
     def test_coarse_eigensolve_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
                                                                            monkeypatch):
         # TINY's coarse level 2 has 9 dofs: the eigensolve needs about 32 * 9^2 bytes
-        monkeypatch.setattr(schwarz, "_MEMORY_BUDGET", 32 * 9**2 - 1)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 32 * 9**2 - 1)
         out = tmp_path / "run"
         err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
         assert "coarse eigensolve at level 2 (9 dofs)" in err and "GiB of physical memory" in err

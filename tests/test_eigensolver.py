@@ -258,7 +258,8 @@ class TestBasisBuffer:
         for s in (state, grown):
             for array in (s.basis, s.cluster_vectors, s.mass_vectors, s.residual):
                 assert not array.flags.writeable
-            assert np.array_equal(s.cluster_vectors, s.ritz_block(1, 2))
+            assert np.array_equal(s.cluster_vectors,
+                                  linalg.basis_times(s.basis, s.ritz_coeffs[:, 0:2]))
             assert np.array_equal(s.mass_vectors, pencil.mass @ s.cluster_vectors)
 
     # The budgets below admit the startup block of cluster 3..5, three 5-column blocks.
@@ -266,13 +267,13 @@ class TestBasisBuffer:
     def test_basis_beyond_memory_budget_raises(self, small, monkeypatch):
         hier, pencil, decomp = small
         # room for 16 columns: the basis grows 5 -> 8 -> ... -> 17, and 17 columns do not fit
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 16)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * pencil.n * 16)
         with pytest.raises(ProblemTooLargeError, match=r"17 columns .* GiB.*--restart-dim"):
             solve(hier, pencil, decomp, ClusterSpec(3, 5), SolverConfig(tol=1e-12, max_iter=5))
 
     def test_basis_that_exactly_fits_the_budget_finishes(self, small, monkeypatch):
         hier, pencil, decomp = small
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 17)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * pencil.n * 17)
         report = solve(hier, pencil, decomp, ClusterSpec(3, 5),
                        SolverConfig(tol=1e-12, max_iter=4))
         assert [rec.basis_dim for rec in report.trace] == [5, 8, 11, 14, 17]
@@ -280,7 +281,7 @@ class TestBasisBuffer:
     def test_reservation_capped_at_memory_raises_only_past_the_cap(self, small, monkeypatch):
         hier, pencil, _ = small
         rng = np.random.default_rng(56)
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", 8 * pencil.n * 17)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * pencil.n * 17)
         state = initialize(hier, pencil, ClusterSpec(3, 5), reserve=100)
         buffer = state._buffer
         assert buffer.data.shape == (pencil.n, 17)
@@ -294,12 +295,12 @@ class TestBasisBuffer:
         hier, pencil, _ = small
         cluster = ClusterSpec(3, 5)
         need = 3 * 8 * pencil.n * cluster.last
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", need)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need)
         assert initialize(hier, pencil, cluster).dim == cluster.last
         eigensolves = []
         monkeypatch.setattr(linalg, "lowest_eigenpairs", lambda *a: eigensolves.append(a))
         # one byte short of three blocks, though the basis's 5 columns fit
-        monkeypatch.setattr(eigensolver, "_MEMORY_BUDGET", need - 1)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need - 1)
         with pytest.raises(ProblemTooLargeError,
                            match=r"startup block, three blocks of 5 columns of 225 dofs.*GiB"):
             initialize(hier, pencil, cluster)
@@ -408,7 +409,8 @@ class TestThickRestart:
     def test_block_built_in_the_new_buffer_gives_the_same_bits(self, small, cluster):
         hier, pencil, decomp = small
         state, corrections = _iterated(hier, pencil, decomp, cluster, 4)
-        kept = np.hstack([state.ritz_block(1, cluster.last), corrections])
+        ritz = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:cluster.last])
+        kept = np.hstack([ritz, corrections])
         want = _grow(_empty_state(cluster, pencil.n), kept, pencil, state.iteration, 40)
         got = _thick_restart(state, corrections, pencil, 40)
         assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
@@ -430,7 +432,7 @@ class TestStopNorm:
         state = initialize(hier, pencil, ClusterSpec(1, 1))
         mass_fact = factorize(pencil.mass, expect_spd=True)
         lam = state.ritz_values[0]
-        u = state.ritz_block(1, 1).ravel()
+        u = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:1]).ravel()
         sn = stop_norm(state.residual, mass_fact)
         rho = lam * (pencil.mass @ u) - pencil.stiffness @ u
         want = np.sqrt(rho @ np.linalg.solve(pencil.mass.toarray(), rho))

@@ -155,9 +155,15 @@ class TestDenseGeneralizedEig:
             tr = np.trace(np.linalg.solve(B, A))
             assert np.sum(eig.values) == pytest.approx(tr, rel=1e-8)
 
-    def test_non_spd_mass_rejected(self):
+    @pytest.mark.parametrize("solve, A, B", [
+        (dense_generalized_eig, np.eye(3), np.diag([1.0, -1.0, 1.0])),
+        # the dense route of the startup eigensolve
+        (lambda A, B: lowest_eigenpairs(A, B, 2), sp.identity(5, format="csr"),
+         -sp.identity(5, format="csr")),
+    ], ids=["dense_generalized_eig", "lowest_eigenpairs"])
+    def test_non_spd_mass_rejected(self, solve, A, B):
         with pytest.raises(InvalidArgumentError):
-            dense_generalized_eig(np.eye(3), np.diag([1.0, -1.0, 1.0]))
+            solve(A, B)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -380,7 +386,7 @@ def test_orthonormalize_property(pencil, seed, cols, against_cols, dependent):
 def test_basis_times_agrees_with_plain_product(n, dim, spare, cols, offset, seed):
     # the basis is a read-only leading-column view of a wider Fortran
     # buffer, and the coefficients a column slice of a C-ordered array, as
-    # in eigensolver._grow and IterationState.ritz_block
+    # in eigensolver._grow
     rng = np.random.default_rng(seed)
     buffer = np.asfortranarray(rng.standard_normal((n, dim + spare)))
     basis = buffer[:, :dim].view()

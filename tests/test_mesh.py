@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzjd import mesh as mesh_module
+from schwarzjd import linalg
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import (
@@ -88,7 +88,7 @@ class TestBuildMesh:
     @pytest.mark.parametrize("shape, fits", [(DomainShape.SQUARE, 4), (DomainShape.LSHAPE, 3)])
     def test_dof_grid_beyond_memory_rejected(self, monkeypatch, shape, fits):
         # Both meshes at level ``fits`` have a 17 x 17 int64 dof grid.
-        monkeypatch.setattr(mesh_module, "_MEMORY_BUDGET", 8 * 17**2)
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * 17**2)
         assert build_mesh(shape, fits).dof_grid.shape == (17, 17)
         with pytest.raises(ProblemTooLargeError, match=f"level {fits + 1} .* GiB"):
             build_mesh(shape, fits + 1)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schwarzjd import linalg, schwarz
+from schwarzjd import linalg
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
@@ -78,9 +78,9 @@ class TestPrepare:
 def test_coarse_eigensolve_admitted_up_to_its_memory(monkeypatch):
     hier = build_hierarchy(DomainShape.LSHAPE, 2, 3)
     need = 32 * hier.coarse.n_dofs**2  # two operands and the LAPACK workspace
-    monkeypatch.setattr(schwarz, "_MEMORY_BUDGET", need)
+    monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need)
     assert build_coarse_piece(hier, CUT).dim == hier.coarse.n_dofs
-    monkeypatch.setattr(schwarz, "_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need - 1)
     with pytest.raises(ProblemTooLargeError, match=rf"level 2 \({hier.coarse.n_dofs} dofs\)"):
         build_coarse_piece(hier, CUT)
 

@@ -1,0 +1,26 @@
+"""Package structure: no module imports another module's private name.
+
+A private name is a module's own decision (the memory budget lives in
+``linalg`` and is read only by ``linalg.admit``); a module that needs it
+calls the public function that owns it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schwarzjd"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_imported_from_a_sibling_module(path):
+    private = [
+        f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "schwarzjd")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -275,7 +275,7 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--domain", choices=["square", "lshape"])
+    p.add_argument("--domain", help="square or lshape")
     p.add_argument("--coarse", type=int, help="coarse mesh refinement level")
     p.add_argument("--fine", type=int, help="fine mesh refinement level")
     p.add_argument("--overlap", type=float, help="overlap width relative to subdomain size")
@@ -285,7 +285,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--restart-dim", type=int, dest="restart_dim")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", help="output table format: csv or json")
     p.add_argument("--log-level", dest="log_level", default="warning",
                    choices=["debug", "info", "warning", "error"],
                    help="threshold of the log messages printed to stderr (default: warning)")

@@ -24,9 +24,10 @@ iteration then
      lies in [sqrt(q/2), sqrt(2q)].  The exact norm solves M X = R for the
      residual block by a fixed-step Chebyshev semi-iteration on that same
      bracket (``linalg.mass_chebyshev``, accurate to about 1e-14; no
-     factorization of M is made).  It is computed only when the lower bound
-     is below the tolerance, and once at the end of a run that stops
-     unconverged; convergence is declared from the exact norm alone.
+     factorization of M is made).  Each state gets one stop test, which
+     computes the exact norm only when the lower bound is below the
+     tolerance or the state is the run's last; convergence is declared from
+     the exact norm alone.
 
 One private routine, ``_grow``, is the only Rayleigh-Ritz step: it
 mass-orthonormalizes new vectors against the trial basis, borders the
@@ -37,16 +38,16 @@ columns are the rho_i; the stop bounds, the exact stop norm and the next
 correction all read that block.  Startup grows an empty basis by the
 lifted vectors, each outer iteration grows the current basis by its
 corrections, and the optional thick restart (``restart_dim``) grows an
-empty basis by Ritz vectors 1..last and the newest corrections, which it
-writes straight into the new chain's buffer.
+empty basis by Ritz vectors 1..last and the newest corrections.  Both of
+these chain starts write their block straight into the new chain's buffer.
 
-Iteration states are immutable; every step returns a new one.  A state's
-basis is a read-only view of the leading columns of a Fortran-ordered
-buffer that a chain of states shares.  ``solve`` reserves each chain's
-buffer once, when the chain starts (startup, and each thick restart), for
-the largest basis the run can reach: last + max_iter * count columns, or
-restart_dim + count with restarts, capped at the columns that fit in
-physical memory.  Growing the newest state on a buffer with room
+Iteration states are immutable; a step that grows the basis returns a new
+one.  A state's basis is a read-only view of the leading columns of a
+Fortran-ordered buffer that a chain of states shares.  ``solve`` reserves
+each chain's buffer once, when the chain starts (startup, and each thick
+restart), for the largest basis the run can reach: last + max_iter * count
+columns, or restart_dim + count with restarts, capped at the columns that
+fit in physical memory.  Growing the newest state on a buffer with room
 orthonormalizes the new vectors in place, behind the views the older states
 hold; only growing an older state, or past the reservation, copies a basis.
 The reservation is an anonymous memory map, so pages are backed only as
@@ -65,7 +66,7 @@ where it was computed, the exact stop norm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,7 +155,7 @@ class IterationState:
     step forms the cluster block first..last once: ``cluster_vectors`` U,
     ``mass_vectors`` M U and the ``residual`` block R, one column rho_i per
     cluster index.  All four n-row arrays are read-only.  States are never
-    modified; each step returns a new one.
+    modified; a growth returns a new one.
     """
 
     cluster: ClusterSpec
@@ -165,7 +166,6 @@ class IterationState:
     cluster_vectors: np.ndarray
     mass_vectors: np.ndarray
     residual: np.ndarray
-    iteration: int = 0
     _buffer: _BasisBuffer | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -226,10 +226,11 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
 
     The new state starts a chain whose buffer reserves ``reserve`` columns
     (0: twice the startup basis), so that growth up to that dimension
-    writes in place.  The startup's temporaries (the sparse factorization
-    of the initialization pencil, the lifted block, the Gram-Schmidt
-    blocks) outgrow those of any later iteration, so it ends by returning
-    the heap they freed to the operating system
+    writes in place; the lifted eigenvectors are written into its first
+    columns and orthonormalized there.  The startup's temporaries (the
+    sparse factorization of the initialization pencil, the lifted block,
+    the Gram-Schmidt blocks) outgrow those of any later iteration, so it
+    ends by returning the heap they freed to the operating system
     (``linalg.release_free_heap``).
 
     Raises ClusterTooLargeError unless the initialization mesh has more
@@ -249,8 +250,10 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
                  3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    state = _grow(_empty_state(cluster, pencil.n), hier.initial_to_fine @ init.vectors,
-                  pencil, 0, reserve)
+    buffer = _BasisBuffer(pencil.n, cluster.last, reserve or 2 * cluster.last)
+    block = buffer.data[:, :cluster.last]
+    block[:] = hier.initial_to_fine @ init.vectors
+    state = _grow(_empty_state(cluster, pencil.n, buffer), block, pencil)
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
@@ -273,11 +276,10 @@ def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
     """Grow the basis by ``new_vectors`` and re-solve the projected problem.
 
     Near-dependent columns are dropped during mass-orthonormalization; if all
-    are dropped the state is returned unchanged except for the iteration
-    counter.  Ritz values of retained indices never increase (the subspaces
-    are nested).
+    are dropped ``state`` itself is returned.  Ritz values of retained
+    indices never increase (the subspaces are nested).
     """
-    return _grow(state, new_vectors, pencil, state.iteration + 1)
+    return _grow(state, new_vectors, pencil)
 
 
 def stop_norm(residual: np.ndarray, mass_factorization: linalg.Factorization) -> float:
@@ -321,7 +323,7 @@ def _thick_restart(state: IterationState, corrections: np.ndarray,
     block = buffer.data[:, :k]
     np.matmul(state.ritz_coeffs[:, :last].T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections
-    return _grow(_empty_state(state.cluster, pencil.n, buffer), block, pencil, state.iteration)
+    return _grow(_empty_state(state.cluster, pencil.n, buffer), block, pencil)
 
 
 def _empty_state(cluster: ClusterSpec, n: int, buffer: _BasisBuffer | None = None
@@ -331,38 +333,35 @@ def _empty_state(cluster: ClusterSpec, n: int, buffer: _BasisBuffer | None = Non
                           empty, empty, empty, _buffer=buffer)
 
 
-def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
-          iteration: int, reserve: int = 0) -> IterationState:
+def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> IterationState:
     """The Rayleigh-Ritz step: the one place the trial basis grows.
 
     Mass-orthonormalizes the k columns of ``new_vectors`` against the basis,
     borders the projected stiffness matrix by the accepted columns,
     re-solves it and forms the cluster block U, M U and R of the new state.
-    Returns ``state`` with ``iteration`` when every column is dropped.
+    Returns ``state`` itself when every column is dropped.
 
     The orthonormalization writes straight into the buffer, behind the
     basis, when ``state`` is the newest state on its buffer and the buffer
-    has room for all k columns; ``new_vectors`` may be those very columns.
-    Otherwise (an empty state without a buffer, an older state,
-    or a full buffer) the basis is copied into a new buffer that reserves
-    ``reserve`` columns, or twice dim + k when ``reserve`` is 0, so that a
-    caller growing state by state without a reservation copies only
-    O(log dim) times.  Growing an empty state copies nothing.  No existing
+    has room for all k columns; ``new_vectors`` may be those very columns,
+    as the chain starts pass them.  Otherwise (an empty state without a
+    buffer, an older state, or a full buffer) the basis is copied into a
+    new buffer of twice dim + k columns, so that a caller growing state by
+    state without a reservation copies only O(log dim) times.  No existing
     state's basis changes.  Raises ProblemTooLargeError when dim + k
     columns exceed physical memory.
     """
     dim, k = state.dim, np.shape(new_vectors)[1]
     buffer = state._buffer
     if buffer is None or buffer.filled != dim or buffer.data.shape[1] < dim + k:
-        buffer = _BasisBuffer(pencil.n, dim + k, reserve or 2 * (dim + k))
+        buffer = _BasisBuffer(pencil.n, dim + k, 2 * (dim + k))
         buffer.data[:, :dim] = state.basis
     out = buffer.data[:, dim:dim + k]
-    if not np.shares_memory(out, new_vectors):  # a thick restart writes them in place
+    if not np.shares_memory(out, new_vectors):
         np.copyto(out, new_vectors)
-    del new_vectors  # frees a block passed unnamed, as initialize passes the lifted one
     accepted = linalg.b_orthonormalize(out, pencil.mass, against=state.basis, out=out)
     if accepted.shape[1] == 0:
-        return replace(state, iteration=iteration)
+        return state
     stiff_new = pencil.stiffness @ accepted
     cross = state.basis.T @ stiff_new
     corner = accepted.T @ stiff_new
@@ -377,18 +376,19 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil,
     U = linalg.basis_times(basis, coeffs[:, c.first - 1 : c.last])
     MU = pencil.mass @ U
     R = values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-    return IterationState(c, basis, projected, values, coeffs, U, MU, R, iteration, buffer)
+    return IterationState(c, basis, projected, values, coeffs, U, MU, R, buffer)
 
 
 def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
           cluster: ClusterSpec, config: SolverConfig) -> SolverReport:
     """Run the full iteration until the stop norm falls below the tolerance.
 
-    Every iteration bounds the stop norm by the mass diagonal; the exact
-    norm (``stop_norm``, one Chebyshev block solve with M) is computed only
-    when the lower bound is below the tolerance, so only an exact norm ends
-    the run.  A run that stops unconverged computes it once more for its
-    last row, so ``SolverReport.stop_norm`` is always exact.
+    Each state, from the startup state on, gets one stop test and one trace
+    row.  The test bounds the stop norm by the mass diagonal and computes the
+    exact norm (``stop_norm``, one Chebyshev block solve with M) only when
+    the lower bound is below the tolerance or the row is the run's last, so
+    only an exact norm ends the run and ``SolverReport.stop_norm`` is always
+    exact.
 
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
@@ -425,62 +425,40 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
 
     trace: list[TraceRecord] = []
     wall_start = time.perf_counter()
-
-    def stop_test(k, state, values, drift, clamped, fallbacks):
-        """Bound the stop norm, solve for it only near the tolerance, and trace row k.
-
-        Returns the exact stop norm, or NaN where the lower bound rules out
-        convergence.
-        """
+    values = state.cluster_values()
+    drift, clamped, fallbacks, stalls = 0.0, 0, 0, 0
+    for k in range(config.max_iter + 1):
         lower, upper = clocked("stop_bound", stop_bounds, state.residual, mass_diagonal)
+        last_row = k == config.max_iter or stalls >= 3
         sn = np.nan
-        if lower < config.tol * (1.0 + _GATE_MARGIN):
+        if last_row or lower < config.tol * (1.0 + _GATE_MARGIN):
             sn = clocked("stop_norm", stop_norm, state.residual, mass_solver)
         trace.append(TraceRecord(
             iteration=k, values=values.copy(), stop_norm=sn, stop_lower=lower,
             stop_upper=upper, value_drift=drift, basis_dim=state.dim, clamped_shifts=clamped,
             ldlt_fallbacks=fallbacks, wall_ms=(time.perf_counter() - wall_start) * 1e3,
         ))
-        return sn
-
-    values = state.cluster_values()
-    sn = stop_test(0, state, values, 0.0, 0, 0)
-
-    converged = sn < config.tol
-    stagnated = False
-    stalls = 0
-    k = 0
-    while not converged and not stagnated and k < config.max_iter:
+        if sn < config.tol or last_row:
+            break
         prec = clocked("prepare", schwarz.prepare, blocks, coarse, values)
         corrections = clocked("correction", correction_step, state, prec)
         prev_values, prev_dim = values, state.dim
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
-        grew = state.dim > prev_dim
+        stalls = 0 if state.dim > prev_dim else stalls + 1
         if config.restart_dim is not None and state.dim > config.restart_dim:
             state = clocked("restart", _thick_restart, state, corrections, pencil, reserve)
-        k += 1
         values = state.cluster_values()
-        sn = stop_test(k, state, values, float(np.sum(np.abs(values - prev_values))),
-                         prec.clamped_shifts, prec.ldlt_fallbacks)
-        if sn < config.tol:
-            converged = True
-        elif not grew:
-            stalls += 1
-            stagnated = stalls >= 3
-        else:
-            stalls = 0
+        drift = float(np.sum(np.abs(values - prev_values)))
+        clamped, fallbacks = prec.clamped_shifts, prec.ldlt_fallbacks
 
-    if np.isnan(sn):  # an unconverged run still reports its exact stop norm
-        sn = clocked("stop_norm", stop_norm, state.residual, mass_solver)
-        trace[-1] = replace(trace[-1], stop_norm=sn)
-
+    converged = sn < config.tol
     return SolverReport(
         cluster=cluster,
         values=values,
         vectors=state.cluster_vectors.copy(),  # writable, unlike the state's block
         iterations=k,
         converged=converged,
-        stagnated=stagnated,
+        stagnated=not converged and stalls >= 3,
         stop_norm=sn,
         trace=trace,
         timings=timings,

@@ -71,6 +71,8 @@ class TestConfigValidation:
         (["--restart-dim", "4"], "restart dimension must be at least 5"),
         (["--tol", "inf"], "tolerance must be positive and finite, got inf"),
         (["--tol", "nan"], "tolerance must be positive and finite, got nan"),
+        (["--domain", "hexagon"], "domain must be one of"),
+        (["--format", "xml"], "format must be 'csv' or 'json'"),
     ])
     def test_flag_rejected(self, capsys, tmp_path, flags, fragment):
         argv = ["run", *TINY, *flags, "--output-dir", str(tmp_path / "run")]

@@ -1,4 +1,5 @@
-"""Package structure: no module imports another module's private name.
+"""Package structure: no module imports another module's private name, and
+every exported name resolves.
 
 A private name is a module's own decision (the memory budget lives in
 ``linalg`` and is read only by ``linalg.admit``); a module that needs it
@@ -6,6 +7,7 @@ calls the public function that owns it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,17 @@ def test_no_private_name_imported_from_a_sibling_module(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "schwarzjd" if path.stem == "__init__" else f"schwarzjd.{path.stem}"
+    module = importlib.import_module(name)
+    missing = []
+    for export in getattr(module, "__all__", []):
+        if not hasattr(module, export):  # a submodule is bound once it is imported
+            try:
+                importlib.import_module(f"{name}.{export}")
+            except ImportError:
+                missing.append(export)
+    assert missing == []

@@ -39,21 +39,27 @@ correction all read that block.  Startup grows an empty basis by the
 lifted vectors, each outer iteration grows the current basis by its
 corrections, and the optional thick restart (``restart_dim``) grows an
 empty basis by Ritz vectors 1..last and the newest corrections.  Both of
-these chain starts write their block straight into the new chain's buffer.
+these chain starts write their block straight into the new chain's buffer,
+and the restart drops the old chain before its block grows.
 
 Iteration states are immutable; a step that grows the basis returns a new
-one.  A state's basis is a read-only view of the leading columns of a
-Fortran-ordered buffer that a chain of states shares.  ``solve`` reserves
-each chain's buffer once, when the chain starts (startup, and each thick
-restart), for the largest basis the run can reach: last + max_iter * count
-columns, or restart_dim + count with restarts, capped at the columns that
-fit in physical memory.  Growing the newest state on a buffer with room
-orthonormalizes the new vectors in place, behind the views the older states
-hold; only growing an older state, or past the reservation, copies a basis.
-The reservation is an anonymous memory map, so pages are backed only as
-columns are written and the process holds the basis, not the reservation.
-The basis takes 8 n dim bytes and the startup block 24 n last; ``linalg.admit``
-refuses either, before it is allocated, when it exceeds physical memory.
+one.  A state's basis and projected matrix are read-only views of the
+leading block of Fortran-ordered buffers that a chain of states shares.
+``solve`` reserves each chain's buffers once, when the chain starts
+(startup, and each thick restart), for the largest basis the run can reach:
+last + max_iter * count columns, or restart_dim + count with restarts,
+capped at n and at the columns that fit in physical memory.  Growing the
+newest state on a buffer with room orthonormalizes the new vectors in
+place, behind the views the older states hold, and borders the projected
+matrix in place; only growing an older state, or past the reservation,
+copies a basis.  The small eigenproblem is solved in an operand that the
+chain reuses (``linalg.dense_symmetric_eig``), and a state keeps only the
+Ritz coefficients of columns 1..last.  The reservations are anonymous
+memory maps, so pages are backed only as they are written and the process
+holds the basis, not the reservation.  The basis takes 8 n dim bytes, the
+projected pair (the projected matrix and the operand) 16 dim^2 beside it,
+and the startup block 24 n last; ``linalg.admit`` refuses each, before it
+is allocated, when it exceeds physical memory.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -128,18 +134,27 @@ class SolverConfig:
 
 
 class _BasisBuffer:
-    """Column storage shared by a chain of states; columns [0, filled) are written.
+    """Storage shared by a chain of states; basis columns [0, filled) are written.
 
-    Reserves ``capacity`` columns, but never fewer than ``need`` nor more
-    than fit in physical memory, as a ``linalg.mapped_zeros`` n x capacity
-    array, off the malloc heap and backed only as columns are written.
-    Raises ProblemTooLargeError when ``need`` columns alone do not fit.
+    Reserves ``capacity`` basis columns, but never fewer than ``need`` nor
+    more than n or than fit in physical memory, as a ``linalg.mapped_zeros``
+    n x columns array ``data``, off the malloc heap and backed only as
+    columns are written.  Beside it, with side = min(columns, n), a side x
+    side ``projected`` block, whose leading dim x dim corner is the projected
+    matrix of the basis [0, dim), and a flat ``operand`` of side^2 doubles
+    for the projected eigensolve.  Raises ProblemTooLargeError when ``need``
+    columns, or the 16 need^2 bytes of the projected pair, do not fit.
     """
 
     def __init__(self, n: int, need: int, capacity: int):
-        fits = linalg.admit(f"a trial basis of {need} columns of {n} dofs", 8 * n, need,
-                            "; bound the basis with --restart-dim")
-        self.data = linalg.mapped_zeros(n, min(max(capacity, need), fits))
+        remedy = "; bound the basis with --restart-dim"
+        fits = linalg.admit(f"a trial basis of {need} columns of {n} dofs", 8 * n, need, remedy)
+        linalg.admit(f"a projected pair of order {need}", 16 * need, need, remedy)
+        columns = max(need, min(capacity, n, fits))
+        side = min(columns, n)
+        self.data = linalg.mapped_zeros(n, columns)
+        self.projected = linalg.mapped_zeros(side, side)
+        self.operand = linalg.mapped_zeros(side * side, 1)[:, 0]
         self.filled = 0
 
 
@@ -147,15 +162,18 @@ class _BasisBuffer:
 class IterationState:
     """Mass-orthonormal trial basis with its projected pencil and Ritz data.
 
-    ``basis`` spans the trial subspace (n x dim), normally a view of the
-    leading columns of a buffer that later states may extend in place;
-    ``projected`` is the projected stiffness basis' K basis, and
-    ``ritz_values``/``ritz_coeffs`` its full eigendecomposition.  Ritz
-    vector j (1-based) is basis @ ritz_coeffs[:, j-1].  The Rayleigh-Ritz
-    step forms the cluster block first..last once: ``cluster_vectors`` U,
-    ``mass_vectors`` M U and the ``residual`` block R, one column rho_i per
-    cluster index.  All four n-row arrays are read-only.  States are never
-    modified; a growth returns a new one.
+    ``basis`` spans the trial subspace (n x dim), a view of the leading
+    columns of a buffer that later states may extend in place;
+    ``projected`` is the projected stiffness basis' K basis, a view of the
+    leading dim x dim corner of the buffer's projected block.
+    ``ritz_values`` holds all dim of its eigenvalues, ascending, and
+    ``ritz_coeffs`` (dim x last) the eigenvectors of values 1..last only:
+    Ritz vector j (1-based, j <= last) is basis @ ritz_coeffs[:, j-1].  The
+    Rayleigh-Ritz step forms the cluster block first..last once:
+    ``cluster_vectors`` U, ``mass_vectors`` M U and the ``residual`` block R,
+    one column rho_i per cluster index.  ``projected`` and the four n-row
+    arrays are read-only.  States are never modified; a growth returns a new
+    one.
     """
 
     cluster: ClusterSpec
@@ -166,10 +184,10 @@ class IterationState:
     cluster_vectors: np.ndarray
     mass_vectors: np.ndarray
     residual: np.ndarray
-    _buffer: _BasisBuffer | None = field(default=None, repr=False)
+    _buffer: _BasisBuffer = field(repr=False)
 
     def __post_init__(self):
-        for name in ("basis", "cluster_vectors", "mass_vectors", "residual"):
+        for name in ("basis", "projected", "cluster_vectors", "mass_vectors", "residual"):
             array = getattr(self, name)
             if array.flags.writeable:  # a read-only view; a basis buffer stays writable
                 view = array.view()
@@ -253,7 +271,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     buffer = _BasisBuffer(pencil.n, cluster.last, reserve or 2 * cluster.last)
     block = buffer.data[:, :cluster.last]
     block[:] = hier.initial_to_fine @ init.vectors
-    state = _grow(_empty_state(cluster, pencil.n, buffer), block, pencil)
+    state = _grow(_empty_state(cluster, buffer), block, pencil)
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
@@ -307,30 +325,31 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
 
 
 def _thick_restart(state: IterationState, corrections: np.ndarray,
-                   pencil: fem.SparsePencil, reserve: int = 0) -> IterationState:
-    """Compact the basis to Ritz vectors 1..last plus the newest corrections.
+                   pencil: fem.SparsePencil, reserve: int = 0
+                   ) -> tuple[IterationState, np.ndarray]:
+    """Start a new chain from Ritz vectors 1..last plus the newest corrections.
 
-    The compacted state starts a new chain whose buffer reserves ``reserve``
-    columns (0: twice the compacted basis).  The Ritz vectors are formed
-    straight into that buffer, by the product that ``linalg.basis_times``
-    forms, and the corrections are copied beside them, where ``_grow``
-    orthonormalizes them in place: besides the old basis, the restart holds
-    only the new block.
+    The new chain's buffer reserves ``reserve`` columns (0: twice the
+    block).  The Ritz vectors are formed straight into its first columns,
+    by the product that ``linalg.basis_times`` forms, and the corrections
+    are copied beside them.  Returns the chain's empty state and that block,
+    which ``_grow`` orthonormalizes in place.  ``state`` is no longer read,
+    so a caller that drops it before the growth frees the old basis first.
     """
     last = state.cluster.last
     k = last + corrections.shape[1]
     buffer = _BasisBuffer(pencil.n, k, reserve or 2 * k)
     block = buffer.data[:, :k]
-    np.matmul(state.ritz_coeffs[:, :last].T, state.basis.T, out=block[:, :last].T)
+    np.matmul(state.ritz_coeffs.T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections
-    return _grow(_empty_state(state.cluster, pencil.n, buffer), block, pencil)
+    return _empty_state(state.cluster, buffer), block
 
 
-def _empty_state(cluster: ClusterSpec, n: int, buffer: _BasisBuffer | None = None
-                 ) -> IterationState:
-    empty = np.empty((n, 0))
-    return IterationState(cluster, empty, np.empty((0, 0)), np.empty(0), np.empty((0, 0)),
-                          empty, empty, empty, _buffer=buffer)
+def _empty_state(cluster: ClusterSpec, buffer: _BasisBuffer) -> IterationState:
+    """The state without basis columns that starts a chain on ``buffer``."""
+    empty = buffer.data[:, :0]
+    return IterationState(cluster, empty, buffer.projected[:0, :0], np.empty(0),
+                          np.empty((0, 0)), empty, empty, empty, buffer)
 
 
 def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> IterationState:
@@ -342,41 +361,48 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     Returns ``state`` itself when every column is dropped.
 
     The orthonormalization writes straight into the buffer, behind the
-    basis, when ``state`` is the newest state on its buffer and the buffer
-    has room for all k columns; ``new_vectors`` may be those very columns,
-    as the chain starts pass them.  Otherwise (an empty state without a
-    buffer, an older state, or a full buffer) the basis is copied into a
-    new buffer of twice dim + k columns, so that a caller growing state by
-    state without a reservation copies only O(log dim) times.  No existing
-    state's basis changes.  Raises ProblemTooLargeError when dim + k
-    columns exceed physical memory.
+    basis, and the border straight into its projected block, behind the
+    projected matrix, when ``state`` is the newest state on its buffer and
+    the buffer has room for all k columns; ``new_vectors`` may be those very
+    columns, as the chain starts pass them.  Otherwise (an older state, or a
+    full buffer) the basis and the projected matrix are copied into a new
+    buffer of twice dim + k columns, so that a caller growing state by state
+    without a reservation copies only O(log dim) times.  No existing state's
+    basis or projected matrix changes.  Raises ProblemTooLargeError when dim
+    + k columns, or their projected pair, exceed physical memory, and
+    EigensolverError when the projected eigensolve fails.
     """
     dim, k = state.dim, np.shape(new_vectors)[1]
     buffer = state._buffer
-    if buffer is None or buffer.filled != dim or buffer.data.shape[1] < dim + k:
+    if buffer.filled != dim or buffer.data.shape[1] < dim + k:
         buffer = _BasisBuffer(pencil.n, dim + k, 2 * (dim + k))
         buffer.data[:, :dim] = state.basis
+        buffer.projected[:dim, :dim] = state.projected
     out = buffer.data[:, dim:dim + k]
     if not np.shares_memory(out, new_vectors):
         np.copyto(out, new_vectors)
     accepted = linalg.b_orthonormalize(out, pencil.mass, against=state.basis, out=out)
     if accepted.shape[1] == 0:
         return state
+    m = dim + accepted.shape[1]
     stiff_new = pencil.stiffness @ accepted
     cross = state.basis.T @ stiff_new
     corner = accepted.T @ stiff_new
-    corner = 0.5 * (corner + corner.T)
-    projected = np.block([[state.projected, cross], [cross.T, corner]])
-    values, coeffs = np.linalg.eigh(projected)
+    P = buffer.projected
+    P[:dim, dim:m] = cross
+    P[dim:m, :dim] = cross.T
+    P[dim:m, dim:m] = 0.5 * (corner + corner.T)
+    eig = linalg.dense_symmetric_eig(P[:m, :m], buffer.operand)
 
-    buffer.filled = dim + accepted.shape[1]
-    basis = buffer.data[:, :buffer.filled]
+    buffer.filled = m
+    basis = buffer.data[:, :m]
 
     c = state.cluster
-    U = linalg.basis_times(basis, coeffs[:, c.first - 1 : c.last])
+    coeffs = np.array(eig.vectors[:, :c.last], order="C")  # row-major, as basis_times wants
+    U = linalg.basis_times(basis, coeffs[:, c.first - 1 :])
     MU = pencil.mass @ U
-    R = values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-    return IterationState(c, basis, projected, values, coeffs, U, MU, R, buffer)
+    R = eig.values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
+    return IterationState(c, basis, P[:m, :m], eig.values, coeffs, U, MU, R, buffer)
 
 
 def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
@@ -394,8 +420,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
     ProblemTooLargeError before the startup eigensolve when the coarse
-    eigensolve or the startup block, and later when the trial basis, would
-    outgrow physical memory.
+    eigensolve or the startup block, and later when the trial basis or its
+    projected pair, would outgrow physical memory, and EigensolverError when
+    a projected eigensolve fails.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(
@@ -446,7 +473,11 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
         stalls = 0 if state.dim > prev_dim else stalls + 1
         if config.restart_dim is not None and state.dim > config.restart_dim:
-            state = clocked("restart", _thick_restart, state, corrections, pencil, reserve)
+            # Rebinding state drops the old chain, so its basis is unmapped
+            # before the new block grows; the corrections are in the block.
+            state, block = clocked("restart", _thick_restart, state, corrections, pencil, reserve)
+            del corrections
+            state = clocked("restart", _grow, state, block, pencil)
         values = state.cluster_values()
         drift = float(np.sum(np.abs(values - prev_values)))
         clamped, fallbacks = prec.clamped_shifts, prec.ldlt_fallbacks

@@ -30,5 +30,6 @@ class ProblemTooLargeError(InvalidArgumentError):
 
     Raised for a dense reference spectrum above its dof limit, and by
     ``linalg.admit`` for a mesh dof grid, a dense coarse eigensolve, a
-    startup block or a trial basis larger than the machine's physical memory.
+    startup block, a trial basis or its projected pair larger than the
+    machine's physical memory.
     """

@@ -7,9 +7,10 @@ operands go through SuperLU.  A P1 mass matrix is solved without a
 factorization, by a fixed-step Chebyshev semi-iteration (``mass_chebyshev``).
 All returned handles are immutable after construction and safe for
 repeated solves.  Large dense temporaries stay off the malloc heap, which
-keeps freed blocks once glibc's mmap threshold has risen: both dense
-eigensolves overwrite copies of their operands in ``mapped_zeros`` maps,
-and ``b_orthonormalize`` works in, and returns a view of, an ``out`` block.
+keeps freed blocks once glibc's mmap threshold has risen: the dense
+eigensolves overwrite copies of their operands in ``mapped_zeros`` maps
+(the projected eigensolve in one that its caller reuses), and
+``b_orthonormalize`` works in, and returns a view of, an ``out`` block.
 ``release_free_heap`` hands the heap that a one-off phase freed back to
 the operating system.  ``admit`` checks each large allocation of the
 package against physical memory before it is made.
@@ -48,6 +49,7 @@ __all__ = [
     "mapped_zeros",
     "release_free_heap",
     "dense_generalized_eig",
+    "dense_symmetric_eig",
     "lowest_eigenpairs",
     "b_orthonormalize",
     "basis_times",
@@ -281,6 +283,26 @@ def dense_generalized_eig(A, B) -> EigenBasis:
     if np.shape(B) != shape or len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidArgumentError(f"matching square operands expected, got {shape} and {np.shape(B)}")
     return _mapped_eigh(A, B)
+
+
+def dense_symmetric_eig(a: np.ndarray, operand: np.ndarray) -> EigenBasis:
+    """All eigenpairs of the symmetric (m, m) ``a``, solved in place in ``operand``.
+
+    Copies ``a`` into the first m * m doubles of the flat ``operand``, viewed
+    as a contiguous Fortran (m, m) array, and lets LAPACK's ``dsyevd``
+    overwrite it with the eigenvectors.  It reads the lower triangle, as
+    ``np.linalg.eigh`` does, and with the same LAPACK routine returns its
+    bits.  Returns ascending eigenvalues and the vectors, a view of
+    ``operand``; ``a`` is not modified.  Raises EigensolverError when
+    ``dsyevd`` fails.
+    """
+    m = a.shape[0]
+    work = operand[:m * m].reshape((m, m), order="F")
+    np.copyto(work, a)
+    values, vectors, info = lapack.dsyevd(work, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0:
+        raise EigensolverError(f"dsyevd failed with info={info} on a symmetric matrix of order {m}")
+    return EigenBasis(values=values, vectors=vectors)
 
 
 def lowest_eigenpairs(K, M, k: int) -> EigenBasis:

@@ -240,6 +240,11 @@ class TestRunCommand:
         assert main(["run", *TINY, "--output-dir", str(tmp_path)]) == 4
         assert "error: zero pivot" in capsys.readouterr().err
 
+    def test_failed_projected_eigensolve_is_exit_code_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(linalg.lapack, "dsyevd", lambda a, **kwargs: (None, a, 1))
+        assert main(["run", *TINY, "--output-dir", str(tmp_path)]) == 4
+        assert "error: dsyevd failed with info=1" in capsys.readouterr().err
+
     def test_log_level_info_shows_ldlt_fallbacks(self, tmp_path, capsys):
         # the cluster lies above the 9 coarse dofs and above the lowest
         # eigenvalue of every subdomain block, as on the square-indefinite

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from schwarzjd import eigensolver, linalg, schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
+    _BasisBuffer,
     _empty_state,
     _grow,
     _thick_restart,
@@ -21,7 +23,12 @@ from schwarzjd.eigensolver import (
     stop_bounds,
     stop_norm,
 )
-from schwarzjd.errors import ClusterTooLargeError, InvalidArgumentError, ProblemTooLargeError
+from schwarzjd.errors import (
+    ClusterTooLargeError,
+    EigensolverError,
+    InvalidArgumentError,
+    ProblemTooLargeError,
+)
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize, mass_chebyshev
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy, build_mesh
@@ -113,7 +120,8 @@ class TestInitialize:
 def exact_state(pencil, cluster):
     """A state grown from the exact discrete eigenvectors 1..cluster.last."""
     ref = dense_discrete_spectrum(pencil, cluster.last)
-    return _grow(_empty_state(cluster, pencil.n), ref.vectors, pencil)
+    return _grow(_empty_state(cluster, _BasisBuffer(pencil.n, cluster.last, 0)), ref.vectors,
+                 pencil)
 
 
 class TestResidualDual:
@@ -203,7 +211,8 @@ class TestRayleighRitz:
         rng = np.random.default_rng(52)
         state = initialize(hier, pencil, ClusterSpec(1, 3))
         out = rayleigh_ritz(state, rng.standard_normal((pencil.n, 2)), pencil)
-        for j in range(out.dim):
+        assert out.ritz_coeffs.shape == (out.dim, 3)
+        for j in range(out.ritz_coeffs.shape[1]):
             r = out.projected @ out.ritz_coeffs[:, j] - out.ritz_values[j] * out.ritz_coeffs[:, j]
             assert np.linalg.norm(r) <= 1e-9 * max(out.ritz_values[j], 1.0)
 
@@ -225,6 +234,48 @@ class TestBasisBuffer:
         assert np.array_equal(first.basis, first_basis)
         assert np.array_equal(second.basis[:, :parent.dim], parent_basis)
         assert not np.array_equal(second.basis, first.basis)
+
+    def test_growing_one_state_twice_changes_no_existing_projection(self, small):
+        hier, pencil, _ = small
+        rng = np.random.default_rng(58)
+        parent = initialize(hier, pencil, ClusterSpec(1, 3))
+        first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        kept = [(s.projected.copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
+                for s in (parent, first)]
+        second = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        rayleigh_ritz(first, rng.standard_normal((pencil.n, 3)), pencil)
+        # the first child bordered the parent's projected matrix in place, the second copied it
+        assert np.shares_memory(first.projected, parent.projected)
+        assert not np.shares_memory(second.projected, first.projected)
+        for state, (projected, values, coeffs) in zip((parent, first), kept):
+            assert np.array_equal(state.projected, projected)
+            assert np.array_equal(state.ritz_values, values)
+            assert np.array_equal(state.ritz_coeffs, coeffs)
+        assert np.array_equal(second.projected[:parent.dim, :parent.dim], kept[0][0])
+        assert not np.array_equal(second.projected, first.projected)
+
+    def test_projected_is_read_only_and_coefficients_stop_at_the_cluster_end(self, stepped):
+        pencil, _, _, state, _ = stepped
+        grown = rayleigh_ritz(state, np.random.default_rng(59).standard_normal((pencil.n, 2)),
+                              pencil)
+        for s in (state, grown):
+            assert not s.projected.flags.writeable
+            assert s.projected.shape == (s.dim, s.dim) and s.ritz_values.shape == (s.dim,)
+            assert s.ritz_coeffs.shape == (s.dim, s.cluster.last)
+            assert np.allclose(s.ritz_values, np.linalg.eigvalsh(s.projected), rtol=1e-12, atol=0)
+
+    def test_failed_projected_eigensolve_raises(self, small, monkeypatch):
+        hier, pencil, _ = small
+        state = initialize(hier, pencil, ClusterSpec(1, 3))
+        dsyevd = linalg.lapack.dsyevd
+
+        def failing(a, **kwargs):
+            values, vectors, _ = dsyevd(a, **kwargs)
+            return values, vectors, 2  # two off-diagonal elements did not converge
+
+        monkeypatch.setattr(linalg.lapack, "dsyevd", failing)
+        with pytest.raises(EigensolverError, match="info=2"):
+            rayleigh_ritz(state, np.random.default_rng(60).standard_normal((pencil.n, 2)), pencil)
 
     def test_newest_state_grows_by_orthonormalizing_into_its_buffer(self, small, monkeypatch):
         hier, pencil, _ = small
@@ -325,8 +376,7 @@ class TestOneBufferPerChain:
             return wrapper
 
         monkeypatch.setattr(eigensolver, "_BasisBuffer", Recording)
-        for name in ("initialize", "rayleigh_ritz", "_thick_restart"):
-            monkeypatch.setattr(eigensolver, name, recording(getattr(eigensolver, name)))
+        monkeypatch.setattr(eigensolver, "_grow", recording(eigensolver._grow))
         return buffers, states
 
     def test_without_restarts_one_buffer_holds_every_basis(self, small, recorded):
@@ -355,6 +405,28 @@ class TestOneBufferPerChain:
         for buffer in buffers:
             assert buffer.data.shape[1] == config.restart_dim + cluster.count
         assert states[-1].dim <= buffers[-1].data.shape[1]
+
+    def test_restart_drops_the_old_chain_before_its_block_grows(self, small, monkeypatch):
+        hier, pencil, decomp = small
+        old_buffers, alive_at_growth = [], []
+        restart, grow = eigensolver._thick_restart, eigensolver._grow
+
+        def restarting(state, *args):
+            old_buffers.append(weakref.ref(state._buffer))
+            return restart(state, *args)
+
+        def growing(state, *args):
+            if state.dim == 0 and old_buffers:  # the block of a restart
+                alive_at_growth.append(old_buffers[-1]() is not None)
+            return grow(state, *args)
+
+        monkeypatch.setattr(eigensolver, "_thick_restart", restarting)
+        monkeypatch.setattr(eigensolver, "_grow", growing)
+        report = solve(hier, pencil, decomp, ClusterSpec(3, 5),
+                       SolverConfig(tol=1e-8, restart_dim=13))
+        assert report.converged
+        assert len(alive_at_growth) == len(old_buffers) >= 2
+        assert not any(alive_at_growth)
 
 
 class TestStartupHeapRelease:
@@ -395,7 +467,7 @@ class TestThickRestart:
     def test_keeps_ritz_values_and_mass_orthonormality(self, small):
         hier, pencil, decomp = small
         state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3)
-        out = _thick_restart(state, corrections, pencil)
+        out = _grow(*_thick_restart(state, corrections, pencil), pencil)
         # The restarted space lies inside the old one and holds Ritz vectors 1..last.
         assert np.allclose(out.ritz_values[:5], state.ritz_values[:5], rtol=1e-10, atol=0)
         assert out.dim < state.dim
@@ -408,8 +480,8 @@ class TestThickRestart:
         state, corrections = _iterated(hier, pencil, decomp, cluster, 4)
         ritz = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:cluster.last])
         kept = np.hstack([ritz, corrections])
-        want = _grow(_empty_state(cluster, pencil.n), kept, pencil)
-        got = _thick_restart(state, corrections, pencil, 40)
+        want = _grow(_empty_state(cluster, _BasisBuffer(pencil.n, kept.shape[1], 0)), kept, pencil)
+        got = _grow(*_thick_restart(state, corrections, pencil, 40), pencil)
         assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
         for name in ("basis", "projected", "ritz_values", "ritz_coeffs", "residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

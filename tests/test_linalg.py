@@ -19,6 +19,7 @@ from schwarzjd.linalg import (
     b_orthonormalize,
     basis_times,
     dense_generalized_eig,
+    dense_symmetric_eig,
     factorize,
     factorize_shifted,
     lowest_eigenpairs,
@@ -189,6 +190,24 @@ class TestDenseGeneralizedEig:
         values, vectors = sla.eigh(K, M, subset_by_index=(0, 11))
         got = lowest_eigenpairs(pencil.stiffness, pencil.mass, 12)  # 225 dofs: the dense route
         assert np.array_equal(got.values, values) and np.array_equal(got.vectors, vectors)
+
+
+class TestDenseSymmetricEig:
+    @pytest.mark.parametrize("m", [1, 7, 60])
+    def test_same_bits_as_scipy_in_the_operand(self, m):
+        # the m x m corner of a larger Fortran block, as the projected matrix is held
+        rng = np.random.default_rng(m)
+        block = np.asfortranarray(rng.standard_normal((m + 5, m + 5)))
+        block += block.T
+        a = block[:m, :m]
+        kept = a.copy()
+        operand = np.full((m + 5) ** 2, np.nan)
+        eig = dense_symmetric_eig(a, operand)
+        values, vectors = sla.eigh(kept, driver="evd")
+        assert np.array_equal(eig.values, values) and np.array_equal(eig.vectors, vectors)
+        assert np.array_equal(a, kept)
+        assert eig.vectors.ctypes.data == operand.ctypes.data  # solved in place
+        assert np.isnan(operand[m * m:]).all()
 
 
 def max_sin_angle(V, W, M):

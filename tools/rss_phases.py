@@ -2,8 +2,9 @@
 
     python3 tools/rss_phases.py square 5 8 99 108 [restart_dim]
 
-Wraps the set-up calls, the phases of ``eigensolver.solve`` and the
-startup's heap release (``linalg.release_free_heap``) as module attributes,
+Wraps the set-up calls, the phases of ``eigensolver.solve``, the
+Rayleigh-Ritz step ``_grow`` that startup, iterations and restarts share,
+and the startup's heap release (``linalg.release_free_heap``) as module attributes,
 as perfbench's tracer does, while a thread reads /proc/self/statm every
 2 ms.  Prints each phase's calls, the process RSS high-water mark while one
 of its calls ran (a nested call counts for every enclosing phase), the
@@ -28,7 +29,7 @@ from schwarzjd import eigensolver, fem, linalg, mesh, schwarz  # noqa: E402
 
 PHASES = [(mesh, "build_hierarchy"), (mesh, "build_decomposition"), (fem, "assemble"),
           *[(schwarz, a) for a in ("build_coarse_piece", "LocalBlocks", "prepare")],
-          *[(eigensolver, a) for a in ("initialize", "correction_step", "rayleigh_ritz",
+          *[(eigensolver, a) for a in ("initialize", "correction_step", "rayleigh_ritz", "_grow",
                                        "_thick_restart", "stop_bounds", "stop_norm")],
           (linalg, "release_free_heap")]
 PAGE = os.sysconf("SC_PAGE_SIZE")

@@ -1,6 +1,7 @@
 """Fingerprint the solver's full trace on eight fixed cases, to prove bit-identity.
 
     python3 tools/trace_hashes.py
+    python3 tools/trace_hashes.py --spread
 
 Run it on two checkouts and compare the output: a refactor that claims not to
 change the numerics must print the same lines.  Each line gives the case, the
@@ -19,16 +20,23 @@ change that moves only the exact stop norms keeps the iteration counts, the
 exact-row counts and the values hashes, and changes only trace hashes.  BLAS runs on one thread
 (set before NumPy loads), with overlap 0.25 and tolerance 1e-8, so the
 reduction orders are fixed.
+
+``--spread`` shows how far roundoff moves the iteration counts: it reruns
+the tool in a subprocess at one and at two BLAS threads (passing the count
+in ``TRACE_HASHES_THREADS``) and prints both iteration counts per case.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ.get("TRACE_HASHES_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
@@ -64,6 +72,19 @@ def trace_hash(report, with_stop_norms: bool = True) -> str:
     return h.hexdigest()[:16]
 
 
+def spread() -> None:
+    """Each case's iteration count at one and at two BLAS threads, one subprocess each."""
+    counts = {}
+    for threads in (1, 2):
+        out = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                             check=True, env={**os.environ, "TRACE_HASHES_THREADS": str(threads)}
+                             ).stdout
+        for case, iterations in re.findall(r"^(.+?)  iterations=(\d+)", out, re.M):
+            counts.setdefault(case, []).append(iterations)
+    for case, (one, two) in counts.items():
+        print(f"{case}  iterations at 1 thread={one}  at 2 threads={two}", flush=True)
+
+
 def main() -> None:
     for domain, coarse, fine, first, last, extra in CASES:
         hier = build_hierarchy(DomainShape(domain), coarse, fine)
@@ -80,4 +101,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Fingerprint the solver's trace on eight cases.")
+    parser.add_argument("--spread", action="store_true",
+                        help="print each case's iteration count at one and at two BLAS threads")
+    if parser.parse_args().spread:
+        spread()
+    else:
+        main()

@@ -105,6 +105,11 @@ def fit_gamma(trace, discrete_values, first: int, last: int) -> float | None:
     return float(math.exp(np.mean(np.log(ratios))))
 
 
+# Largest fine pencil for which a run computes the discrete reference
+# spectrum (for gamma and the L-shape's oracle_lambda column).
+REFERENCE_DOF_LIMIT = 5000
+
+
 def _reference_values(config: ExperimentConfig, pencil, count: int):
     """(analytic, discrete) reference spectra where feasible, else None.
 
@@ -113,9 +118,9 @@ def _reference_values(config: ExperimentConfig, pencil, count: int):
     """
     analytic = None
     if config.domain == "square":
-        analytic = oracle.exact_square_eigenvalues(count).values
+        analytic = oracle.exact_square_eigenvalues(count)
     discrete = None
-    if pencil.n <= oracle.DENSE_DOF_LIMIT:
+    if pencil.n <= REFERENCE_DOF_LIMIT:
         discrete = linalg.lowest_eigenpairs(pencil.stiffness, pencil.mass, count).values
     return analytic, discrete
 

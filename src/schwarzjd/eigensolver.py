@@ -325,20 +325,20 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
 
 
 def _thick_restart(state: IterationState, corrections: np.ndarray,
-                   pencil: fem.SparsePencil, reserve: int = 0
+                   pencil: fem.SparsePencil, reserve: int
                    ) -> tuple[IterationState, np.ndarray]:
     """Start a new chain from Ritz vectors 1..last plus the newest corrections.
 
-    The new chain's buffer reserves ``reserve`` columns (0: twice the
-    block).  The Ritz vectors are formed straight into its first columns,
-    by the product that ``linalg.basis_times`` forms, and the corrections
-    are copied beside them.  Returns the chain's empty state and that block,
-    which ``_grow`` orthonormalizes in place.  ``state`` is no longer read,
-    so a caller that drops it before the growth frees the old basis first.
+    The new chain's buffer reserves ``reserve`` columns.  The Ritz vectors
+    are formed straight into its first columns, by the product that
+    ``linalg.basis_times`` forms, and the corrections are copied beside
+    them.  Returns the chain's empty state and that block, which ``_grow``
+    orthonormalizes in place.  ``state`` is no longer read, so a caller
+    that drops it before the growth frees the old basis first.
     """
     last = state.cluster.last
     k = last + corrections.shape[1]
-    buffer = _BasisBuffer(pencil.n, k, reserve or 2 * k)
+    buffer = _BasisBuffer(pencil.n, k, reserve)
     block = buffer.data[:, :k]
     np.matmul(state.ritz_coeffs.T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections

@@ -28,8 +28,7 @@ class EmptyBasisError(SchwarzJDError):
 class ProblemTooLargeError(InvalidArgumentError):
     """A computation was requested beyond its feasibility guard.
 
-    Raised for a dense reference spectrum above its dof limit, and by
-    ``linalg.admit`` for a mesh dof grid, a dense coarse eigensolve, a
-    startup block, a trial basis or its projected pair larger than the
-    machine's physical memory.
+    Raised by ``linalg.admit`` for a mesh dof grid, a dense coarse
+    eigensolve, a startup block, a trial basis or its projected pair larger
+    than the machine's physical memory.
     """

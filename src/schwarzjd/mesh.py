@@ -71,10 +71,6 @@ class Mesh:
     n_dofs: int
     dof_grid: np.ndarray
 
-    @property
-    def n_cells_per_side(self) -> int:
-        return 1 << self.level
-
     def dof_lattice(self) -> np.ndarray:
         """Integer lattice coordinates (ix, iy) of the interior dofs, shape (n_dofs, 2)."""
         iy, ix = np.divmod(np.flatnonzero(self.dof_grid >= 0), self.dof_grid.shape[1])

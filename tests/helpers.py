@@ -1,8 +1,13 @@
 """Shared dense reference constructions for the test suite."""
 
 import numpy as np
+import scipy.linalg as sla
 
+from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
+from schwarzjd.linalg import EigenBasis
 from schwarzjd.mesh import Decomposition, _domain_masks
+
+DENSE_DOF_LIMIT = 5000
 
 
 def mesh_triangles(mesh):
@@ -12,11 +17,37 @@ def mesh_triangles(mesh):
     triangles 2c = (LL, LR, UR) and 2c + 1 = (LL, UR, UL), both positively
     oriented.  Corners on the Dirichlet boundary have dof number -1.
     """
-    _, _, cell = _domain_masks(mesh.shape, mesh.n_cells_per_side)
+    _, _, cell = _domain_masks(mesh.shape, 1 << mesh.level)
     cy, cx = np.nonzero(cell)
     ix = np.column_stack([cx, cx + 1, cx + 1, cx, cx + 1, cx]).reshape(-1, 3)
     iy = np.column_stack([cy, cy, cy + 1, cy, cy + 1, cy + 1]).reshape(-1, 3)
     return np.stack([ix, iy], axis=-1), mesh.dof_grid[iy, ix]
+
+
+def dense_discrete_spectrum(pencil, count):
+    """First ``count`` eigenpairs of (K, M) by a dense Cholesky-reduction solve.
+
+    The route deliberately avoids the generalized LAPACK driver the package
+    uses: it reduces the pencil with an explicit Cholesky factor of the mass
+    matrix and calls the standard symmetric eigensolver, so the two routes
+    stay independent.  Guarded at DENSE_DOF_LIMIT dofs to keep runtimes sane.
+    """
+    if pencil.n > DENSE_DOF_LIMIT:
+        raise ProblemTooLargeError(
+            f"dense reference limited to {DENSE_DOF_LIMIT} dofs, pencil has {pencil.n}"
+        )
+    if not 1 <= count <= pencil.n:
+        raise InvalidArgumentError(f"count must lie in [1, {pencil.n}], got {count}")
+    K = pencil.stiffness.toarray()
+    M = pencil.mass.toarray()
+    L = np.linalg.cholesky(M)
+    # C = L^-1 K L^-T, standard symmetric problem with the same eigenvalues.
+    tmp = sla.solve_triangular(L, K, lower=True)
+    C = sla.solve_triangular(L, tmp.T, lower=True).T
+    C = 0.5 * (C + C.T)
+    values, Y = np.linalg.eigh(C)
+    vectors = sla.solve_triangular(L.T, Y[:, :count], lower=False)
+    return EigenBasis(values=values[:count], vectors=vectors)
 
 
 def decomposition(sets):

@@ -12,6 +12,7 @@ import pytest
 from schwarzjd import cli, linalg
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
 from schwarzjd.errors import SingularMatrixError
+from schwarzjd.mesh import DomainShape, build_mesh
 
 TINY = [
     "--domain", "square", "--coarse", "2", "--fine", "4",
@@ -329,6 +330,33 @@ class TestRunCommand:
         lam = np.array([float(r[1]) for r in rows[1:]])
         ref = np.array([float(r[2]) for r in rows[1:]])
         assert np.all(np.abs(lam - ref) < 1e-6)
+
+    @pytest.mark.parametrize("above", [True, False], ids=["above-limit", "at-limit"])
+    def test_reference_limit(self, tmp_path, monkeypatch, above):
+        n = build_mesh(DomainShape.LSHAPE, 4).n_dofs
+        monkeypatch.setattr(cli, "REFERENCE_DOF_LIMIT", n - 1 if above else n)
+        sizes = []
+        lowest_eigenpairs = linalg.lowest_eigenpairs
+
+        def recording(K, M, k):
+            sizes.append(K.shape[0])
+            return lowest_eigenpairs(K, M, k)
+
+        monkeypatch.setattr(linalg, "lowest_eigenpairs", recording)
+        code = main(["run", "--domain", "lshape", "--coarse", "2", "--fine", "4",
+                     "--m", "1", "--M", "2", "--tol", "1e-8", "--output-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["dof_count"] == n
+        oracle_column = [r[2] for r in read_csv(tmp_path / "final.csv")[1:]]
+        if above:
+            assert n not in sizes
+            assert summary["gamma"] is None
+            assert oracle_column == ["", ""]
+        else:
+            assert n in sizes
+            assert summary["gamma"] is not None
+            assert all(oracle_column)
 
 
 class TestSweepCommand:

@@ -32,8 +32,9 @@ from schwarzjd.errors import (
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize, mass_chebyshev
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy, build_mesh
-from schwarzjd.oracle import dense_discrete_spectrum
 from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
+
+from .helpers import dense_discrete_spectrum, dense_preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +168,6 @@ class TestCorrectionStep:
         assert np.abs(U.T @ (pencil.mass @ T)).max() <= 1e-10
 
     def test_matches_dense_projected_preconditioner(self, stepped):
-        from .helpers import dense_preconditioner
-
         pencil, decomp, coarse, state, prec = stepped
         T = correction_step(state, prec)
         U = state.cluster_vectors
@@ -467,7 +466,7 @@ class TestThickRestart:
     def test_keeps_ritz_values_and_mass_orthonormality(self, small):
         hier, pencil, decomp = small
         state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3)
-        out = _grow(*_thick_restart(state, corrections, pencil), pencil)
+        out = _grow(*_thick_restart(state, corrections, pencil, 16), pencil)
         # The restarted space lies inside the old one and holds Ritz vectors 1..last.
         assert np.allclose(out.ritz_values[:5], state.ritz_values[:5], rtol=1e-10, atol=0)
         assert out.dim < state.dim

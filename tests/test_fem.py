@@ -27,7 +27,7 @@ class TestAssembly:
 
     def test_interior_stiffness_stencil(self, square4):
         mesh, pencil = square4
-        n = mesh.n_cells_per_side
+        n = 1 << mesh.level
         center = mesh.dof_grid[n // 2, n // 2]
         row = pencil.stiffness[center].toarray().ravel()
         assert row[center] == pytest.approx(4.0)
@@ -47,7 +47,7 @@ class TestAssembly:
         mesh, pencil = square4
         g = mesh.spacing
         lat = mesh.dof_lattice()
-        n = mesh.n_cells_per_side
+        n = 1 << mesh.level
         away = np.all((lat >= 2) & (lat <= n - 2), axis=1)
         sums = np.asarray(pencil.mass.sum(axis=1)).ravel()
         assert np.allclose(sums[away], g * g, rtol=1e-14)

@@ -26,6 +26,8 @@ from schwarzjd.linalg import (
 )
 from schwarzjd.mesh import DomainShape, build_mesh
 
+from .helpers import dense_discrete_spectrum
+
 
 def random_spd(rng, n):
     A = rng.standard_normal((n, n))
@@ -122,8 +124,6 @@ class TestDenseGeneralizedEig:
         assert np.allclose(eig.values, [1.0, 2.0, 3.0])
 
     def test_matches_independent_reference_on_fem_pencil(self):
-        from schwarzjd.oracle import dense_discrete_spectrum
-
         pencil = assemble(build_mesh(DomainShape.SQUARE, 3))
         eig = dense_generalized_eig(pencil.stiffness.toarray(), pencil.mass.toarray())
         ref = dense_discrete_spectrum(pencil, pencil.n)

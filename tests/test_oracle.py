@@ -4,32 +4,34 @@ import pytest
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import DomainShape, build_mesh
-from schwarzjd.oracle import (
-    cluster_gaps,
-    dense_discrete_spectrum,
-    exact_square_eigenvalues,
-)
+from schwarzjd.oracle import cluster_gaps, exact_square_eigenvalues
+
+from .helpers import dense_discrete_spectrum
 
 
-def naive_square_values(count):
-    vals = sorted(p * p + q * q for p in range(1, 60) for q in range(1, 60))
-    return vals[:count]
+def naive_square_values():
+    """Every p^2 + q^2 with p, q < 60, sorted; its first 2762 values (those <= 60^2) are exact."""
+    return sorted(p * p + q * q for p in range(1, 60) for q in range(1, 60))
 
 
 class TestExactSquareEigenvalues:
     def test_first_four(self):
-        assert exact_square_eigenvalues(4).values.tolist() == [2, 5, 5, 8]
+        assert exact_square_eigenvalues(4).tolist() == [2, 5, 5, 8]
 
     def test_multiplet_block_99_to_108(self):
-        vals = exact_square_eigenvalues(108).values
+        vals = exact_square_eigenvalues(108)
         assert vals[98:108].tolist() == [145, 145, 145, 145, 146, 146, 148, 148, 149, 149]
 
     def test_multiplet_block_198_to_203(self):
-        vals = exact_square_eigenvalues(203).values
+        vals = exact_square_eigenvalues(203)
         assert vals[197:203].tolist() == [272, 272, 274, 274, 277, 277]
 
     def test_agrees_with_naive_enumeration(self):
-        assert exact_square_eigenvalues(600).values.tolist() == naive_square_values(600)
+        naive = naive_square_values()
+        for count in range(1, 1001):
+            vals = exact_square_eigenvalues(count)
+            assert vals.dtype == np.float64
+            assert vals.tolist() == naive[:count], count
 
     def test_invalid_count(self):
         with pytest.raises(InvalidArgumentError):
@@ -45,7 +47,7 @@ class TestDenseDiscreteSpectrum:
     def test_discrete_bounds_analytic_from_above(self):
         pencil = assemble(build_mesh(DomainShape.SQUARE, 5))
         ref = dense_discrete_spectrum(pencil, 10)
-        exact = exact_square_eigenvalues(10).values
+        exact = exact_square_eigenvalues(10)
         assert np.all(ref.values >= exact)
 
     def test_second_order_error_decay(self):
@@ -94,8 +96,8 @@ class TestClusterGaps:
     def test_multiplet_cluster_99_108(self):
         ref = exact_square_eigenvalues(120)
         gaps = cluster_gaps(ref, 99, 108)
-        assert gaps.left == ref.values[98] - ref.values[97]
-        assert gaps.right == ref.values[108] - ref.values[107]
+        assert gaps.left == ref[98] - ref[97]
+        assert gaps.right == ref[108] - ref[107]
         assert gaps.isolated
 
     def test_split_multiplet_flagged(self):

@@ -20,9 +20,9 @@ iteration then
   4. stops when the stop norm sqrt(sum_i rho_i' M^{-1} rho_i) falls below
      the tolerance.  The mass diagonal D brackets it: on P1 triangles
      every element mass matrix lies between half and twice its diagonal
-     (Wathen 1987), so with q = sum_i rho_i' D^{-1} rho_i the stop norm
-     lies in [sqrt(q/2), sqrt(2q)].  The exact norm solves M X = R for the
-     residual block by a fixed-step Chebyshev semi-iteration on that same
+     (Wathen 1987, ``linalg.MASS_BRACKET``), so with q = sum_i rho_i' D^{-1} rho_i
+     the stop norm lies in [sqrt(q/2), sqrt(2q)].  The exact norm solves M X = R
+     for the residual block by a fixed-step Chebyshev semi-iteration on that same
      bracket (``linalg.mass_chebyshev``, accurate to about 1e-14; no
      factorization of M is made).  Each state gets one stop test, which
      computes the exact norm only when the lower bound is below the
@@ -94,10 +94,6 @@ __all__ = [
     "solve",
 ]
 
-# Wathen's P1 element bounds 1/2 D_e <= M_e <= 2 D_e, summed over the elements:
-# _MASS_LOWER r'D^{-1}r <= r'M^{-1}r <= _MASS_UPPER r'D^{-1}r for D = diag(M).
-_MASS_LOWER = 0.5
-_MASS_UPPER = 2.0
 # Relative margin of the exact-solve gate against rounding in the lower bound.
 _GATE_MARGIN = 1e-12
 
@@ -110,6 +106,8 @@ class ClusterSpec:
     last: int
 
     def __post_init__(self):
+        if not all(isinstance(i, (int, np.integer)) for i in (self.first, self.last)):
+            raise InvalidArgumentError(f"need integer m and M, got m={self.first!r}, M={self.last!r}")
         if not 1 <= self.first <= self.last:
             raise InvalidArgumentError(
                 f"need 1 <= m <= M, got m={self.first}, M={self.last}"
@@ -129,8 +127,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise InvalidArgumentError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidArgumentError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidArgumentError(f"max_iter must be >= 1 and an integer, got {self.max_iter!r}")
+        if not isinstance(self.restart_dim, (int, np.integer, type(None))):
+            raise InvalidArgumentError(f"restart_dim must be an integer, got {self.restart_dim!r}")
 
 
 class _BasisBuffer:
@@ -300,16 +300,15 @@ def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
     return _grow(state, new_vectors, pencil)
 
 
-def stop_norm(residual: np.ndarray, mass_factorization: linalg.Factorization) -> float:
+def stop_norm(residual: np.ndarray, solve_mass) -> float:
     """The stop norm of a residual block, with one block solve against M.
 
     Returns sqrt(sum_i rho_i' M^{-1} rho_i) over the columns rho_i of
-    ``residual``, with M the matrix that ``mass_factorization`` solves
-    against: a factorization, or the Chebyshev handle of
-    ``linalg.mass_chebyshev`` that ``solve`` uses, which agrees with an
-    exact solve to about 1e-14 relative.
+    ``residual``, with M the matrix that the function ``solve_mass`` solves
+    against: the Chebyshev solve of ``linalg.mass_chebyshev`` that ``solve``
+    uses, which agrees with an exact solve to about 1e-14 relative.
     """
-    X = mass_factorization.solve(residual)
+    X = solve_mass(residual)
     return float(np.sqrt(np.einsum("ij,ij->", residual, X)))
 
 
@@ -320,8 +319,9 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
     and D = ``mass_diagonal``, returns (sqrt(q/2), sqrt(2q)), which bracket
     sqrt(sum_i rho_i' M^{-1} rho_i) for a P1 mass matrix M.
     """
+    lower, upper = linalg.MASS_BRACKET
     q = float(np.einsum("ij,ij->", residual, residual / mass_diagonal[:, None]))
-    return float(np.sqrt(_MASS_LOWER * q)), float(np.sqrt(_MASS_UPPER * q))
+    return float(np.sqrt(lower * q)), float(np.sqrt(upper * q))
 
 
 def _thick_restart(state: IterationState, corrections: np.ndarray,
@@ -381,7 +381,7 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     out = buffer.data[:, dim:dim + k]
     if not np.shares_memory(out, new_vectors):
         np.copyto(out, new_vectors)
-    accepted = linalg.b_orthonormalize(out, pencil.mass, against=state.basis, out=out)
+    accepted = linalg.b_orthonormalize(out, pencil.mass, state.basis)
     if accepted.shape[1] == 0:
         return state
     m = dim + accepted.shape[1]

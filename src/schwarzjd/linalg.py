@@ -1,16 +1,17 @@
 """Numerical kernels: reusable factorizations, generalized eigensolves,
 and Gram-Schmidt orthonormalization in a mass inner product.
 
-Factorizations below a size threshold use dense LAPACK: Cholesky first,
-and Bunch-Kaufman LDL^T when Cholesky meets a non-positive pivot.  Larger
-operands go through SuperLU.  A P1 mass matrix is solved without a
-factorization, by a fixed-step Chebyshev semi-iteration (``mass_chebyshev``).
-All returned handles are immutable after construction and safe for
-repeated solves.  Large dense temporaries stay off the malloc heap, which
-keeps freed blocks once glibc's mmap threshold has risen: the dense
-eigensolves overwrite copies of their operands in ``mapped_zeros`` maps
-(the projected eigensolve in one that its caller reuses), and
-``b_orthonormalize`` works in, and returns a view of, an ``out`` block.
+``factorize`` picks its route by operand type: a dense operand gets dense
+LAPACK, Cholesky first and Bunch-Kaufman LDL^T when Cholesky meets a
+non-positive pivot, and a sparse one SuperLU.  A P1 mass matrix is solved
+without a factorization, by a fixed-step Chebyshev semi-iteration on
+Wathen's bracket ``MASS_BRACKET`` (``mass_chebyshev``).  All returned
+handles are immutable after construction and safe for repeated solves.
+Large dense temporaries stay off the malloc heap, which keeps freed blocks
+once glibc's mmap threshold has risen: the dense eigensolves overwrite
+copies of their operands in ``mapped_zeros`` maps (the projected
+eigensolve in one that its caller reuses), and ``b_orthonormalize``
+works in, and returns a view of, the block it is given.
 ``release_free_heap`` hands the heap that a one-off phase freed back to
 the operating system.  ``admit`` checks each large allocation of the
 package against physical memory before it is made.
@@ -60,6 +61,11 @@ log = logging.getLogger(__name__)
 # Below this order a dense factorization is faster and the memory is modest.
 DENSE_LIMIT = 600
 
+# Wathen's P1 bracket (IMA J. Numer. Anal. 7, 1987): every element mass matrix
+# lies between 1/2 and 2 times its diagonal, so for D = diag(M) the spectrum of
+# D^{-1} M lies in [1/2, 2] and 1/2 r'D^{-1}r <= r'M^{-1}r <= 2 r'D^{-1}r.
+MASS_BRACKET = (0.5, 2.0)
+
 # Steps of mass_chebyshev: after k steps the M-norm error is at most 2 * 3**-k
 # of the initial error, so 30 steps reach 1e-14.
 _CHEBYSHEV_STEPS = math.ceil(math.log(2 / 1e-14, 3))
@@ -72,9 +78,8 @@ class Factorization:
     """Handle for a symmetric factorization, reusable for many solves.
 
     ``kind`` is one of "spd-cholesky" (dense Cholesky), "symmetric-indefinite"
-    (dense Bunch-Kaufman LDL^T), "sparse-lu" (SuperLU, serves both
-    definite and indefinite operands), or "chebyshev" (no factorization: the
-    Chebyshev semi-iteration of ``mass_chebyshev`` for a P1 mass matrix).
+    (dense Bunch-Kaufman LDL^T) or "sparse-lu" (SuperLU, serves both
+    definite and indefinite operands).
     """
 
     def __init__(self, kind, n, solve_impl):
@@ -146,24 +151,19 @@ def _sparse_lu(S, symmetric_spd: bool) -> Factorization:
 def factorize(S, expect_spd: bool = False) -> Factorization:
     """Factorize the symmetric operand ``S`` for repeated solves.
 
-    Dense path (order <= DENSE_LIMIT or ndarray input): always Cholesky
-    first; a non-positive pivot falls back to Bunch-Kaufman LDL^T (logged at
-    debug level), so the kind tells whether ``S`` is positive definite.
-    Sparse path: SuperLU, configured for symmetric-definite operands when
+    The operand's type picks the route.  An ndarray gets Cholesky first; a
+    non-positive pivot falls back to Bunch-Kaufman LDL^T (logged at debug
+    level), so the kind tells whether ``S`` is positive definite.  A sparse
+    ``S`` gets SuperLU, configured for symmetric-definite operands when
     ``expect_spd``; it serves definite and indefinite operands alike.
 
     Raises SingularMatrixError when the operand is singular to working
     precision.
     """
     if sp.issparse(S):
-        n = S.shape[0]
-        if n > DENSE_LIMIT:
-            return _sparse_lu(S, symmetric_spd=expect_spd)
-        dense = S.toarray()
-    else:
-        dense = np.asarray(S, dtype=np.float64)
-        n = dense.shape[0]
-    if dense.shape != (n, n):
+        return _sparse_lu(S, symmetric_spd=expect_spd)
+    dense = np.asarray(S, dtype=np.float64)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise InvalidArgumentError(f"square operand expected, got shape {dense.shape}")
     return _dense(np.asfortranarray(dense))
 
@@ -177,19 +177,20 @@ def factorize_shifted(K, M, shift: float) -> Factorization:
     return factorize(K - shift * M)
 
 
-def mass_chebyshev(M) -> Factorization:
-    """Solve handle for a P1 mass matrix ``M`` by Chebyshev semi-iteration, no factorization.
+def mass_chebyshev(M):
+    """A function that solves M X = B, for a P1 mass matrix ``M`` and B of shape (n,)
+    or (n, k), by Chebyshev semi-iteration, with no factorization.
 
-    On P1 triangles the spectrum of D^{-1} M, D = diag(M), lies in [1/2, 2]
-    (Wathen, IMA J. Numer. Anal. 7, 1987).  ``solve`` runs the Chebyshev
-    semi-iteration on that interval, preconditioned by D (Golub & Varga,
-    Numer. Math. 3, 1961), from a zero start on the whole right-hand-side
-    block: one sparse product per step and no inner products.  After
-    ``_CHEBYSHEV_STEPS`` steps the M-norm error of each column is at most
-    2 * 3**-30, about 1e-14, of the solution's M-norm.
+    It runs the semi-iteration on ``MASS_BRACKET``, which holds the spectrum
+    of D^{-1} M for D = diag(M), preconditioned by D (Golub & Varga, Numer.
+    Math. 3, 1961), from a zero start on the whole block: one sparse product
+    per step and no inner products.  After ``_CHEBYSHEV_STEPS`` steps the
+    M-norm error of each column is at most 2 * 3**-30, about 1e-14, of the
+    solution's M-norm.
     """
     inv_diag = 1.0 / M.diagonal()
-    theta, delta = 1.25, 0.75  # centre and half-width of [1/2, 2]
+    lower, upper = MASS_BRACKET
+    theta, delta = (upper + lower) / 2, (upper - lower) / 2  # centre and half-width
 
     def solve(rhs):
         scale = inv_diag if rhs.ndim == 1 else inv_diag[:, None]
@@ -206,7 +207,7 @@ def mass_chebyshev(M) -> Factorization:
             rho = rho_next
         return x
 
-    return Factorization("chebyshev", M.shape[0], solve)
+    return solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,44 +348,36 @@ def basis_times(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (coeffs.T @ basis.T).T
 
 
-def b_orthonormalize(vectors, M, against: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Blocked two-pass Gram-Schmidt orthonormalization in the M inner product.
+def b_orthonormalize(V: np.ndarray, M, against: np.ndarray) -> np.ndarray:
+    """Blocked two-pass Gram-Schmidt orthonormalization of ``V`` in place, in the M inner product.
 
-    The whole block is first projected off the optional ``against`` basis,
-    which is assumed M-orthonormal already, in exactly two blocked passes
-    ``V -= against @ (against' M V)`` (level-3 BLAS; one pass loses
-    orthogonality in proportion to the cancellation, the second restores it
-    to working precision: "twice is enough").  The columns are then
-    orthonormalized among themselves in order, with two classical
+    The whole block is first projected off the ``against`` basis, which is
+    assumed M-orthonormal already and may have no columns, in exactly two
+    blocked passes ``V -= against @ (against' M V)`` (level-3 BLAS; one
+    pass loses orthogonality in proportion to the cancellation, the second
+    restores it to working precision: "twice is enough").  The columns are
+    then orthonormalized among themselves in order, with two classical
     Gram-Schmidt sweeps per column against the columns already kept.  A
     column is dropped when its final M-norm falls below ``_DROP_TOL`` times
-    its input M-norm.
+    its input M-norm; the kept columns are compacted to the front of ``V``.
 
     Parameters
     ----------
-    vectors : (n, k) array
+    V : writable (n, k) float64 array, such as a slice of a basis buffer;
+        it is overwritten
     M : sparse or dense SPD matrix defining the inner product
-    against : optional existing M-orthonormal (n, m) basis
-    out : optional Fortran-ordered (n, k) block to work in, such as a slice
-        of a basis buffer; it may be ``vectors``, which is otherwise kept
+    against : M-orthonormal (n, m) basis, m >= 0
 
     Returns
     -------
-    (n, kept) array with W' M W = I, the view ``out[:, :kept]`` when ``out``
-    is given.  Raises EmptyBasisError if every vector is dropped and there
-    is no ``against`` basis (or one without columns) to fall back on.
+    The view ``V[:, :kept]``, with W' M W = I.  Raises EmptyBasisError if
+    every vector is dropped and ``against`` has no columns to fall back on.
     """
-    V = np.empty(np.shape(vectors), order="F") if out is None else out
-    np.copyto(V, vectors)
-    if against is not None and against.shape[1] == 0:
-        against = None
-
     MV = M @ V
     pre = np.sqrt(np.maximum(np.einsum("ij,ij->j", V, MV), 0.0))
-    coeffs = None if against is None else against.T @ MV
+    coeffs = against.T @ MV
     del MV  # not resident beside the n x k temporaries that follow
-    if against is not None:
+    if against.shape[1]:
         V -= basis_times(against, coeffs)
         V -= basis_times(against, against.T @ (M @ V))
 
@@ -405,6 +398,6 @@ def b_orthonormalize(vectors, M, against: np.ndarray | None = None,
         MW[:, kept] = mv / post
         kept += 1
 
-    if kept == 0 and against is None:
+    if kept == 0 and not against.shape[1]:
         raise EmptyBasisError("all vectors were dropped during orthonormalization")
     return V[:, :kept]

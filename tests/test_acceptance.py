@@ -121,7 +121,7 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
     hier = build_hierarchy(shape, coarse, fine)
     pencil = assemble(hier.fine)
     decomp = build_decomposition(hier, 0.25)
-    mass_fact = factorize(pencil.mass, expect_spd=True)
+    solve_mass = factorize(pencil.mass, expect_spd=True).solve
     coarse_piece = build_coarse_piece(hier, cluster.last)
     blocks = LocalBlocks(hier.fine, decomp)
 
@@ -136,7 +136,7 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
         prev = state.ritz_values.copy()
         state = rayleigh_ritz(state, corrections, pencil)
         assert np.all(state.ritz_values[: len(prev)] <= prev + 1e-12)
-        sn = stop_norm(state.residual, mass_fact)
+        sn = stop_norm(state.residual, solve_mass)
         if sn < 1e-8:
             return True
     return False

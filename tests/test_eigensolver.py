@@ -73,6 +73,22 @@ class TestClusterAndConfig:
         with pytest.raises(InvalidArgumentError):
             SolverConfig(max_iter=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ClusterSpec(2.0, 4.0),
+        lambda: ClusterSpec(2, 4.0),
+        lambda: SolverConfig(max_iter=2.5),
+        lambda: SolverConfig(max_iter=2.0),
+        lambda: SolverConfig(restart_dim=9.5),
+    ], ids=["cluster-floats", "cluster-last-float", "max-iter-fraction", "max-iter-float",
+            "restart-dim-fraction"])
+    def test_non_integer_rejected_up_front(self, make):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        assert ClusterSpec(np.int64(2), np.int32(4)).count == 3
+        assert SolverConfig(max_iter=np.int64(3), restart_dim=np.int64(9)).max_iter == 3
+
     def test_restart_dim_checked_against_cluster(self, small):
         hier, pencil, decomp = small
         with pytest.raises(InvalidArgumentError):
@@ -490,17 +506,15 @@ class TestStopNorm:
     def test_exact_pairs_give_zero(self, small):
         _, pencil, _ = small
         state = exact_state(pencil, ClusterSpec(1, 3))
-        mass_fact = factorize(pencil.mass, expect_spd=True)
-        sn = stop_norm(state.residual, mass_fact)
+        sn = stop_norm(state.residual, factorize(pencil.mass, expect_spd=True).solve)
         assert sn <= 1e-10
 
     def test_matches_dense_mass_inverse(self, small):
         hier, pencil, _ = small
         state = initialize(hier, pencil, ClusterSpec(1, 1))
-        mass_fact = factorize(pencil.mass, expect_spd=True)
         lam = state.ritz_values[0]
         u = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:1]).ravel()
-        sn = stop_norm(state.residual, mass_fact)
+        sn = stop_norm(state.residual, factorize(pencil.mass, expect_spd=True).solve)
         rho = lam * (pencil.mass @ u) - pencil.stiffness @ u
         want = np.sqrt(rho @ np.linalg.solve(pencil.mass.toarray(), rho))
         assert sn == pytest.approx(want, rel=1e-10)
@@ -520,7 +534,7 @@ class TestStopNorm:
 @functools.lru_cache(maxsize=None)
 def _mass_and_factorization(domain, level):
     pencil = assemble(build_mesh(DomainShape(domain), level))
-    return pencil, factorize(pencil.mass, expect_spd=True)
+    return pencil, factorize(pencil.mass, expect_spd=True).solve
 
 
 def _residual_block(pencil, cols, kind, seed):
@@ -540,9 +554,9 @@ def _residual_block(pencil, cols, kind, seed):
 def test_mass_diagonal_brackets_the_stop_norm(domain, level, cols, kind, seed):
     # 1/2 R'D^{-1}R <= R'M^{-1}R <= 2 R'D^{-1}R for D = diag(M); images
     # of random blocks under M and K lean towards either end
-    pencil, mass_fact = _mass_and_factorization(domain, level)
+    pencil, solve_mass = _mass_and_factorization(domain, level)
     R = _residual_block(pencil, cols, kind, seed)
-    exact = stop_norm(R, mass_fact)
+    exact = stop_norm(R, solve_mass)
     lower, upper = stop_bounds(R, pencil.mass.diagonal())
     assert lower <= exact * (1 + 1e-12)
     assert exact <= upper * (1 + 1e-12)
@@ -554,11 +568,10 @@ def test_mass_diagonal_brackets_the_stop_norm(domain, level, cols, kind, seed):
        cols=st.integers(1, 10), kind=st.sampled_from(["random", "mass", "stiffness"]),
        seed=st.integers(0, 2**32 - 1))
 def test_chebyshev_stop_norm_matches_the_sparse_factorization(domain, level, cols, kind, seed):
-    pencil, mass_fact = _mass_and_factorization(domain, level)
+    pencil, solve_mass = _mass_and_factorization(domain, level)
     R = _residual_block(pencil, cols, kind, seed)
     chebyshev = mass_chebyshev(pencil.mass)
-    assert chebyshev.kind == "chebyshev"
-    assert stop_norm(R, chebyshev) == pytest.approx(stop_norm(R, mass_fact), rel=1e-13)
+    assert stop_norm(R, chebyshev) == pytest.approx(stop_norm(R, solve_mass), rel=1e-13)
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -569,7 +582,8 @@ def test_mass_diagonal_brackets_the_mass_spectrum(domain, level):
     mass = assemble(build_mesh(DomainShape(domain), level)).mass
     scale = 1.0 / np.sqrt(mass.diagonal())
     values = np.linalg.eigvalsh(scale[:, None] * mass.toarray() * scale[None, :])
-    assert 0.5 <= values[0] and values[-1] <= 2.0
+    lower, upper = linalg.MASS_BRACKET
+    assert (lower, upper) == (0.5, 2.0) and lower <= values[0] and values[-1] <= upper
 
 
 class TestSolve:
@@ -741,7 +755,8 @@ def test_bound_gate_changes_no_result(case, monkeypatch):
     gated = solve(hier, pencil, decomp, ClusterSpec(first, last), config)
     gated_calls = len(calls)
     # a zero lower bound sends every row to the exact solve
-    monkeypatch.setattr(eigensolver, "_MASS_LOWER", 0.0)
+    monkeypatch.setattr(eigensolver, "stop_bounds",
+                        lambda *args: (0.0, stop_bounds(*args)[1]))
     exact = solve(hier, pencil, decomp, ClusterSpec(first, last), config)
     # one exact solve per finite row: each state is stop-tested once
     for report, count in ((gated, gated_calls), (exact, len(calls) - gated_calls)):

@@ -15,7 +15,6 @@ from schwarzjd.errors import (
 )
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import (
-    DENSE_LIMIT,
     b_orthonormalize,
     basis_times,
     dense_generalized_eig,
@@ -37,6 +36,7 @@ def random_spd(rng, n):
 class TestFactorize:
     def test_identity_solves_return_rhs(self):
         fact = factorize(sp.identity(8, format="csr"), expect_spd=True)
+        assert fact.kind == "sparse-lu"  # the operand type, not its order, picks the route
         rhs = np.arange(8.0)
         assert np.allclose(fact.solve(rhs), rhs)
 
@@ -54,9 +54,7 @@ class TestFactorize:
             assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_sparse_path_round_trip(self):
-        # the stiffness matrix at level 5 exceeds the dense threshold
         pencil = assemble(build_mesh(DomainShape.SQUARE, 5))
-        assert pencil.n > DENSE_LIMIT
         fact = factorize(pencil.stiffness, expect_spd=True)
         assert fact.kind == "sparse-lu"
         rng = np.random.default_rng(5)
@@ -94,8 +92,7 @@ class TestFactorize:
             factorize(S, expect_spd=False)
 
     def test_singular_sparse_rejected(self):
-        S = sp.csr_matrix((DENSE_LIMIT + 1, DENSE_LIMIT + 1))
-        S.setdiag(np.r_[0.0, np.ones(DENSE_LIMIT)])
+        S = sp.diags([0.0, 1.0, 1.0, 1.0], format="csr")
         with pytest.raises(SingularMatrixError):
             factorize(S)
 
@@ -289,19 +286,23 @@ class TestReleaseFreeHeap:
         assert linalg.release_free_heap() is None
 
 
+def no_basis(pencil):
+    return np.empty((pencil.n, 0))
+
+
 class TestBOrthonormalize:
     def test_random_set_is_mass_orthonormal(self, pencil):
         rng = np.random.default_rng(21)
         V = rng.standard_normal((pencil.n, 10))
-        W = b_orthonormalize(V, pencil.mass)
+        W = b_orthonormalize(V, pencil.mass, no_basis(pencil))
         assert W.shape[1] == 10
         G = W.T @ (pencil.mass @ W)
         assert np.abs(G - np.eye(10)).max() <= 1e-10
 
     def test_orthonormal_input_unchanged_up_to_sign(self, pencil):
         rng = np.random.default_rng(22)
-        W = b_orthonormalize(rng.standard_normal((pencil.n, 5)), pencil.mass)
-        W2 = b_orthonormalize(W, pencil.mass)
+        W = b_orthonormalize(rng.standard_normal((pencil.n, 5)), pencil.mass, no_basis(pencil))
+        W2 = b_orthonormalize(W.copy(), pencil.mass, no_basis(pencil))
         signs = np.sign(np.einsum("ij,ij->j", W, W2))
         assert np.abs(W2 * signs - W).max() <= 1e-12
 
@@ -309,30 +310,29 @@ class TestBOrthonormalize:
         rng = np.random.default_rng(23)
         V = rng.standard_normal((pencil.n, 4))
         V = np.hstack([V, V[:, :1]])
-        W = b_orthonormalize(V, pencil.mass)
+        W = b_orthonormalize(V, pencil.mass, no_basis(pencil))
         assert W.shape[1] == 4
 
     def test_idempotent_up_to_column_signs(self, pencil):
         rng = np.random.default_rng(24)
-        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), pencil.mass)
-        W2 = b_orthonormalize(W, pencil.mass)
+        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), pencil.mass, no_basis(pencil))
+        W2 = b_orthonormalize(W.copy(), pencil.mass, no_basis(pencil))
         assert W2.shape == W.shape
         overlap = np.abs(W.T @ (pencil.mass @ W2))
         assert np.allclose(overlap, np.eye(6), atol=1e-10)
 
     def test_projection_against_existing_basis(self, pencil):
         rng = np.random.default_rng(25)
-        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), pencil.mass)
+        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), pencil.mass, no_basis(pencil))
         V = rng.standard_normal((pencil.n, 3))
-        T = b_orthonormalize(V, pencil.mass, against=W)
+        T = b_orthonormalize(V, pencil.mass, W)
         assert T.shape[1] == 3
         assert np.abs(W.T @ (pencil.mass @ T)).max() <= 1e-10
 
     def test_dependent_on_existing_basis_returns_empty(self, pencil):
         rng = np.random.default_rng(26)
-        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), pencil.mass)
-        T = b_orthonormalize(W[:, :2] @ np.array([[1.0, 2.0], [3.0, -1.0]]),
-                             pencil.mass, against=W)
+        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), pencil.mass, no_basis(pencil))
+        T = b_orthonormalize(W[:, :2] @ np.array([[1.0, 2.0], [3.0, -1.0]]), pencil.mass, W)
         assert T.shape == (pencil.n, 0)
 
     @pytest.mark.parametrize("outside, kept", [(1e-6, 1), (1e-12, 0)])
@@ -342,61 +342,73 @@ class TestBOrthonormalize:
         # the second brings it to roundoff.
         rng = np.random.default_rng(27)
         M = pencil.mass
-        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), M)
-        d = b_orthonormalize(rng.standard_normal((pencil.n, 1)), M, against=W)
+        W = b_orthonormalize(rng.standard_normal((pencil.n, 6)), M, no_basis(pencil))
+        d = b_orthonormalize(rng.standard_normal((pencil.n, 1)), M, W)
         v = W @ rng.standard_normal((6, 1)) + outside * d
-        T = b_orthonormalize(v, M, against=W)
+        T = b_orthonormalize(v, M, W)
         assert T.shape == (pencil.n, kept)
         assert np.abs(W.T @ (M @ T)).max(initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("dependent", [False, True], ids=["all-kept", "one-dropped"])
     def test_out_block_gets_the_same_bits_in_place(self, pencil, dependent):
+        # A block inside a wider buffer, as in eigensolver._grow, gets the
+        # same bits as a standalone copy of it, and the buffer outside the
+        # block keeps its contents.
         rng = np.random.default_rng(28)
         M = pencil.mass
-        against = b_orthonormalize(rng.standard_normal((pencil.n, 4)), M)
+        against = b_orthonormalize(rng.standard_normal((pencil.n, 4)), M, no_basis(pencil))
         V = rng.standard_normal((pencil.n, 5))
         if dependent:
             V[:, 2] = V[:, 0] - 2.0 * V[:, 1]
-        given = V.copy()
-        ref = b_orthonormalize(V, M, against=against)
+        ref = b_orthonormalize(np.asfortranarray(V), M, against)
         assert ref.shape[1] == (4 if dependent else 5)
         buffer = linalg.mapped_zeros(pencil.n, 9)
-        W = b_orthonormalize(V, M, against=against, out=buffer[:, 2:7])
-        assert np.array_equal(V, given)
+        block = buffer[:, 2:7]
+        block[:] = V
+        W = b_orthonormalize(block, M, against)
         assert np.shares_memory(W, buffer) and W.ctypes.data == buffer[:, 2:].ctypes.data
         assert np.array_equal(W, ref)
         assert not buffer[:, :2].any() and not buffer[:, 7:].any()
-        # the block to orthonormalize may be the out block itself
-        block = buffer[:, 4:]
-        block[:] = given
-        assert np.array_equal(b_orthonormalize(block, M, against=against, out=block), ref)
 
     def test_all_dropped_without_fallback_raises(self, pencil):
-        with pytest.raises(EmptyBasisError):
-            b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass)
         # An against basis without columns is no basis to fall back on.
         with pytest.raises(EmptyBasisError):
-            b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass,
-                             against=np.empty((pencil.n, 0)))
+            b_orthonormalize(np.zeros((pencil.n, 3)), pencil.mass, no_basis(pencil))
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 8),
-       against_cols=st.integers(0, 5), dependent=st.booleans())
-def test_orthonormalize_property(pencil, seed, cols, against_cols, dependent):
+       against_cols=st.integers(0, 5), dependent=st.booleans(), spare=st.integers(0, 3))
+def test_orthonormalize_property(pencil, seed, cols, against_cols, dependent, spare):
+    # As in eigensolver._grow: the basis is the leading columns of a wider
+    # buffer and the block the columns right behind it, with spare columns after.
     rng = np.random.default_rng(seed)
-    M = pencil.mass
-    V = rng.standard_normal((pencil.n, cols))
+    M, n = pencil.mass, pencil.n
+    V = rng.standard_normal((n, cols))
     if dependent:  # a combination of the earlier columns must be dropped
         V = np.hstack([V, V @ rng.standard_normal(cols)[:, None]])
-    against = None
+    k = V.shape[1]
+    buffer = linalg.mapped_zeros(n, against_cols + k + spare)
+    buffer[:, against_cols + k:] = rng.standard_normal((n, spare))
+    against = buffer[:, :against_cols]
     if against_cols:
-        against = b_orthonormalize(rng.standard_normal((pencil.n, against_cols)), M)
-    W = b_orthonormalize(V, M, against=against)
-    assert W.shape == (pencil.n, cols)
+        against[:] = rng.standard_normal((n, against_cols))
+        assert b_orthonormalize(against, M, no_basis(pencil)).shape[1] == against_cols
+    block = buffer[:, against_cols:against_cols + k]
+    block[:] = V
+    outside = np.delete(buffer, np.s_[against_cols:against_cols + k], axis=1)
+
+    W = b_orthonormalize(block, M, against)
+    assert W.shape == (n, cols)
+    assert W.ctypes.data == block.ctypes.data and W.strides == block.strides
+    assert np.array_equal(np.delete(buffer, np.s_[against_cols:against_cols + k], axis=1),
+                          outside)
     assert np.abs(W.T @ (M @ W) - np.eye(cols)).max() <= 1e-10
-    if against is not None:
-        assert np.abs(against.T @ (M @ W)).max() <= 1e-10
+    assert np.abs(against.T @ (M @ W)).max(initial=0.0) <= 1e-10
+    # every input column lies in span(against, W): its M-orthogonal residual vanishes
+    R = V - against @ (against.T @ (M @ V)) - W @ (W.T @ (M @ V))
+    residual = np.sqrt(np.einsum("ij,ij->j", R, M @ R))
+    assert np.all(residual <= 1e-10 * np.sqrt(np.einsum("ij,ij->j", V, M @ V)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -47,14 +47,13 @@ one.  A state's basis and projected matrix are read-only views of the
 leading block of Fortran-ordered buffers that a chain of states shares.
 ``solve`` reserves each chain's buffers once, when the chain starts
 (startup, and each thick restart), for the largest basis the run can reach:
-last + max_iter * count columns, or restart_dim + count with restarts,
-capped at n and at the columns that fit in physical memory.  Growing the
-newest state on a buffer with room orthonormalizes the new vectors in
-place, behind the views the older states hold, and borders the projected
-matrix in place; only growing an older state, or past the reservation,
-copies a basis.  The small eigenproblem is solved in an operand that the
-chain reuses (``linalg.dense_symmetric_eig``), and a state keeps only the
-Ritz coefficients of columns 1..last.  The reservations are anonymous
+last + max_iter * count columns, or restart_dim + count with restarts.
+Growing the newest state orthonormalizes the new vectors in place, behind
+the views the older states hold, and borders the projected matrix in
+place; only growing an older state copies a basis.  The small eigenproblem
+is solved in an operand that the chain reuses
+(``linalg.dense_symmetric_eig``), and a state keeps only the Ritz
+coefficients of columns 1..last.  The reservations are anonymous
 memory maps, so pages are backed only as they are written and the process
 holds the basis, not the reservation.  The basis takes 8 n dim bytes, the
 projected pair (the projected matrix and the operand) 16 dim^2 beside it,
@@ -77,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, linalg, schwarz
-from .errors import ClusterTooLargeError, InvalidArgumentError
+from .errors import ClusterTooLargeError, InvalidArgumentError, is_integer, is_number
 from .mesh import Decomposition, MeshHierarchy
 
 __all__ = [
@@ -106,7 +105,7 @@ class ClusterSpec:
     last: int
 
     def __post_init__(self):
-        if not all(isinstance(i, (int, np.integer)) for i in (self.first, self.last)):
+        if not (is_integer(self.first) and is_integer(self.last)):
             raise InvalidArgumentError(f"need integer m and M, got m={self.first!r}, M={self.last!r}")
         if not 1 <= self.first <= self.last:
             raise InvalidArgumentError(
@@ -125,20 +124,22 @@ class SolverConfig:
     restart_dim: int | None = None
 
     def __post_init__(self):
+        if not is_number(self.tol):
+            raise InvalidArgumentError(f"tolerance must be a number, got {self.tol!r}")
         if not 0.0 < self.tol < np.inf:
             raise InvalidArgumentError(f"tolerance must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not is_integer(self.max_iter) or self.max_iter < 1:
             raise InvalidArgumentError(f"max_iter must be >= 1 and an integer, got {self.max_iter!r}")
-        if not isinstance(self.restart_dim, (int, np.integer, type(None))):
+        if not (self.restart_dim is None or is_integer(self.restart_dim)):
             raise InvalidArgumentError(f"restart_dim must be an integer, got {self.restart_dim!r}")
 
 
 class _BasisBuffer:
     """Storage shared by a chain of states; basis columns [0, filled) are written.
 
-    Reserves ``capacity`` basis columns, but never fewer than ``need`` nor
-    more than n or than fit in physical memory, as a ``linalg.mapped_zeros``
-    n x columns array ``data``, off the malloc heap and backed only as
+    Reserves ``reserve`` columns (0: twice ``need``), never fewer than
+    ``need`` nor more than n + need or than fit in physical memory, as a
+    ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
     columns are written.  Beside it, with side = min(columns, n), a side x
     side ``projected`` block, whose leading dim x dim corner is the projected
     matrix of the basis [0, dim), and a flat ``operand`` of side^2 doubles
@@ -146,11 +147,11 @@ class _BasisBuffer:
     columns, or the 16 need^2 bytes of the projected pair, do not fit.
     """
 
-    def __init__(self, n: int, need: int, capacity: int):
+    def __init__(self, n: int, need: int, reserve: int = 0):
         remedy = "; bound the basis with --restart-dim"
         fits = linalg.admit(f"a trial basis of {need} columns of {n} dofs", 8 * n, need, remedy)
         linalg.admit(f"a projected pair of order {need}", 16 * need, need, remedy)
-        columns = max(need, min(capacity, n, fits))
+        columns = max(need, min(reserve or 2 * need, n + need, fits))
         side = min(columns, n)
         self.data = linalg.mapped_zeros(n, columns)
         self.projected = linalg.mapped_zeros(side, side)
@@ -243,12 +244,12 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
     The new state starts a chain whose buffer reserves ``reserve`` columns
-    (0: twice the startup basis), so that growth up to that dimension
-    writes in place; the lifted eigenvectors are written into its first
-    columns and orthonormalized there.  The startup's temporaries (the
-    sparse factorization of the initialization pencil, the lifted block,
-    the Gram-Schmidt blocks) outgrow those of any later iteration, so it
-    ends by returning the heap they freed to the operating system
+    (``_BasisBuffer``), so that growth up to that dimension writes in place;
+    the lifted eigenvectors are written into its first columns and
+    orthonormalized there.  The startup's temporaries (the sparse
+    factorization of the initialization pencil, the lifted block, the
+    Gram-Schmidt blocks) outgrow those of any later iteration, so it ends by
+    returning the heap they freed to the operating system
     (``linalg.release_free_heap``).
 
     Raises ClusterTooLargeError unless the initialization mesh has more
@@ -268,7 +269,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
                  3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    buffer = _BasisBuffer(pencil.n, cluster.last, reserve or 2 * cluster.last)
+    buffer = _BasisBuffer(pencil.n, cluster.last, reserve)
     block = buffer.data[:, :cluster.last]
     block[:] = hier.initial_to_fine @ init.vectors
     state = _grow(_empty_state(cluster, buffer), block, pencil)
@@ -366,16 +367,15 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     the buffer has room for all k columns; ``new_vectors`` may be those very
     columns, as the chain starts pass them.  Otherwise (an older state, or a
     full buffer) the basis and the projected matrix are copied into a new
-    buffer of twice dim + k columns, so that a caller growing state by state
-    without a reservation copies only O(log dim) times.  No existing state's
-    basis or projected matrix changes.  Raises ProblemTooLargeError when dim
-    + k columns, or their projected pair, exceed physical memory, and
-    EigensolverError when the projected eigensolve fails.
+    buffer.  No existing state's basis or projected matrix changes.  Raises
+    ProblemTooLargeError when dim + k columns, or their projected pair,
+    exceed physical memory, and EigensolverError when the projected
+    eigensolve fails.
     """
     dim, k = state.dim, np.shape(new_vectors)[1]
     buffer = state._buffer
     if buffer.filled != dim or buffer.data.shape[1] < dim + k:
-        buffer = _BasisBuffer(pencil.n, dim + k, 2 * (dim + k))
+        buffer = _BasisBuffer(pencil.n, dim + k)
         buffer.data[:, :dim] = state.basis
         buffer.projected[:dim, :dim] = state.projected
     out = buffer.data[:, dim:dim + k]

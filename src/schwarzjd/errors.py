@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type tests of its arguments."""
+
+import numbers
 
 
 class SchwarzJDError(Exception):
@@ -32,3 +34,13 @@ class ProblemTooLargeError(InvalidArgumentError):
     eigensolve, a startup block, a trial basis or its projected pair larger
     than the machine's physical memory.
     """
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a Python or NumPy real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_integer, is_number
 
 __all__ = [
     "DomainShape",
@@ -104,7 +104,7 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
     (``linalg.admit``), before allocating, when the int64 dof grid would
     exceed physical memory.
     """
-    if not isinstance(level, (int, np.integer)) or level < 1:
+    if not is_integer(level) or level < 1:
         raise InvalidArgumentError(f"mesh level must be a positive integer, got {level!r}")
     shape = DomainShape(shape)
     # The dof grid has 2^k + 1 lattice points per side, 8 bytes each.  No memory holds
@@ -172,6 +172,9 @@ class MeshHierarchy:
 
 def build_hierarchy(shape: DomainShape, coarse_level: int, fine_level: int) -> MeshHierarchy:
     """Build nested meshes at ``coarse_level`` < ``coarse_level + 1`` <= ``fine_level``."""
+    if not (is_integer(coarse_level) and is_integer(fine_level)):
+        raise InvalidArgumentError(
+            f"mesh levels must be integers, got coarse {coarse_level!r}, fine {fine_level!r}")
     if coarse_level < 1:
         raise InvalidArgumentError(f"coarse level must be >= 1, got {coarse_level}")
     if fine_level < coarse_level + 1:
@@ -210,9 +213,14 @@ class Decomposition:
     overlap_layers: int
 
     def __post_init__(self):
-        """Reject an empty subdomain or one that is not strictly ascending."""
-        if not np.all(np.diff(self.offsets) > 0) or not np.all(
-            np.delete(np.diff(self.dofs), self.offsets[1:-1] - 1) > 0
+        """Reject offsets that do not run from 0 to len(dofs), an empty subdomain
+        or one that is not strictly ascending."""
+        offsets, end = np.asarray(self.offsets), len(self.dofs)
+        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != end:
+            raise InvalidArgumentError(f"offsets must run from 0 to len(dofs) = {end}, "
+                                       f"got {offsets}")
+        if not np.all(np.diff(offsets) > 0) or not np.all(
+            np.delete(np.diff(self.dofs), offsets[1:-1] - 1) > 0
         ):
             raise InvalidArgumentError("every subdomain must be non-empty and strictly ascending")
 
@@ -234,6 +242,8 @@ def build_decomposition(hier: MeshHierarchy, overlap_ratio: float) -> Decomposit
     minimum of one layer.  Raises InvalidArgumentError when the requested
     overlap is smaller than one fine layer or larger than half a subdomain.
     """
+    if not is_number(overlap_ratio):
+        raise InvalidArgumentError(f"overlap ratio must be a number, got {overlap_ratio!r}")
     if not 0.0 < overlap_ratio <= 0.5:
         raise InvalidArgumentError(f"overlap ratio must lie in (0, 1/2], got {overlap_ratio}")
     r = hier.refinement_ratio

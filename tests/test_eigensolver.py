@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 import weakref
 
 import numpy as np
@@ -73,16 +74,23 @@ class TestClusterAndConfig:
         with pytest.raises(InvalidArgumentError):
             SolverConfig(max_iter=0)
 
-    @pytest.mark.parametrize("make", [
-        lambda: ClusterSpec(2.0, 4.0),
-        lambda: ClusterSpec(2, 4.0),
-        lambda: SolverConfig(max_iter=2.5),
-        lambda: SolverConfig(max_iter=2.0),
-        lambda: SolverConfig(restart_dim=9.5),
-    ], ids=["cluster-floats", "cluster-last-float", "max-iter-fraction", "max-iter-float",
-            "restart-dim-fraction"])
-    def test_non_integer_rejected_up_front(self, make):
-        with pytest.raises(InvalidArgumentError, match="integer"):
+    @pytest.mark.parametrize("make, value", [
+        (lambda: ClusterSpec(2.0, 4.0), "2.0"),
+        (lambda: ClusterSpec(2, 4.0), "4.0"),
+        (lambda: ClusterSpec(True, True), "True"),
+        (lambda: SolverConfig(max_iter=2.5), "2.5"),
+        (lambda: SolverConfig(max_iter=2.0), "2.0"),
+        (lambda: SolverConfig(max_iter=True), "True"),
+        (lambda: SolverConfig(restart_dim=9.5), "9.5"),
+        (lambda: SolverConfig(restart_dim=True), "True"),
+        (lambda: SolverConfig(tol=True), "True"),
+        (lambda: SolverConfig(tol="1e-8"), "'1e-8'"),
+    ], ids=["cluster-floats", "cluster-last-float", "cluster-bools", "max-iter-fraction",
+            "max-iter-float", "max-iter-bool", "restart-dim-fraction", "restart-dim-bool",
+            "tol-bool", "tol-string"])
+    def test_non_integer_rejected_up_front(self, make, value):
+        # A bool is an int in Python, but not a count or a tolerance here.
+        with pytest.raises(InvalidArgumentError, match=rf"(integer|number).*{re.escape(value)}"):
             make()
 
     def test_numpy_integers_accepted(self):
@@ -405,6 +413,18 @@ class TestOneBufferPerChain:
         assert all(np.shares_memory(s.basis, final.basis) for s in states)
         capacity = buffers[0].data.shape[1]
         assert final.dim <= capacity <= cluster.last + config.max_iter * cluster.count
+
+    def test_a_basis_that_fills_n_columns_is_never_copied(self, small, recorded):
+        # At tolerance 1e-300 the basis grows to all n columns and the run stagnates
+        # there, each growth still writing its whole block behind the basis.
+        hier, pencil, decomp = small
+        buffers, states = recorded
+        report = solve(hier, pencil, decomp, ClusterSpec(1, 5),
+                       SolverConfig(tol=1e-300, max_iter=60))
+        assert report.stagnated and report.trace[-1].basis_dim == pencil.n
+        assert len(buffers) == 1
+        final = states[-1]
+        assert all(np.shares_memory(s.basis, final.basis) for s in states)
 
     def test_each_thick_restart_starts_one_buffer(self, recorded):
         buffers, states = recorded

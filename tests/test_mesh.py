@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,10 +81,12 @@ class TestBuildMesh:
         pts = dof_points(mesh)
         assert not np.any((pts[:, 0] >= -1e-12) & (pts[:, 1] <= 1e-12))
 
-    @pytest.mark.parametrize("level", [0, -1])
+    @pytest.mark.parametrize("level", [0, -1, True, 2.0, "2"])
     def test_invalid_level_rejected(self, level):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=re.escape(repr(level))):
             build_mesh(DomainShape.SQUARE, level)
+        with pytest.raises(InvalidArgumentError, match=re.escape(repr(level))):
+            build_hierarchy(DomainShape.SQUARE, level, 4)
 
     @pytest.mark.parametrize("shape, fits", [(DomainShape.SQUARE, 4), (DomainShape.LSHAPE, 3)])
     def test_dof_grid_beyond_memory_rejected(self, monkeypatch, shape, fits):
@@ -312,10 +315,10 @@ class TestDecomposition:
         with pytest.raises(InvalidArgumentError):
             build_decomposition(hier, 0.1)  # 0.1 * 2 fine cells < 1 layer
 
-    @pytest.mark.parametrize("ratio", [0.0, -0.25, 0.75])
+    @pytest.mark.parametrize("ratio", [0.0, -0.25, 0.75, "0.25", True])
     def test_out_of_range_ratio_rejected(self, ratio):
         hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=re.escape(repr(ratio))):
             build_decomposition(hier, ratio)
 
     @pytest.mark.parametrize("sets", [
@@ -329,3 +332,14 @@ class TestDecomposition:
         dofs = np.array([i for d in sets for i in d], dtype=np.int64)
         with pytest.raises(InvalidArgumentError, match="non-empty and strictly ascending"):
             Decomposition(dofs=dofs, offsets=offsets, overlap_layers=1)
+
+    @pytest.mark.parametrize("n_dofs, offsets", [
+        (5, [1, 3]),
+        (3, [0, 2, 5]),
+        (3, []),
+        (3, [[0, 3]]),
+    ], ids=["late-start", "past-the-end", "empty", "two-dimensional"])
+    def test_offsets_that_do_not_span_the_dofs_rejected(self, n_dofs, offsets):
+        with pytest.raises(InvalidArgumentError, match="offsets must run from 0"):
+            Decomposition(dofs=np.arange(n_dofs), offsets=np.array(offsets, dtype=np.int64),
+                          overlap_layers=1)

@@ -1,4 +1,4 @@
-"""Fingerprint the solver's full trace on eight fixed cases, to prove bit-identity.
+"""Fingerprint the solver's full trace on ten fixed cases, to prove bit-identity.
 
     python3 tools/trace_hashes.py
     python3 tools/trace_hashes.py --spread
@@ -18,8 +18,10 @@ All values are hashed as float64 bytes.  The values hash compares runs
 whose stop norms are computed on different rows or rounded differently; a
 change that moves only the exact stop norms keeps the iteration counts, the
 exact-row counts and the values hashes, and changes only trace hashes.  BLAS runs on one thread
-(set before NumPy loads), with overlap 0.25 and tolerance 1e-8, so the
-reduction orders are fixed.
+(set before NumPy loads), with overlap 0.25, so the reduction orders are
+fixed.  The tolerance is 1e-8, except in the last two cases: at 1e-300 the
+stop test never passes, so their basis fills all n columns, until the run
+stagnates.
 
 ``--spread`` shows how far roundoff moves the iteration counts: it reruns
 the tool in a subprocess at one and at two BLAS threads (passing the count
@@ -58,6 +60,8 @@ CASES = [
     ("square", 2, 5, 2, 4, {}),
     ("square", 2, 4, 3, 5, {"restart_dim": 13}),
     ("square", 2, 7, 3, 5, {}),
+    ("square", 2, 4, 1, 5, {"tol": 1e-300, "max_iter": 60}),
+    ("square", 1, 3, 1, 2, {"tol": 1e-300, "max_iter": 100}),
 ]
 
 
@@ -91,7 +95,7 @@ def main() -> None:
         pencil = assemble(hier.fine)
         decomp = build_decomposition(hier, OVERLAP)
         report = solve(hier, pencil, decomp, ClusterSpec(first, last),
-                       SolverConfig(tol=TOL, **extra))
+                       SolverConfig(**{"tol": TOL, **extra}))
         options = " ".join(f"{k}={v}" for k, v in extra.items())
         print(f"{domain} {coarse}/{fine} {first}..{last} {options}".rstrip()
               + f"  iterations={report.iterations}"
@@ -101,7 +105,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Fingerprint the solver's trace on eight cases.")
+    parser = argparse.ArgumentParser(description="Fingerprint the solver's trace on ten cases.")
     parser.add_argument("--spread", action="store_true",
                         help="print each case's iteration count at one and at two BLAS threads")
     if parser.parse_args().spread:

@@ -7,9 +7,9 @@ A run writes three artifacts into the output directory:
                drift, basis dimension, clamped shifts, LDL^T fallbacks, wall
                time
   final.csv    final eigenvalues with reference values where available
-  summary.json effective configuration echo plus run statistics, with the
-               process's peak RSS when the solve returned (in a sweep, the
-               maximum over the runs so far)
+  summary.json effective configuration echo plus run statistics, set-up and
+               solve phase timings, and the process's peak RSS when the
+               solve returned (in a sweep, the maximum over the runs so far)
 
 ``sweep`` repeats a run over a list of fine or coarse levels and aggregates
 the reports the runs return side by side, one column per level, with
@@ -34,6 +34,7 @@ import logging
 import math
 import resource
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,9 +180,14 @@ def run(config: ExperimentConfig) -> int:
 def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
     """``run`` from prebuilt ``config.settings()``; also returns the report."""
     cluster, solver_config, shape = settings
+    start = time.perf_counter()
     hier = build_hierarchy(shape, config.coarse, config.fine)
+    built = time.perf_counter()
     decomp = build_decomposition(hier, config.overlap)
+    split = time.perf_counter()
     pencil = fem.assemble(hier.fine)
+    setup_s = {"build_hierarchy": built - start, "build_decomposition": split - built,
+               "assemble": time.perf_counter() - split}
     report = solve(hier, pencil, decomp, cluster, solver_config)
     # before the reference values, which are not the solver's; ru_maxrss is in KiB on Linux
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -212,6 +218,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "basis_dims": [rec.basis_dim for rec in report.trace],
         "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),
         "ldlt_fallbacks_total": sum(rec.ldlt_fallbacks for rec in report.trace),
+        "setup_s": {k: round(v, 6) for k, v in setup_s.items()},
         "timings_s": {k: round(v, 6) for k, v in report.timings.items()},
         "peak_rss_mib": round(peak_rss_mib, 1),
     }

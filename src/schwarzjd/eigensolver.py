@@ -2,11 +2,12 @@
 
 The solver targets the eigenvalue cluster with 1-based indices
 first..last of the fine discrete pencil.  Startup solves the pencil on the
-initialization mesh (one refinement below the coarse mesh) for its lowest
-``last`` eigenpairs, densely up to ``linalg.DENSE_LIMIT`` dofs and by
-sparse shift-invert Lanczos above it, interpolates the eigenvectors to the
-fine mesh, and Rayleigh-Ritz projects there; by nestedness the starting
-values coincide with the initialization-mesh eigenvalues.  Each outer
+initialization mesh (one level finer than the coarse mesh: coarse level + 1,
+spacing halved) for its lowest ``last`` eigenpairs, densely up to
+``linalg.DENSE_LIMIT`` dofs and by sparse shift-invert Lanczos above it,
+interpolates the eigenvectors to the fine mesh, and Rayleigh-Ritz projects
+there; by nestedness the starting values coincide with the
+initialization-mesh eigenvalues.  Each outer
 iteration then
 
   1. refactorizes the subdomain operator classes, grouped once per solve,

@@ -123,39 +123,37 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
 def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     """Nodal P1 interpolation matrix from coarse interior dofs to fine interior dofs.
 
-    Every fine dof lies in exactly one coarse cell; its value is the linear
-    interpolant on whichever of the two coarse triangles contains it.  Weights
-    attached to coarse boundary nodes are dropped (those values are zero).
+    With r fine cells per coarse cell side, the hat of a coarse node weighs
+    the fine lattice point at offset (dx, dy) from it by
+    1 - max(|dx|, |dy|, |dx - dy|) / r, and by zero where that maximum is
+    r or more.  So every row of P' is one stencil of 3r^2 - 3r + 1 offsets,
+    taken in ascending (dy, dx) order, which is ascending fine dof order.
+    Every offset strictly inside the hat's support is a fine dof: an interior
+    coarse node has all four of its cells in the domain.  The weights k / r
+    are dyadic, so they are exact, and P is P' transposed.
     """
     r = 1 << (fine.level - coarse.level)
-    fl = fine.dof_lattice()
-    cx, sx = np.divmod(fl[:, 0], r)
-    cy, sy = np.divmod(fl[:, 1], r)
-    s = sx / r
-    t = sy / r
-
-    lower = s >= t
-    # Corner columns in ascending coarse-dof order (LL, LR, UL, UR), weighted
-    # on the lower triangle (LL, LR, UR) or the upper one (LL, UR, UL).
-    n = coarse.dof_grid.shape[1]
-    cols = np.take(coarse.dof_grid, (cy * n + cx)[:, None] + np.array([0, 1, n, n + 1]))
-    weights = np.column_stack([
-        np.where(lower, 1.0 - s, 1.0 - t),
-        np.where(lower, s - t, 0.0),
-        np.where(lower, 0.0, t - s),
-        np.where(lower, t, s),
-    ])
-    keep = (cols >= 0) & (weights != 0.0)
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sp.csr_matrix((weights[keep], cols[keep], indptr), shape=(fine.n_dofs, coarse.n_dofs))
+    dy, dx = np.ogrid[1 - r : r, 1 - r : r]
+    hat = np.maximum(np.maximum(abs(dx), abs(dy)), abs(dx - dy))
+    inside = hat < r
+    n = fine.dof_grid.shape[1]
+    steps = (dy * n + dx)[inside]
+    iy, ix = np.divmod(np.flatnonzero(coarse.dof_grid >= 0), coarse.dof_grid.shape[1])
+    cols = np.take(fine.dof_grid, ((iy * n + ix) * r)[:, None] + steps)
+    weights = np.tile(1.0 - hat[inside] / r, coarse.n_dofs)
+    indptr = np.arange(0, cols.size + 1, len(steps))
+    restriction = sp.csr_matrix((weights, cols.ravel(), indptr),
+                                shape=(coarse.n_dofs, fine.n_dofs))
+    return restriction.T.tocsr()
 
 
 @dataclass(frozen=True, eq=False)
 class MeshHierarchy:
     """Nested coarse / initial / fine meshes with interpolation matrices.
 
-    The initial mesh sits one level below the coarse one (spacing halved),
-    so the spaces are nested: V_coarse < V_initial < V_fine.
+    The initial mesh is one level finer than the coarse one (level
+    ``coarse_level + 1``, spacing halved), so the spaces are nested:
+    V_coarse < V_initial < V_fine.
     """
 
     coarse: Mesh

@@ -212,6 +212,9 @@ class TestRunCommand:
         assert summary["clamped_shifts_total"] == 0
         assert all(int(r[9]) == 0 for r in trace[1:])
         assert summary["ldlt_fallbacks_total"] == 0
+        setup = summary["setup_s"]
+        assert list(setup) == ["build_hierarchy", "build_decomposition", "assemble"]
+        assert all(isinstance(t, float) and t > 0 for t in setup.values())
 
     def test_summary_echoes_full_config(self, tmp_path):
         out = tmp_path / "run"

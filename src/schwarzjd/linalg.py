@@ -38,6 +38,7 @@ from .errors import (
     InvalidArgumentError,
     ProblemTooLargeError,
     SingularMatrixError,
+    is_integer,
 )
 
 __all__ = [
@@ -261,14 +262,18 @@ def release_free_heap() -> None:
 def _mapped_eigh(A, B, subset=None) -> EigenBasis:
     """Eigenpairs ``subset`` = (lo, hi), or all, of A x = lambda B x by LAPACK, which
     overwrites copies of A and B (sparse or dense) in fresh ``mapped_zeros`` maps and
-    leaves the vectors in A's.  Raises InvalidArgumentError unless B is positive definite."""
+    leaves the vectors in A's.  Raises InvalidArgumentError unless B is positive definite,
+    and EigensolverError when LAPACK fails otherwise (say, does not converge)."""
     a, b = mapped_zeros(*np.shape(A)), mapped_zeros(*np.shape(B))
     for S, out in ((A, a), (B, b)):
         S.toarray(out=out) if sp.issparse(S) else np.copyto(out, S)  # toarray adds to the zeros
     try:
         values, vectors = sla.eigh(a, b, subset_by_index=subset, overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError(f"mass operand is not positive definite: {exc}") from exc
+        # scipy's message for info > n, the one failure that is the operand's
+        if "of B is not positive definite" in str(exc):
+            raise InvalidArgumentError(f"mass operand is not positive definite: {exc}") from exc
+        raise EigensolverError(f"dense eigensolve of order {len(a)} failed: {exc}") from exc
     return EigenBasis(values=values, vectors=vectors)
 
 
@@ -278,7 +283,8 @@ def dense_generalized_eig(A, B) -> EigenBasis:
     A and B, sparse or dense, are not modified: LAPACK overwrites mapped
     copies and returns the vectors in A's.  Returns ascending eigenvalues
     with vectors normalized so that V' B V = I.  Raises InvalidArgumentError
-    when B is not positive definite or the dimensions disagree.
+    when B is not positive definite or the dimensions disagree, and
+    EigensolverError when LAPACK does not converge.
     """
     shape = np.shape(A)
     if np.shape(B) != shape or len(shape) != 2 or shape[0] != shape[1]:
@@ -313,12 +319,13 @@ def lowest_eigenpairs(K, M, k: int) -> EigenBasis:
     or more, are solved densely.  Otherwise shift-invert Lanczos (ARPACK)
     at shift zero runs on the sparse factorization of K, from a fixed start
     vector so that repeated calls are bit-identical.  Raises
-    InvalidArgumentError unless 1 <= k < n (and, densely, M is SPD), and
-    EigensolverError when ARPACK fails or does not converge.
+    InvalidArgumentError unless k is an integer with 1 <= k < n (and,
+    densely, M is SPD), and EigensolverError when LAPACK or ARPACK fails or
+    does not converge.
     """
     n = K.shape[0]
-    if not 1 <= k < n:
-        raise InvalidArgumentError(f"need 1 <= k < {n} eigenpairs, got k={k}")
+    if not is_integer(k) or not 1 <= k < n:
+        raise InvalidArgumentError(f"need an integer count 1 <= k < {n}, got k={k!r}")
     if n <= DENSE_LIMIT or 2 * k >= n:
         return _mapped_eigh(K, M, subset=(0, k - 1))
     fact = factorize(K, expect_spd=True)

@@ -211,9 +211,15 @@ class Decomposition:
     overlap_layers: int
 
     def __post_init__(self):
-        """Reject offsets that do not run from 0 to len(dofs), an empty subdomain
-        or one that is not strictly ascending."""
-        offsets, end = np.asarray(self.offsets), len(self.dofs)
+        """Store ``dofs`` and ``offsets`` as int64 arrays (an int64 array is not
+        copied), and reject a non-integer dtype, offsets that do not run from 0 to
+        len(dofs), an empty subdomain or one that is not strictly ascending."""
+        for name in ("dofs", "offsets"):
+            array = np.asarray(getattr(self, name))
+            if array.dtype.kind not in "iu":
+                raise InvalidArgumentError(f"{name} must hold integers, got dtype {array.dtype}")
+            object.__setattr__(self, name, array.astype(np.int64, copy=False))
+        offsets, end = self.offsets, len(self.dofs)
         if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != end:
             raise InvalidArgumentError(f"offsets must run from 0 to len(dofs) = {end}, "
                                        f"got {offsets}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_integer
 
 __all__ = ["GapInfo", "exact_square_eigenvalues", "cluster_gaps"]
 
@@ -29,8 +29,8 @@ class GapInfo:
 
 def exact_square_eigenvalues(count: int) -> np.ndarray:
     """First ``count`` Dirichlet Laplacian eigenvalues of (0, pi)^2: sorted {p^2 + q^2}, float64."""
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
+    if not is_integer(count) or count < 1:
+        raise InvalidArgumentError(f"count must be an integer >= 1, got {count!r}")
     # One pass suffices with B = bound.  Every pair with p^2 + q^2 <= B^2 has
     # p, q <= B, so it is enumerated, and every pair left out exceeds B^2.
     # The unit squares whose upper-right corners are those pairs cover the
@@ -49,8 +49,8 @@ def cluster_gaps(values: np.ndarray, first: int, last: int) -> GapInfo:
     Uses lambda_0 = 0 below the spectrum.  Zero (or negative) gaps mean the
     cluster cuts through a multiplet; ``isolated`` is False in that case.
     """
-    if not 1 <= first <= last:
-        raise InvalidArgumentError(f"need 1 <= first <= last, got ({first}, {last})")
+    if not (is_integer(first) and is_integer(last)) or not 1 <= first <= last:
+        raise InvalidArgumentError(f"need integers 1 <= first <= last, got ({first!r}, {last!r})")
     if last + 1 > len(values):
         raise InvalidArgumentError(
             f"reference holds {len(values)} values, cluster ({first}, {last}) needs {last + 1}"

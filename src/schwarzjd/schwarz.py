@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, is_integer
 from .mesh import Decomposition, Mesh, MeshHierarchy
 
 __all__ = [
@@ -89,8 +89,8 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     Raises ProblemTooLargeError, before allocating, when the dense eigensolve's two
     n_c^2 operands and 2 n_c^2 + 6 n_c + 1 workspace exceed physical memory.
     """
-    if cluster_cut < 0:
-        raise InvalidArgumentError(f"cluster cut must be >= 0, got {cluster_cut}")
+    if not is_integer(cluster_cut) or cluster_cut < 0:
+        raise InvalidArgumentError(f"cluster cut must be an integer >= 0, got {cluster_cut!r}")
     n_c = hier.coarse.n_dofs
     linalg.admit(f"the coarse eigensolve at level {hier.coarse.level} ({n_c} dofs)", 32 * n_c**2)
     pencil = fem.assemble(hier.coarse)

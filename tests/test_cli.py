@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarzjd import cli, linalg
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
@@ -18,6 +24,19 @@ TINY = [
     "--domain", "square", "--coarse", "2", "--fine", "4",
     "--overlap", "0.25", "--m", "1", "--M", "2", "--tol", "1e-8",
 ]
+
+
+# The JSON value types each ExperimentConfig field takes.
+JSON_KINDS = {
+    "domain": {str}, "coarse": {int}, "fine": {int}, "overlap": {int, float}, "m": {int},
+    "M": {int}, "tol": {int, float}, "max_iter": {int}, "restart_dim": {int, type(None)},
+    "output_dir": {str}, "format": {str},
+}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 def read_csv(path):
@@ -82,18 +101,70 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value, fragment", [
         ("domain", "hexagon", "domain must be one of ['square', 'lshape'], got 'hexagon'"),
         ("format", "xml", "format must be 'csv' or 'json', got 'xml'"),
-        ("coarse", "2", "'coarse' must be int, got '2'"),
-        ("tol", "1e-8", "'tol' must be float, got '1e-8'"),
-        ("m", 1.5, "'m' must be int, got 1.5"),
-        ("coarse", True, "'coarse' must be int, got True"),
+        ("coarse", "2", "mesh levels must be integers, got coarse '2'"),
+        ("tol", "1e-8", "tolerance must be a number, got '1e-8'"),
+        ("m", 1.5, "need integer m and M, got m=1.5"),
+        ("coarse", True, "mesh levels must be integers, got coarse True"),
         ("tol", float("nan"), "tolerance must be positive and finite, got nan"),
+        ("coarse", 2.0, "mesh levels must be integers, got coarse 2.0"),
+        ("max_iter", 2.0, "max_iter must be >= 1 and an integer, got 2.0"),
+        ("domain", 5, "domain must be one of ['square', 'lshape'], got 5"),
+        ("format", 5, "format must be 'csv' or 'json', got 5"),
+        ("restart_dim", "9", "restart_dim must be an integer, got '9'"),
+        ("overlap", "0.25", "overlap ratio must be a number, got '0.25'"),
+        ("output_dir", 5, "output directory must be a path string, got 5"),
+        ("output_dir", None, "output directory must be a path string, got None"),
+        ("output_dir", ["run"], "output directory must be a path string, got ['run']"),
+        ("output_dir", "run\u0000", "output directory must be a path string, got 'run\\x00'"),
     ])
-    def test_config_file_value_rejected(self, capsys, tmp_path, key, value, fragment):
+    def test_config_file_value_rejected(self, capsys, tmp_path, monkeypatch, key, value,
+                                        fragment):
+        """A file value meets the library check a flag value meets, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"output_dir": "run", key: value}))
+        assert fragment in rejected(capsys, ["run", "--config", str(cfg)])
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("key, flag, value", [
+        ("tol", "0", 0.0),
+        ("max_iter", "0", 0),
+        ("overlap", "0.75", 0.75),
+        ("domain", "hexagon", "hexagon"),
+        ("format", "xml", "xml"),
+        ("coarse", "0", 0),
+    ])
+    def test_flag_and_file_value_print_the_same_message(self, capsys, tmp_path, key, flag, value):
+        out = str(tmp_path / "run")
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({key: value}))
-        argv = ["run", "--config", str(cfg), "--coarse", "2", "--fine", "4", "--m", "1",
-                "--M", "2", "--output-dir", str(tmp_path / "run")]
-        assert fragment in rejected(capsys, argv)
+        by_flag = rejected(capsys, ["run", f"--{key.replace('_', '-')}", flag, "--output-dir", out])
+        by_file = rejected(capsys, ["run", "--config", str(cfg), "--output-dir", out])
+        assert by_flag == by_file
+        assert not Path(out).exists()
+
+    def test_file_value_a_flag_overrides_is_not_checked(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"coarse": "2", "tol": None}))
+        assert main(["run", "--config", str(cfg), *TINY, "--output-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_wrong_typed_file_value_rejected_and_nothing_written(self, field, data):
+        value = data.draw(JSON_VALUES.filter(lambda v: type(v) not in JSON_KINDS[field]))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+            cfg = Path(tmp) / "config.json"
+            values = {"output_dir": str(Path(tmp) / "run"), field: value}
+            cfg.write_text(json.dumps(values))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg)])
+            assert code == 2
+            assert err.getvalue().startswith("config error: ")
+            assert repr(value) in err.getvalue()
+            assert list(Path(tmp).iterdir()) == [cfg]
 
     @pytest.mark.parametrize("content, fragment", [
         ("{", "cannot read config file"),
@@ -243,6 +314,17 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "solve", singular)
         assert main(["run", *TINY, "--output-dir", str(tmp_path)]) == 4
         assert "error: zero pivot" in capsys.readouterr().err
+
+    def test_failed_coarse_eigensolve_is_exit_code_4(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("2 eigenvectors failed to converge.")
+
+        monkeypatch.setattr(linalg.sla, "eigh", no_convergence)
+        out = tmp_path / "run"
+        assert main(["run", *TINY, "--output-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense eigensolve of order 9 failed: 2 eigenvectors")
+        assert not out.exists()
 
     def test_failed_projected_eigensolve_is_exit_code_4(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(linalg.lapack, "dsyevd", lambda a, **kwargs: (None, a, 1))
@@ -424,6 +506,18 @@ class TestSweepCommand:
         it_row = next(r for r in rows if r[0] == "it.")
         assert it_row[1] == "error"
         assert it_row[2] != "error"
+
+    def test_wrong_typed_file_level_is_a_column_error(self, tmp_path):
+        # a level every column shares is checked in each column, as a bad flag level is
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fine": 4.0}))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--m", "1", "--M", "2",
+                     "--output-dir", str(out), "--vary-coarse", "2"])
+        assert code == 3
+        it_row, stop_row = read_csv(out / "sweep.csv")[-2:]
+        assert it_row == ["it.", "error"]
+        assert stop_row == ["stop.", "mesh levels must be integers, got coarse 2, fine 4.0"]
 
     def test_level_beyond_memory_is_a_column_error(self, tmp_path):
         out = tmp_path / "sweep"

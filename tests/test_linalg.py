@@ -163,6 +163,20 @@ class TestDenseGeneralizedEig:
         with pytest.raises(InvalidArgumentError):
             solve(A, B)
 
+    @pytest.mark.parametrize("message", [
+        "The algorithm failed to converge; 3 off-diagonal elements of an intermediate "
+        "tridiagonal form did not converge to zero.",
+        "2 eigenvectors failed to converge.",
+    ], ids=["ev", "evx"])
+    def test_convergence_failure_is_a_numerical_error(self, monkeypatch, message):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
+
+        monkeypatch.setattr(sla, "eigh", no_convergence)
+        with pytest.raises(EigensolverError, match=message) as err:
+            dense_generalized_eig(np.eye(3), np.eye(3))
+        assert not isinstance(err.value, InvalidArgumentError)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             dense_generalized_eig(np.eye(3), np.eye(4))
@@ -250,12 +264,14 @@ class TestLowestEigenpairs:
         assert a.values.tobytes() == b.values.tobytes()
         assert a.vectors.tobytes() == b.vectors.tobytes()
 
-    @pytest.mark.parametrize("k", [0, 9, 10])
-    def test_k_outside_one_to_n_minus_one_rejected(self, k):
+    @pytest.mark.parametrize("k", [0, 9, 10, 2.5, True])
+    def test_k_outside_one_to_n_minus_one_rejected(self, k, monkeypatch):
         p = assemble(build_mesh(DomainShape.SQUARE, 2))
         assert p.n == 9
-        with pytest.raises(InvalidArgumentError):
-            lowest_eigenpairs(p.stiffness, p.mass, k)
+        for dense_limit in (linalg.DENSE_LIMIT, 0):  # the dense route, then ARPACK's
+            monkeypatch.setattr(linalg, "DENSE_LIMIT", dense_limit)
+            with pytest.raises(InvalidArgumentError, match=f"got k={k!r}"):
+                lowest_eigenpairs(p.stiffness, p.mass, k)
 
     def test_arpack_failure_is_a_numerical_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):

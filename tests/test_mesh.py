@@ -338,6 +338,29 @@ class TestDecomposition:
         with pytest.raises(InvalidArgumentError, match="non-empty and strictly ascending"):
             Decomposition(dofs=dofs, offsets=offsets, overlap_layers=1)
 
+    @pytest.mark.parametrize("name", ["dofs", "offsets"])
+    def test_non_integer_arrays_rejected(self, name):
+        arrays = {"dofs": np.arange(3), "offsets": np.array([0, 3])}
+        arrays[name] = arrays[name].astype(np.float64)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"{name} must hold integers, got dtype float64"):
+            Decomposition(**arrays, overlap_layers=1)
+
+    def test_int64_arrays_are_kept_and_lists_stored_as_int64(self, monkeypatch):
+        listed = Decomposition(dofs=[0, 1, 2], offsets=[0, 1, 3], overlap_layers=1)
+        for a in (listed.dofs, listed.offsets):
+            assert isinstance(a, np.ndarray) and a.dtype == np.int64
+        given_arrays = []
+        post_init = Decomposition.__post_init__
+
+        def recording(self):
+            given_arrays.extend([self.dofs, self.offsets])
+            post_init(self)
+
+        monkeypatch.setattr(Decomposition, "__post_init__", recording)
+        built = build_decomposition(build_hierarchy(DomainShape.SQUARE, 2, 4), 0.25)
+        assert built.dofs is given_arrays[0] and built.offsets is given_arrays[1]
+
     @pytest.mark.parametrize("n_dofs, offsets", [
         (5, [1, 3]),
         (3, [0, 2, 5]),

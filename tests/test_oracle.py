@@ -34,8 +34,9 @@ class TestExactSquareEigenvalues:
             assert vals.tolist() == naive[:count], count
 
     def test_invalid_count(self):
-        with pytest.raises(InvalidArgumentError):
-            exact_square_eigenvalues(0)
+        for count in (0, 2.5, True):
+            with pytest.raises(InvalidArgumentError, match=f"got {count!r}"):
+                exact_square_eigenvalues(count)
 
 
 class TestDenseDiscreteSpectrum:
@@ -110,3 +111,6 @@ class TestClusterGaps:
         ref = exact_square_eigenvalues(10)
         with pytest.raises(InvalidArgumentError):
             cluster_gaps(ref, 5, 10)  # needs the 11th value
+        for first, last in [(1.5, 3), (True, 3), (1, 3.0)]:
+            with pytest.raises(InvalidArgumentError, match=rf"got \({first!r}, {last!r}\)"):
+                cluster_gaps(ref, first, last)

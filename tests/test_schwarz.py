@@ -11,7 +11,7 @@ from schwarzjd import linalg
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
-from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy
+from schwarzjd.mesh import Decomposition, DomainShape, build_decomposition, build_hierarchy
 from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import decomposition, dense_preconditioner
@@ -85,6 +85,13 @@ def test_coarse_eigensolve_admitted_up_to_its_memory(monkeypatch):
         build_coarse_piece(hier, CUT)
 
 
+@pytest.mark.parametrize("cut", [-1, 1.5, True])
+def test_cluster_cut_must_be_a_non_negative_integer(cut):
+    hier = build_hierarchy(DomainShape.SQUARE, 2, 3)
+    with pytest.raises(InvalidArgumentError, match=f"got {cut!r}"):
+        build_coarse_piece(hier, cut)
+
+
 class TestLocalBlocks:
     @pytest.mark.parametrize("shape", DOMAINS)
     def test_blocks_equal_fancy_indexed_submatrices_byte_for_byte(self, shape):
@@ -94,6 +101,18 @@ class TestLocalBlocks:
         for dofs, c in zip(decomp.subdomains, blocks.class_of, strict=True):
             assert blocks.k_blocks[c].tobytes() == K[dofs][:, dofs].toarray().tobytes()
             assert blocks.m_blocks[c].tobytes() == M[dofs][:, dofs].toarray().tobytes()
+
+    def test_lists_give_the_blocks_of_arrays(self):
+        hier, _, decomp, _ = problem(DomainShape.LSHAPE)
+        listed = Decomposition(dofs=decomp.dofs.tolist(), offsets=decomp.offsets.tolist(),
+                               overlap_layers=decomp.overlap_layers)
+        want, got = LocalBlocks(hier.fine, decomp), LocalBlocks(hier.fine, listed)
+        assert got.class_of == want.class_of
+        for name in ("k_blocks", "m_blocks", "class_dofs"):
+            for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for name in ("scatter", "order"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def assert_block_equals_submatrix(block, A, dofs):

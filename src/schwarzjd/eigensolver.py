@@ -1,14 +1,13 @@
 """Block Jacobi-Davidson iteration with a two-level additive Schwarz preconditioner.
 
-The solver targets the eigenvalue cluster with 1-based indices
-first..last of the fine discrete pencil.  Startup solves the pencil on the
-initialization mesh (one level finer than the coarse mesh: coarse level + 1,
-spacing halved) for its lowest ``last`` eigenpairs, densely up to
+The solver targets the eigenvalue cluster with 1-based indices first..last
+of the fine discrete pencil.  Startup solves the pencil on the initialization
+mesh (one level finer than the coarse mesh: coarse level + 1, spacing
+halved) for its lowest ``last`` eigenpairs, densely up to
 ``linalg.DENSE_LIMIT`` dofs and by sparse shift-invert Lanczos above it,
 interpolates the eigenvectors to the fine mesh, and Rayleigh-Ritz projects
 there; by nestedness the starting values coincide with the
-initialization-mesh eigenvalues.  Each outer
-iteration then
+initialization-mesh eigenvalues.  Each outer iteration then
 
   1. refactorizes the subdomain operator classes, grouped once per solve,
      with the current cluster Ritz values as shifts, which
@@ -45,21 +44,18 @@ and the restart drops the old chain before its block grows.
 
 Iteration states are immutable; a step that grows the basis returns a new
 one.  A state's basis and projected matrix are read-only views of the
-leading block of Fortran-ordered buffers that a chain of states shares.
-``solve`` reserves each chain's buffers once, when the chain starts
-(startup, and each thick restart), for the largest basis the run can reach:
-last + max_iter * count columns, or restart_dim + count with restarts.
-Growing the newest state orthonormalizes the new vectors in place, behind
-the views the older states hold, and borders the projected matrix in
-place; only growing an older state copies a basis.  The small eigenproblem
-is solved in an operand that the chain reuses
+leading block of Fortran-ordered buffers that a chain of states
+shares.  Each chain's buffers are reserved once, when the chain starts
+(startup, and each thick restart), for the largest basis the run can reach
+(``_reservation``), and are never copied: only the newest state of a chain
+grows, orthonormalizing the new vectors in place, behind the views the
+older states hold, and bordering the projected matrix in place.  The small
+eigenproblem is solved in an operand that the chain reuses
 (``linalg.dense_symmetric_eig``), and a state keeps only the Ritz
-coefficients of columns 1..last.  The reservations are anonymous
-memory maps, so pages are backed only as they are written and the process
-holds the basis, not the reservation.  The basis takes 8 n dim bytes, the
-projected pair (the projected matrix and the operand) 16 dim^2 beside it,
-and the startup block 24 n last; ``linalg.admit`` refuses each, before it
-is allocated, when it exceeds physical memory.
+coefficients of columns 1..last.  The reservations are anonymous memory
+maps, backed only as they are written.  The basis takes 8 n dim bytes, the
+projected pair 16 dim^2 and the startup block 24 n last; ``linalg.admit``
+refuses each, before it is allocated, when it exceeds physical memory.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -135,24 +131,34 @@ class SolverConfig:
             raise InvalidArgumentError(f"restart_dim must be an integer, got {self.restart_dim!r}")
 
 
+def _reservation(cluster: ClusterSpec, config: SolverConfig) -> int:
+    """The largest basis a run can reach: the columns each chain's buffer reserves."""
+    if config.restart_dim is None:
+        return cluster.last + config.max_iter * cluster.count
+    return config.restart_dim + cluster.count
+
+
+def _admit_basis(n: int, columns: int) -> int:
+    """Admits ``columns`` basis columns and their projected pair; returns the columns that fit."""
+    remedy = "; bound the basis with --restart-dim"
+    fits = linalg.admit(f"a trial basis of {columns} columns of {n} dofs", 8 * n, columns, remedy)
+    linalg.admit(f"a projected pair of order {columns}", 16 * columns, columns, remedy)
+    return fits
+
+
 class _BasisBuffer:
     """Storage shared by a chain of states; basis columns [0, filled) are written.
 
-    Reserves ``reserve`` columns (0: twice ``need``), never fewer than
-    ``need`` nor more than n + need or than fit in physical memory, as a
-    ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
-    columns are written.  Beside it, with side = min(columns, n), a side x
-    side ``projected`` block, whose leading dim x dim corner is the projected
-    matrix of the basis [0, dim), and a flat ``operand`` of side^2 doubles
-    for the projected eigensolve.  Raises ProblemTooLargeError when ``need``
-    columns, or the 16 need^2 bytes of the projected pair, do not fit.
+    Reserves ``reserve`` columns, at least ``need`` and at most n + need and
+    those that fit (``_admit_basis``), as a ``linalg.mapped_zeros`` n x
+    columns array ``data``, backed only as columns are written.  Beside it,
+    with side = min(columns, n), a side x side ``projected`` block, whose
+    leading dim x dim corner is the projected matrix of the basis [0, dim),
+    and a flat ``operand`` of side^2 doubles for the projected eigensolve.
     """
 
-    def __init__(self, n: int, need: int, reserve: int = 0):
-        remedy = "; bound the basis with --restart-dim"
-        fits = linalg.admit(f"a trial basis of {need} columns of {n} dofs", 8 * n, need, remedy)
-        linalg.admit(f"a projected pair of order {need}", 16 * need, need, remedy)
-        columns = max(need, min(reserve or 2 * need, n + need, fits))
+    def __init__(self, n: int, need: int, reserve: int):
+        columns = max(need, min(reserve, n + need, _admit_basis(n, need)))
         side = min(columns, n)
         self.data = linalg.mapped_zeros(n, columns)
         self.projected = linalg.mapped_zeros(side, side)
@@ -165,7 +171,7 @@ class IterationState:
     """Mass-orthonormal trial basis with its projected pencil and Ritz data.
 
     ``basis`` spans the trial subspace (n x dim), a view of the leading
-    columns of a buffer that later states may extend in place;
+    columns of the chain's buffer, which only the newest state extends;
     ``projected`` is the projected stiffness basis' K basis, a view of the
     leading dim x dim corner of the buffer's projected block.
     ``ritz_values`` holds all dim of its eigenvalues, ascending, and
@@ -174,8 +180,7 @@ class IterationState:
     Rayleigh-Ritz step forms the cluster block first..last once:
     ``cluster_vectors`` U, ``mass_vectors`` M U and the ``residual`` block R,
     one column rho_i per cluster index.  ``projected`` and the four n-row
-    arrays are read-only.  States are never modified; a growth returns a new
-    one.
+    arrays are read-only; states are immutable, and a growth returns a new one.
     """
 
     cluster: ClusterSpec
@@ -241,17 +246,16 @@ class SolverReport:
 
 
 def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSpec,
-               reserve: int = 0) -> IterationState:
+               config: SolverConfig | None = None) -> IterationState:
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
-    The new state starts a chain whose buffer reserves ``reserve`` columns
-    (``_BasisBuffer``), so that growth up to that dimension writes in place;
-    the lifted eigenvectors are written into its first columns and
-    orthonormalized there.  The startup's temporaries (the sparse
-    factorization of the initialization pencil, the lifted block, the
-    Gram-Schmidt blocks) outgrow those of any later iteration, so it ends by
-    returning the heap they freed to the operating system
-    (``linalg.release_free_heap``).
+    The new state starts a chain whose buffer reserves the largest basis a
+    run with ``config`` (default ``SolverConfig()``) can reach; the lifted
+    eigenvectors are written into its first columns and orthonormalized
+    there.  The startup's temporaries (the sparse factorization of the
+    initialization pencil, the lifted block, the Gram-Schmidt blocks)
+    outgrow those of any later iteration, so it ends by returning the heap
+    they freed to the operating system (``linalg.release_free_heap``).
 
     Raises ClusterTooLargeError unless the initialization mesh has more
     dofs than ``cluster.last`` (the hierarchy must be coarsened less
@@ -270,7 +274,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
                  3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    buffer = _BasisBuffer(pencil.n, cluster.last, reserve)
+    buffer = _BasisBuffer(pencil.n, cluster.last, _reservation(cluster, config or SolverConfig()))
     block = buffer.data[:, :cluster.last]
     block[:] = hier.initial_to_fine @ init.vectors
     state = _grow(_empty_state(cluster, buffer), block, pencil)
@@ -297,7 +301,7 @@ def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
 
     Near-dependent columns are dropped during mass-orthonormalization; if all
     are dropped ``state`` itself is returned.  Ritz values of retained
-    indices never increase (the subspaces are nested).
+    indices never increase (the subspaces are nested).  Only a chain's newest state grows.
     """
     return _grow(state, new_vectors, pencil)
 
@@ -327,20 +331,20 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
 
 
 def _thick_restart(state: IterationState, corrections: np.ndarray,
-                   pencil: fem.SparsePencil, reserve: int
+                   pencil: fem.SparsePencil, config: SolverConfig
                    ) -> tuple[IterationState, np.ndarray]:
     """Start a new chain from Ritz vectors 1..last plus the newest corrections.
 
-    The new chain's buffer reserves ``reserve`` columns.  The Ritz vectors
-    are formed straight into its first columns, by the product that
-    ``linalg.basis_times`` forms, and the corrections are copied beside
-    them.  Returns the chain's empty state and that block, which ``_grow``
-    orthonormalizes in place.  ``state`` is no longer read, so a caller
-    that drops it before the growth frees the old basis first.
+    The new chain's buffer reserves the largest basis a run with ``config``
+    can reach.  The Ritz vectors are formed straight into its first columns,
+    by the product that ``linalg.basis_times`` forms, and the corrections are
+    copied beside them.  Returns the chain's empty state and that block,
+    which ``_grow`` orthonormalizes in place.  ``state`` is no longer read,
+    so a caller that drops it before the growth frees the old basis first.
     """
     last = state.cluster.last
     k = last + corrections.shape[1]
-    buffer = _BasisBuffer(pencil.n, k, reserve)
+    buffer = _BasisBuffer(pencil.n, k, _reservation(state.cluster, config))
     block = buffer.data[:, :k]
     np.matmul(state.ritz_coeffs.T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections
@@ -362,23 +366,24 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     re-solves it and forms the cluster block U, M U and R of the new state.
     Returns ``state`` itself when every column is dropped.
 
-    The orthonormalization writes straight into the buffer, behind the
-    basis, and the border straight into its projected block, behind the
-    projected matrix, when ``state`` is the newest state on its buffer and
-    the buffer has room for all k columns; ``new_vectors`` may be those very
-    columns, as the chain starts pass them.  Otherwise (an older state, or a
-    full buffer) the basis and the projected matrix are copied into a new
-    buffer.  No existing state's basis or projected matrix changes.  Raises
-    ProblemTooLargeError when dim + k columns, or their projected pair,
-    exceed physical memory, and EigensolverError when the projected
-    eigensolve fails.
+    The orthonormalization writes straight into the chain's buffer, behind
+    the basis, and the border into its projected block, behind the projected
+    matrix; ``new_vectors`` may be those very columns, as the chain starts
+    pass them.  No existing state changes.  Raises, writing nothing,
+    InvalidArgumentError when ``state`` is not its buffer's newest state or
+    the buffer lacks room for k more columns (ProblemTooLargeError when
+    dim + k columns, or their projected pair, exceed physical memory), and
+    EigensolverError when the projected eigensolve fails.
     """
     dim, k = state.dim, np.shape(new_vectors)[1]
     buffer = state._buffer
-    if buffer.filled != dim or buffer.data.shape[1] < dim + k:
-        buffer = _BasisBuffer(pencil.n, dim + k)
-        buffer.data[:, :dim] = state.basis
-        buffer.projected[:dim, :dim] = state.projected
+    if buffer.filled != dim:
+        raise InvalidArgumentError(f"only the newest state of a chain grows: this state has "
+                                   f"{dim} basis columns, the newest {buffer.filled}")
+    if buffer.data.shape[1] < dim + k:
+        _admit_basis(pencil.n, dim + k)
+        raise InvalidArgumentError(f"a basis of {dim} columns grown by {k} outgrows the "
+                                   f"{buffer.data.shape[1]} columns reserved for its chain")
     out = buffer.data[:, dim:dim + k]
     if not np.shares_memory(out, new_vectors):
         np.copyto(out, new_vectors)
@@ -438,15 +443,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
         return out
 
-    # The largest basis the run can reach: each chain's buffer reserves it.
-    if config.restart_dim is None:
-        reserve = cluster.last + config.max_iter * cluster.count
-    else:
-        reserve = config.restart_dim + cluster.count
-
     mass_solver = linalg.mass_chebyshev(pencil.mass)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
-    state = clocked("initialize", initialize, hier, pencil, cluster, reserve)
+    state = clocked("initialize", initialize, hier, pencil, cluster, config)
     blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
 
     mass_diagonal = pencil.mass.diagonal()
@@ -476,7 +475,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         if config.restart_dim is not None and state.dim > config.restart_dim:
             # Rebinding state drops the old chain, so its basis is unmapped
             # before the new block grows; the corrections are in the block.
-            state, block = clocked("restart", _thick_restart, state, corrections, pencil, reserve)
+            state, block = clocked("restart", _thick_restart, state, corrections, pencil, config)
             del corrections
             state = clocked("restart", _grow, state, block, pencil)
         values = state.cluster_values()

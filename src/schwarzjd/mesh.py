@@ -212,19 +212,20 @@ class Decomposition:
 
     def __post_init__(self):
         """Store ``dofs`` and ``offsets`` as int64 arrays (an int64 array is not
-        copied), and reject a non-integer dtype, offsets that do not run from 0 to
-        len(dofs), an empty subdomain or one that is not strictly ascending."""
+        copied), and reject a non-integer dtype, a dofs that is not 1-D or offsets that do
+        not run from 0 to its length, an empty subdomain or one not strictly ascending."""
         for name in ("dofs", "offsets"):
             array = np.asarray(getattr(self, name))
             if array.dtype.kind not in "iu":
                 raise InvalidArgumentError(f"{name} must hold integers, got dtype {array.dtype}")
             object.__setattr__(self, name, array.astype(np.int64, copy=False))
-        offsets, end = self.offsets, len(self.dofs)
-        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != end:
-            raise InvalidArgumentError(f"offsets must run from 0 to len(dofs) = {end}, "
-                                       f"got {offsets}")
+        offsets, dofs = self.offsets, self.dofs
+        if (dofs.ndim != 1 or offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != dofs.size):
+            raise InvalidArgumentError(f"offsets must run from 0 to the length of a 1-D dofs, "
+                                       f"got {offsets} for dofs of shape {dofs.shape}")
         if not np.all(np.diff(offsets) > 0) or not np.all(
-            np.delete(np.diff(self.dofs), offsets[1:-1] - 1) > 0
+            np.delete(np.diff(dofs), offsets[1:-1] - 1) > 0
         ):
             raise InvalidArgumentError("every subdomain must be non-empty and strictly ascending")
 

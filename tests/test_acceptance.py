@@ -125,7 +125,7 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
     coarse_piece = build_coarse_piece(hier, cluster.last)
     blocks = LocalBlocks(hier.fine, decomp)
 
-    state = initialize(hier, pencil, cluster)
+    state = initialize(hier, pencil, cluster, SolverConfig(max_iter=max_iter))
     budget = min(pencil.n, cluster.last + cluster.count * max_iter)
     lam_h = dense_discrete_spectrum(pencil, budget).values
 

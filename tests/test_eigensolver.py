@@ -16,6 +16,7 @@ from schwarzjd.eigensolver import (
     _BasisBuffer,
     _empty_state,
     _grow,
+    _reservation,
     _thick_restart,
     correction_step,
     initialize,
@@ -145,8 +146,8 @@ class TestInitialize:
 def exact_state(pencil, cluster):
     """A state grown from the exact discrete eigenvectors 1..cluster.last."""
     ref = dense_discrete_spectrum(pencil, cluster.last)
-    return _grow(_empty_state(cluster, _BasisBuffer(pencil.n, cluster.last, 0)), ref.vectors,
-                 pencil)
+    buffer = _BasisBuffer(pencil.n, cluster.last, _reservation(cluster, SolverConfig()))
+    return _grow(_empty_state(cluster, buffer), ref.vectors, pencil)
 
 
 class TestResidualDual:
@@ -245,18 +246,17 @@ class TestBasisBuffer:
         hier, pencil, _ = small
         rng = np.random.default_rng(54)
         parent = initialize(hier, pencil, ClusterSpec(1, 3))
-        parent_basis = parent.basis.copy()
         first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
-        first_basis = first.basis.copy()
-        second = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
-        rayleigh_ritz(first, rng.standard_normal((pencil.n, 3)), pencil)
-        # the first child was written in place behind the parent, the second copied
+        buffer = first._buffer
+        kept = [s.basis.copy() for s in (parent, first)]
+        data, filled = buffer.data.copy(), buffer.filled
+        # the child was written in place behind the parent, which can no longer grow
         assert np.shares_memory(first.basis, parent.basis)
-        assert not np.shares_memory(second.basis, first.basis)
-        assert np.array_equal(parent.basis, parent_basis)
-        assert np.array_equal(first.basis, first_basis)
-        assert np.array_equal(second.basis[:, :parent.dim], parent_basis)
-        assert not np.array_equal(second.basis, first.basis)
+        with pytest.raises(InvalidArgumentError, match="only the newest state of a chain grows"):
+            rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        assert buffer.filled == filled and np.array_equal(buffer.data, data)
+        for state, basis in zip((parent, first), kept):
+            assert np.array_equal(state.basis, basis)
 
     def test_growing_one_state_twice_changes_no_existing_projection(self, small):
         hier, pencil, _ = small
@@ -265,20 +265,20 @@ class TestBasisBuffer:
         first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
         kept = [(s.projected.copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
                 for s in (parent, first)]
-        second = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
-        rayleigh_ritz(first, rng.standard_normal((pencil.n, 3)), pencil)
-        # the first child bordered the parent's projected matrix in place, the second copied it
+        # the child bordered the parent's projected matrix in place
         assert np.shares_memory(first.projected, parent.projected)
-        assert not np.shares_memory(second.projected, first.projected)
+        with pytest.raises(InvalidArgumentError,
+                           match="this state has 3 basis columns, the newest 6"):
+            rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        assert first._buffer.filled == first.dim
         for state, (projected, values, coeffs) in zip((parent, first), kept):
             assert np.array_equal(state.projected, projected)
             assert np.array_equal(state.ritz_values, values)
             assert np.array_equal(state.ritz_coeffs, coeffs)
-        assert np.array_equal(second.projected[:parent.dim, :parent.dim], kept[0][0])
-        assert not np.array_equal(second.projected, first.projected)
 
-    def test_projected_is_read_only_and_coefficients_stop_at_the_cluster_end(self, stepped):
-        pencil, _, _, state, _ = stepped
+    def test_projected_is_read_only_and_coefficients_stop_at_the_cluster_end(self, small):
+        hier, pencil, _ = small
+        state = initialize(hier, pencil, ClusterSpec(1, 2))
         grown = rayleigh_ritz(state, np.random.default_rng(59).standard_normal((pencil.n, 2)),
                               pencil)
         for s in (state, grown):
@@ -310,7 +310,7 @@ class TestBasisBuffer:
             return results[-1]
 
         monkeypatch.setattr(linalg, "b_orthonormalize", recording)
-        state = initialize(hier, pencil, ClusterSpec(1, 3), reserve=20)
+        state = initialize(hier, pencil, ClusterSpec(1, 3), SolverConfig(max_iter=2))
         V = rng.standard_normal((pencil.n, 3))
         V[:, 2] = V[:, 0] + V[:, 1]  # dropped
         for new in (V, rng.standard_normal((pencil.n, 3))):
@@ -323,8 +323,9 @@ class TestBasisBuffer:
             state = grown
         assert [r.shape[1] for r in results] == [3, 2, 3]
 
-    def test_basis_and_cluster_vectors_are_read_only(self, stepped):
-        pencil, _, _, state, _ = stepped
+    def test_basis_and_cluster_vectors_are_read_only(self, small):
+        hier, pencil, _ = small
+        state = initialize(hier, pencil, ClusterSpec(1, 2))
         grown = rayleigh_ritz(state, np.random.default_rng(55).standard_normal((pencil.n, 2)),
                               pencil)
         for s in (state, grown):
@@ -354,7 +355,7 @@ class TestBasisBuffer:
         hier, pencil, _ = small
         rng = np.random.default_rng(56)
         monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 8 * pencil.n * 17)
-        state = initialize(hier, pencil, ClusterSpec(3, 5), reserve=100)
+        state = initialize(hier, pencil, ClusterSpec(3, 5), SolverConfig())
         buffer = state._buffer
         assert buffer.data.shape == (pencil.n, 17)
         for dim in (8, 11, 14, 17):
@@ -362,6 +363,20 @@ class TestBasisBuffer:
             assert state.dim == dim and state._buffer is buffer  # written in place
         with pytest.raises(ProblemTooLargeError, match=r"18 columns"):
             rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)), pencil)
+        assert buffer.filled == 17
+
+    def test_growth_past_a_reservation_memory_did_not_cap_raises(self, small):
+        hier, pencil, _ = small
+        rng = np.random.default_rng(61)
+        # one iteration of cluster 1..3: room for 3 + 3 columns
+        state = initialize(hier, pencil, ClusterSpec(1, 3), SolverConfig(max_iter=1))
+        state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
+        buffer = state._buffer
+        data = buffer.data.copy()
+        with pytest.raises(InvalidArgumentError,
+                           match="6 columns grown by 1 outgrows the 6 columns reserved"):
+            rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)), pencil)
+        assert buffer.filled == state.dim == 6 and np.array_equal(buffer.data, data)
 
     def test_startup_block_admitted_up_to_three_blocks(self, small, monkeypatch):
         hier, pencil, _ = small
@@ -380,7 +395,8 @@ class TestBasisBuffer:
 
 
 class TestOneBufferPerChain:
-    """``solve`` reserves one basis buffer per chain of states and never copies a basis."""
+    """Each chain of states has one basis buffer, never copied, and only its newest
+    state grows; ``solve`` starts a chain at startup and at each thick restart."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -464,6 +480,36 @@ class TestOneBufferPerChain:
         assert not any(alive_at_growth)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(steps=st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_chain_grows_in_place_and_only_at_its_newest_state(small, steps, seed):
+    # Each step grows the newest state by a block of 1..count columns; a "dependent"
+    # block's last column lies in the span of the basis and the block's other columns.
+    hier, pencil, _ = small
+    rng = np.random.default_rng(seed)
+    state = initialize(hier, pencil, ClusterSpec(1, 3), SolverConfig(max_iter=len(steps)))
+    names = ("basis", "projected", "ritz_values", "ritz_coeffs", "cluster_vectors", "residual")
+    chain = [(state, [getattr(state, name).copy() for name in names])]
+    for width, dependent in steps:
+        V = rng.standard_normal((pencil.n, width))
+        if dependent:
+            V[:, -1] = state.basis @ rng.standard_normal(state.dim) + V[:, :-1].sum(axis=1)
+        grown = rayleigh_ritz(state, V, pencil)
+        assert grown._buffer is state._buffer  # written in place
+        assert grown.dim == state.dim + width - dependent
+        if grown is not state:
+            chain.append((grown, [getattr(grown, name).copy() for name in names]))
+        state = grown
+    for older, _ in chain[:-1]:
+        with pytest.raises(InvalidArgumentError, match="only the newest state of a chain grows"):
+            rayleigh_ritz(older, rng.standard_normal((pencil.n, 1)), pencil)
+    assert state._buffer.filled == state.dim
+    for s, kept in chain:
+        for name, array in zip(names, kept):
+            assert np.array_equal(getattr(s, name), array), name
+
+
 class TestStartupHeapRelease:
     def test_release_changes_no_bit_of_a_sparse_startup_solve(self, monkeypatch):
         hier = build_hierarchy(DomainShape.SQUARE, 4, 6)
@@ -502,7 +548,8 @@ class TestThickRestart:
     def test_keeps_ritz_values_and_mass_orthonormality(self, small):
         hier, pencil, decomp = small
         state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3)
-        out = _grow(*_thick_restart(state, corrections, pencil, 16), pencil)
+        out = _grow(*_thick_restart(state, corrections, pencil, SolverConfig(restart_dim=13)),
+                    pencil)
         # The restarted space lies inside the old one and holds Ritz vectors 1..last.
         assert np.allclose(out.ritz_values[:5], state.ritz_values[:5], rtol=1e-10, atol=0)
         assert out.dim < state.dim
@@ -515,8 +562,10 @@ class TestThickRestart:
         state, corrections = _iterated(hier, pencil, decomp, cluster, 4)
         ritz = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:cluster.last])
         kept = np.hstack([ritz, corrections])
-        want = _grow(_empty_state(cluster, _BasisBuffer(pencil.n, kept.shape[1], 0)), kept, pencil)
-        got = _grow(*_thick_restart(state, corrections, pencil, 40), pencil)
+        config = SolverConfig(restart_dim=40 - cluster.count)
+        buffer = _BasisBuffer(pencil.n, kept.shape[1], _reservation(cluster, config))
+        want = _grow(_empty_state(cluster, buffer), kept, pencil)
+        got = _grow(*_thick_restart(state, corrections, pencil, config), pencil)
         assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
         for name in ("basis", "projected", "ritz_values", "ritz_coeffs", "residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

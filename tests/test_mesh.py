@@ -361,13 +361,16 @@ class TestDecomposition:
         built = build_decomposition(build_hierarchy(DomainShape.SQUARE, 2, 4), 0.25)
         assert built.dofs is given_arrays[0] and built.offsets is given_arrays[1]
 
-    @pytest.mark.parametrize("n_dofs, offsets", [
-        (5, [1, 3]),
-        (3, [0, 2, 5]),
-        (3, []),
-        (3, [[0, 3]]),
-    ], ids=["late-start", "past-the-end", "empty", "two-dimensional"])
-    def test_offsets_that_do_not_span_the_dofs_rejected(self, n_dofs, offsets):
+    @pytest.mark.parametrize("dofs, offsets", [
+        (np.arange(5), [1, 3]),
+        (np.arange(3), [0, 2, 5]),
+        (np.arange(3), []),
+        (np.arange(3), [[0, 3]]),
+        (np.arange(6).reshape(2, 3), [0, 2]),
+        (np.int64(3), [0, 1]),
+    ], ids=["late-start", "past-the-end", "empty", "two-dimensional", "two-dimensional-dofs",
+            "scalar-dofs"])
+    def test_offsets_that_do_not_span_the_dofs_rejected(self, dofs, offsets):
         with pytest.raises(InvalidArgumentError, match="offsets must run from 0"):
-            Decomposition(dofs=np.arange(n_dofs), offsets=np.array(offsets, dtype=np.int64),
+            Decomposition(dofs=dofs, offsets=np.array(offsets, dtype=np.int64),
                           overlap_layers=1)

@@ -7,9 +7,11 @@ A run writes three artifacts into the output directory:
                drift, basis dimension, clamped shifts, LDL^T fallbacks, wall
                time
   final.csv    final eigenvalues with reference values where available
-  summary.json effective configuration echo plus run statistics, set-up and
-               solve phase timings, and the process's peak RSS when the
-               solve returned (in a sweep, the maximum over the runs so far)
+  summary.json effective configuration echo plus run statistics (with
+               ``deflated_dim``, 0 and warned about when the preconditioner
+               was one-level), set-up and solve phase timings, and the
+               process's peak RSS when the solve returned (in a sweep, the
+               maximum over the runs so far)
 
 ``sweep`` repeats a run over a list of fine or coarse levels and aggregates
 the reports the runs return side by side, one column per level, with
@@ -219,6 +221,8 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "final_stop_norm": report.stop_norm,
         "exact_stop_solves": sum(not math.isnan(rec.stop_norm) for rec in report.trace),
         "gamma": gamma,
+        "coarse_dofs": report.coarse_dofs,
+        "deflated_dim": report.deflated_dim,
         "basis_dims": [rec.basis_dim for rec in report.trace],
         "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),
         "ldlt_fallbacks_total": sum(rec.ldlt_fallbacks for rec in report.trace),
@@ -229,6 +233,9 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
+    if report.deflated_dim == 0:
+        print(f"warning: none of the {report.coarse_dofs} coarse eigenvectors lies above the "
+              f"cluster end {config.M}, so the preconditioner was one-level", file=sys.stderr)
 
     print(
         f"{config.domain} coarse={config.coarse} fine={config.fine} "

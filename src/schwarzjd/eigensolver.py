@@ -232,7 +232,11 @@ class TraceRecord:
 
 @dataclass(eq=False)
 class SolverReport:
-    """Converged (or best-effort) cluster eigenpairs plus the run history."""
+    """Converged (or best-effort) cluster eigenpairs plus the run history.
+
+    ``coarse_dofs`` and ``deflated_dim`` are those of the run's coarse piece;
+    a ``deflated_dim`` of 0 means the preconditioner was one-level.
+    """
 
     cluster: ClusterSpec
     values: np.ndarray
@@ -241,6 +245,8 @@ class SolverReport:
     converged: bool
     stagnated: bool
     stop_norm: float
+    coarse_dofs: int
+    deflated_dim: int
     trace: list = field(repr=False)
     timings: dict = field(repr=False)
 
@@ -491,6 +497,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         converged=converged,
         stagnated=not converged and stalls >= 3,
         stop_norm=sn,
+        coarse_dofs=coarse.dim,
+        deflated_dim=coarse.deflated_dim,
         trace=trace,
         timings=timings,
     )

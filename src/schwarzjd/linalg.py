@@ -1,9 +1,10 @@
 """Numerical kernels: reusable factorizations, generalized eigensolves,
 and Gram-Schmidt orthonormalization in a mass inner product.
 
-``factorize`` picks its route by operand type: a dense operand gets dense
-LAPACK, Cholesky first and Bunch-Kaufman LDL^T when Cholesky meets a
-non-positive pivot, and a sparse one SuperLU.  A P1 mass matrix is solved
+``factorize`` is SuperLU for sparse operands.  ``factorize_shifted`` also
+takes the lower bands of a pencil (``lower_bands``): banded Cholesky, and
+Bunch-Kaufman LDL^T of the dense lower triangle when Cholesky meets a
+non-positive pivot.  A P1 mass matrix is solved
 without a factorization, by a fixed-step Chebyshev semi-iteration on
 Wathen's bracket ``MASS_BRACKET`` (``mass_chebyshev``).  All returned
 handles are immutable after construction and safe for repeated solves.
@@ -46,6 +47,7 @@ __all__ = [
     "EigenBasis",
     "factorize",
     "factorize_shifted",
+    "lower_bands",
     "mass_chebyshev",
     "admit",
     "mapped_zeros",
@@ -59,7 +61,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Below this order a dense factorization is faster and the memory is modest.
+# Up to this order lowest_eigenpairs solves densely, and schwarz.LocalBlocks keeps
+# an operator class as lower bands for LAPACK; above it both take sparse routes.
 DENSE_LIMIT = 600
 
 # Wathen's P1 bracket (IMA J. Numer. Anal. 7, 1987): every element mass matrix
@@ -78,7 +81,7 @@ _DROP_TOL = 1e-8
 class Factorization:
     """Handle for a symmetric factorization, reusable for many solves.
 
-    ``kind`` is one of "spd-cholesky" (dense Cholesky), "symmetric-indefinite"
+    ``kind`` is one of "spd-cholesky" (banded Cholesky), "symmetric-indefinite"
     (dense Bunch-Kaufman LDL^T) or "sparse-lu" (SuperLU, serves both
     definite and indefinite operands).
     """
@@ -88,23 +91,43 @@ class Factorization:
         self.n = n
         self._solve = solve_impl
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against one right-hand side (n,) or a block (n, k)."""
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve against one right-hand side (n,) or a block (n, k); with ``overwrite``
+        the LAPACK kinds solve in place in a Fortran-ordered float64 ``rhs``."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.n:
             raise InvalidArgumentError(f"rhs of leading dimension {self.n} expected")
-        return self._solve(rhs)
+        return self._solve(rhs, overwrite)
 
 
-def _dense(a: np.ndarray) -> Factorization:
-    """Cholesky of ``a``, or Bunch-Kaufman LDL^T when Cholesky meets a non-positive pivot."""
-    n = a.shape[0]
-    c, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=0)
+def lower_bands(*operands) -> list[np.ndarray]:
+    """The lower bands of symmetric operands (sparse or dense), of their widest half-bandwidth.
+
+    Each band is Fortran-ordered (b + 1, n) in LAPACK's ``lower=1`` layout,
+    ``band[i - j, j] = S[i, j]`` for 0 <= i - j <= b, where b is the largest
+    ``i - j`` of a stored entry over all operands.
+    """
+    coos = [sp.coo_matrix(S) for S in operands]
+    width = max(int(np.max(c.row - c.col, initial=0)) for c in coos)
+    bands = []
+    for c in coos:
+        band = np.zeros((width + 1, c.shape[1]), order="F")
+        low = c.row >= c.col
+        band[c.row[low] - c.col[low], c.col[low]] = c.data[low]
+        bands.append(band)
+    return bands
+
+
+def _banded(K: np.ndarray, M: np.ndarray, shift: float) -> Factorization:
+    """Banded Cholesky of the band K - shift M, in place, or Bunch-Kaufman LDL^T of its
+    dense lower triangle when Cholesky meets a non-positive pivot."""
+    n = K.shape[1]
+    c, info = lapack.dpbtrf(K - shift * M, lower=1, overwrite_ab=1)
     if info < 0:
-        raise InvalidArgumentError(f"illegal value in argument {-info} of dpotrf")
+        raise InvalidArgumentError(f"illegal value in argument {-info} of dpbtrf")
     if info == 0:
-        def solve(rhs):
-            x, sinfo = lapack.dpotrs(c, rhs, lower=1)
+        def solve(rhs, overwrite):
+            x, sinfo = lapack.dpbtrs(c, rhs, lower=1, overwrite_b=overwrite)
             if sinfo != 0:
                 raise SingularMatrixError("Cholesky solve failed")
             return x
@@ -113,14 +136,17 @@ def _dense(a: np.ndarray) -> Factorization:
 
     log.debug("operand of order %d indefinite at pivot %d; refactorizing as symmetric-indefinite",
               n, info - 1)
-    ldu, ipiv, info = lapack.dsytrf(a, lower=1)
+    d, j = np.nonzero(np.arange(len(K))[:, None] + np.arange(n) < n)  # the band within the matrix
+    a = np.zeros((n, n), order="F")  # dsytrf reads only the lower triangle
+    a[d + j, j] = (K - shift * M)[d, j]
+    ldu, ipiv, info = lapack.dsytrf(a, lower=1, overwrite_a=1)
     if info > 0:
         raise SingularMatrixError(f"zero pivot at index {info - 1} in LDL^T factorization")
     if info < 0:
         raise InvalidArgumentError(f"illegal value in argument {-info} of dsytrf")
 
-    def solve(rhs):
-        x, sinfo = lapack.dsytrs(ldu, ipiv, rhs, lower=1)
+    def solve(rhs, overwrite):
+        x, sinfo = lapack.dsytrs(ldu, ipiv, rhs, lower=1, overwrite_b=overwrite)
         if sinfo != 0:
             raise SingularMatrixError("LDL^T solve failed")
         return x
@@ -128,10 +154,21 @@ def _dense(a: np.ndarray) -> Factorization:
     return Factorization("symmetric-indefinite", n, solve)
 
 
-def _sparse_lu(S, symmetric_spd: bool) -> Factorization:
+def factorize(S, expect_spd: bool = False) -> Factorization:
+    """Factorize the sparse symmetric operand ``S`` by SuperLU, for repeated solves.
+
+    SuperLU is configured for symmetric-definite operands when
+    ``expect_spd``; it serves definite and indefinite operands alike.
+    Raises InvalidArgumentError for an operand that is not a square sparse
+    matrix, and SingularMatrixError when it is singular to working
+    precision.
+    """
+    if not sp.issparse(S) or S.shape[0] != S.shape[1]:
+        raise InvalidArgumentError(f"square sparse operand expected, got {type(S).__name__} "
+                                   f"of shape {np.shape(S)}")
     csc = sp.csc_matrix(S)
     try:
-        if symmetric_spd:
+        if expect_spd:
             lu = spla.splu(
                 csc,
                 permc_spec="MMD_AT_PLUS_A",
@@ -143,39 +180,30 @@ def _sparse_lu(S, symmetric_spd: bool) -> Factorization:
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(exc)) from exc
 
-    def solve(rhs):
+    def solve(rhs, overwrite):
         return lu.solve(rhs)
 
     return Factorization("sparse-lu", csc.shape[0], solve)
 
 
-def factorize(S, expect_spd: bool = False) -> Factorization:
-    """Factorize the symmetric operand ``S`` for repeated solves.
+def factorize_shifted(K, M, shift: float) -> Factorization:
+    """Factorize K - shift * M, indefinite when ``shift`` lies inside the spectrum.
 
-    The operand's type picks the route.  An ndarray gets Cholesky first; a
-    non-positive pivot falls back to Bunch-Kaufman LDL^T (logged at debug
-    level), so the kind tells whether ``S`` is positive definite.  A sparse
-    ``S`` gets SuperLU, configured for symmetric-definite operands when
-    ``expect_spd``; it serves definite and indefinite operands alike.
+    K and M are both sparse, or both lower bands of one width
+    (``lower_bands``).  Sparse operands get SuperLU's general mode (the
+    solver's shifts are Ritz values of an SPD pencil, hence positive).
+    Bands get LAPACK's banded Cholesky (``dpbtrf``), in O(n b^2) time and
+    O(n b) memory; when it meets a non-positive pivot (logged at debug
+    level) the same entries, scattered into the lower triangle of a dense
+    matrix, get Bunch-Kaufman LDL^T (``dsytrf``).  So the kind of a banded
+    factorization tells whether K - shift * M is positive definite.
 
     Raises SingularMatrixError when the operand is singular to working
     precision.
     """
-    if sp.issparse(S):
-        return _sparse_lu(S, symmetric_spd=expect_spd)
-    dense = np.asarray(S, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise InvalidArgumentError(f"square operand expected, got shape {dense.shape}")
-    return _dense(np.asfortranarray(dense))
-
-
-def factorize_shifted(K, M, shift: float) -> Factorization:
-    """Factorize K - shift * M, indefinite when ``shift`` lies inside the spectrum.
-
-    The solver's shifts are Ritz values of an SPD pencil, hence positive,
-    so a sparse operand always takes SuperLU's general mode.
-    """
-    return factorize(K - shift * M)
+    if sp.issparse(K):
+        return factorize(K - shift * M)
+    return _banded(K, M, shift)
 
 
 def mass_chebyshev(M):

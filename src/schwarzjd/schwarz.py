@@ -17,10 +17,14 @@ collides with a deflated coarse eigenvalue.
 The P1 stencils do not depend on position, so subdomains whose dof patterns
 are translates of each other share (K_l, M_l) and form one operator class;
 on structured meshes there are a few (interior, edges, corners).
-``LocalBlocks`` assembles each class once per solve with ``fem.assemble``;
-``prepare`` factorizes each class once per shift, and the local solves of
-all its members are one multi-right-hand-side solve with that
-factorization, summed into the correction in ascending subdomain order.
+``LocalBlocks`` assembles each class once per solve with ``fem.assemble``
+and, up to ``linalg.DENSE_LIMIT`` dofs, keeps it as lower bands: in
+lattice order K_l - shift M_l is banded.  ``prepare`` factorizes each class
+once per shift, by banded Cholesky (LDL^T when the shifted operator is
+indefinite) or, for larger classes, SuperLU.  The local solves of all its
+members are one multi-right-hand-side solve with that factorization, in
+place on the gathered residual entries, summed into the correction in
+ascending subdomain order.
 """
 
 from __future__ import annotations
@@ -114,7 +118,10 @@ class LocalBlocks:
     ``fem.assemble`` builds the pencil on the pattern alone, numbered in
     lattice order with a Dirichlet boundary around it; since subdomains are
     ascending, that is ``A[d][:, d]`` of the fine pencil for every member d.
-    Blocks are dense up to ``linalg.DENSE_LIMIT`` dofs, sorted CSR above it.
+    Up to ``linalg.DENSE_LIMIT`` dofs a class is kept as the lower bands of
+    K_l and M_l (``linalg.lower_bands``), O(s b) for s dofs: in lattice order
+    the half-bandwidth b is about the pattern's row width.  Above the limit
+    it is sorted CSR.
 
     The batched local solve reads ``class_dofs``, ``scatter`` and ``order``.
     ``scatter`` is the decomposition's flat ``dofs`` array, subdomain after
@@ -139,9 +146,11 @@ class LocalBlocks:
                 grid = np.full(tuple(pattern.max(axis=0)[::-1] + 1), -1, dtype=np.int64)
                 grid[pattern[:, 1], pattern[:, 0]] = np.arange(len(pattern))
                 pencil = fem.assemble(replace(mesh, n_dofs=len(pattern), dof_grid=grid))
-                dense = len(pattern) <= linalg.DENSE_LIMIT
-                self.k_blocks.append(pencil.stiffness.toarray() if dense else pencil.stiffness)
-                self.m_blocks.append(pencil.mass.toarray() if dense else pencil.mass)
+                k, m = pencil.stiffness, pencil.mass
+                if len(pattern) <= linalg.DENSE_LIMIT:
+                    k, m = linalg.lower_bands(k, m)
+                self.k_blocks.append(k)
+                self.m_blocks.append(m)
             self.class_of.append(c)
 
         members = [np.flatnonzero(np.equal(self.class_of, c)) for c in range(len(classes))]
@@ -193,7 +202,8 @@ class SchwarzPreconditioner:
         operator class, summed in ascending subdomain order."""
         b = self._blocks
         facts = self._factorizations[i]
-        x = np.concatenate([f.solve(rho[idx].T).T.ravel() for f, idx in zip(facts, b.class_dofs)])
+        x = np.concatenate([f.solve(rho[idx].T, overwrite=True).T.ravel()
+                            for f, idx in zip(facts, b.class_dofs)])
         return np.bincount(b.scatter, weights=x[b.order], minlength=self.n)
 
     def apply(self, rho: np.ndarray, i: int) -> np.ndarray:

@@ -349,6 +349,18 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["ldlt_fallbacks_total"] == sum(column)
 
+    @pytest.mark.parametrize("cluster, deflated", [
+        (["--m", "1", "--M", "2"], 7),
+        (["--m", "20", "--M", "24"], 0),  # above all 9 coarse eigenvectors
+    ], ids=["two-level", "one-level"])
+    def test_summary_records_the_coarse_space_and_one_level_runs_warn(self, tmp_path, capsys,
+                                                                      cluster, deflated):
+        assert main(["run", *TINY, *cluster, "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["coarse_dofs"], summary["deflated_dim"]) == (9, deflated)
+        warned = "preconditioner was one-level" in capsys.readouterr().err
+        assert warned == (deflated == 0)
+
     def test_non_convergence_is_distinct_exit_code_with_files(self, tmp_path):
         out = tmp_path / "run"
         code = main(["run", *TINY, "--max-iter", "1", "--tol", "1e-14",

@@ -698,13 +698,15 @@ class TestSolve:
     def test_makes_no_factorization_of_the_fine_mass(self, small, monkeypatch):
         hier, pencil, decomp = small
         sizes = []
-        factorize_ = linalg.factorize
 
-        def recording(S, *args, **kwargs):
-            sizes.append(S.shape[0])
-            return factorize_(S, *args, **kwargs)
+        def recording(factorize_):
+            def record(S, *args, **kwargs):
+                sizes.append(S.shape[-1])  # the order of a square or a banded operand
+                return factorize_(S, *args, **kwargs)
+            return record
 
-        monkeypatch.setattr(linalg, "factorize", recording)
+        for name in ("factorize", "factorize_shifted"):
+            monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
         report = solve(hier, pencil, decomp, ClusterSpec(1, 3), SolverConfig(tol=1e-8, max_iter=40))
         assert report.converged and np.isfinite(report.stop_norm)
         assert sizes  # the local factorizations were recorded

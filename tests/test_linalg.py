@@ -21,6 +21,7 @@ from schwarzjd.linalg import (
     dense_symmetric_eig,
     factorize,
     factorize_shifted,
+    lower_bands,
     lowest_eigenpairs,
 )
 from schwarzjd.mesh import DomainShape, build_mesh
@@ -33,6 +34,11 @@ def random_spd(rng, n):
     return A @ A.T + n * np.eye(n)
 
 
+def banded(S):
+    """The band route of ``factorize_shifted`` on the dense symmetric ``S``, at shift 0."""
+    return factorize_shifted(*lower_bands(S, np.zeros_like(S)), 0.0)
+
+
 class TestFactorize:
     def test_identity_solves_return_rhs(self):
         fact = factorize(sp.identity(8, format="csr"), expect_spd=True)
@@ -41,7 +47,7 @@ class TestFactorize:
         assert np.allclose(fact.solve(rhs), rhs)
 
     def test_two_by_two_hand_solution(self):
-        fact = factorize(np.array([[2.0, -1.0], [-1.0, 2.0]]), expect_spd=True)
+        fact = banded(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         assert np.allclose(fact.solve(np.array([1.0, 0.0])), [2 / 3, 1 / 3])
 
     def test_spd_round_trip_small_random_systems(self):
@@ -50,7 +56,7 @@ class TestFactorize:
             n = int(rng.integers(2, 201))
             S = random_spd(rng, n)
             b = rng.standard_normal(n)
-            x = factorize(S, expect_spd=True).solve(b)
+            x = banded(S).solve(b)
             assert np.linalg.norm(S @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_sparse_path_round_trip(self):
@@ -66,13 +72,13 @@ class TestFactorize:
         rng = np.random.default_rng(2)
         S = random_spd(rng, 40)
         B = rng.standard_normal((40, 3))
-        X = factorize(S, expect_spd=True).solve(B)
+        X = banded(S).solve(B)
         assert np.allclose(S @ X, B, atol=1e-9)
 
     def test_indefinite_fallback_path_solves(self):
         pencil = assemble(build_mesh(DomainShape.SQUARE, 3))
         S = (pencil.stiffness - 3.0 * pencil.mass).toarray()
-        fact = factorize(S, expect_spd=False)
+        fact = factorize_shifted(*lower_bands(pencil.stiffness, pencil.mass), 3.0)
         assert fact.kind == "symmetric-indefinite"
         rng = np.random.default_rng(4)
         b = rng.standard_normal(pencil.n)
@@ -81,15 +87,19 @@ class TestFactorize:
 
     def test_factorize_shifted_falls_back_transparently(self):
         pencil = assemble(build_mesh(DomainShape.SQUARE, 3))
-        fact = factorize_shifted(pencil.stiffness.toarray(), pencil.mass.toarray(), 3.0)
-        assert fact.kind == "symmetric-indefinite"
-        fact = factorize_shifted(pencil.stiffness.toarray(), pencil.mass.toarray(), 0.0)
-        assert fact.kind == "spd-cholesky"
+        bands = lower_bands(pencil.stiffness, pencil.mass)
+        assert factorize_shifted(*bands, 3.0).kind == "symmetric-indefinite"
+        assert factorize_shifted(*bands, 0.0).kind == "spd-cholesky"
 
     def test_singular_matrix_rejected(self):
         S = np.zeros((4, 4))
         with pytest.raises(SingularMatrixError):
-            factorize(S, expect_spd=False)
+            banded(S)
+
+    @pytest.mark.parametrize("S", [np.eye(3), sp.csr_matrix((2, 3))], ids=["ndarray", "oblong"])
+    def test_factorize_takes_only_square_sparse_operands(self, S):
+        with pytest.raises(InvalidArgumentError, match="square sparse operand expected"):
+            factorize(S)
 
     def test_singular_sparse_rejected(self):
         S = sp.diags([0.0, 1.0, 1.0, 1.0], format="csr")
@@ -98,9 +108,8 @@ class TestFactorize:
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(1, 12), negatives=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
-       expect_spd=st.booleans())
-def test_dense_kind_tells_definiteness_and_solves(n, negatives, seed, expect_spd):
+@given(n=st.integers(1, 12), negatives=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_dense_kind_tells_definiteness_and_solves(n, negatives, seed):
     # S = Q diag(d) Q' with |d| in [0.5, 2], so rounding cannot flip the inertia
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -108,7 +117,7 @@ def test_dense_kind_tells_definiteness_and_solves(n, negatives, seed, expect_spd
     d[: min(negatives, n)] *= -1.0
     S = (q * d) @ q.T
     S = 0.5 * (S + S.T)
-    fact = factorize(S, expect_spd=expect_spd)
+    fact = banded(S)
     assert (fact.kind == "spd-cholesky") == (negatives == 0)
     assert fact.kind in ("spd-cholesky", "symmetric-indefinite")
     b = rng.standard_normal(n)

@@ -6,12 +6,19 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh, lapack
 
 from schwarzjd import linalg
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import dense_generalized_eig
-from schwarzjd.mesh import Decomposition, DomainShape, build_decomposition, build_hierarchy
+from schwarzjd.mesh import (
+    Decomposition,
+    DomainShape,
+    build_decomposition,
+    build_hierarchy,
+    build_mesh,
+)
 from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import decomposition, dense_preconditioner
@@ -97,10 +104,10 @@ class TestLocalBlocks:
     def test_blocks_equal_fancy_indexed_submatrices_byte_for_byte(self, shape):
         hier, pencil, decomp, _ = problem(shape)
         blocks = LocalBlocks(hier.fine, decomp)
-        K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
         for dofs, c in zip(decomp.subdomains, blocks.class_of, strict=True):
-            assert blocks.k_blocks[c].tobytes() == K[dofs][:, dofs].toarray().tobytes()
-            assert blocks.m_blocks[c].tobytes() == M[dofs][:, dofs].toarray().tobytes()
+            k_band, m_band = reference_bands(pencil, dofs)
+            assert blocks.k_blocks[c].tobytes() == k_band.tobytes()
+            assert blocks.m_blocks[c].tobytes() == m_band.tobytes()
 
     def test_lists_give_the_blocks_of_arrays(self):
         hier, _, decomp, _ = problem(DomainShape.LSHAPE)
@@ -115,16 +122,33 @@ class TestLocalBlocks:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def assert_block_equals_submatrix(block, A, dofs):
-    want = A[dofs][:, dofs]
+def reference_bands(pencil, dofs):
+    """The lower bands of K[d][:, d] and M[d][:, d], each diagonal zero-padded at its
+    end, down to the lowest diagonal that holds an entry of either block."""
+    blocks = [A.tocsr()[dofs][:, dofs].toarray() for A in (pencil.stiffness, pencil.mass)]
+    rows = max(int(np.max(np.subtract(*np.nonzero(b)), initial=0)) for b in blocks) + 1
+    bands = []
+    for block in blocks:
+        band = np.zeros((rows, len(dofs)))
+        for i in range(rows):
+            band[i, :len(dofs) - i] = np.diagonal(block, -i)
+        bands.append(band)
+    return bands
+
+
+def assert_block_equals_submatrix(block, pencil, which, dofs):
+    """``block`` is the CSR ``A[d][:, d]``, or its lower band, of K (``which`` 0) or M (1)."""
     if sp.issparse(block):
+        want = (pencil.stiffness, pencil.mass)[which].tocsr()[dofs][:, dofs]
         want.sort_indices()
         assert block.shape == want.shape and block.has_sorted_indices
         assert np.array_equal(block.indptr, want.indptr)
         assert np.array_equal(block.indices, want.indices)
         assert block.data.tobytes() == want.data.tobytes()
     else:
-        assert block.tobytes() == want.toarray().tobytes()
+        want = reference_bands(pencil, dofs)[which]
+        assert block.flags.f_contiguous and block.shape == want.shape
+        assert block.tobytes() == want.tobytes()
 
 
 def entry_classes(K, M, decomp):
@@ -156,12 +180,59 @@ def test_local_blocks_group_only_equal_blocks(dense_limit, shape, coarse_level, 
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
         blocks = LocalBlocks(hier.fine, decomp)
     assert len(blocks.k_blocks) == len(blocks.m_blocks) == max(blocks.class_of) + 1
-    K, M = pencil.stiffness.tocsr(), pencil.mass.tocsr()
     for dofs, c in zip(decomp.subdomains, blocks.class_of, strict=True):
-        assert_block_equals_submatrix(blocks.k_blocks[c], K, dofs)
-        assert_block_equals_submatrix(blocks.m_blocks[c], M, dofs)
+        assert_block_equals_submatrix(blocks.k_blocks[c], pencil, 0, dofs)
+        assert_block_equals_submatrix(blocks.m_blocks[c], pencil, 1, dofs)
     # neither coarser nor finer than grouping by the blocks' entries
-    assert blocks.class_of == entry_classes(K, M, decomp)
+    assert blocks.class_of == entry_classes(pencil.stiffness.tocsr(), pencil.mass.tocsr(), decomp)
+
+
+@functools.cache
+def lattice_pencil():
+    mesh = build_mesh(DomainShape.SQUARE, 5)  # 31 x 31 dofs
+    return mesh, assemble(mesh)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x0=st.integers(0, 19), y0=st.integers(0, 19), width=st.integers(1, 12),
+       height=st.integers(1, 12), cut=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+       corner=st.integers(0, 3), interval=st.integers(0, 4), t=st.floats(0.1, 0.9),
+       cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_banded_class_factorization_matches_the_dense_kernel(x0, y0, width, height, cut, corner,
+                                                             interval, t, cols, seed):
+    # a lattice box of up to 144 dofs, less a box at one corner: an L or the box itself
+    mesh, pencil = lattice_pencil()
+    box = np.ones((height, width), dtype=bool)
+    cw, ch = min(cut[0], width - 1), min(cut[1], height - 1)
+    ys = slice(None, ch) if corner < 2 else slice(height - ch, None)
+    xs = slice(None, cw) if corner % 2 == 0 else slice(width - cw, None)
+    box[ys, xs] = False
+    dofs = mesh.dof_grid[1 + y0:1 + y0 + height, 1 + x0:1 + x0 + width][box]
+    blocks = LocalBlocks(mesh, decomposition([dofs]))
+    K, M = blocks.k_blocks[0], blocks.m_blocks[0]
+    want_k, want_m = reference_bands(pencil, dofs)
+    assert K.tobytes() == want_k.tobytes() and M.tobytes() == want_m.tobytes()
+
+    # a shift below the lowest eigenvalue, or between two of the next ones
+    Kd, Md = (A.tocsr()[dofs][:, dofs].toarray() for A in (pencil.stiffness, pencil.mass))
+    lam = eigh(Kd, Md, eigvals_only=True)
+    interval = min(interval, len(dofs) - 1)
+    lo, hi = (-lam[0], lam[0]) if interval == 0 else lam[interval - 1:interval + 1]
+    assume(hi - lo > 1e-3 * hi)  # not a repeated eigenvalue
+    shift = lo + t * (hi - lo)
+    S = Kd - shift * Md
+    fact = linalg.factorize_shifted(K, M, shift)
+    assert (fact.kind == "spd-cholesky") == bool(np.all(np.linalg.eigvalsh(S) > 0))
+    assert (fact.kind == "spd-cholesky") == (interval == 0)
+
+    rhs = np.random.default_rng(seed).standard_normal((len(dofs), cols))
+    got = fact.solve(np.array(rhs, order="F"), overwrite=True)
+    want = np.linalg.solve(S, rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    if fact.kind == "symmetric-indefinite":
+        # Bunch-Kaufman of the dense operand, as the dense route factorized it
+        ldu, ipiv, _ = lapack.dsytrf(np.asfortranarray(S), lower=1)
+        assert got.tobytes() == lapack.dsytrs(ldu, ipiv, rhs, lower=1)[0].tobytes()
 
 
 def loop_apply_local(prec, decomp, rho, i):

@@ -1,6 +1,6 @@
-"""The ten fixed trace cases keep their iteration and exact-row counts.
+"""The eleven fixed trace cases keep their iteration and exact-row counts.
 
-``tools/trace_hashes.py`` fingerprints the solver's trace on ten cases.
+``tools/trace_hashes.py`` fingerprints the solver's trace on eleven cases.
 Its hashes depend on the BLAS build, so only the counts are checked here:
 the iteration count and the number of rows with an exact stop norm.  A
 refactor that moves one of them has changed the numerics or the stop test.
@@ -23,6 +23,7 @@ EXPECTED = {
     "square 2/5 2..4": (24, 1),
     "square 2/4 3..5 restart_dim=13": (47, 2),
     "square 2/7 3..5": (25, 1),
+    "square 2/7 13..15": (62, 1),
     "square 2/4 1..5 tol=1e-300 max_iter=60": (47, 1),
     "square 1/3 1..2 tol=1e-300 max_iter=100": (27, 1),
 }

@@ -1,4 +1,4 @@
-"""Fingerprint the solver's full trace on ten fixed cases, to prove bit-identity.
+"""Fingerprint the solver's full trace on eleven fixed cases, to prove bit-identity.
 
     python3 tools/trace_hashes.py
     python3 tools/trace_hashes.py --spread
@@ -60,6 +60,7 @@ CASES = [
     ("square", 2, 5, 2, 4, {}),
     ("square", 2, 4, 3, 5, {"restart_dim": 13}),
     ("square", 2, 7, 3, 5, {}),
+    ("square", 2, 7, 13, 15, {}),
     ("square", 2, 4, 1, 5, {"tol": 1e-300, "max_iter": 60}),
     ("square", 1, 3, 1, 2, {"tol": 1e-300, "max_iter": 100}),
 ]
@@ -105,7 +106,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Fingerprint the solver's trace on ten cases.")
+    parser = argparse.ArgumentParser(description="Fingerprint the solver's trace on eleven cases.")
     parser.add_argument("--spread", action="store_true",
                         help="print each case's iteration count at one and at two BLAS threads")
     if parser.parse_args().spread:

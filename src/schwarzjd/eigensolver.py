@@ -431,16 +431,20 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
-    ProblemTooLargeError before the startup eigensolve when the coarse
-    eigensolve or the startup block, and later when the trial basis or its
-    projected pair, would outgrow physical memory, and EigensolverError when
-    a projected eigensolve fails.
+    InvalidArgumentError before any eigensolve when ``pencil`` or ``decomp``
+    does not fit the fine mesh, ProblemTooLargeError before the startup
+    eigensolve when the coarse eigensolve or the startup block, and later
+    when the trial basis or its projected pair, would outgrow physical
+    memory, and EigensolverError when a projected eigensolve fails.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(
             f"restart dimension must be at least {2 * cluster.last + 1} "
             f"for a cluster ending at {cluster.last}"
         )
+    if pencil.n != hier.fine.n_dofs:
+        raise InvalidArgumentError(
+            f"the pencil has {pencil.n} dofs, the fine mesh {hier.fine.n_dofs}")
     timings: dict[str, float] = {}
 
     def clocked(name, fn, *args, **kwargs):
@@ -449,10 +453,11 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
         return out
 
+    # first, so that a decomposition outside the fine mesh fails before any eigensolve
+    blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
     mass_solver = linalg.mass_chebyshev(pencil.mass)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
     state = clocked("initialize", initialize, hier, pencil, cluster, config)
-    blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
 
     mass_diagonal = pencil.mass.diagonal()
 

@@ -213,7 +213,8 @@ class Decomposition:
     def __post_init__(self):
         """Store ``dofs`` and ``offsets`` as int64 arrays (an int64 array is not
         copied), and reject a non-integer dtype, a dofs that is not 1-D or offsets that do
-        not run from 0 to its length, an empty subdomain or one not strictly ascending."""
+        not run from 0 to its length, an empty subdomain, one not strictly ascending or a
+        negative dof."""
         for name in ("dofs", "offsets"):
             array = np.asarray(getattr(self, name))
             if array.dtype.kind not in "iu":
@@ -226,8 +227,9 @@ class Decomposition:
                                        f"got {offsets} for dofs of shape {dofs.shape}")
         if not np.all(np.diff(offsets) > 0) or not np.all(
             np.delete(np.diff(dofs), offsets[1:-1] - 1) > 0
-        ):
-            raise InvalidArgumentError("every subdomain must be non-empty and strictly ascending")
+        ) or np.any(dofs < 0):
+            raise InvalidArgumentError("every subdomain must be non-empty and strictly ascending, "
+                                       "with no negative dof")
 
     @property
     def n_subdomains(self) -> int:

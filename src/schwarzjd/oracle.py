@@ -1,30 +1,19 @@
-"""Analytic reference spectra and cluster gaps.
+"""Analytic reference spectrum of the square.
 
 The solver never consults this module.  ``exact_square_eigenvalues`` gives
 the continuous spectrum of the square, which the CLI writes beside the
-computed values; ``cluster_gaps`` measures how well a cluster is separated
-in any ascending spectrum.
+computed values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, is_integer
 
-__all__ = ["GapInfo", "exact_square_eigenvalues", "cluster_gaps"]
-
-
-@dataclass(frozen=True)
-class GapInfo:
-    """Spectral gaps bracketing a cluster: (lambda_m - lambda_{m-1}, lambda_{M+1} - lambda_M)."""
-
-    left: float
-    right: float
-    isolated: bool  # both gaps strictly positive
+__all__ = ["exact_square_eigenvalues"]
 
 
 def exact_square_eigenvalues(count: int) -> np.ndarray:
@@ -42,20 +31,3 @@ def exact_square_eigenvalues(count: int) -> np.ndarray:
     vals = np.sort((p[:, None] ** 2 + p[None, :] ** 2).ravel())
     return vals[:count].astype(np.float64)
 
-
-def cluster_gaps(values: np.ndarray, first: int, last: int) -> GapInfo:
-    """Gaps around the 1-based cluster [first, last] in the ascending ``values``.
-
-    Uses lambda_0 = 0 below the spectrum.  Zero (or negative) gaps mean the
-    cluster cuts through a multiplet; ``isolated`` is False in that case.
-    """
-    if not (is_integer(first) and is_integer(last)) or not 1 <= first <= last:
-        raise InvalidArgumentError(f"need integers 1 <= first <= last, got ({first!r}, {last!r})")
-    if last + 1 > len(values):
-        raise InvalidArgumentError(
-            f"reference holds {len(values)} values, cluster ({first}, {last}) needs {last + 1}"
-        )
-    below = 0.0 if first == 1 else float(values[first - 2])
-    left = float(values[first - 1]) - below
-    right = float(values[last]) - float(values[last - 1])
-    return GapInfo(left=left, right=right, isolated=left > 0.0 and right > 0.0)

@@ -21,10 +21,11 @@ on structured meshes there are a few (interior, edges, corners).
 and, up to ``linalg.DENSE_LIMIT`` dofs, keeps it as lower bands: in
 lattice order K_l - shift M_l is banded.  ``prepare`` factorizes each class
 once per shift, by banded Cholesky (LDL^T when the shifted operator is
-indefinite) or, for larger classes, SuperLU.  The local solves of all its
-members are one multi-right-hand-side solve with that factorization, in
-place on the gathered residual entries, summed into the correction in
-ascending subdomain order.
+indefinite) or, for larger classes, SuperLU.  The local solves work in the
+decomposition's own flat layout: the residual is gathered once into the
+order of ``Decomposition.dofs``, each class solves its members' rows of
+that copy in place with one multi-right-hand-side solve, and one bincount
+sums the copy into the correction in ascending subdomain order.
 """
 
 from __future__ import annotations
@@ -123,18 +124,25 @@ class LocalBlocks:
     the half-bandwidth b is about the pattern's row width.  Above the limit
     it is sorted CSR.
 
-    The batched local solve reads ``class_dofs``, ``scatter`` and ``order``.
-    ``scatter`` is the decomposition's flat ``dofs`` array, subdomain after
-    subdomain.  ``class_dofs[c]`` holds the members of class c as rows, in
-    ascending subdomain order; the rows have equal length because the size
-    is part of the key.  ``order`` permutes the member-major concatenation
-    of the ``class_dofs`` into the order of ``scatter``.
+    The batched local solve reads ``dofs``, the decomposition's flat array
+    (subdomain after subdomain, not a copy), and ``positions``:
+    ``positions[c]`` holds the members of class c as rows, in ascending
+    subdomain order, each row the indices of that member's entries in
+    ``dofs``.  The rows have equal length because the size is part of the
+    key.
+
+    Raises InvalidArgumentError when a dof of ``decomp`` is not a dof of
+    ``mesh``.
     """
 
     def __init__(self, mesh: Mesh, decomp: Decomposition):
         self.n = mesh.n_dofs
         self.class_of, self.k_blocks, self.m_blocks = [], [], []
-        dofs, offsets = decomp.dofs, decomp.offsets
+        self.dofs = dofs = decomp.dofs
+        offsets = decomp.offsets
+        if np.any(dofs >= self.n):
+            raise InvalidArgumentError(
+                f"the decomposition holds dof {dofs.max()}, the mesh only {self.n} dofs")
         sizes = np.diff(offsets)
         local = mesh.dof_lattice()[dofs]  # then less its subdomain's lower-left corner
         local -= np.repeat(np.minimum.reduceat(local, offsets[:-1], axis=0), sizes, axis=0)
@@ -154,10 +162,7 @@ class LocalBlocks:
             self.class_of.append(c)
 
         members = [np.flatnonzero(np.equal(self.class_of, c)) for c in range(len(classes))]
-        positions = [offsets[ls, None] + np.arange(sizes[ls[0]]) for ls in members]
-        self.class_dofs = [dofs[pos] for pos in positions]
-        self.scatter = dofs
-        self.order = np.argsort(np.concatenate([pos.ravel() for pos in positions]))
+        self.positions = [offsets[ls, None] + np.arange(sizes[ls[0]]) for ls in members]
 
 
 class SchwarzPreconditioner:
@@ -186,25 +191,23 @@ class SchwarzPreconditioner:
 
     def apply_coarse(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Coarse contribution: spectral solve on the deflated coarse subspace."""
-        t = np.zeros(self.n)
         cp = self.coarse
         if cp.deflated_dim == 0:
-            return t
+            return np.zeros(self.n)
         cut = cp.cluster_cut
-        c = cp.restriction @ rho
-        d = cp.vectors[:, cut:].T @ c
+        d = cp.vectors[:, cut:].T @ (cp.restriction @ rho)
         d /= cp.values[cut:] - self.shifts[i]
-        t += cp.prolongation @ (cp.vectors[:, cut:] @ d)
-        return t
+        return cp.prolongation @ (cp.vectors[:, cut:] @ d)
 
     def apply_local(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Sum of the subdomain solves: one multi-right-hand-side solve per
-        operator class, summed in ascending subdomain order."""
+        operator class, in place on one gathered copy of ``rho``, summed in
+        ascending subdomain order."""
         b = self._blocks
-        facts = self._factorizations[i]
-        x = np.concatenate([f.solve(rho[idx].T, overwrite=True).T.ravel()
-                            for f, idx in zip(facts, b.class_dofs)])
-        return np.bincount(b.scatter, weights=x[b.order], minlength=self.n)
+        flat = rho[b.dofs]  # per call, since apply may run concurrently
+        for f, pos in zip(self._factorizations[i], b.positions):
+            flat[pos] = f.solve(flat[pos].T, overwrite=True).T
+        return np.bincount(b.dofs, weights=flat, minlength=self.n)
 
     def apply(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Apply the preconditioner for the i-th prepared shift to a dual vector."""

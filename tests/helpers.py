@@ -1,9 +1,11 @@
-"""Shared dense reference constructions for the test suite."""
+"""Shared dense reference constructions and spectral gaps for the test suite."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
+from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError, is_integer
 from schwarzjd.linalg import EigenBasis
 from schwarzjd.mesh import Decomposition, _domain_masks
 
@@ -48,6 +50,33 @@ def dense_discrete_spectrum(pencil, count):
     values, Y = np.linalg.eigh(C)
     vectors = sla.solve_triangular(L.T, Y[:, :count], lower=False)
     return EigenBasis(values=values[:count], vectors=vectors)
+
+
+@dataclass(frozen=True)
+class GapInfo:
+    """Spectral gaps bracketing a cluster: (lambda_m - lambda_{m-1}, lambda_{M+1} - lambda_M)."""
+
+    left: float
+    right: float
+    isolated: bool  # both gaps strictly positive
+
+
+def cluster_gaps(values, first, last):
+    """Gaps around the 1-based cluster [first, last] in the ascending ``values``.
+
+    Uses lambda_0 = 0 below the spectrum.  Zero (or negative) gaps mean the
+    cluster cuts through a multiplet; ``isolated`` is False in that case.
+    """
+    if not (is_integer(first) and is_integer(last)) or not 1 <= first <= last:
+        raise InvalidArgumentError(f"need integers 1 <= first <= last, got ({first!r}, {last!r})")
+    if last + 1 > len(values):
+        raise InvalidArgumentError(
+            f"reference holds {len(values)} values, cluster ({first}, {last}) needs {last + 1}"
+        )
+    below = 0.0 if first == 1 else float(values[first - 2])
+    left = float(values[first - 1]) - below
+    right = float(values[last]) - float(values[last - 1])
+    return GapInfo(left=left, right=right, isolated=left > 0.0 and right > 0.0)
 
 
 def decomposition(sets):

@@ -22,10 +22,10 @@ from schwarzjd.eigensolver import (
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize
 from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy, build_mesh
-from schwarzjd.oracle import cluster_gaps, exact_square_eigenvalues
+from schwarzjd.oracle import exact_square_eigenvalues
 from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
-from .helpers import dense_discrete_spectrum, dense_preconditioner
+from .helpers import cluster_gaps, dense_discrete_spectrum, dense_preconditioner
 
 GOLDEN_LEVEL8 = np.array([
     145.267540, 145.267710, 145.285465, 145.497479, 146.343640,

@@ -33,7 +33,13 @@ from schwarzjd.errors import (
 )
 from schwarzjd.fem import assemble
 from schwarzjd.linalg import factorize, mass_chebyshev
-from schwarzjd.mesh import DomainShape, build_decomposition, build_hierarchy, build_mesh
+from schwarzjd.mesh import (
+    Decomposition,
+    DomainShape,
+    build_decomposition,
+    build_hierarchy,
+    build_mesh,
+)
 from schwarzjd.schwarz import LocalBlocks, build_coarse_piece, prepare
 
 from .helpers import dense_discrete_spectrum, dense_preconditioner
@@ -712,6 +718,31 @@ class TestSolve:
         assert sizes  # the local factorizations were recorded
         assert pencil.n not in sizes
         assert "mass_factorization" not in report.timings
+
+    @pytest.mark.parametrize("inconsistency", ["negative-dof", "dof-past-the-end",
+                                               "pencil-of-another-level"])
+    def test_inconsistent_inputs_rejected_before_any_eigensolve(self, small, inconsistency,
+                                                                 monkeypatch):
+        hier, pencil, decomp = small
+        eigensolves = []
+
+        def recording(name, eigensolve):
+            def record(*args, **kwargs):
+                eigensolves.append(name)
+                return eigensolve(*args, **kwargs)
+            return record
+
+        for name in ("dense_generalized_eig", "lowest_eigenpairs", "dense_symmetric_eig"):
+            monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+        with pytest.raises(InvalidArgumentError):
+            if inconsistency == "pencil-of-another-level":
+                pencil = assemble(build_mesh(DomainShape.SQUARE, hier.fine.level - 1))
+            else:  # every dof moved one down (0 becomes -1) or one up (n - 1 becomes n)
+                by = -1 if inconsistency == "negative-dof" else 1
+                decomp = Decomposition(dofs=decomp.dofs + by, offsets=decomp.offsets,
+                                       overlap_layers=decomp.overlap_layers)
+            solve(hier, pencil, decomp, ClusterSpec(1, 3), SolverConfig())
+        assert eigensolves == []
 
     def test_max_iter_reached_flags_non_convergence(self, small):
         hier, pencil, decomp = small

@@ -331,7 +331,8 @@ class TestDecomposition:
         [[1, 2], [], [3]],
         [[1, 2], [4, 3]],
         [[1, 2, 2], [3]],
-    ], ids=["empty-first", "empty-middle", "descending", "repeated"])
+        [[-1, 2], [3]],
+    ], ids=["empty-first", "empty-middle", "descending", "repeated", "negative"])
     def test_empty_or_unsorted_subdomain_rejected(self, sets):
         offsets = np.cumsum([0] + [len(d) for d in sets])
         dofs = np.array([i for d in sets for i in d], dtype=np.int64)

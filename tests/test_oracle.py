@@ -4,9 +4,9 @@ import pytest
 from schwarzjd.errors import InvalidArgumentError, ProblemTooLargeError
 from schwarzjd.fem import assemble
 from schwarzjd.mesh import DomainShape, build_mesh
-from schwarzjd.oracle import cluster_gaps, exact_square_eigenvalues
+from schwarzjd.oracle import exact_square_eigenvalues
 
-from .helpers import dense_discrete_spectrum
+from .helpers import cluster_gaps, dense_discrete_spectrum
 
 
 def naive_square_values():

@@ -77,11 +77,8 @@ class ExperimentConfig:
         owns, so they are checked here.
         """
         cluster = ClusterSpec(self.m, self.M)
-        solver_config = SolverConfig(
-            tol=self.tol,
-            max_iter=self.max_iter,
-            restart_dim=self.restart_dim,
-        )
+        solver_config = SolverConfig(tol=self.tol, max_iter=self.max_iter,
+                                     restart_dim=self.restart_dim)
         shape = DomainShape(self.domain)
         if self.format not in ("csv", "json"):
             raise InvalidArgumentError(f"format must be 'csv' or 'json', got {self.format!r}")

@@ -43,13 +43,13 @@ these chain starts write their block straight into the new chain's buffer,
 and the restart drops the old chain before its block grows.
 
 Iteration states are immutable; a step that grows the basis returns a new
-one.  A state's basis and projected matrix are read-only views of the
-leading block of Fortran-ordered buffers that a chain of states
-shares.  Each chain's buffers are reserved once, when the chain starts
-(startup, and each thick restart), for the largest basis the run can reach
-(``_reservation``), and are never copied: only the newest state of a chain
-grows, orthonormalizing the new vectors in place, behind the views the
-older states hold, and bordering the projected matrix in place.  The small
+one.  A state's basis is a read-only view of the leading columns of a
+Fortran-ordered buffer that a chain of states shares, and its projected
+matrix is the leading dim x dim corner of the buffer's projected block.
+``_start_chain`` starts every chain (startup, and each thick restart) and
+reserves its buffers once, for the largest basis the run can reach; they
+are never copied: only the newest state of a chain grows, in place,
+behind the views the older states hold.  The small
 eigenproblem is solved in an operand that the chain reuses
 (``linalg.dense_symmetric_eig``), and a state keeps only the Ritz
 coefficients of columns 1..last.  The reservations are anonymous memory
@@ -105,16 +105,14 @@ class ClusterSpec:
         if not (is_integer(self.first) and is_integer(self.last)):
             raise InvalidArgumentError(f"need integer m and M, got m={self.first!r}, M={self.last!r}")
         if not 1 <= self.first <= self.last:
-            raise InvalidArgumentError(
-                f"need 1 <= m <= M, got m={self.first}, M={self.last}"
-            )
+            raise InvalidArgumentError(f"need 1 <= m <= M, got m={self.first}, M={self.last}")
 
     @property
     def count(self) -> int:
         return self.last - self.first + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 200
@@ -131,13 +129,6 @@ class SolverConfig:
             raise InvalidArgumentError(f"restart_dim must be an integer, got {self.restart_dim!r}")
 
 
-def _reservation(cluster: ClusterSpec, config: SolverConfig) -> int:
-    """The largest basis a run can reach: the columns each chain's buffer reserves."""
-    if config.restart_dim is None:
-        return cluster.last + config.max_iter * cluster.count
-    return config.restart_dim + cluster.count
-
-
 def _admit_basis(n: int, columns: int) -> int:
     """Admits ``columns`` basis columns and their projected pair; returns the columns that fit."""
     remedy = "; bound the basis with --restart-dim"
@@ -149,12 +140,13 @@ def _admit_basis(n: int, columns: int) -> int:
 class _BasisBuffer:
     """Storage shared by a chain of states; basis columns [0, filled) are written.
 
-    Reserves ``reserve`` columns, at least ``need`` and at most n + need and
-    those that fit (``_admit_basis``), as a ``linalg.mapped_zeros`` n x
-    columns array ``data``, backed only as columns are written.  Beside it,
-    with side = min(columns, n), a side x side ``projected`` block, whose
-    leading dim x dim corner is the projected matrix of the basis [0, dim),
-    and a flat ``operand`` of side^2 doubles for the projected eigensolve.
+    ``_start_chain`` makes one per chain, of ``reserve`` columns, at least
+    ``need`` and at most n + need and those that fit (``_admit_basis``): a
+    ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
+    columns are written, and, with side = min(columns, n), a side x side
+    ``projected`` block, whose leading dim x dim corner is the projected
+    matrix of the basis [0, dim), and a flat ``operand`` of side^2 doubles
+    for the projected eigensolve.
     """
 
     def __init__(self, n: int, need: int, reserve: int):
@@ -168,24 +160,23 @@ class _BasisBuffer:
 
 @dataclass(frozen=True, eq=False)
 class IterationState:
-    """Mass-orthonormal trial basis with its projected pencil and Ritz data.
+    """Mass-orthonormal trial basis with its Ritz data.
 
     ``basis`` spans the trial subspace (n x dim), a view of the leading
     columns of the chain's buffer, which only the newest state extends;
-    ``projected`` is the projected stiffness basis' K basis, a view of the
-    leading dim x dim corner of the buffer's projected block.
+    the projected stiffness matrix basis' K basis is the leading dim x dim
+    corner of the buffer's ``projected`` block, which later states border.
     ``ritz_values`` holds all dim of its eigenvalues, ascending, and
     ``ritz_coeffs`` (dim x last) the eigenvectors of values 1..last only:
     Ritz vector j (1-based, j <= last) is basis @ ritz_coeffs[:, j-1].  The
     Rayleigh-Ritz step forms the cluster block first..last once:
     ``cluster_vectors`` U, ``mass_vectors`` M U and the ``residual`` block R,
-    one column rho_i per cluster index.  ``projected`` and the four n-row
-    arrays are read-only; states are immutable, and a growth returns a new one.
+    one column rho_i per cluster index.  The four n-row arrays are
+    read-only; states are immutable, and a growth returns a new one.
     """
 
     cluster: ClusterSpec
     basis: np.ndarray
-    projected: np.ndarray
     ritz_values: np.ndarray
     ritz_coeffs: np.ndarray
     cluster_vectors: np.ndarray
@@ -194,7 +185,7 @@ class IterationState:
     _buffer: _BasisBuffer = field(repr=False)
 
     def __post_init__(self):
-        for name in ("basis", "projected", "cluster_vectors", "mass_vectors", "residual"):
+        for name in ("basis", "cluster_vectors", "mass_vectors", "residual"):
             array = getattr(self, name)
             if array.flags.writeable:  # a read-only view; a basis buffer stays writable
                 view = array.view()
@@ -255,13 +246,13 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
                config: SolverConfig | None = None) -> IterationState:
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
-    The new state starts a chain whose buffer reserves the largest basis a
-    run with ``config`` (default ``SolverConfig()``) can reach; the lifted
-    eigenvectors are written into its first columns and orthonormalized
-    there.  The startup's temporaries (the sparse factorization of the
-    initialization pencil, the lifted block, the Gram-Schmidt blocks)
-    outgrow those of any later iteration, so it ends by returning the heap
-    they freed to the operating system (``linalg.release_free_heap``).
+    The new state starts a chain (``_start_chain``, with ``config``, by
+    default ``SolverConfig()``); the lifted eigenvectors are written into
+    the first columns of its buffer and orthonormalized there.  The
+    startup's temporaries (the sparse factorization of the initialization
+    pencil, the lifted block, the Gram-Schmidt blocks) outgrow those of any
+    later iteration, so it ends by returning the heap they freed to the
+    operating system (``linalg.release_free_heap``).
 
     Raises ClusterTooLargeError unless the initialization mesh has more
     dofs than ``cluster.last`` (the hierarchy must be coarsened less
@@ -280,10 +271,9 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
                  3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    buffer = _BasisBuffer(pencil.n, cluster.last, _reservation(cluster, config or SolverConfig()))
-    block = buffer.data[:, :cluster.last]
+    state, block = _start_chain(cluster, pencil.n, cluster.last, config or SolverConfig())
     block[:] = hier.initial_to_fine @ init.vectors
-    state = _grow(_empty_state(cluster, buffer), block, pencil)
+    state = _grow(state, block, pencil)
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
@@ -318,8 +308,11 @@ def stop_norm(residual: np.ndarray, solve_mass) -> float:
     Returns sqrt(sum_i rho_i' M^{-1} rho_i) over the columns rho_i of
     ``residual``, with M the matrix that the function ``solve_mass`` solves
     against: the Chebyshev solve of ``linalg.mass_chebyshev`` that ``solve``
-    uses, which agrees with an exact solve to about 1e-14 relative.
+    uses, which agrees with an exact solve to about 1e-14 relative.  Raises
+    InvalidArgumentError, before any solve, unless ``residual`` is 2-D.
     """
+    if np.ndim(residual) != 2:
+        raise InvalidArgumentError(f"a residual block (n, k) expected, got shape {np.shape(residual)}")
     X = solve_mass(residual)
     return float(np.sqrt(np.einsum("ij,ij->", residual, X)))
 
@@ -329,8 +322,11 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
 
     With q = sum_i rho_i' D^{-1} rho_i over the columns rho_i of ``residual``
     and D = ``mass_diagonal``, returns (sqrt(q/2), sqrt(2q)), which bracket
-    sqrt(sum_i rho_i' M^{-1} rho_i) for a P1 mass matrix M.
+    sqrt(sum_i rho_i' M^{-1} rho_i) for a P1 mass matrix M.  Raises
+    InvalidArgumentError unless ``residual`` is 2-D.
     """
+    if np.ndim(residual) != 2:
+        raise InvalidArgumentError(f"a residual block (n, k) expected, got shape {np.shape(residual)}")
     lower, upper = linalg.MASS_BRACKET
     q = float(np.einsum("ij,ij->", residual, residual / mass_diagonal[:, None]))
     return float(np.sqrt(lower * q)), float(np.sqrt(upper * q))
@@ -341,27 +337,33 @@ def _thick_restart(state: IterationState, corrections: np.ndarray,
                    ) -> tuple[IterationState, np.ndarray]:
     """Start a new chain from Ritz vectors 1..last plus the newest corrections.
 
-    The new chain's buffer reserves the largest basis a run with ``config``
-    can reach.  The Ritz vectors are formed straight into its first columns,
-    by the product that ``linalg.basis_times`` forms, and the corrections are
-    copied beside them.  Returns the chain's empty state and that block,
+    The chain starts with ``_start_chain``.  The Ritz vectors are formed
+    straight into the first columns of its buffer, by the product that
+    ``linalg.basis_times`` forms, and the corrections are copied beside
+    them.  Returns the chain's empty state and that block,
     which ``_grow`` orthonormalizes in place.  ``state`` is no longer read,
     so a caller that drops it before the growth frees the old basis first.
     """
     last = state.cluster.last
-    k = last + corrections.shape[1]
-    buffer = _BasisBuffer(pencil.n, k, _reservation(state.cluster, config))
-    block = buffer.data[:, :k]
+    empty, block = _start_chain(state.cluster, pencil.n, last + corrections.shape[1], config)
     np.matmul(state.ritz_coeffs.T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections
-    return _empty_state(state.cluster, buffer), block
+    return empty, block
 
 
-def _empty_state(cluster: ClusterSpec, buffer: _BasisBuffer) -> IterationState:
-    """The state without basis columns that starts a chain on ``buffer``."""
+def _start_chain(cluster: ClusterSpec, n: int, need: int, config: SolverConfig
+                 ) -> tuple[IterationState, np.ndarray]:
+    """A new chain's state without basis columns, and the first ``need`` columns of its buffer.
+
+    The buffer reserves the largest basis a run with ``config`` can reach:
+    last + max_iter * count columns, or restart_dim + count with restarts.
+    """
+    reserve = (cluster.last + config.max_iter * cluster.count if config.restart_dim is None
+               else config.restart_dim + cluster.count)
+    buffer = _BasisBuffer(n, need, reserve)
     empty = buffer.data[:, :0]
-    return IterationState(cluster, empty, buffer.projected[:0, :0], np.empty(0),
-                          np.empty((0, 0)), empty, empty, empty, buffer)
+    state = IterationState(cluster, empty, np.empty(0), np.empty((0, 0)), empty, empty, empty, buffer)
+    return state, buffer.data[:, :need]
 
 
 def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> IterationState:
@@ -414,7 +416,7 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     U = linalg.basis_times(basis, coeffs[:, c.first - 1 :])
     MU = pencil.mass @ U
     R = eig.values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-    return IterationState(c, basis, P[:m, :m], eig.values, coeffs, U, MU, R, buffer)
+    return IterationState(c, basis, eig.values, coeffs, U, MU, R, buffer)
 
 
 def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,

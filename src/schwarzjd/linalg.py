@@ -95,8 +95,8 @@ class Factorization:
         """Solve against one right-hand side (n,) or a block (n, k); with ``overwrite``
         the LAPACK kinds solve in place in a Fortran-ordered float64 ``rhs``."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape[0] != self.n:
-            raise InvalidArgumentError(f"rhs of leading dimension {self.n} expected")
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.n:
+            raise InvalidArgumentError(f"rhs (n,) or (n, k) with n = {self.n} expected, got {rhs.shape}")
         return self._solve(rhs, overwrite)
 
 

@@ -214,10 +214,11 @@ class SchwarzPreconditioner:
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.n,):
             raise InvalidArgumentError(f"dual vector of length {self.n} expected")
+        if not is_integer(i):
+            raise InvalidArgumentError(f"shift index must be an integer, got {i!r}")
         if not 0 <= i < len(self.shifts):
-            raise InvalidArgumentError(
-                f"shift index {i} outside the prepared range 0..{len(self.shifts) - 1}"
-            )
+            raise InvalidArgumentError(f"shift index {i} outside the prepared range "
+                                       f"0..{len(self.shifts) - 1}")
         return self.apply_coarse(rho, i) + self.apply_local(rho, i)
 
 

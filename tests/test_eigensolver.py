@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,10 +14,8 @@ from schwarzjd import eigensolver, linalg, schwarz
 from schwarzjd.eigensolver import (
     ClusterSpec,
     SolverConfig,
-    _BasisBuffer,
-    _empty_state,
     _grow,
-    _reservation,
+    _start_chain,
     _thick_restart,
     correction_step,
     initialize,
@@ -100,6 +99,15 @@ class TestClusterAndConfig:
         with pytest.raises(InvalidArgumentError, match=rf"(integer|number).*{re.escape(value)}"):
             make()
 
+    @pytest.mark.parametrize("name, value", [("max_iter", 2.5), ("tol", "1e-8")],
+                             ids=["max-iter-fraction", "tol-string"])
+    def test_config_fields_cannot_be_reassigned(self, name, value):
+        # a run reads its config at startup and again at each thick restart
+        config = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        assert config == SolverConfig()
+
     def test_numpy_integers_accepted(self):
         assert ClusterSpec(np.int64(2), np.int32(4)).count == 3
         assert SolverConfig(max_iter=np.int64(3), restart_dim=np.int64(9)).max_iter == 3
@@ -152,8 +160,13 @@ class TestInitialize:
 def exact_state(pencil, cluster):
     """A state grown from the exact discrete eigenvectors 1..cluster.last."""
     ref = dense_discrete_spectrum(pencil, cluster.last)
-    buffer = _BasisBuffer(pencil.n, cluster.last, _reservation(cluster, SolverConfig()))
-    return _grow(_empty_state(cluster, buffer), ref.vectors, pencil)
+    empty, _ = _start_chain(cluster, pencil.n, cluster.last, SolverConfig())
+    return _grow(empty, ref.vectors, pencil)
+
+
+def projected(state):
+    """The projected stiffness matrix of ``state``: the leading corner of its chain's block."""
+    return state._buffer.projected[:state.dim, :state.dim]
 
 
 class TestResidualDual:
@@ -243,7 +256,7 @@ class TestRayleighRitz:
         out = rayleigh_ritz(state, rng.standard_normal((pencil.n, 2)), pencil)
         assert out.ritz_coeffs.shape == (out.dim, 3)
         for j in range(out.ritz_coeffs.shape[1]):
-            r = out.projected @ out.ritz_coeffs[:, j] - out.ritz_values[j] * out.ritz_coeffs[:, j]
+            r = projected(out) @ out.ritz_coeffs[:, j] - out.ritz_values[j] * out.ritz_coeffs[:, j]
             assert np.linalg.norm(r) <= 1e-9 * max(out.ritz_values[j], 1.0)
 
 
@@ -269,29 +282,28 @@ class TestBasisBuffer:
         rng = np.random.default_rng(58)
         parent = initialize(hier, pencil, ClusterSpec(1, 3))
         first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
-        kept = [(s.projected.copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
+        kept = [(projected(s).copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
                 for s in (parent, first)]
         # the child bordered the parent's projected matrix in place
-        assert np.shares_memory(first.projected, parent.projected)
+        assert np.shares_memory(projected(first), projected(parent))
         with pytest.raises(InvalidArgumentError,
                            match="this state has 3 basis columns, the newest 6"):
             rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
         assert first._buffer.filled == first.dim
-        for state, (projected, values, coeffs) in zip((parent, first), kept):
-            assert np.array_equal(state.projected, projected)
+        for state, (corner, values, coeffs) in zip((parent, first), kept):
+            assert np.array_equal(projected(state), corner)
             assert np.array_equal(state.ritz_values, values)
             assert np.array_equal(state.ritz_coeffs, coeffs)
 
-    def test_projected_is_read_only_and_coefficients_stop_at_the_cluster_end(self, small):
+    def test_projected_corner_and_coefficients_stop_at_cluster_end(self, small):
         hier, pencil, _ = small
         state = initialize(hier, pencil, ClusterSpec(1, 2))
         grown = rayleigh_ritz(state, np.random.default_rng(59).standard_normal((pencil.n, 2)),
                               pencil)
         for s in (state, grown):
-            assert not s.projected.flags.writeable
-            assert s.projected.shape == (s.dim, s.dim) and s.ritz_values.shape == (s.dim,)
+            assert s.ritz_values.shape == (s.dim,)
             assert s.ritz_coeffs.shape == (s.dim, s.cluster.last)
-            assert np.allclose(s.ritz_values, np.linalg.eigvalsh(s.projected), rtol=1e-12, atol=0)
+            assert np.allclose(s.ritz_values, np.linalg.eigvalsh(projected(s)), rtol=1e-12, atol=0)
 
     def test_failed_projected_eigensolve_raises(self, small, monkeypatch):
         hier, pencil, _ = small
@@ -495,8 +507,12 @@ def test_a_chain_grows_in_place_and_only_at_its_newest_state(small, steps, seed)
     hier, pencil, _ = small
     rng = np.random.default_rng(seed)
     state = initialize(hier, pencil, ClusterSpec(1, 3), SolverConfig(max_iter=len(steps)))
-    names = ("basis", "projected", "ritz_values", "ritz_coeffs", "cluster_vectors", "residual")
-    chain = [(state, [getattr(state, name).copy() for name in names])]
+    names = ("basis", "ritz_values", "ritz_coeffs", "cluster_vectors", "residual")
+
+    def snapshot(s):
+        return {"projected": projected(s).copy(), **{n: getattr(s, n).copy() for n in names}}
+
+    chain = [(state, snapshot(state))]
     for width, dependent in steps:
         V = rng.standard_normal((pencil.n, width))
         if dependent:
@@ -505,15 +521,15 @@ def test_a_chain_grows_in_place_and_only_at_its_newest_state(small, steps, seed)
         assert grown._buffer is state._buffer  # written in place
         assert grown.dim == state.dim + width - dependent
         if grown is not state:
-            chain.append((grown, [getattr(grown, name).copy() for name in names]))
+            chain.append((grown, snapshot(grown)))
         state = grown
     for older, _ in chain[:-1]:
         with pytest.raises(InvalidArgumentError, match="only the newest state of a chain grows"):
             rayleigh_ritz(older, rng.standard_normal((pencil.n, 1)), pencil)
     assert state._buffer.filled == state.dim
     for s, kept in chain:
-        for name, array in zip(names, kept):
-            assert np.array_equal(getattr(s, name), array), name
+        for name, array in snapshot(s).items():
+            assert np.array_equal(array, kept[name]), name
 
 
 class TestStartupHeapRelease:
@@ -569,15 +585,35 @@ class TestThickRestart:
         ritz = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:cluster.last])
         kept = np.hstack([ritz, corrections])
         config = SolverConfig(restart_dim=40 - cluster.count)
-        buffer = _BasisBuffer(pencil.n, kept.shape[1], _reservation(cluster, config))
-        want = _grow(_empty_state(cluster, buffer), kept, pencil)
+        empty, _ = _start_chain(cluster, pencil.n, kept.shape[1], config)
+        want = _grow(empty, kept, pencil)
         got = _grow(*_thick_restart(state, corrections, pencil, config), pencil)
         assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
-        for name in ("basis", "projected", "ritz_values", "ritz_coeffs", "residual"):
+        assert np.array_equal(projected(got), projected(want))
+        for name in ("basis", "ritz_values", "ritz_coeffs", "residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestStopNorm:
+    @pytest.mark.parametrize("shape", [(961,), (961, 1, 1)], ids=["1-d", "3-d"])
+    @pytest.mark.parametrize("which", ["stop_bounds", "stop_norm"])
+    def test_residual_not_a_block_rejected_before_any_work(self, which, shape):
+        # square 2/5: a 1-d residual over the n x 1 diagonal broadcasts to n x n
+        pencil, _ = _mass_and_factorization("square", 5)
+        assert pencil.n == shape[0]
+        solves = []
+        call = {"stop_bounds": lambda R: stop_bounds(R, pencil.mass.diagonal()),
+                "stop_norm": lambda R: stop_norm(R, lambda X: solves.append(X) or X)}[which]
+        residual = np.ones(shape)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError, match=r"residual block \(n, k\) expected"):
+                call(residual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and solves == []
+
     def test_exact_pairs_give_zero(self, small):
         _, pencil, _ = small
         state = exact_state(pencil, ClusterSpec(1, 3))

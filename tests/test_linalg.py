@@ -75,6 +75,17 @@ class TestFactorize:
         X = banded(S).solve(B)
         assert np.allclose(S @ X, B, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(), (3, 2, 2)], ids=["0-d", "3-d"])
+    @pytest.mark.parametrize("kind", ["spd-cholesky", "symmetric-indefinite", "sparse-lu"])
+    def test_rhs_neither_vector_nor_block_rejected(self, kind, shape):
+        S = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        fact = {"spd-cholesky": lambda: banded(S),
+                "symmetric-indefinite": lambda: factorize_shifted(*lower_bands(S, np.eye(3)), 2.5),
+                "sparse-lu": lambda: factorize(sp.csr_matrix(S))}[kind]()
+        assert fact.kind == kind
+        with pytest.raises(InvalidArgumentError, match=r"rhs \(n,\) or \(n, k\) with n = 3"):
+            fact.solve(np.ones(shape))
+
     def test_indefinite_fallback_path_solves(self):
         pencil = assemble(build_mesh(DomainShape.SQUARE, 3))
         S = (pencil.stiffness - 3.0 * pencil.mass).toarray()

@@ -321,6 +321,15 @@ class TestApply:
             with pytest.raises(InvalidArgumentError, match="outside the prepared range 0..1"):
                 prec.apply(np.zeros(pencil.n), i)
 
+    @pytest.mark.parametrize("i", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_non_integer_index_rejected(self, setup, i):
+        hier, pencil, decomp, coarse = setup
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5, 2.5])
+        rho = np.random.default_rng(6).standard_normal(pencil.n)
+        with pytest.raises(InvalidArgumentError, match=f"shift index must be an integer, got {i!r}"):
+            prec.apply(rho, i)
+        assert np.array_equal(prec.apply(rho, np.int64(1)), prec.apply(rho, 1))
+
     def test_symmetry(self, setup):
         hier, pencil, decomp, coarse = setup
         prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5])

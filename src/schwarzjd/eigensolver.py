@@ -45,7 +45,8 @@ and the restart drops the old chain before its block grows.
 Iteration states are immutable; a step that grows the basis returns a new
 one.  A state's basis is a read-only view of the leading columns of a
 Fortran-ordered buffer that a chain of states shares, and its projected
-matrix is the leading dim x dim corner of the buffer's projected block.
+matrix is the lower triangle, all that ``dsyevd`` reads and ``_grow``
+writes, of the leading dim x dim corner of the buffer's projected block.
 ``_start_chain`` starts every chain (startup, and each thick restart) and
 reserves its buffers once, for the largest basis the run can reach; they
 are never copied: only the newest state of a chain grows, in place,
@@ -144,9 +145,9 @@ class _BasisBuffer:
     ``need`` and at most n + need and those that fit (``_admit_basis``): a
     ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
     columns are written, and, with side = min(columns, n), a side x side
-    ``projected`` block, whose leading dim x dim corner is the projected
-    matrix of the basis [0, dim), and a flat ``operand`` of side^2 doubles
-    for the projected eigensolve.
+    ``projected`` block, whose leading dim x dim corner holds the projected
+    matrix of the basis [0, dim) in its lower triangle, and a flat
+    ``operand`` of side^2 doubles for the projected eigensolve.
     """
 
     def __init__(self, n: int, need: int, reserve: int):
@@ -164,8 +165,8 @@ class IterationState:
 
     ``basis`` spans the trial subspace (n x dim), a view of the leading
     columns of the chain's buffer, which only the newest state extends;
-    the projected stiffness matrix basis' K basis is the leading dim x dim
-    corner of the buffer's ``projected`` block, which later states border.
+    the projected stiffness matrix basis' K basis is the lower triangle of
+    the leading dim x dim corner of the buffer's ``projected`` block, which later states border.
     ``ritz_values`` holds all dim of its eigenvalues, ascending, and
     ``ritz_coeffs`` (dim x last) the eigenvectors of values 1..last only:
     Ritz vector j (1-based, j <= last) is basis @ ritz_coeffs[:, j-1].  The
@@ -323,10 +324,14 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
     With q = sum_i rho_i' D^{-1} rho_i over the columns rho_i of ``residual``
     and D = ``mass_diagonal``, returns (sqrt(q/2), sqrt(2q)), which bracket
     sqrt(sum_i rho_i' M^{-1} rho_i) for a P1 mass matrix M.  Raises
-    InvalidArgumentError unless ``residual`` is 2-D.
+    InvalidArgumentError, before any arithmetic, unless ``residual`` is 2-D
+    and ``mass_diagonal`` is 1-D with one entry per row of it.
     """
     if np.ndim(residual) != 2:
         raise InvalidArgumentError(f"a residual block (n, k) expected, got shape {np.shape(residual)}")
+    if np.shape(mass_diagonal) != np.shape(residual)[:1]:
+        raise InvalidArgumentError(f"a mass diagonal of shape ({np.shape(residual)[0]},) expected, "
+                                   f"got shape {np.shape(mass_diagonal)}")
     lower, upper = linalg.MASS_BRACKET
     q = float(np.einsum("ij,ij->", residual, residual / mass_diagonal[:, None]))
     return float(np.sqrt(lower * q)), float(np.sqrt(upper * q))
@@ -370,8 +375,8 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     """The Rayleigh-Ritz step: the one place the trial basis grows.
 
     Mass-orthonormalizes the k columns of ``new_vectors`` against the basis,
-    borders the projected stiffness matrix by the accepted columns,
-    re-solves it and forms the cluster block U, M U and R of the new state.
+    borders the projected stiffness matrix below its diagonal by the accepted
+    columns, re-solves it and forms the cluster block U, M U and R of the new state.
     Returns ``state`` itself when every column is dropped.
 
     The orthonormalization writes straight into the chain's buffer, behind
@@ -403,7 +408,6 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     cross = state.basis.T @ stiff_new
     corner = accepted.T @ stiff_new
     P = buffer.projected
-    P[:dim, dim:m] = cross
     P[dim:m, :dim] = cross.T
     P[dim:m, dim:m] = 0.5 * (corner + corner.T)
     eig = linalg.dense_symmetric_eig(P[:m, :m], buffer.operand)

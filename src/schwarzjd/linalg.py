@@ -215,13 +215,17 @@ def mass_chebyshev(M):
     Math. 3, 1961), from a zero start on the whole block: one sparse product
     per step and no inner products.  After ``_CHEBYSHEV_STEPS`` steps the
     M-norm error of each column is at most 2 * 3**-30, about 1e-14, of the
-    solution's M-norm.
+    solution's M-norm.  The function raises InvalidArgumentError, before the
+    first step, for a right-hand side of any other shape.
     """
     inv_diag = 1.0 / M.diagonal()
     lower, upper = MASS_BRACKET
     theta, delta = (upper + lower) / 2, (upper - lower) / 2  # centre and half-width
 
     def solve(rhs):
+        if np.ndim(rhs) not in (1, 2) or np.shape(rhs)[0] != len(inv_diag):
+            raise InvalidArgumentError(f"rhs (n,) or (n, k) with n = {len(inv_diag)} expected, "
+                                       f"got {np.shape(rhs)}")
         scale = inv_diag if rhs.ndim == 1 else inv_diag[:, None]
         r = rhs.copy()
         d = scale * r / theta
@@ -325,11 +329,11 @@ def dense_symmetric_eig(a: np.ndarray, operand: np.ndarray) -> EigenBasis:
 
     Copies ``a`` into the first m * m doubles of the flat ``operand``, viewed
     as a contiguous Fortran (m, m) array, and lets LAPACK's ``dsyevd``
-    overwrite it with the eigenvectors.  It reads the lower triangle, as
-    ``np.linalg.eigh`` does, and with the same LAPACK routine returns its
-    bits.  Returns ascending eigenvalues and the vectors, a view of
-    ``operand``; ``a`` is not modified.  Raises EigensolverError when
-    ``dsyevd`` fails.
+    overwrite it with the eigenvectors.  It reads only the lower triangle
+    (the strict upper one may hold anything), as ``np.linalg.eigh`` does, and
+    with the same LAPACK routine returns its bits.  Returns ascending
+    eigenvalues and the vectors, a view of ``operand``; ``a`` is not
+    modified.  Raises EigensolverError when ``dsyevd`` fails.
     """
     m = a.shape[0]
     work = operand[:m * m].reshape((m, m), order="F")

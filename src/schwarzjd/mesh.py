@@ -120,8 +120,8 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
     return Mesh(shape=shape, level=level, spacing=math.pi / n, n_dofs=n_dofs, dof_grid=dof_grid)
 
 
-def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """Nodal P1 interpolation matrix from coarse interior dofs to fine interior dofs.
+def _restriction(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """The transpose P' of the nodal P1 interpolation P from coarse to fine interior dofs.
 
     With r fine cells per coarse cell side, the hat of a coarse node weighs
     the fine lattice point at offset (dx, dy) from it by
@@ -130,7 +130,7 @@ def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     taken in ascending (dy, dx) order, which is ascending fine dof order.
     Every offset strictly inside the hat's support is a fine dof: an interior
     coarse node has all four of its cells in the domain.  The weights k / r
-    are dyadic, so they are exact, and P is P' transposed.
+    are dyadic, so they are exact.
     """
     r = 1 << (fine.level - coarse.level)
     dy, dx = np.ogrid[1 - r : r, 1 - r : r]
@@ -142,9 +142,7 @@ def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     cols = np.take(fine.dof_grid, ((iy * n + ix) * r)[:, None] + steps)
     weights = np.tile(1.0 - hat[inside] / r, coarse.n_dofs)
     indptr = np.arange(0, cols.size + 1, len(steps))
-    restriction = sp.csr_matrix((weights, cols.ravel(), indptr),
-                                shape=(coarse.n_dofs, fine.n_dofs))
-    return restriction.T.tocsr()
+    return sp.csr_matrix((weights, cols.ravel(), indptr), shape=(coarse.n_dofs, fine.n_dofs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,13 +151,14 @@ class MeshHierarchy:
 
     The initial mesh is one level finer than the coarse one (level
     ``coarse_level + 1``, spacing halved), so the spaces are nested:
-    V_coarse < V_initial < V_fine.
+    V_coarse < V_initial < V_fine; ``fine_to_coarse`` is the P' built for ``coarse_to_fine``.
     """
 
     coarse: Mesh
     initial: Mesh
     fine: Mesh
     coarse_to_fine: sp.csr_matrix
+    fine_to_coarse: sp.csr_matrix
     initial_to_fine: sp.csr_matrix
 
     @property
@@ -183,12 +182,14 @@ def build_hierarchy(shape: DomainShape, coarse_level: int, fine_level: int) -> M
     coarse = build_mesh(shape, coarse_level)
     initial = build_mesh(shape, coarse_level + 1)
     fine = build_mesh(shape, fine_level)
+    fine_to_coarse = _restriction(coarse, fine)
     return MeshHierarchy(
         coarse=coarse,
         initial=initial,
         fine=fine,
-        coarse_to_fine=_prolongation(coarse, fine),
-        initial_to_fine=_prolongation(initial, fine),
+        coarse_to_fine=fine_to_coarse.T.tocsr(),
+        fine_to_coarse=fine_to_coarse,
+        initial_to_fine=_restriction(initial, fine).T.tocsr(),
     )
 
 

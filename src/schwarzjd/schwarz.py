@@ -31,7 +31,7 @@ sums the copy into the correction in ascending subdomain order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,18 +57,15 @@ class CoarsePiece:
 
     ``values``/``vectors`` are the ascending eigenpairs of the coarse pencil,
     mass-orthonormal.  Indices 1..cluster_cut are deflated; the coarse solve
-    acts only on the span of the remaining eigenvectors.  ``restriction``, the
-    CSR transpose of ``prolongation``, sums in the bit order of ``P.T``.
+    acts only on the span of the remaining eigenvectors.  ``prolongation`` and
+    ``restriction`` are the hierarchy's ``coarse_to_fine`` and ``fine_to_coarse``.
     """
 
     prolongation: sp.csr_matrix
+    restriction: sp.csr_matrix
     values: np.ndarray
     vectors: np.ndarray
     cluster_cut: int
-    restriction: sp.csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "restriction", self.prolongation.T.tocsr())
 
     @property
     def dim(self) -> int:
@@ -102,6 +99,7 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     eig = linalg.dense_generalized_eig(pencil.stiffness, pencil.mass)
     return CoarsePiece(
         prolongation=hier.coarse_to_fine,
+        restriction=hier.fine_to_coarse,
         values=eig.values,
         vectors=eig.vectors,
         cluster_cut=cluster_cut,

@@ -164,9 +164,16 @@ def exact_state(pencil, cluster):
     return _grow(empty, ref.vectors, pencil)
 
 
-def projected(state):
-    """The projected stiffness matrix of ``state``: the leading corner of its chain's block."""
+def corner(state):
+    """The leading dim x dim corner of ``state``'s chain's projected block, as stored."""
     return state._buffer.projected[:state.dim, :state.dim]
+
+
+def projected(state):
+    """The projected stiffness matrix of ``state``, symmetrized from the lower triangle of
+    its corner, the only triangle that is written and that the eigensolve reads."""
+    lower = np.tril(corner(state))
+    return lower + np.tril(lower, -1).T
 
 
 class TestResidualDual:
@@ -282,18 +289,29 @@ class TestBasisBuffer:
         rng = np.random.default_rng(58)
         parent = initialize(hier, pencil, ClusterSpec(1, 3))
         first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
-        kept = [(projected(s).copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
+        kept = [(corner(s).copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
                 for s in (parent, first)]
         # the child bordered the parent's projected matrix in place
-        assert np.shares_memory(projected(first), projected(parent))
+        assert np.shares_memory(corner(first), corner(parent))
         with pytest.raises(InvalidArgumentError,
                            match="this state has 3 basis columns, the newest 6"):
             rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
         assert first._buffer.filled == first.dim
-        for state, (corner, values, coeffs) in zip((parent, first), kept):
-            assert np.array_equal(projected(state), corner)
+        for state, (stored, values, coeffs) in zip((parent, first), kept):
+            assert np.array_equal(corner(state), stored)
             assert np.array_equal(state.ritz_values, values)
             assert np.array_equal(state.ritz_coeffs, coeffs)
+
+    def test_growth_borders_only_the_lower_triangle(self, small):
+        hier, pencil, _ = small
+        parent = initialize(hier, pencil, ClusterSpec(1, 3))
+        grown = rayleigh_ritz(parent, np.random.default_rng(61).standard_normal((pencil.n, 3)),
+                              pencil)
+        dim, m = parent.dim, grown.dim
+        assert m > dim
+        block = grown._buffer.projected
+        assert np.count_nonzero(block[dim:m, :dim]) == (m - dim) * dim
+        assert not block[:dim, dim:m].any()  # the strict upper border is never written
 
     def test_projected_corner_and_coefficients_stop_at_cluster_end(self, small):
         hier, pencil, _ = small
@@ -510,7 +528,7 @@ def test_a_chain_grows_in_place_and_only_at_its_newest_state(small, steps, seed)
     names = ("basis", "ritz_values", "ritz_coeffs", "cluster_vectors", "residual")
 
     def snapshot(s):
-        return {"projected": projected(s).copy(), **{n: getattr(s, n).copy() for n in names}}
+        return {"corner": corner(s).copy(), **{n: getattr(s, n).copy() for n in names}}
 
     chain = [(state, snapshot(state))]
     for width, dependent in steps:
@@ -589,7 +607,7 @@ class TestThickRestart:
         want = _grow(empty, kept, pencil)
         got = _grow(*_thick_restart(state, corrections, pencil, config), pencil)
         assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
-        assert np.array_equal(projected(got), projected(want))
+        assert np.array_equal(corner(got), corner(want))
         for name in ("basis", "ritz_values", "ritz_coeffs", "residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -613,6 +631,20 @@ class TestStopNorm:
         finally:
             tracemalloc.stop()
         assert peak < 2**20 and solves == []
+
+    @pytest.mark.parametrize("rows, diagonal", [(961, (1,)), (1, (961,)), (961, (961, 1))],
+                             ids=["one-entry", "one-row", "column"])
+    def test_mass_diagonal_that_does_not_fit_rejected(self, rows, diagonal):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"mass diagonal of shape \({rows},\) expected, got shape"):
+            stop_bounds(np.ones((rows, 2)), np.ones(diagonal))
+
+    @pytest.mark.parametrize("shape", [(900, 2), (900,), (961, 1, 1)],
+                             ids=["short-block", "short-vector", "3-d"])
+    def test_chebyshev_solve_rejects_a_block_that_does_not_fit(self, shape):
+        pencil, _ = _mass_and_factorization("square", 5)
+        with pytest.raises(InvalidArgumentError, match=r"rhs \(n,\) or \(n, k\) with n = 961"):
+            mass_chebyshev(pencil.mass)(np.ones(shape))
 
     def test_exact_pairs_give_zero(self, small):
         _, pencil, _ = small

@@ -240,6 +240,17 @@ class TestDenseSymmetricEig:
         assert eig.vectors.ctypes.data == operand.ctypes.data  # solved in place
         assert np.isnan(operand[m * m:]).all()
 
+    @pytest.mark.parametrize("m", [2, 7, 60])
+    def test_strict_upper_triangle_is_not_read(self, m):
+        rng = np.random.default_rng(m)
+        a = np.asfortranarray(rng.standard_normal((m, m)))
+        a += a.T
+        want = dense_symmetric_eig(a, np.empty(m * m))
+        a[np.triu_indices(m, 1)] = np.nan
+        got = dense_symmetric_eig(a, np.empty(m * m))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
 
 def max_sin_angle(V, W, M):
     """Sine of the largest principal angle between span(V) and the larger span(W),

@@ -253,6 +253,13 @@ def test_prolongation_matches_coo_reference(shape, levels):
     assert_same_csr(hier.initial_to_fine, reference_prolongation(hier.initial, hier.fine))
 
 
+@pytest.mark.parametrize("coarse_level", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", list(DomainShape), ids=lambda shape: shape.value)
+def test_kept_restriction_is_the_transposed_prolongation(shape, coarse_level):
+    hier = build_hierarchy(shape, coarse_level, coarse_level + 2)
+    assert_same_csr(hier.fine_to_coarse, hier.coarse_to_fine.T.tocsr())
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(shape=st.sampled_from(list(DomainShape)),
        case=level_pairs.flatmap(lambda lv: st.tuples(

@@ -297,6 +297,12 @@ def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, se
     assert_batched_local_solve_matches_loop(prec, decomp, rho)
 
 
+def test_coarse_piece_restricts_with_the_hierarchy_restriction(setup):
+    hier, _, _, coarse = setup
+    assert coarse.restriction is hier.fine_to_coarse
+    assert build_coarse_piece(hier, 0).restriction is hier.fine_to_coarse
+
+
 @pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
 def test_restriction_products_match_transpose(shape):
     # The CSR restriction sums each coarse row in ascending fine-dof order,

@@ -22,7 +22,9 @@ The library checks its own arguments.  A run builds ``ClusterSpec``,
 in that order, and ``solve`` checks the restart dimension and the
 initialization mesh; the first ``InvalidArgumentError`` is reported as a
 configuration error (exit code 2).  A config-file value meets these checks
-as a flag value does.  Only the output format and the output directory's
+as a flag value does: a flag's text is read as an integer or a number where
+it reads as one and is otherwise passed on as text, so that argparse rejects
+no value.  Only the output format and the output directory's
 type and kind, which no library object owns, are checked here, before any
 solve; an ``OSError`` while writing the outputs is a configuration error too.
 """
@@ -39,6 +41,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -114,14 +117,14 @@ def fit_gamma(trace, discrete_values, first: int, last: int) -> float | None:
 REFERENCE_DOF_LIMIT = 5000
 
 
-def _reference_values(config: ExperimentConfig, pencil, count: int):
+def _reference_values(shape: DomainShape, pencil, count: int):
     """(analytic, discrete) reference spectra where feasible, else None.
 
     The discrete values come from ``linalg.lowest_eigenpairs`` on the fine
     pencil, a route the Jacobi-Davidson solver never takes there.
     """
     analytic = None
-    if config.domain == "square":
+    if shape is DomainShape.SQUARE:
         analytic = oracle.exact_square_eigenvalues(count)
     discrete = None
     if pencil.n <= REFERENCE_DOF_LIMIT:
@@ -197,7 +200,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    analytic, discrete = _reference_values(config, pencil, config.M)
+    analytic, discrete = _reference_values(shape, pencil, config.M)
     reference = analytic if analytic is not None else discrete
     gamma = None
     if discrete is not None:
@@ -227,20 +230,25 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "timings_s": {k: round(v, 6) for k, v in report.timings.items()},
         "peak_rss_mib": round(peak_rss_mib, 1),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    text = json.dumps(summary, indent=1, default=_plain)  # whole, before the file opens
+    (out / "summary.json").write_text(text + "\n")
     if report.deflated_dim == 0:
         print(f"warning: none of the {report.coarse_dofs} coarse eigenvectors lies above the "
               f"cluster end {config.M}, so the preconditioner was one-level", file=sys.stderr)
 
     print(
-        f"{config.domain} coarse={config.coarse} fine={config.fine} "
+        f"{shape.value} coarse={config.coarse} fine={config.fine} "
         f"cluster=({config.m},{config.M}): "
         f"{'converged' if report.converged else 'NOT converged'} "
         f"after {report.iterations} iterations, stop norm {report.stop_norm:.4e}"
     )
     return (EXIT_OK if report.converged else EXIT_NOT_CONVERGED), report
+
+
+def _plain(value):
+    """The JSON value of an enum or a NumPy scalar, the configuration echo's only
+    values that JSON lacks (the library rejects any other type)."""
+    return value.value if isinstance(value, Enum) else value.item()
 
 
 def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
@@ -293,17 +301,33 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
+def _reader(*kinds):
+    """An argparse ``type`` that rejects nothing: it returns the first of ``kinds``
+    that reads the text, and otherwise the text, for the library to check."""
+    def read(text: str):
+        for kind in kinds:
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+    return read
+
+
+_integer, _real = _reader(int, float), _reader(float)
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--domain", help="square or lshape")
-    p.add_argument("--coarse", type=int, help="coarse mesh refinement level")
-    p.add_argument("--fine", type=int, help="fine mesh refinement level")
-    p.add_argument("--overlap", type=float, help="overlap width relative to subdomain size")
-    p.add_argument("--m", type=int, help="first targeted eigenvalue index (1-based)")
-    p.add_argument("--M", type=int, help="last targeted eigenvalue index (1-based)")
-    p.add_argument("--tol", type=float, help="stopping tolerance on the residual stop norm")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--restart-dim", type=int, dest="restart_dim")
+    p.add_argument("--coarse", type=_integer, help="coarse mesh refinement level")
+    p.add_argument("--fine", type=_integer, help="fine mesh refinement level")
+    p.add_argument("--overlap", type=_real, help="overlap width relative to subdomain size")
+    p.add_argument("--m", type=_integer, help="first targeted eigenvalue index (1-based)")
+    p.add_argument("--M", type=_integer, help="last targeted eigenvalue index (1-based)")
+    p.add_argument("--tol", type=_real, help="stopping tolerance on the residual stop norm")
+    p.add_argument("--max-iter", type=_integer, dest="max_iter")
+    p.add_argument("--restart-dim", type=_integer, dest="restart_dim")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--format", help="output table format: csv or json")
     p.add_argument("--log-level", dest="log_level", default="warning",
@@ -345,8 +369,8 @@ def main(argv=None) -> int:
     _add_common_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="one run per varied mesh level")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument("--vary-fine", type=int, nargs="+", dest="vary_fine")
-    sweep_p.add_argument("--vary-coarse", type=int, nargs="+", dest="vary_coarse")
+    sweep_p.add_argument("--vary-fine", type=_integer, nargs="+", dest="vary_fine")
+    sweep_p.add_argument("--vary-coarse", type=_integer, nargs="+", dest="vary_coarse")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,

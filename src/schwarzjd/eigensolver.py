@@ -262,12 +262,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     blocks, the basis columns plus the C-ordered copy of them and the
     product that a sparse mass product makes.
     """
-    n_init = hier.initial.n_dofs
-    if cluster.last >= n_init:
-        raise ClusterTooLargeError(
-            f"cluster needs {cluster.last} eigenpairs but the initialization mesh "
-            f"has only {n_init} dofs; it must have more"
-        )
+    _check_cluster_fits(hier, cluster)
     linalg.admit(f"the startup block, three blocks of {cluster.last} columns of {pencil.n} dofs,",
                  3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
     init_pencil = fem.assemble(hier.initial)
@@ -278,6 +273,17 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
+
+
+def _check_cluster_fits(hier: MeshHierarchy, cluster: ClusterSpec) -> None:
+    """Raises ClusterTooLargeError unless the initialization mesh has more dofs than
+    ``cluster.last``."""
+    n_init = hier.initial.n_dofs
+    if cluster.last >= n_init:
+        raise ClusterTooLargeError(
+            f"cluster needs {cluster.last} eigenpairs but the initialization mesh "
+            f"has only {n_init} dofs; it must have more"
+        )
 
 
 def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) -> np.ndarray:
@@ -438,7 +444,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
     iterations; partial results are returned either way.  Raises
     InvalidArgumentError before any eigensolve when ``pencil`` or ``decomp``
-    does not fit the fine mesh, ProblemTooLargeError before the startup
+    does not fit the fine mesh or the cluster the initialization mesh
+    (ClusterTooLargeError, as in ``initialize``), ProblemTooLargeError before the startup
     eigensolve when the coarse eigensolve or the startup block, and later
     when the trial basis or its projected pair, would outgrow physical
     memory, and EigensolverError when a projected eigensolve fails.
@@ -451,6 +458,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     if pencil.n != hier.fine.n_dofs:
         raise InvalidArgumentError(
             f"the pencil has {pencil.n} dofs, the fine mesh {hier.fine.n_dofs}")
+    _check_cluster_fits(hier, cluster)
     timings: dict[str, float] = {}
 
     def clocked(name, fn, *args, **kwargs):
@@ -508,7 +516,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         converged=converged,
         stagnated=not converged and stalls >= 3,
         stop_norm=sn,
-        coarse_dofs=coarse.dim,
+        coarse_dofs=hier.coarse.n_dofs,
         deflated_dim=coarse.deflated_dim,
         trace=trace,
         timings=timings,

@@ -7,12 +7,14 @@ dual form, rho = lambda * M u - K u, and returns a primal correction:
     t  =  P ( sum_{j > cut} (u_j' P' rho) / (mu_j - shift) u_j )
         + sum_l  E_l (K_l - shift M_l)^(-1) (rho restricted to subdomain l)
 
-where (mu_j, u_j) is the full eigendecomposition of the coarse pencil, P is
+where (mu_j, u_j) are the eigenpairs of the coarse pencil, P is
 coarse-to-fine interpolation, and K_l, M_l are principal submatrices on the
-l-th subdomain.  Restricting the coarse sum to indices above ``cluster_cut``
-deflates the targeted invariant subspace, which keeps the shifted coarse
-operator positive there; applying it spectrally is exact even when the shift
-collides with a deflated coarse eigenvalue.
+l-th subdomain.  The coarse sum runs over the retained pairs, those above
+the cut (the cluster end): dropping the rest deflates the targeted invariant
+subspace, which keeps the shifted coarse operator positive there, and
+applying it spectrally is exact even when the shift collides with a deflated
+coarse eigenvalue.  When no pair is retained the sum is empty and the
+preconditioner is one-level; the same products then add exact zeros.
 
 The P1 stencils do not depend on position, so subdomains whose dof patterns
 are translates of each other share (K_l, M_l) and form one operator class;
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .errors import InvalidArgumentError, is_integer
+from .errors import InvalidArgumentError, is_integer, is_number
 from .mesh import Decomposition, Mesh, MeshHierarchy
 
 __all__ = [
@@ -53,42 +55,36 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class CoarsePiece:
-    """Coarse interpolation plus the full coarse eigendecomposition.
+    """Coarse interpolation plus the retained coarse eigenpairs.
 
-    ``values``/``vectors`` are the ascending eigenpairs of the coarse pencil,
-    mass-orthonormal.  Indices 1..cluster_cut are deflated; the coarse solve
-    acts only on the span of the remaining eigenvectors.  ``prolongation`` and
-    ``restriction`` are the hierarchy's ``coarse_to_fine`` and ``fine_to_coarse``.
+    ``values``/``vectors`` are the eigenpairs of the coarse pencil above the
+    cut, ascending and mass-orthonormal: the coarse solve sums over them,
+    and a one-level piece retains none ((n_c, 0) vectors).  ``prolongation``
+    and ``restriction`` are the hierarchy's ``coarse_to_fine`` and ``fine_to_coarse``.
     """
 
     prolongation: sp.csr_matrix
     restriction: sp.csr_matrix
     values: np.ndarray
     vectors: np.ndarray
-    cluster_cut: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
     @property
     def deflated_dim(self) -> int:
         """Dimension of the high-frequency coarse subspace the solve acts on."""
-        return max(self.dim - self.cluster_cut, 0)
+        return len(self.values)
 
     @property
     def shift_cap(self) -> float:
         """Cap on preconditioner shifts: just below the first retained coarse
         eigenvalue, or infinity when no coarse eigenvalue is retained."""
-        if self.deflated_dim == 0:
-            return np.inf
-        return float(self.values[self.cluster_cut]) * (1.0 - 1e-8)
+        return float(self.values[0]) * (1.0 - 1e-8) if len(self.values) else np.inf
 
 
 def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
-    """Assemble the coarse pencil of ``hier`` and eigendecompose it fully.
+    """Eigendecompose the coarse pencil of ``hier``; keep the pairs above ``cluster_cut``.
 
-    Raises ProblemTooLargeError, before allocating, when the dense eigensolve's two
+    The retained pairs are views of the eigensolve's arrays.  Raises
+    ProblemTooLargeError, before allocating, when the dense eigensolve's two
     n_c^2 operands and 2 n_c^2 + 6 n_c + 1 workspace exceed physical memory.
     """
     if not is_integer(cluster_cut) or cluster_cut < 0:
@@ -100,9 +96,8 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     return CoarsePiece(
         prolongation=hier.coarse_to_fine,
         restriction=hier.fine_to_coarse,
-        values=eig.values,
-        vectors=eig.vectors,
-        cluster_cut=cluster_cut,
+        values=eig.values[cluster_cut:],
+        vectors=eig.vectors[:, cluster_cut:],
     )
 
 
@@ -188,14 +183,12 @@ class SchwarzPreconditioner:
                    for facts in self._factorizations for f in facts)
 
     def apply_coarse(self, rho: np.ndarray, i: int) -> np.ndarray:
-        """Coarse contribution: spectral solve on the deflated coarse subspace."""
+        """Coarse contribution: spectral solve on the retained coarse pairs
+        (exact zeros when none is retained)."""
         cp = self.coarse
-        if cp.deflated_dim == 0:
-            return np.zeros(self.n)
-        cut = cp.cluster_cut
-        d = cp.vectors[:, cut:].T @ (cp.restriction @ rho)
-        d /= cp.values[cut:] - self.shifts[i]
-        return cp.prolongation @ (cp.vectors[:, cut:] @ d)
+        d = cp.vectors.T @ (cp.restriction @ rho)
+        d /= cp.values - self.shifts[i]
+        return cp.prolongation @ (cp.vectors @ d)
 
     def apply_local(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Sum of the subdomain solves: one multi-right-hand-side solve per
@@ -225,11 +218,15 @@ def prepare(blocks: LocalBlocks, coarse: CoarsePiece, shifts) -> SchwarzPrecondi
 
     Shifts above ``coarse.shift_cap`` are lowered to it, so that the
     deflated coarse operator stays positive; the preconditioner's
-    ``clamped_shifts`` counts them.
+    ``clamped_shifts`` counts them.  Raises InvalidArgumentError, before any
+    factorization, unless ``shifts`` is a non-empty flat list of finite real
+    numbers (``errors.is_number``: a bool or a string is not one).
     """
-    shifts = np.asarray(list(shifts), dtype=np.float64)
-    if shifts.size == 0 or not np.all(np.isfinite(shifts)):
-        raise InvalidArgumentError("a non-empty list of finite shifts is required")
+    listed = list(shifts) if np.iterable(shifts) else []
+    if not listed or not all(map(is_number, listed)) or not np.all(np.isfinite(listed)):
+        raise InvalidArgumentError(f"a non-empty flat list of finite real shifts is required, "
+                                   f"got {shifts!r}")
+    shifts = np.array(listed, dtype=np.float64)
     clamped = int(np.count_nonzero(shifts > coarse.shift_cap))
     shifts = np.minimum(shifts, coarse.shift_cap)
 

@@ -96,11 +96,8 @@ def dense_preconditioner(pencil, decomp, coarse, shift):
     for dofs in decomp.subdomains:
         block = np.linalg.inv(K[np.ix_(dofs, dofs)] - shift * M[np.ix_(dofs, dofs)])
         B[np.ix_(dofs, dofs)] += block
-    if coarse.deflated_dim > 0:
-        P = coarse.prolongation.toarray()
-        UR = coarse.vectors[:, coarse.cluster_cut:]
-        D = np.diag(1.0 / (coarse.values[coarse.cluster_cut:] - shift))
-        B += P @ (UR @ D @ UR.T) @ P.T
+    P, U = coarse.prolongation.toarray(), coarse.vectors  # U is (n_c, 0) when one-level
+    B += P @ (U @ np.diag(1.0 / (coarse.values - shift)) @ U.T) @ P.T
     return B
 
 

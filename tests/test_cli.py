@@ -133,6 +133,9 @@ class TestConfigValidation:
         ("domain", "hexagon", "hexagon"),
         ("format", "xml", "xml"),
         ("coarse", "0", 0),
+        ("coarse", "2.5", 2.5),
+        ("max_iter", "1e3", 1000.0),
+        ("m", "x", "x"),
     ])
     def test_flag_and_file_value_print_the_same_message(self, capsys, tmp_path, key, flag, value):
         out = str(tmp_path / "run")
@@ -361,6 +364,19 @@ class TestRunCommand:
         warned = "preconditioner was one-level" in capsys.readouterr().err
         assert warned == (deflated == 0)
 
+    def test_summary_from_numpy_and_enum_settings(self, tmp_path):
+        # values the library accepts are echoed as plain JSON values, and the
+        # square's analytic reference is chosen from the domain the settings built
+        config = ExperimentConfig(domain=DomainShape.SQUARE, coarse=np.int64(2), fine=4,
+                                  m=1, M=np.int64(2), tol=np.float64(1e-8),
+                                  output_dir=str(tmp_path))
+        assert cli.run(config) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["domain"] == "square"
+        assert (summary["config"]["coarse"], summary["config"]["M"]) == (2, 2)
+        assert [r[2] for r in read_csv(tmp_path / "final.csv")[1:]] == ["2.000000000",
+                                                                          "5.000000000"]
+
     def test_non_convergence_is_distinct_exit_code_with_files(self, tmp_path):
         out = tmp_path / "run"
         code = main(["run", *TINY, "--max-iter", "1", "--tol", "1e-14",
@@ -518,6 +534,17 @@ class TestSweepCommand:
         it_row = next(r for r in rows if r[0] == "it.")
         assert it_row[1] == "error"
         assert it_row[2] != "error"
+
+    def test_level_flag_that_is_not_a_number_is_a_column_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "x"])
+        assert code == 3
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["index", "fine=4", "fine=x"]
+        it_row, stop_row = rows[-2:]
+        assert it_row[1] != "error" and it_row[2] == "error"
+        assert stop_row[2] == "mesh levels must be integers, got coarse 2, fine 'x'"
+        assert "fine=x: error: mesh levels must be integers" in capsys.readouterr().err
 
     def test_wrong_typed_file_level_is_a_column_error(self, tmp_path):
         # a level every column shares is checked in each column, as a bad flag level is

@@ -788,7 +788,8 @@ class TestSolve:
         assert "mass_factorization" not in report.timings
 
     @pytest.mark.parametrize("inconsistency", ["negative-dof", "dof-past-the-end",
-                                               "pencil-of-another-level"])
+                                               "pencil-of-another-level",
+                                               "cluster-past-the-initialization-mesh"])
     def test_inconsistent_inputs_rejected_before_any_eigensolve(self, small, inconsistency,
                                                                  monkeypatch):
         hier, pencil, decomp = small
@@ -802,14 +803,17 @@ class TestSolve:
 
         for name in ("dense_generalized_eig", "lowest_eigenpairs", "dense_symmetric_eig"):
             monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+        cluster = ClusterSpec(1, 3)
         with pytest.raises(InvalidArgumentError):
             if inconsistency == "pencil-of-another-level":
                 pencil = assemble(build_mesh(DomainShape.SQUARE, hier.fine.level - 1))
+            elif inconsistency == "cluster-past-the-initialization-mesh":
+                cluster = ClusterSpec(1, 49)  # the level-3 initialization mesh has 49 dofs
             else:  # every dof moved one down (0 becomes -1) or one up (n - 1 becomes n)
                 by = -1 if inconsistency == "negative-dof" else 1
                 decomp = Decomposition(dofs=decomp.dofs + by, offsets=decomp.offsets,
                                        overlap_layers=decomp.overlap_layers)
-            solve(hier, pencil, decomp, ClusterSpec(1, 3), SolverConfig())
+            solve(hier, pencil, decomp, cluster, SolverConfig())
         assert eigensolves == []
 
     def test_max_iter_reached_flags_non_convergence(self, small):
@@ -866,8 +870,7 @@ class TestSolve:
             # move the first retained coarse eigenvalue between the two
             # largest starting values, so the cap cuts the third shift
             piece = build(hier, cut)
-            values = piece.values.copy()
-            values[cut:] -= values[cut] - 0.5 * (start[1] + start[2])
+            values = piece.values - (piece.values[0] - 0.5 * (start[1] + start[2]))
             return dataclasses.replace(piece, values=values)
 
         monkeypatch.setattr(schwarz, "build_coarse_piece", lowered)

@@ -60,14 +60,14 @@ class TestPrepare:
         hier, pencil, decomp, coarse = setup
         init = assemble(hier.initial)
         lam1 = dense_generalized_eig(init.stiffness.toarray(), init.mass.toarray()).values[0]
-        assert coarse.values[CUT] - lam1 > 0
+        assert coarse.values[0] - lam1 > 0
         prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [lam1])
         assert prec.shifts.tolist() == [lam1]
         assert prec.clamped_shifts == 0
 
     def test_shift_at_retained_coarse_eigenvalue_clamped(self, setup):
         hier, pencil, decomp, coarse = setup
-        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [coarse.values[CUT], 1.0])
+        prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [coarse.values[0], 1.0])
         assert prec.shifts.tolist() == [coarse.shift_cap, 1.0]
         assert prec.clamped_shifts == 1
         B = dense_preconditioner(pencil, decomp, coarse, coarse.shift_cap)
@@ -81,15 +81,48 @@ class TestPrepare:
         with pytest.raises(InvalidArgumentError):
             prepare(LocalBlocks(hier.fine, decomp), coarse, [])
 
+    @pytest.mark.parametrize("shifts", [
+        [[1.0], [2.0]], [[1.0, 2.0]], [1.0, True], ["1.0"], 1.0, [np.nan], [1.0, np.inf],
+    ], ids=["column", "row", "bool", "string", "scalar", "nan", "inf"])
+    def test_shifts_other_than_a_flat_list_of_finite_numbers_rejected(self, setup, shifts,
+                                                                      monkeypatch):
+        hier, pencil, decomp, coarse = setup
+        blocks = LocalBlocks(hier.fine, decomp)
+        monkeypatch.setattr(linalg, "factorize_shifted",
+                            lambda *args: pytest.fail("factorized"))
+        with pytest.raises(InvalidArgumentError, match="flat list of finite real shifts"):
+            prepare(blocks, coarse, shifts)
+
 
 def test_coarse_eigensolve_admitted_up_to_its_memory(monkeypatch):
     hier = build_hierarchy(DomainShape.LSHAPE, 2, 3)
     need = 32 * hier.coarse.n_dofs**2  # two operands and the LAPACK workspace
     monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need)
-    assert build_coarse_piece(hier, CUT).dim == hier.coarse.n_dofs
+    assert build_coarse_piece(hier, CUT).deflated_dim == hier.coarse.n_dofs - CUT
     monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need - 1)
     with pytest.raises(ProblemTooLargeError, match=rf"level 2 \({hier.coarse.n_dofs} dofs\)"):
         build_coarse_piece(hier, CUT)
+
+
+@pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
+def test_coarse_piece_holds_the_columns_above_the_cut(shape):
+    hier, pencil, decomp, _ = problem(shape)
+    n_c = hier.coarse.n_dofs
+    coarse_pencil = assemble(hier.coarse)
+    full = dense_generalized_eig(coarse_pencil.stiffness, coarse_pencil.mass)
+    blocks = LocalBlocks(hier.fine, decomp)
+    rho = np.random.default_rng(46).standard_normal(pencil.n)
+    for cut in (0, 2, n_c - 1, n_c, n_c + 5):
+        piece = build_coarse_piece(hier, cut)
+        assert piece.values.tobytes() == full.values[cut:].tobytes()
+        assert piece.vectors.shape == (n_c, max(n_c - cut, 0))
+        assert piece.vectors.tobytes() == full.vectors[:, cut:].tobytes()
+        assert piece.deflated_dim == max(n_c - cut, 0)
+        if cut >= n_c:  # one-level: the empty products are exact +0.0
+            assert piece.shift_cap == np.inf
+            out = prepare(blocks, piece, [1.5]).apply_coarse(rho, 0)
+            assert out.shape == (pencil.n,)
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
 
 
 @pytest.mark.parametrize("cut", [-1, 1.5, True])
@@ -380,8 +413,10 @@ class TestApply:
     def test_coarse_term_annihilates_deflated_directions(self, setup):
         hier, pencil, decomp, coarse = setup
         prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [1.5])
+        pencil_c = assemble(hier.coarse)
+        deflated = dense_generalized_eig(pencil_c.stiffness, pencil_c.mass).vectors[:, :CUT]
         for j in range(CUT):
-            lifted = coarse.prolongation @ coarse.vectors[:, j]
+            lifted = coarse.prolongation @ deflated[:, j]
             rho = pencil.mass @ lifted
             out = prec.apply_coarse(rho, 0)
             assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(lifted)
@@ -417,8 +452,8 @@ class TestApply:
        seed=st.integers(0, 2**32 - 1))
 def test_random_shift_symmetric_and_matches_dense_assembly(shape, fraction, seed):
     hier, pencil, decomp, coarse = problem(shape)
-    shift = fraction * coarse.values[CUT]
-    assume(shift < coarse.values[CUT])  # the product may round up to the bound
+    shift = fraction * coarse.values[0]
+    assume(shift < coarse.values[0])  # the product may round up to the bound
     prec = prepare(LocalBlocks(hier.fine, decomp), coarse, [shift])
     rng = np.random.default_rng(seed)
     r1 = rng.standard_normal(pencil.n)
@@ -427,5 +462,6 @@ def test_random_shift_symmetric_and_matches_dense_assembly(shape, fraction, seed
     t2 = prec.apply(r2, 0)
     a, b = r2 @ t1, r1 @ t2
     assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
-    want = dense_preconditioner(pencil, decomp, coarse, shift) @ r1
+    # against the prepared shift: one in (shift_cap, values[0]) is clamped
+    want = dense_preconditioner(pencil, decomp, coarse, prec.shifts[0]) @ r1
     assert np.linalg.norm(t1 - want) <= 1e-9 * np.linalg.norm(want)

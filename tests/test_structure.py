@@ -40,3 +40,29 @@ def test_every_exported_name_resolves(path):
             except ImportError:
                 missing.append(export)
     assert missing == []
+
+
+ROOT = PACKAGE.parent.parent
+# The package __init__ re-exports, and exports cli, which only [project.scripts] reads.
+SOURCES = sorted(path for folder in ("src", "tools", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py") if path != PACKAGE / "__init__.py")
+
+
+def test_every_exported_name_is_used():
+    """Each ``__all__`` entry of a module in src/, tools/ or perfbench/ appears as a
+    name, an attribute or an imported name somewhere in those files."""
+    exports, used = {}, set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exports[path.relative_to(ROOT).as_posix()] = ast.literal_eval(node.value)
+    unused = [f"{module}: {name}" for module, names in exports.items()
+              for name in names if name not in used]
+    assert exports and unused == []

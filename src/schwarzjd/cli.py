@@ -15,7 +15,9 @@ A run writes three artifacts into the output directory:
 
 ``sweep`` repeats a run over a list of fine or coarse levels and aggregates
 the reports the runs return side by side, one column per level, with
-iteration count and final stop norm rows at the bottom.
+iteration count and final stop norm rows at the bottom.  Each column is
+checked, solved and written as a run of its own, its output directory
+included.
 
 The library checks its own arguments.  A run builds ``ClusterSpec``,
 ``SolverConfig``, ``DomainShape``, the mesh hierarchy and the decomposition,
@@ -180,12 +182,12 @@ def run(config: ExperimentConfig) -> int:
     Raises the InvalidArgumentError of the first library object that rejects
     the configuration; nothing is written then.
     """
-    return _run(config, config.settings())[0]
+    return _run(config)[0]
 
 
-def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
-    """``run`` from prebuilt ``config.settings()``; also returns the report."""
-    cluster, solver_config, shape = settings
+def _run(config: ExperimentConfig) -> tuple[int, SolverReport]:
+    """``run``, also returning the report."""
+    cluster, solver_config, shape = config.settings()
     start = time.perf_counter()
     hier = build_hierarchy(shape, config.coarse, config.fine)
     built = time.perf_counter()
@@ -221,7 +223,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
         "final_stop_norm": report.stop_norm,
         "exact_stop_solves": sum(not math.isnan(rec.stop_norm) for rec in report.trace),
         "gamma": gamma,
-        "coarse_dofs": report.coarse_dofs,
+        "coarse_dofs": hier.coarse.n_dofs,
         "deflated_dim": report.deflated_dim,
         "basis_dims": [rec.basis_dim for rec in report.trace],
         "clamped_shifts_total": sum(rec.clamped_shifts for rec in report.trace),
@@ -233,7 +235,7 @@ def _run(config: ExperimentConfig, settings) -> tuple[int, SolverReport]:
     text = json.dumps(summary, indent=1, default=_plain)  # whole, before the file opens
     (out / "summary.json").write_text(text + "\n")
     if report.deflated_dim == 0:
-        print(f"warning: none of the {report.coarse_dofs} coarse eigenvectors lies above the "
+        print(f"warning: none of the {hier.coarse.n_dofs} coarse eigenvectors lies above the "
               f"cluster end {config.M}, so the preconditioner was one-level", file=sys.stderr)
 
     print(
@@ -254,50 +256,38 @@ def _plain(value):
 def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
     """Run one solve per varied level and aggregate the final columns side by side.
 
-    A setting every column shares (cluster, solver, domain, format) rejects
-    the whole sweep; a level the library rejects becomes that column's error.
+    A setting every column shares (cluster, solver, domain, format, the sweep's
+    output directory) rejects the whole sweep, as do two levels of one label.
+    Each column is then checked like a ``run``, its own directory included, and
+    the first check it fails becomes that column's error, unsolved.
     """
     if bool(vary_fine) == bool(vary_coarse):
         raise InvalidArgumentError("exactly one non-empty list of fine or coarse levels is required")
     param = "fine" if vary_fine else "coarse"
     values = list(vary_fine or vary_coarse)
-    if len(set(values)) != len(values):
+    labels = [f"{param}={v}" for v in values]  # also the column directories
+    if len(set(labels)) != len(labels):
         raise InvalidArgumentError(f"swept {param} levels must be distinct, got {values}")
-    settings = config.settings()
+    config.settings()
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    columns = {}
-    all_ok = True
-    for v in values:
-        label = f"{param}={v}"
+    index = [f"lambda_{i}" for i in range(config.m, config.M + 1)]
+    columns, all_ok = [], True
+    for v, label in zip(values, labels):
         sub = dataclasses.replace(config, **{param: v, "output_dir": str(out / label)})
         try:
-            code, report = _run(sub, settings)
-            columns[label] = {
-                "lambdas": [row[1] for row in _final_rows(report, None)[1]],
-                "it": str(report.iterations),
-                "stop": f"{report.stop_norm:.6e}",
-            }
+            code, report = _run(sub)
+            cells = [f"{lam:.9f}" for lam in report.values]
+            columns.append([*cells, str(report.iterations), f"{report.stop_norm:.6e}"])
             all_ok = all_ok and code == EXIT_OK
         except SchwarzJDError as exc:
             print(f"{label}: error: {exc}", file=sys.stderr)
-            columns[label] = {"lambdas": None, "it": "error", "stop": str(exc)}
+            columns.append([""] * len(index) + ["error", str(exc)])
             all_ok = False
 
-    labels = list(columns)
-    head = ["index"] + labels
-    rows = []
-    for offset, i in enumerate(range(config.m, config.M + 1)):
-        row = [f"lambda_{i}"]
-        for label in labels:
-            lams = columns[label]["lambdas"]
-            row.append(lams[offset] if lams else "")
-        rows.append(row)
-    rows.append(["it."] + [columns[label]["it"] for label in labels])
-    rows.append(["stop."] + [columns[label]["stop"] for label in labels])
-    _write_table(out / "sweep", head, rows, config.format)
+    rows = zip(index + ["it.", "stop."], *columns)
+    _write_table(out / "sweep", ["index"] + labels, rows, config.format)
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 

@@ -226,8 +226,8 @@ class TraceRecord:
 class SolverReport:
     """Converged (or best-effort) cluster eigenpairs plus the run history.
 
-    ``coarse_dofs`` and ``deflated_dim`` are those of the run's coarse piece;
-    a ``deflated_dim`` of 0 means the preconditioner was one-level.
+    ``deflated_dim`` is the number of coarse eigenpairs the run's coarse
+    piece retained; 0 means the preconditioner was one-level.
     """
 
     cluster: ClusterSpec
@@ -237,7 +237,6 @@ class SolverReport:
     converged: bool
     stagnated: bool
     stop_norm: float
-    coarse_dofs: int
     deflated_dim: int
     trace: list = field(repr=False)
     timings: dict = field(repr=False)
@@ -516,7 +515,6 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         converged=converged,
         stagnated=not converged and stalls >= 3,
         stop_norm=sn,
-        coarse_dofs=hier.coarse.n_dofs,
         deflated_dim=coarse.deflated_dim,
         trace=trace,
         timings=timings,

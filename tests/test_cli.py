@@ -44,6 +44,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def read_table(path, fmt):
+    """The rows of a table written as ``path`` in ``fmt``, each a dict keyed by the header."""
+    if fmt == "json":
+        return json.loads(path.with_suffix(".json").read_text())
+    head, *rows = read_csv(path.with_suffix(".csv"))
+    return [dict(zip(head, row)) for row in rows]
+
+
 @pytest.fixture(autouse=True)
 def restore_root_logging():
     """``main`` configures the root logger; give it back as it was."""
@@ -503,6 +511,55 @@ class TestSweepCommand:
         err = rejected(capsys, ["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "4"])
         assert "swept fine levels must be distinct" in err
         assert not out.exists()
+
+    def test_levels_equal_as_numbers_but_not_as_labels_are_two_columns(self, tmp_path):
+        # 4.0 is not a level, so it is its own column's error, not a repeat of 4
+        out = tmp_path / "sweep"
+        code = main(["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "4.0"])
+        assert code == 3
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["index", "fine=4", "fine=4.0"]
+        it_row, stop_row = rows[-2:]
+        assert it_row[1] != "error" and it_row[2] == "error"
+        assert stop_row[2] == "mesh levels must be integers, got coarse 2, fine 4.0"
+
+    def test_column_directory_that_is_a_file_is_that_columns_error(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "fine=4").write_text("kept\n")
+        calls, real_solve = [], cli.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", counted)
+        code = main(["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "5"])
+        assert code == 3
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["index", "fine=4", "fine=5"]
+        it_row, stop_row = rows[-2:]
+        assert it_row[1] == "error" and it_row[2] != "error"
+        assert "is not a directory" in stop_row[1]
+        assert (out / "fine=4").read_text() == "kept\n"
+        assert (out / "fine=5" / "summary.json").exists()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_cell_is_its_columns_own_output(self, tmp_path, fmt):
+        out = tmp_path / "sweep"
+        code = main(["sweep", *TINY, "--format", fmt, "--output-dir", str(out),
+                     "--vary-fine", "4", "5"])
+        assert code == 0
+        table = read_table(out / "sweep", fmt)
+        assert [row["index"] for row in table] == ["lambda_1", "lambda_2", "it.", "stop."]
+        for label in ("fine=4", "fine=5"):
+            final = read_table(out / label / "final", fmt)
+            summary = json.loads((out / label / "summary.json").read_text())
+            assert [row[label] for row in table] == [
+                *(row["lambda"] for row in final),
+                str(summary["iterations"]), f"{summary['final_stop_norm']:.6e}",
+            ]
 
     @pytest.mark.parametrize("flags", [["--m", "5", "--M", "4"], ["--tol", "0"]])
     def test_shared_setting_rejects_whole_sweep(self, capsys, tmp_path, flags):

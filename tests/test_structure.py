@@ -66,3 +66,50 @@ def test_every_exported_name_is_used():
     unused = [f"{module}: {name}" for module, names in exports.items()
               for name in names if name not in used]
     assert exports and unused == []
+
+
+# Read by the standard library, not by a name in the sources.
+CALLED_BY_PYTHON = {"mesh.py: DomainShape._missing_"}  # Enum's lookup of an unknown value
+
+
+def _defined_names(node):
+    """The names a module-level statement binds by definition or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [leaf.id for target in targets for leaf in getattr(target, "elts", [target])
+            if isinstance(leaf, ast.Name)]
+
+
+def test_every_definition_is_used():
+    """Each module-level function, class and assignment of a module in src/, and each
+    method of such a class, is read somewhere in src/, tools/ or perfbench/: as a
+    loaded name, an attribute or an imported name.  Dunders are exempt, as is
+    ``CALLED_BY_PYTHON``; a definition that only tests read belongs in the tests."""
+    defined, read = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rsplit(".", 1)[-1])
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            defined += [(path.name, name, name) for name in _defined_names(node)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{method.name}", method.name)
+                            for method in node.body
+                            if isinstance(method, ast.FunctionDef)]
+    unread = [f"{module}: {qualified}" for module, qualified, name in defined
+              if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert defined
+    assert sorted(set(unread) - CALLED_BY_PYTHON) == []

@@ -28,7 +28,8 @@ as a flag value does: a flag's text is read as an integer or a number where
 it reads as one and is otherwise passed on as text, so that argparse rejects
 no value.  Only the output format and the output directory's
 type and kind, which no library object owns, are checked here, before any
-solve; an ``OSError`` while writing the outputs is a configuration error too.
+solve; an ``OSError`` while writing the outputs is a configuration error too,
+except in a sweep, where it is the error of the column that was writing.
 """
 
 from __future__ import annotations
@@ -259,7 +260,8 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
     A setting every column shares (cluster, solver, domain, format, the sweep's
     output directory) rejects the whole sweep, as do two levels of one label.
     Each column is then checked like a ``run``, its own directory included, and
-    the first check it fails becomes that column's error, unsolved.
+    the first check it fails becomes that column's error, unsolved; so does an
+    ``OSError`` while the column writes its outputs, after its solve.
     """
     if bool(vary_fine) == bool(vary_coarse):
         raise InvalidArgumentError("exactly one non-empty list of fine or coarse levels is required")
@@ -281,9 +283,10 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
             cells = [f"{lam:.9f}" for lam in report.values]
             columns.append([*cells, str(report.iterations), f"{report.stop_norm:.6e}"])
             all_ok = all_ok and code == EXIT_OK
-        except SchwarzJDError as exc:
-            print(f"{label}: error: {exc}", file=sys.stderr)
-            columns.append([""] * len(index) + ["error", str(exc)])
+        except (SchwarzJDError, OSError) as exc:
+            error = f"cannot write the outputs: {exc}" if isinstance(exc, OSError) else str(exc)
+            print(f"{label}: error: {error}", file=sys.stderr)
+            columns.append([""] * len(index) + ["error", error])
             all_ok = False
 
     rows = zip(index + ["it.", "stop."], *columns)

@@ -46,17 +46,23 @@ Iteration states are immutable; a step that grows the basis returns a new
 one.  A state's basis is a read-only view of the leading columns of a
 Fortran-ordered buffer that a chain of states shares, and its projected
 matrix is the lower triangle, all that ``dsyevd`` reads and ``_grow``
-writes, of the leading dim x dim corner of the buffer's projected block.
+writes, packed row by row in the buffer's flat ``projected`` array: row i
+from offset i (i + 1) / 2, so the first dim (dim + 1) / 2 entries are the
+state's matrix and a growth appends rows behind them.
 ``_start_chain`` starts every chain (startup, and each thick restart) and
 reserves its buffers once, for the largest basis the run can reach; they
 are never copied: only the newest state of a chain grows, in place,
 behind the views the older states hold.  The small
-eigenproblem is solved in an operand that the chain reuses
-(``linalg.dense_symmetric_eig``), and a state keeps only the Ritz
-coefficients of columns 1..last.  The reservations are anonymous memory
-maps, backed only as they are written.  The basis takes 8 n dim bytes, the
-projected pair 16 dim^2 and the startup block 24 n last; ``linalg.admit``
-refuses each, before it is allocated, when it exceeds physical memory.
+eigenproblem is unpacked into the lower triangle of an operand that the
+chain reuses and solved there (``linalg.dense_symmetric_eig``), and a
+state keeps only the Ritz coefficients of columns 1..last.  The
+reservations are anonymous memory maps, backed only as they are written.
+The basis takes 8 n dim bytes; the projected eigensolve takes the packed
+matrix, 4 dim (dim + 1) bytes, the operand, 8 dim^2, and the 1 + 6 dim +
+2 dim^2 doubles of workspace that SciPy allocates for ``dsyevd`` on each
+call, about 28 dim^2 bytes in all; the startup block takes 24 n last.
+``linalg.admit`` refuses each, before it is allocated, when it exceeds
+physical memory.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -131,10 +137,17 @@ class SolverConfig:
 
 
 def _admit_basis(n: int, columns: int) -> int:
-    """Admits ``columns`` basis columns and their projected pair; returns the columns that fit."""
+    """Admits ``columns`` basis columns and their projected eigensolve; returns the
+    columns that fit.
+
+    The eigensolve of order c holds the packed matrix, 4 c (c + 1) bytes, the
+    operand, 8 c^2, and ``dsyevd``'s workspace of 1 + 6 c + 2 c^2 doubles.
+    """
     remedy = "; bound the basis with --restart-dim"
     fits = linalg.admit(f"a trial basis of {columns} columns of {n} dofs", 8 * n, columns, remedy)
-    linalg.admit(f"a projected pair of order {columns}", 16 * columns, columns, remedy)
+    c = columns
+    linalg.admit(f"the projected eigensolve of order {c} (packed matrix, operand and workspace)",
+                 4 * c * (c + 1) + 8 * c * c + 8 * (1 + 6 * c + 2 * c * c), 1, remedy)
     return fits
 
 
@@ -144,17 +157,20 @@ class _BasisBuffer:
     ``_start_chain`` makes one per chain, of ``reserve`` columns, at least
     ``need`` and at most n + need and those that fit (``_admit_basis``): a
     ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
-    columns are written, and, with side = min(columns, n), a side x side
-    ``projected`` block, whose leading dim x dim corner holds the projected
-    matrix of the basis [0, dim) in its lower triangle, and a flat
-    ``operand`` of side^2 doubles for the projected eigensolve.
+    columns are written, and, with side = min(columns, n), two flat maps:
+    ``projected``, side (side + 1) / 2 doubles that hold the lower triangle
+    of the projected matrix row by row (row i, entries 0..i, from offset
+    i (i + 1) / 2), so that its first dim (dim + 1) / 2 entries are the
+    projected matrix of the basis [0, dim) and bordering it appends rows to
+    untouched pages, and ``operand``, side^2 doubles in which the projected
+    eigensolve unpacks and solves it.
     """
 
     def __init__(self, n: int, need: int, reserve: int):
         columns = max(need, min(reserve, n + need, _admit_basis(n, need)))
         side = min(columns, n)
         self.data = linalg.mapped_zeros(n, columns)
-        self.projected = linalg.mapped_zeros(side, side)
+        self.projected = linalg.mapped_zeros(side * (side + 1) // 2, 1)[:, 0]
         self.operand = linalg.mapped_zeros(side * side, 1)[:, 0]
         self.filled = 0
 
@@ -165,8 +181,9 @@ class IterationState:
 
     ``basis`` spans the trial subspace (n x dim), a view of the leading
     columns of the chain's buffer, which only the newest state extends;
-    the projected stiffness matrix basis' K basis is the lower triangle of
-    the leading dim x dim corner of the buffer's ``projected`` block, which later states border.
+    the lower triangle of the projected stiffness matrix basis' K basis is
+    packed row by row in the first dim (dim + 1) / 2 entries of the buffer's
+    ``projected`` array, which later states border by appending rows.
     ``ritz_values`` holds all dim of its eigenvalues, ascending, and
     ``ritz_coeffs`` (dim x last) the eigenvectors of values 1..last only:
     Ritz vector j (1-based, j <= last) is basis @ ritz_coeffs[:, j-1].  The
@@ -262,8 +279,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     product that a sparse mass product makes.
     """
     _check_cluster_fits(hier, cluster)
-    linalg.admit(f"the startup block, three blocks of {cluster.last} columns of {pencil.n} dofs,",
-                 3 * 8 * pencil.n, cluster.last, "; a lower cluster end or fine level needs less")
+    _admit_startup(pencil.n, cluster.last)
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
     state, block = _start_chain(cluster, pencil.n, cluster.last, config or SolverConfig())
@@ -272,6 +288,12 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
+
+
+def _admit_startup(n: int, last: int) -> None:
+    """Raises ProblemTooLargeError unless the startup block, three n x last blocks, fits."""
+    linalg.admit(f"the startup block, three blocks of {last} columns of {n} dofs,",
+                 3 * 8 * n, last, "; a lower cluster end or fine level needs less")
 
 
 def _check_cluster_fits(hier: MeshHierarchy, cluster: ClusterSpec) -> None:
@@ -385,13 +407,15 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     Returns ``state`` itself when every column is dropped.
 
     The orthonormalization writes straight into the chain's buffer, behind
-    the basis, and the border into its projected block, behind the projected
-    matrix; ``new_vectors`` may be those very columns, as the chain starts
-    pass them.  No existing state changes.  Raises, writing nothing,
+    the basis, and the border into its packed projected rows, behind the
+    projected matrix: new row dim + r is column r of basis' K accepted
+    followed by entries 0..r of row r of the symmetrized corner.
+    ``new_vectors`` may be those very columns, as the chain starts pass
+    them.  No existing state changes.  Raises, writing nothing,
     InvalidArgumentError when ``state`` is not its buffer's newest state or
     the buffer lacks room for k more columns (ProblemTooLargeError when
-    dim + k columns, or their projected pair, exceed physical memory), and
-    EigensolverError when the projected eigensolve fails.
+    dim + k columns, or their projected eigensolve, exceed physical
+    memory), and EigensolverError when the projected eigensolve fails.
     """
     dim, k = state.dim, np.shape(new_vectors)[1]
     buffer = state._buffer
@@ -412,10 +436,14 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     stiff_new = pencil.stiffness @ accepted
     cross = state.basis.T @ stiff_new
     corner = accepted.T @ stiff_new
-    P = buffer.projected
-    P[dim:m, :dim] = cross.T
-    P[dim:m, dim:m] = 0.5 * (corner + corner.T)
-    eig = linalg.dense_symmetric_eig(P[:m, :m], buffer.operand)
+    corner = 0.5 * (corner + corner.T)
+    end = dim * (dim + 1) // 2
+    for r in range(m - dim):  # row dim + r, behind the rows already written
+        row = buffer.projected[end:end + dim + r + 1]
+        row[:dim] = cross[:, r]
+        row[dim:] = corner[r, :r + 1]
+        end += dim + r + 1
+    eig = linalg.dense_symmetric_eig(buffer.projected[:end], buffer.operand)
 
     buffer.filled = m
     basis = buffer.data[:, :m]
@@ -444,10 +472,11 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     iterations; partial results are returned either way.  Raises
     InvalidArgumentError before any eigensolve when ``pencil`` or ``decomp``
     does not fit the fine mesh or the cluster the initialization mesh
-    (ClusterTooLargeError, as in ``initialize``), ProblemTooLargeError before the startup
-    eigensolve when the coarse eigensolve or the startup block, and later
-    when the trial basis or its projected pair, would outgrow physical
-    memory, and EigensolverError when a projected eigensolve fails.
+    (ClusterTooLargeError, as in ``initialize``), ProblemTooLargeError when
+    a piece would outgrow physical memory: the coarse eigensolve, then the
+    startup block, both before the coarse eigensolve, and later the trial
+    basis or its projected eigensolve; and EigensolverError when a projected
+    eigensolve fails.
     """
     if config.restart_dim is not None and config.restart_dim < 2 * cluster.last + 1:
         raise InvalidArgumentError(
@@ -468,6 +497,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
 
     # first, so that a decomposition outside the fine mesh fails before any eigensolve
     blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
+    # both startup pieces are admitted before either eigensolve works
+    schwarz.admit_coarse_piece(hier)
+    _admit_startup(pencil.n, cluster.last)
     mass_solver = linalg.mass_chebyshev(pencil.mass)
     coarse = clocked("coarse_setup", schwarz.build_coarse_piece, hier, cluster.last)
     state = clocked("initialize", initialize, hier, pencil, cluster, config)

@@ -31,7 +31,7 @@ class ProblemTooLargeError(InvalidArgumentError):
     """A computation was requested beyond its feasibility guard.
 
     Raised by ``linalg.admit`` for a mesh dof grid, a dense coarse
-    eigensolve, a startup block, a trial basis or its projected pair larger
+    eigensolve, a startup block, a trial basis or its projected eigensolve larger
     than the machine's physical memory.
     """
 

@@ -11,7 +11,7 @@ handles are immutable after construction and safe for repeated solves.
 Large dense temporaries stay off the malloc heap, which keeps freed blocks
 once glibc's mmap threshold has risen: the dense eigensolves overwrite
 copies of their operands in ``mapped_zeros`` maps (the projected
-eigensolve in one that its caller reuses), and ``b_orthonormalize``
+eigensolve unpacks packed rows into one that its caller reuses), and ``b_orthonormalize``
 works in, and returns a view of, the block it is given.
 ``release_free_heap`` hands the heap that a one-off phase freed back to
 the operating system.  ``admit`` checks each large allocation of the
@@ -73,6 +73,9 @@ MASS_BRACKET = (0.5, 2.0)
 # Steps of mass_chebyshev: after k steps the M-norm error is at most 2 * 3**-k
 # of the initial error, so 30 steps reach 1e-14.
 _CHEBYSHEV_STEPS = math.ceil(math.log(2 / 1e-14, 3))
+
+# Columns per panel in which dense_symmetric_eig transposes an unpacked triangle.
+_PANEL = 64
 
 # b_orthonormalize drops a column whose M-norm falls below this share of its input M-norm.
 _DROP_TOL = 1e-8
@@ -324,20 +327,37 @@ def dense_generalized_eig(A, B) -> EigenBasis:
     return _mapped_eigh(A, B)
 
 
-def dense_symmetric_eig(a: np.ndarray, operand: np.ndarray) -> EigenBasis:
-    """All eigenpairs of the symmetric (m, m) ``a``, solved in place in ``operand``.
+def dense_symmetric_eig(rows: np.ndarray, operand: np.ndarray) -> EigenBasis:
+    """All eigenpairs of the symmetric (m, m) matrix whose lower triangle ``rows`` packs,
+    solved in place in ``operand``.
 
-    Copies ``a`` into the first m * m doubles of the flat ``operand``, viewed
-    as a contiguous Fortran (m, m) array, and lets LAPACK's ``dsyevd``
-    overwrite it with the eigenvectors.  It reads only the lower triangle
-    (the strict upper one may hold anything), as ``np.linalg.eigh`` does, and
-    with the same LAPACK routine returns its bits.  Returns ascending
-    eigenvalues and the vectors, a view of ``operand``; ``a`` is not
-    modified.  Raises EigensolverError when ``dsyevd`` fails.
+    ``rows`` holds the lower triangle row by row, row i (entries 0..i) from
+    offset i (i + 1) / 2, so it has m (m + 1) / 2 entries; by symmetry row i
+    is column i of the upper triangle.  Each row is copied into that column
+    of the first m * m doubles of the flat ``operand``, viewed as a
+    contiguous Fortran (m, m) array, and the upper triangle is transposed
+    into the lower one in panels of ``_PANEL`` columns, with no temporary
+    beyond a diagonal tile (``lapack.dtpttr`` is faster, but its m x m result
+    comes from the heap); LAPACK's ``dsyevd`` (``lower=1``, as
+    ``np.linalg.eigh``) then overwrites the operand with the eigenvectors.
+    ``dsyevd`` reads only the lower triangle, so the result has the bits of
+    ``np.linalg.eigh`` on the full matrix.  Returns ascending eigenvalues and
+    the vectors, a view of ``operand``; ``rows`` is not modified.  Raises
+    InvalidArgumentError when the length of ``rows`` is not m (m + 1) / 2,
+    and EigensolverError when ``dsyevd`` fails.
     """
-    m = a.shape[0]
+    m = (math.isqrt(8 * len(rows) + 1) - 1) // 2
+    if m * (m + 1) // 2 != len(rows):
+        raise InvalidArgumentError(f"packed rows of m (m + 1) / 2 entries expected, got {len(rows)}")
     work = operand[:m * m].reshape((m, m), order="F")
-    np.copyto(work, a)
+    start = 0
+    for i in range(m):  # row i of the lower triangle is column i of the upper one
+        work[:i + 1, i] = rows[start:start + i + 1]
+        start += i + 1
+    for j in range(0, m, _PANEL):  # the upper triangle, transposed into the lower by panels
+        k = min(j + _PANEL, m)
+        work[k:, j:k] = work[j:k, k:].T
+        work[j:k, j:k] = work[j:k, j:k].T.copy()
     values, vectors, info = lapack.dsyevd(work, compute_v=1, lower=1, overwrite_a=1)
     if info != 0:
         raise EigensolverError(f"dsyevd failed with info={info} on a symmetric matrix of order {m}")

@@ -545,6 +545,20 @@ class TestSweepCommand:
         assert (out / "fine=5" / "summary.json").exists()
         assert len(calls) == 1
 
+    def test_column_that_cannot_write_its_outputs_is_that_columns_error(self, tmp_path, capsys):
+        # fine=4 solves, then fails to open its trace table; fine=5 still runs
+        out = tmp_path / "sweep"
+        (out / "fine=4" / "trace.csv").mkdir(parents=True)
+        code = main(["sweep", *TINY, "--output-dir", str(out), "--vary-fine", "4", "5"])
+        assert code == 3
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["index", "fine=4", "fine=5"]
+        it_row, stop_row = rows[-2:]
+        assert it_row[1] == "error" and it_row[2] != "error"
+        assert stop_row[1].startswith("cannot write the outputs: [Errno 21]")
+        assert "fine=4: error: cannot write the outputs" in capsys.readouterr().err
+        assert (out / "fine=5" / "summary.json").exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_cell_is_its_columns_own_output(self, tmp_path, fmt):
         out = tmp_path / "sweep"

@@ -164,15 +164,23 @@ def exact_state(pencil, cluster):
     return _grow(empty, ref.vectors, pencil)
 
 
+def rows(state):
+    """The packed rows of ``state``'s projected matrix in its chain's buffer, as stored."""
+    return state._buffer.projected[:state.dim * (state.dim + 1) // 2]
+
+
 def corner(state):
-    """The leading dim x dim corner of ``state``'s chain's projected block, as stored."""
-    return state._buffer.projected[:state.dim, :state.dim]
+    """The lower triangle of ``state``'s projected matrix, unpacked from its rows; the
+    strict upper triangle is zero."""
+    lower = np.zeros((state.dim, state.dim))
+    lower[np.tril_indices(state.dim)] = rows(state)  # row by row, as the rows are packed
+    return lower
 
 
 def projected(state):
-    """The projected stiffness matrix of ``state``, symmetrized from the lower triangle of
-    its corner, the only triangle that is written and that the eigensolve reads."""
-    lower = np.tril(corner(state))
+    """The projected stiffness matrix of ``state``, symmetrized from the lower triangle that
+    its packed rows hold, the only triangle that is written and that the eigensolve reads."""
+    lower = corner(state)
     return lower + np.tril(lower, -1).T
 
 
@@ -292,7 +300,7 @@ class TestBasisBuffer:
         kept = [(corner(s).copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
                 for s in (parent, first)]
         # the child bordered the parent's projected matrix in place
-        assert np.shares_memory(corner(first), corner(parent))
+        assert np.shares_memory(rows(first), rows(parent))
         with pytest.raises(InvalidArgumentError,
                            match="this state has 3 basis columns, the newest 6"):
             rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
@@ -309,9 +317,10 @@ class TestBasisBuffer:
                               pencil)
         dim, m = parent.dim, grown.dim
         assert m > dim
-        block = grown._buffer.projected
-        assert np.count_nonzero(block[dim:m, :dim]) == (m - dim) * dim
-        assert not block[:dim, dim:m].any()  # the strict upper border is never written
+        assert np.count_nonzero(corner(grown)[dim:m, :dim]) == (m - dim) * dim
+        # the border is rows dim..m-1 appended behind the parent's; nothing lies beyond them
+        assert np.array_equal(rows(grown)[:dim * (dim + 1) // 2], rows(parent))
+        assert not grown._buffer.projected[m * (m + 1) // 2:].any()
 
     def test_projected_corner_and_coefficients_stop_at_cluster_end(self, small):
         hier, pencil, _ = small
@@ -429,6 +438,34 @@ class TestBasisBuffer:
             initialize(hier, pencil, cluster)
         assert eigensolves == []  # refused before the startup eigensolve
 
+    def test_startup_block_refused_before_the_coarse_eigensolve(self, small, monkeypatch):
+        hier, pencil, decomp = small
+        cluster = ClusterSpec(3, 5)
+        # coarse level 2 has 9 dofs: its eigensolve needs 32 * 9^2 bytes, far below the budget
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 3 * 8 * pencil.n * cluster.last - 1)
+        eigensolves = []
+        monkeypatch.setattr(linalg, "dense_generalized_eig", lambda *a: eigensolves.append(a))
+        with pytest.raises(ProblemTooLargeError, match=r"startup block, three blocks of 5 columns"):
+            solve(hier, pencil, decomp, cluster, SolverConfig())
+        assert eigensolves == []
+
+    def test_projected_eigensolve_admitted_with_its_workspace(self, small, monkeypatch):
+        _, pencil, _ = small
+        c = 100
+        # packed matrix, operand and dsyevd's workspace, against the 16 c^2 of a square pair
+        need = 4 * c * (c + 1) + 8 * c * c + 8 * (1 + 6 * c + 2 * c * c)
+        assert max(8 * pencil.n * c, 16 * c * c) < need - 1  # the basis alone fits
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need - 1)
+        maps, mapped_zeros = [], linalg.mapped_zeros
+        monkeypatch.setattr(linalg, "mapped_zeros", lambda *a: maps.append(a) or mapped_zeros(*a))
+        with pytest.raises(ProblemTooLargeError,
+                           match=r"projected eigensolve of order 100 .*--restart-dim"):
+            _start_chain(ClusterSpec(1, 3), pencil.n, c, SolverConfig())
+        assert maps == []  # refused before anything is allocated
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need)
+        _, block = _start_chain(ClusterSpec(1, 3), pencil.n, c, SolverConfig())
+        assert block.shape == (pencil.n, c)
+
 
 class TestOneBufferPerChain:
     """Each chain of states has one basis buffer, never copied, and only its newest
@@ -514,6 +551,49 @@ class TestOneBufferPerChain:
         assert report.converged
         assert len(alive_at_growth) == len(old_buffers) >= 2
         assert not any(alive_at_growth)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    """Square hierarchy (1, 3): 49 fine dofs, so a basis fills all n columns quickly."""
+    hier = build_hierarchy(DomainShape.SQUARE, 1, 3)
+    return hier, assemble(hier.fine)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(steps=st.lists(st.one_of(st.tuples(st.integers(1, 12), st.integers(0, 3)),
+                                st.just("restart")), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_rows_hold_the_projected_matrix(tiny, steps, seed):
+    # Growths by random blocks with dependent columns, thick restarts, and a final fill
+    # of the basis to n: the rows always unpack to the lower triangle of basis' K basis.
+    hier, pencil = tiny
+    rng = np.random.default_rng(seed)
+    config = SolverConfig()
+    state = initialize(hier, pencil, ClusterSpec(1, 2), config)
+
+    def grow(state, width, dependent=0):
+        width = min(width, state._buffer.data.shape[1] - state.dim)
+        V = rng.standard_normal((pencil.n, width))
+        V[:, :dependent] = state.basis @ rng.standard_normal((state.dim, min(dependent, width)))
+        return rayleigh_ritz(state, V, pencil)
+
+    def check(state):
+        gram = state.basis.T @ (pencil.stiffness @ state.basis)
+        assert np.abs(corner(state) - np.tril(gram)).max() <= 1e-12 * np.abs(gram).max()
+
+    for step in steps:
+        if step == "restart":
+            empty, block = _thick_restart(state, rng.standard_normal((pencil.n, 2)), pencil,
+                                          config)
+            state = _grow(empty, block, pencil)
+        else:
+            state = grow(state, *step)
+        check(state)
+    while state.dim < pencil.n:
+        state = grow(state, 12)
+        check(state)
+    assert grow(state, 3) is state  # a full basis accepts nothing more
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

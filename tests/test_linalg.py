@@ -223,33 +223,45 @@ class TestDenseGeneralizedEig:
         assert np.array_equal(got.values, values) and np.array_equal(got.vectors, vectors)
 
 
+def packed_rows(a):
+    """The lower triangle of the square ``a``, row by row."""
+    return a[np.tril_indices(len(a))]
+
+
 class TestDenseSymmetricEig:
     @pytest.mark.parametrize("m", [1, 7, 60])
     def test_same_bits_as_scipy_in_the_operand(self, m):
-        # the m x m corner of a larger Fortran block, as the projected matrix is held
+        # packed rows, as the projected matrix is held, solved in a larger flat operand
         rng = np.random.default_rng(m)
-        block = np.asfortranarray(rng.standard_normal((m + 5, m + 5)))
-        block += block.T
-        a = block[:m, :m]
-        kept = a.copy()
+        a = rng.standard_normal((m, m))
+        a += a.T
+        rows = packed_rows(a)
+        kept = rows.copy()
         operand = np.full((m + 5) ** 2, np.nan)
-        eig = dense_symmetric_eig(a, operand)
-        values, vectors = sla.eigh(kept, driver="evd")
-        assert np.array_equal(eig.values, values) and np.array_equal(eig.vectors, vectors)
-        assert np.array_equal(a, kept)
+        eig = dense_symmetric_eig(rows, operand)
+        for values, vectors in (sla.eigh(a, driver="evd"), np.linalg.eigh(a)):
+            assert np.array_equal(eig.values, values) and np.array_equal(eig.vectors, vectors)
+        assert np.array_equal(rows, kept)
         assert eig.vectors.ctypes.data == operand.ctypes.data  # solved in place
         assert np.isnan(operand[m * m:]).all()
 
     @pytest.mark.parametrize("m", [2, 7, 60])
     def test_strict_upper_triangle_is_not_read(self, m):
+        # dsyevd reads only the lower triangle, which is all that packed rows hold
         rng = np.random.default_rng(m)
-        a = np.asfortranarray(rng.standard_normal((m, m)))
+        a = rng.standard_normal((m, m))
         a += a.T
-        want = dense_symmetric_eig(a, np.empty(m * m))
+        got = dense_symmetric_eig(packed_rows(a), np.full(m * m, np.nan))
         a[np.triu_indices(m, 1)] = np.nan
-        got = dense_symmetric_eig(a, np.empty(m * m))
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.vectors, want.vectors)
+        values, vectors = np.linalg.eigh(a)
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.vectors, vectors)
+
+    @pytest.mark.parametrize("length", [2, 4, 5])
+    def test_rows_that_are_not_a_triangle_rejected(self, length):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"m \(m \+ 1\) / 2 entries expected, got {length}$"):
+            dense_symmetric_eig(np.ones(length), np.empty(9))
 
 
 def max_sin_angle(V, W, M):

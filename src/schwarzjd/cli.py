@@ -2,16 +2,16 @@
 
 A run writes three artifacts into the output directory:
 
-  trace.csv    per-iteration cluster Ritz values, stop norm (blank where it
-               was not solved for) with its lower and upper bounds, value
-               drift, basis dimension, clamped shifts, LDL^T fallbacks, wall
-               time
+  trace.csv    one column per ``TraceRecord`` field: k, cluster Ritz values
+               lambda_m..lambda_M, stop norm (blank where not solved for),
+               its lower and upper bounds, value drift, basis dimension,
+               clamped shifts, LDL^T fallbacks, wall time
   final.csv    final eigenvalues with reference values where available
   summary.json effective configuration echo plus run statistics (with
                ``deflated_dim``, 0 and warned about when the preconditioner
                was one-level), set-up and solve phase timings, and the
-               process's peak RSS when the solve returned (in a sweep, the
-               maximum over the runs so far)
+               process's own peak RSS when the solve returned (in a sweep,
+               the maximum over the runs so far)
 
 ``sweep`` repeats a run over a list of fine or coarse levels and aggregates
 the reports the runs return side by side, one column per level, with
@@ -19,17 +19,19 @@ iteration count and final stop norm rows at the bottom.  Each column is
 checked, solved and written as a run of its own, its output directory
 included.
 
-The library checks its own arguments.  A run builds ``ClusterSpec``,
-``SolverConfig``, ``DomainShape``, the mesh hierarchy and the decomposition,
-in that order, and ``solve`` checks the restart dimension and the
-initialization mesh; the first ``InvalidArgumentError`` is reported as a
-configuration error (exit code 2).  A config-file value meets these checks
-as a flag value does: a flag's text is read as an integer or a number where
-it reads as one and is otherwise passed on as text, so that argparse rejects
-no value.  Only the output format and the output directory's
-type and kind, which no library object owns, are checked here, before any
-solve; an ``OSError`` while writing the outputs is a configuration error too,
-except in a sweep, where it is the error of the column that was writing.
+Each ``ExperimentConfig`` field is a flag of both commands, with the help
+text its metadata holds.  The library checks its own arguments.  A run
+builds ``ClusterSpec``, ``SolverConfig``, ``DomainShape``, the mesh
+hierarchy and the decomposition, in that order, and ``solve`` checks the
+restart dimension and the initialization mesh; the first
+``InvalidArgumentError`` is reported as a configuration error (exit code
+2).  A config-file value meets these checks as a flag value does: a flag's
+text is read as an integer or a number where it reads as one and is
+otherwise passed on as text, so that argparse rejects no value.  Only the
+output format and the output directory's type and kind, which no library
+object owns, are checked here, before any solve; an ``OSError`` while
+writing the outputs is a configuration error too, except in a sweep, where
+it is the error of the column that was writing.
 """
 
 from __future__ import annotations
@@ -40,17 +42,17 @@ import dataclasses
 import json
 import logging
 import math
-import resource
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import fem, linalg, oracle
-from .eigensolver import ClusterSpec, SolverConfig, SolverReport, solve
+from .eigensolver import ClusterSpec, SolverConfig, SolverReport, TraceRecord, solve
 from .errors import InvalidArgumentError, SchwarzJDError
 from .mesh import DomainShape, build_decomposition, build_hierarchy
 
@@ -62,19 +64,24 @@ EXIT_NOT_CONVERGED = 3
 EXIT_NUMERICAL = 4
 
 
+def _setting(default, text: str):
+    """A field of ``ExperimentConfig`` whose flag's help is ``text``."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class ExperimentConfig:
-    domain: str = "square"
-    coarse: int = 3
-    fine: int = 6
-    overlap: float = 0.25
-    m: int = 1
-    M: int = 1
-    tol: float = 1e-8
-    max_iter: int = 200
-    restart_dim: int | None = None
+    domain: str = _setting("square", "square or lshape")
+    coarse: int = _setting(3, "coarse mesh refinement level")
+    fine: int = _setting(6, "fine mesh refinement level")
+    overlap: float = _setting(0.25, "overlap width relative to subdomain size")
+    m: int = _setting(1, "first targeted eigenvalue index (1-based)")
+    M: int = _setting(1, "last targeted eigenvalue index (1-based)")
+    tol: float = _setting(SolverConfig.tol, "stopping tolerance on the residual stop norm")
+    max_iter: int = SolverConfig.max_iter
+    restart_dim: int | None = SolverConfig.restart_dim
     output_dir: str = "."
-    format: str = "csv"
+    format: str = _setting("csv", "output table format: csv or json")
 
     def settings(self) -> tuple[ClusterSpec, SolverConfig, DomainShape]:
         """The level-independent library objects; each one checks its own arguments.
@@ -83,15 +90,16 @@ class ExperimentConfig:
         owns, so they are checked here.
         """
         cluster = ClusterSpec(self.m, self.M)
-        solver_config = SolverConfig(tol=self.tol, max_iter=self.max_iter,
-                                     restart_dim=self.restart_dim)
+        solver_config = SolverConfig(**{f.name: getattr(self, f.name)
+                                        for f in dataclasses.fields(SolverConfig)})
         shape = DomainShape(self.domain)
         if self.format not in ("csv", "json"):
             raise InvalidArgumentError(f"format must be 'csv' or 'json', got {self.format!r}")
         out = self.output_dir
         if not isinstance(out, str) or "\0" in out:
             raise InvalidArgumentError(f"output directory must be a path string, got {out!r}")
-        if Path(out).exists() and not Path(out).is_dir():
+        nearest = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+        if not nearest.is_dir():  # the directory itself, or one it would be made in
             raise InvalidArgumentError(f"output directory {out!r} is not a directory")
         return cluster, solver_config, shape
 
@@ -136,18 +144,15 @@ def _reference_values(shape: DomainShape, pencil, count: int):
 
 
 def _trace_rows(report: SolverReport):
-    head = ["k"] + [f"lambda_{i}" for i in range(report.cluster.first, report.cluster.last + 1)]
-    head += ["stop_norm", "stop_lower", "stop_upper", "value_drift", "basis_dim",
-             "clamped_shifts", "ldlt_fallbacks", "wall_ms"]
-    rows = []
-    for rec in report.trace:
-        row = [str(rec.iteration)]
-        row += [f"{v:.9f}" for v in rec.values]
-        row += ["" if math.isnan(rec.stop_norm) else f"{rec.stop_norm:.6e}",
-                f"{rec.stop_lower:.6e}", f"{rec.stop_upper:.6e}", f"{rec.value_drift:.6e}",
-                str(rec.basis_dim), str(rec.clamped_shifts), str(rec.ldlt_fallbacks),
-                f"{rec.wall_ms:.3f}"]
-        rows.append(row)
+    """A column per ``TraceRecord`` field, ``k`` and lambda_m..lambda_M for its first two;
+    ints as written, floats ``.6e`` (values ``.9f``, ``wall_ms`` ``.3f``), NaN blank."""
+    kinds = typing.get_type_hints(TraceRecord)
+    spec = {name: {int: "", float: ".6e"}.get(kind, ".9f") for name, kind in kinds.items()}
+    spec["wall_ms"] = ".3f"
+    lambdas = [f"lambda_{i}" for i in range(report.cluster.first, report.cluster.last + 1)]
+    head = [h for name in kinds for h in {"iteration": ["k"], "values": lambdas}.get(name, [name])]
+    rows = [["" if np.isnan(v) else format(v, spec[name])
+             for name in kinds for v in np.atleast_1d(getattr(rec, name))] for rec in report.trace]
     return head, rows
 
 
@@ -198,8 +203,7 @@ def _run(config: ExperimentConfig) -> tuple[int, SolverReport]:
     setup_s = {"build_hierarchy": built - start, "build_decomposition": split - built,
                "assemble": time.perf_counter() - split}
     report = solve(hier, pencil, decomp, cluster, solver_config)
-    # before the reference values, which are not the solver's; ru_maxrss is in KiB on Linux
-    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak_rss_mib = linalg.high_water_mark() / 2**20  # before the reference values, not the solver's
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -294,35 +298,27 @@ def sweep(config: ExperimentConfig, vary_fine=None, vary_coarse=None) -> int:
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
-def _reader(*kinds):
-    """An argparse ``type`` that rejects nothing: it returns the first of ``kinds``
-    that reads the text, and otherwise the text, for the library to check."""
+def _reader(kind):
+    """The argparse ``type`` of a setting of type ``kind``, which rejects nothing: an int
+    (for an int setting) or a float where the text reads as one, otherwise the text."""
+    kinds = {int: (int, float), float: (float,)}.get(next(iter(typing.get_args(kind)), kind), ())
+
     def read(text: str):
-        for kind in kinds:
+        for number in kinds:
             try:
-                return kind(text)
+                return number(text)
             except ValueError:
                 pass
         return text
     return read
 
 
-_integer, _real = _reader(int, float), _reader(float)
-
-
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--domain", help="square or lshape")
-    p.add_argument("--coarse", type=_integer, help="coarse mesh refinement level")
-    p.add_argument("--fine", type=_integer, help="fine mesh refinement level")
-    p.add_argument("--overlap", type=_real, help="overlap width relative to subdomain size")
-    p.add_argument("--m", type=_integer, help="first targeted eigenvalue index (1-based)")
-    p.add_argument("--M", type=_integer, help="last targeted eigenvalue index (1-based)")
-    p.add_argument("--tol", type=_real, help="stopping tolerance on the residual stop norm")
-    p.add_argument("--max-iter", type=_integer, dest="max_iter")
-    p.add_argument("--restart-dim", type=_integer, dest="restart_dim")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--format", help="output table format: csv or json")
+    kinds = typing.get_type_hints(ExperimentConfig)
+    for f in dataclasses.fields(ExperimentConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=_reader(kinds[f.name]),
+                       help=f.metadata.get("help"))
     p.add_argument("--log-level", dest="log_level", default="warning",
                    choices=["debug", "info", "warning", "error"],
                    help="threshold of the log messages printed to stderr (default: warning)")
@@ -344,10 +340,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if unknown:
             raise InvalidArgumentError(f"unknown config file keys: {sorted(unknown)}")
         merged.update(file_values)
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            merged[f.name] = value
+    merged.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(ExperimentConfig)
+                  if getattr(args, f.name) is not None)
     return ExperimentConfig(**merged)
 
 
@@ -362,8 +356,8 @@ def main(argv=None) -> int:
     _add_common_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="one run per varied mesh level")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument("--vary-fine", type=_integer, nargs="+", dest="vary_fine")
-    sweep_p.add_argument("--vary-coarse", type=_integer, nargs="+", dest="vary_coarse")
+    sweep_p.add_argument("--vary-fine", type=_reader(int), nargs="+", dest="vary_fine")
+    sweep_p.add_argument("--vary-coarse", type=_reader(int), nargs="+", dest="vary_coarse")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,

@@ -10,12 +10,13 @@ Wathen's bracket ``MASS_BRACKET`` (``mass_chebyshev``).  All returned
 handles are immutable after construction and safe for repeated solves.
 Large dense temporaries stay off the malloc heap, which keeps freed blocks
 once glibc's mmap threshold has risen: the dense eigensolves overwrite
-copies of their operands in ``mapped_zeros`` maps (the projected
-eigensolve unpacks packed rows into one that its caller reuses), and ``b_orthonormalize``
-works in, and returns a view of, the block it is given.
-``release_free_heap`` hands the heap that a one-off phase freed back to
-the operating system.  ``admit`` checks each large allocation of the
-package against physical memory before it is made.
+copies of their operands in ``mapped_zeros`` maps (the projected eigensolve
+unpacks packed rows into one that its caller reuses), and
+``b_orthonormalize`` works in, and returns a view of, the block it is
+given.  ``release_free_heap`` hands the heap that a one-off phase freed
+back to the operating system.  ``admit`` checks each large allocation
+against physical memory before it is made; ``high_water_mark`` reads the
+process's own peak RSS.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import logging
 import math
 import mmap
 import os
+import resource
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,7 @@ __all__ = [
     "lower_bands",
     "mass_chebyshev",
     "admit",
+    "high_water_mark",
     "mapped_zeros",
     "release_free_heap",
     "dense_generalized_eig",
@@ -270,6 +274,16 @@ def admit(what: str, unit: int, count: int = 1, remedy: str = "") -> int:
             f"{what} needs {need / 2**30:.1f} GiB, more than the "
             f"{_MEMORY_BUDGET / 2**30:.1f} GiB of physical memory{remedy}")
     return _MEMORY_BUDGET // unit
+
+
+def high_water_mark() -> int:
+    """The process's own peak RSS in bytes: ``VmHWM``, or where /proc/self/status lacks it
+    ``ru_maxrss`` (bytes on macOS, KiB elsewhere), which counts the launching process's RSS."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+    except FileNotFoundError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
 
 
 def mapped_zeros(n: int, k: int) -> np.ndarray:

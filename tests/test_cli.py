@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from schwarzjd import cli, linalg
 from schwarzjd.cli import ExperimentConfig, fit_gamma, main
+from schwarzjd.eigensolver import ClusterSpec, SolverConfig, SolverReport, TraceRecord
 from schwarzjd.errors import SingularMatrixError
 from schwarzjd.mesh import DomainShape, build_mesh
 
@@ -248,14 +249,67 @@ class TestConfigValidation:
         assert target.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [target]
 
-    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path):
-        # the output directory would lie inside a file: mkdir fails after the solve
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--vary-fine", "4", "5"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("under", ["out", "a/b/out", "../afile/out"])
+    def test_output_dir_under_a_file_rejected_before_solving(self, capsys, tmp_path,
+                                                             monkeypatch, command, under):
         target = tmp_path / "afile"
         target.write_text("kept\n")
-        err = rejected(capsys, ["run", *TINY, "--output-dir", str(target / "run")])
-        assert "cannot write the outputs" in err
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        out = str(target / under)
+        err = rejected(capsys, [*command, *TINY, "--output-dir", out])
+        assert err == f"config error: output directory {out!r} is not a directory\n"
         assert target.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path):
+        # the trace table's path is a directory: opening it fails after the solve
+        out = tmp_path / "run"
+        (out / "trace.csv").mkdir(parents=True)
+        err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
+        assert "cannot write the outputs: [Errno 21]" in err
+        assert list(out.iterdir()) == [out / "trace.csv"]
+        assert list((out / "trace.csv").iterdir()) == []
+
+
+# How a flag reads its text: an int setting as an int, else a float, else the text; a
+# float setting as a float, else the text; a text setting as the text.
+INTEGER = {"7": 7, "2.5": 2.5, "1e-8": 1e-8, "x": "x"}
+REAL = {"1": 1.0, "2.5": 2.5, "x": "x"}
+TEXT = {"1": "1", "2.5": "2.5", "x": "x"}
+FLAG_READS = {
+    "domain": TEXT, "coarse": INTEGER, "fine": INTEGER, "overlap": REAL, "m": INTEGER,
+    "M": INTEGER, "tol": REAL, "max_iter": INTEGER, "restart_dim": INTEGER, "output_dir": TEXT,
+    "format": TEXT,
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_every_setting_is_a_flag_of_both_commands(self, monkeypatch, command):
+        configs = []
+        monkeypatch.setattr(cli, command, lambda config, **levels: configs.append(config) or 0)
+        assert set(FLAG_READS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for name, reads in FLAG_READS.items():
+            for text, value in reads.items():
+                assert main([command, f"--{name.replace('_', '-')}", text]) == 0
+                got = getattr(configs.pop(), name)
+                assert (type(got), got) == (type(value), value)
+
+    def test_flag_help_is_the_settings_own(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(ExperimentConfig):
+            if "help" in f.metadata:
+                assert f"--{f.name.replace('_', '-')} {f.name.upper()} {f.metadata['help']}" in out
+
+    def test_solver_settings_default_to_the_solvers(self):
+        config, solver = ExperimentConfig(), SolverConfig()
+        for f in dataclasses.fields(SolverConfig):
+            assert getattr(config, f.name) == getattr(solver, f.name)
+        assert config.settings()[1] == solver
 
 
 class TestRunCommand:
@@ -407,6 +461,39 @@ class TestRunCommand:
             rows = read_csv(out / "trace.csv")
             outs.append([row[:-1] for row in rows])
         assert outs[0] == outs[1]
+
+    def test_trace_has_a_column_per_trace_record_field(self, tmp_path, monkeypatch):
+        nan = float("nan")
+        trace = [TraceRecord(0, np.array([5.0, 5.0]), nan, 0.5, 1.0, 0.0, 4, 0, 1, 1.23456),
+                 TraceRecord(1, np.array([5.25, 5.5]), 2.5e-9, 1e-9, 4e-9, 0.75, 8, 2, 0, 7.0)]
+        report = SolverReport(ClusterSpec(2, 3), np.array([5.25, 5.5]), None, 1, True, False,
+                              2.5e-9, 3, trace, {})
+        monkeypatch.setattr(cli, "solve", lambda *args: report)
+        out = tmp_path / "run"
+        argv = ["run", *TINY, "--m", "2", "--M", "3", "--output-dir", str(out)]
+        assert main(argv) == 0
+        names = [f.name for f in dataclasses.fields(TraceRecord)]
+        assert names[:2] == ["iteration", "values"]
+        assert read_csv(out / "trace.csv") == [
+            ["k", "lambda_2", "lambda_3", *names[2:]],
+            ["0", "5.000000000", "5.000000000", "", "5.000000e-01", "1.000000e+00",
+             "0.000000e+00", "4", "0", "1", "1.235"],
+            ["1", "5.250000000", "5.500000000", "2.500000e-09", "1.000000e-09", "4.000000e-09",
+             "7.500000e-01", "8", "2", "0", "7.000"],
+        ]
+
+    def test_peak_rss_is_the_runs_own_not_its_launchers(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        held = np.ones(2**25)  # 256 MiB, resident in the process that launches the run
+        done = subprocess.run(
+            [sys.executable, "-m", "schwarzjd.cli", "run", "--domain", "square", "--coarse", "2",
+             "--fine", "4", "--m", "1", "--M", "3", "--output-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+        )
+        assert held.all() and done.returncode == 0, done.stderr
+        del held
+        assert json.loads((tmp_path / "summary.json").read_text())["peak_rss_mib"] < 200
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "config.json"

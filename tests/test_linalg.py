@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -229,7 +231,8 @@ def packed_rows(a):
 
 
 class TestDenseSymmetricEig:
-    @pytest.mark.parametrize("m", [1, 7, 60])
+    # 64-column panels: within one, at and across panel edges
+    @pytest.mark.parametrize("m", [1, 7, 60, 63, 64, 65, 128, 129, 200])
     def test_same_bits_as_scipy_in_the_operand(self, m):
         # packed rows, as the projected matrix is held, solved in a larger flat operand
         rng = np.random.default_rng(m)
@@ -245,7 +248,7 @@ class TestDenseSymmetricEig:
         assert eig.vectors.ctypes.data == operand.ctypes.data  # solved in place
         assert np.isnan(operand[m * m:]).all()
 
-    @pytest.mark.parametrize("m", [2, 7, 60])
+    @pytest.mark.parametrize("m", [2, 7, 60, 63, 64, 65, 128, 129, 200])
     def test_strict_upper_triangle_is_not_read(self, m):
         # dsyevd reads only the lower triangle, which is all that packed rows hold
         rng = np.random.default_rng(m)
@@ -343,6 +346,16 @@ class TestReleaseFreeHeap:
     def test_does_nothing_without_malloc_trim(self, monkeypatch):
         monkeypatch.setattr(linalg, "_malloc_trim", None)
         assert linalg.release_free_heap() is None
+
+
+class TestHighWaterMark:
+    def test_reads_ru_maxrss_where_the_status_file_is_missing(self, monkeypatch):
+        def missing(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(linalg, "open", missing, raising=False)
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert kib * 1024 <= linalg.high_water_mark() <= (kib + 1024) * 1024
 
 
 def no_basis(pencil):

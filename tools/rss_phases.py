@@ -4,24 +4,22 @@
 
 Wraps the set-up calls, the phases of ``eigensolver.solve``, the
 Rayleigh-Ritz step ``_grow`` that startup, iterations and restarts share,
-and the startup's heap release (``linalg.release_free_heap``) as module attributes,
-as perfbench's tracer does, while a thread reads /proc/self/statm every
-2 ms.  Prints the process's RSS high-water mark as the solve returned,
-and then each phase's calls, the largest RSS sampled while one of its
-calls ran (a nested call counts for every enclosing phase), which can miss
-a peak shorter than the sampling period, such as ``dsyevd``'s workspace,
-and beside it the rise of the high-water mark over its calls, with the
-mark its last rising call reached (``to``; ``-`` when no call raised it).
-The mark misses no peak and only grows, up to the batching of the kernel's
-per-CPU RSS counters (a few hundred KiB; a call's fall within it counts as
-no rise), so the phase whose call raised it last set the process's peak.
-The mark is the kernel's ``VmHWM`` (read from /proc/self/status), which
-``ru_maxrss`` also reports, but ``ru_maxrss`` starts from the RSS that the
-parent process had when it started this one, which can hide every rise.
-Then the largest free heap that glibc retained as one of its calls
-returned (``mallinfo2().fordblks``: memory freed to malloc but not to the
-kernel; ``n/a`` where the C library has no ``mallinfo2``), and the RSS and
-free heap as its last call started and returned (``last=``), which for the
+and the startup's heap release (``linalg.release_free_heap``) as module
+attributes, as perfbench's tracer does, while a thread reads
+/proc/self/statm every 2 ms.  Prints the process's RSS high-water mark
+(``linalg.high_water_mark``) as the solve returned, and then each phase's
+calls, the largest RSS sampled while one of its calls ran (a nested call
+counts for every enclosing phase), which can miss a peak shorter than the
+sampling period, such as ``dsyevd``'s workspace, and beside it the rise of
+the high-water mark over its calls, with the mark its last rising call
+reached (``to``; ``-`` when no call raised it).  The mark misses no peak
+and only grows, up to the batching of the kernel's per-CPU RSS counters (a
+few hundred KiB; a call's fall within it counts as no rise), so the phase
+whose call raised it last set the process's peak.  Then the largest free
+heap that glibc retained as one of its calls returned
+(``mallinfo2().fordblks``: memory freed to malloc but not to the kernel;
+``n/a`` where the C library has no ``mallinfo2``), and the RSS and free
+heap as its last call started and returned (``last=``), which for the
 release shows what it handed back.
 """
 
@@ -76,23 +74,17 @@ def mib(size):
     return "n/a" if size is None else f"{size / 2**20:.1f} MiB"
 
 
-def high_water_mark():
-    """The process's RSS high-water mark in bytes (``VmHWM``, in kB)."""
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
-
-
 def wrap(owner, attr):
     original, name = getattr(owner, attr), f"{owner.__name__.split('.')[-1]}.{attr}"
 
     def traced(*args, **kwargs):
         calls[name] = calls.get(name, 0) + 1
         active.append(name)
-        before, mark = (sample(), free_heap()), high_water_mark()
+        before, mark = (sample(), free_heap()), linalg.high_water_mark()
         try:
             return original(*args, **kwargs)
         finally:
-            after, raised = (sample(), free_heap()), high_water_mark()
+            after, raised = (sample(), free_heap()), linalg.high_water_mark()
             active.remove(name)
             last[name] = before, after
             rise[name] = rise.get(name, 0) + max(raised - mark, 0)
@@ -115,7 +107,7 @@ def main(domain, coarse, fine, m, M, restart_dim=None):
                                eigensolver.SolverConfig(restart_dim=restart_dim and int(restart_dim)))
     dim = report.trace[-1].basis_dim
     print(f"iterations={report.iterations}  basis {dim} columns {8 * pencil.n * dim / 2**20:.1f} MiB"
-          f"  hwm={mib(high_water_mark())}")
+          f"  hwm={mib(linalg.high_water_mark())}")
     for name, count in calls.items():
         (rss_in, heap_in), (rss_out, heap_out) = last[name]
         reached = mib(top[name]) if name in top else "-"

@@ -78,9 +78,9 @@ class ExperimentConfig:
     m: int = _setting(1, "first targeted eigenvalue index (1-based)")
     M: int = _setting(1, "last targeted eigenvalue index (1-based)")
     tol: float = _setting(SolverConfig.tol, "stopping tolerance on the residual stop norm")
-    max_iter: int = SolverConfig.max_iter
-    restart_dim: int | None = SolverConfig.restart_dim
-    output_dir: str = "."
+    max_iter: int = _setting(SolverConfig.max_iter, "largest number of outer iterations")
+    restart_dim: int | None = _setting(SolverConfig.restart_dim, "restart past this basis size")
+    output_dir: str = _setting(".", "directory the tables and summary are written to")
     format: str = _setting("csv", "output table format: csv or json")
 
     def settings(self) -> tuple[ClusterSpec, SolverConfig, DomainShape]:
@@ -356,8 +356,10 @@ def main(argv=None) -> int:
     _add_common_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="one run per varied mesh level")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument("--vary-fine", type=_reader(int), nargs="+", dest="vary_fine")
-    sweep_p.add_argument("--vary-coarse", type=_reader(int), nargs="+", dest="vary_coarse")
+    sweep_p.add_argument("--vary-fine", type=_reader(int), nargs="+", dest="vary_fine",
+                         help="fine levels to sweep, one run each")
+    sweep_p.add_argument("--vary-coarse", type=_reader(int), nargs="+", dest="vary_coarse",
+                         help="coarse levels to sweep, one run each")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,

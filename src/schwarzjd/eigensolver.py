@@ -49,10 +49,10 @@ matrix is the lower triangle, all that ``dsyevd`` reads and ``_grow``
 writes, packed row by row in the buffer's flat ``projected`` array: row i
 from offset i (i + 1) / 2, so the first dim (dim + 1) / 2 entries are the
 state's matrix and a growth appends rows behind them.
-``_start_chain`` starts every chain (startup, and each thick restart) and
-reserves its buffers once, for the largest basis the run can reach; they
-are never copied: only the newest state of a chain grows, in place,
-behind the views the older states hold.  The small
+``_start_chain`` starts every chain (startup, and each thick restart) with
+the pencil and config that its buffers keep, and reserves them once, for
+the largest basis the run can reach; they are never copied: only the newest
+state of a chain grows, in place, behind the views the older states hold.  The small
 eigenproblem is unpacked into the lower triangle of an operand that the
 chain reuses and solved there (``linalg.dense_symmetric_eig``), and a
 state keeps only the Ritz coefficients of columns 1..last.  The
@@ -152,9 +152,9 @@ def _admit_basis(n: int, columns: int) -> int:
 
 
 class _BasisBuffer:
-    """Storage shared by a chain of states; basis columns [0, filled) are written.
+    """Pencil, config and storage of a chain of states; basis columns [0, filled) are written.
 
-    ``_start_chain`` makes one per chain, of ``reserve`` columns, at least
+    ``_start_chain`` makes one per chain, of the ``reserve`` columns ``config`` sets, at least
     ``need`` and at most n + need and those that fit (``_admit_basis``): a
     ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
     columns are written, and, with side = min(columns, n), two flat maps:
@@ -166,7 +166,8 @@ class _BasisBuffer:
     eigensolve unpacks and solves it.
     """
 
-    def __init__(self, n: int, need: int, reserve: int):
+    def __init__(self, pencil: fem.SparsePencil, config: SolverConfig, need: int, reserve: int):
+        self.pencil, self.config, n = pencil, config, pencil.n
         columns = max(need, min(reserve, n + need, _admit_basis(n, need)))
         side = min(columns, n)
         self.data = linalg.mapped_zeros(n, columns)
@@ -180,7 +181,7 @@ class IterationState:
     """Mass-orthonormal trial basis with its Ritz data.
 
     ``basis`` spans the trial subspace (n x dim), a view of the leading
-    columns of the chain's buffer, which only the newest state extends;
+    columns of the chain's buffer (with its pencil and config), which only the newest state extends;
     the lower triangle of the projected stiffness matrix basis' K basis is
     packed row by row in the first dim (dim + 1) / 2 entries of the buffer's
     ``projected`` array, which later states border by appending rows.
@@ -271,20 +272,21 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     later iteration, so it ends by returning the heap they freed to the
     operating system (``linalg.release_free_heap``).
 
-    Raises ClusterTooLargeError unless the initialization mesh has more
-    dofs than ``cluster.last`` (the hierarchy must be coarsened less
-    aggressively), and ProblemTooLargeError, before the eigensolve, when
+    Raises, before the eigensolve, InvalidArgumentError unless ``pencil``
+    has the fine mesh's dofs, ClusterTooLargeError unless the
+    initialization mesh has more dofs than ``cluster.last`` (the hierarchy
+    must be coarsened less aggressively), and ProblemTooLargeError when
     the startup block does not fit in physical memory: three n x last
     blocks, the basis columns plus the C-ordered copy of them and the
     product that a sparse mass product makes.
     """
-    _check_cluster_fits(hier, cluster)
+    _check_startup(hier, pencil, cluster)
     _admit_startup(pencil.n, cluster.last)
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    state, block = _start_chain(cluster, pencil.n, cluster.last, config or SolverConfig())
+    state, block = _start_chain(cluster, pencil, cluster.last, config or SolverConfig())
     block[:] = hier.initial_to_fine @ init.vectors
-    state = _grow(state, block, pencil)
+    state = _grow(state, block)
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
@@ -296,9 +298,11 @@ def _admit_startup(n: int, last: int) -> None:
                  3 * 8 * n, last, "; a lower cluster end or fine level needs less")
 
 
-def _check_cluster_fits(hier: MeshHierarchy, cluster: ClusterSpec) -> None:
-    """Raises ClusterTooLargeError unless the initialization mesh has more dofs than
-    ``cluster.last``."""
+def _check_startup(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSpec) -> None:
+    """Raises InvalidArgumentError unless ``pencil`` has the fine mesh's dofs, and
+    ClusterTooLargeError unless the initialization mesh has more dofs than ``cluster.last``."""
+    if pencil.n != hier.fine.n_dofs:
+        raise InvalidArgumentError(f"the pencil has {pencil.n} dofs, the fine mesh {hier.fine.n_dofs}")
     n_init = hier.initial.n_dofs
     if cluster.last >= n_init:
         raise ClusterTooLargeError(
@@ -319,15 +323,14 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) 
     return S - state.cluster_vectors @ (state.mass_vectors.T @ S)
 
 
-def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray,
-                  pencil: fem.SparsePencil) -> IterationState:
+def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray) -> IterationState:
     """Grow the basis by ``new_vectors`` and re-solve the projected problem.
 
     Near-dependent columns are dropped during mass-orthonormalization; if all
     are dropped ``state`` itself is returned.  Ritz values of retained
     indices never increase (the subspaces are nested).  Only a chain's newest state grows.
     """
-    return _grow(state, new_vectors, pencil)
+    return _grow(state, new_vectors)
 
 
 def stop_norm(residual: np.ndarray, solve_mass) -> float:
@@ -364,27 +367,25 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
     return float(np.sqrt(lower * q)), float(np.sqrt(upper * q))
 
 
-def _thick_restart(state: IterationState, corrections: np.ndarray,
-                   pencil: fem.SparsePencil, config: SolverConfig
-                   ) -> tuple[IterationState, np.ndarray]:
+def _thick_restart(state: IterationState, corrections) -> tuple[IterationState, np.ndarray]:
     """Start a new chain from Ritz vectors 1..last plus the newest corrections.
 
-    The chain starts with ``_start_chain``.  The Ritz vectors are formed
-    straight into the first columns of its buffer, by the product that
-    ``linalg.basis_times`` forms, and the corrections are copied beside
-    them.  Returns the chain's empty state and that block,
-    which ``_grow`` orthonormalizes in place.  ``state`` is no longer read,
-    so a caller that drops it before the growth frees the old basis first.
+    The chain starts with ``_start_chain``, with the old chain's pencil and
+    config.  The Ritz vectors are formed straight into the first columns of
+    its buffer, by the product that ``linalg.basis_times`` forms, and the
+    corrections are copied beside them.  Returns the chain's empty state and
+    that block, which ``_grow`` orthonormalizes in place.  ``state`` is no
+    longer read, so a caller that drops it before the growth frees the old basis first.
     """
-    last = state.cluster.last
-    empty, block = _start_chain(state.cluster, pencil.n, last + corrections.shape[1], config)
+    last, old = state.cluster.last, state._buffer
+    empty, block = _start_chain(state.cluster, old.pencil, last + corrections.shape[1], old.config)
     np.matmul(state.ritz_coeffs.T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections
     return empty, block
 
 
-def _start_chain(cluster: ClusterSpec, n: int, need: int, config: SolverConfig
-                 ) -> tuple[IterationState, np.ndarray]:
+def _start_chain(cluster: ClusterSpec, pencil: fem.SparsePencil, need: int,
+                 config: SolverConfig) -> tuple[IterationState, np.ndarray]:
     """A new chain's state without basis columns, and the first ``need`` columns of its buffer.
 
     The buffer reserves the largest basis a run with ``config`` can reach:
@@ -392,13 +393,13 @@ def _start_chain(cluster: ClusterSpec, n: int, need: int, config: SolverConfig
     """
     reserve = (cluster.last + config.max_iter * cluster.count if config.restart_dim is None
                else config.restart_dim + cluster.count)
-    buffer = _BasisBuffer(n, need, reserve)
+    buffer = _BasisBuffer(pencil, config, need, reserve)
     empty = buffer.data[:, :0]
     state = IterationState(cluster, empty, np.empty(0), np.empty((0, 0)), empty, empty, empty, buffer)
     return state, buffer.data[:, :need]
 
 
-def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> IterationState:
+def _grow(state: IterationState, new_vectors) -> IterationState:
     """The Rayleigh-Ritz step: the one place the trial basis grows.
 
     Mass-orthonormalizes the k columns of ``new_vectors`` against the basis,
@@ -412,13 +413,17 @@ def _grow(state: IterationState, new_vectors, pencil: fem.SparsePencil) -> Itera
     followed by entries 0..r of row r of the symmetrized corner.
     ``new_vectors`` may be those very columns, as the chain starts pass
     them.  No existing state changes.  Raises, writing nothing,
-    InvalidArgumentError when ``state`` is not its buffer's newest state or
-    the buffer lacks room for k more columns (ProblemTooLargeError when
-    dim + k columns, or their projected eigensolve, exceed physical
-    memory), and EigensolverError when the projected eigensolve fails.
+    InvalidArgumentError when ``new_vectors`` is not an (n, k) block, when
+    ``state`` is not its buffer's newest state or when the buffer lacks room
+    for k more columns (ProblemTooLargeError when dim + k columns, or their
+    projected eigensolve, exceed physical memory), and EigensolverError when
+    the projected eigensolve fails.
     """
+    buffer, pencil = state._buffer, state._buffer.pencil
+    if np.ndim(new_vectors) != 2 or np.shape(new_vectors)[0] != pencil.n:
+        raise InvalidArgumentError(f"a block of new vectors ({pencil.n}, k) expected, "
+                                   f"got shape {np.shape(new_vectors)}")
     dim, k = state.dim, np.shape(new_vectors)[1]
-    buffer = state._buffer
     if buffer.filled != dim:
         raise InvalidArgumentError(f"only the newest state of a chain grows: this state has "
                                    f"{dim} basis columns, the newest {buffer.filled}")
@@ -483,10 +488,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
             f"restart dimension must be at least {2 * cluster.last + 1} "
             f"for a cluster ending at {cluster.last}"
         )
-    if pencil.n != hier.fine.n_dofs:
-        raise InvalidArgumentError(
-            f"the pencil has {pencil.n} dofs, the fine mesh {hier.fine.n_dofs}")
-    _check_cluster_fits(hier, cluster)
+    _check_startup(hier, pencil, cluster)
     timings: dict[str, float] = {}
 
     def clocked(name, fn, *args, **kwargs):
@@ -526,14 +528,14 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         prec = clocked("prepare", schwarz.prepare, blocks, coarse, values)
         corrections = clocked("correction", correction_step, state, prec)
         prev_values, prev_dim = values, state.dim
-        state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections, pencil)
+        state = clocked("rayleigh_ritz", rayleigh_ritz, state, corrections)
         stalls = 0 if state.dim > prev_dim else stalls + 1
         if config.restart_dim is not None and state.dim > config.restart_dim:
             # Rebinding state drops the old chain, so its basis is unmapped
             # before the new block grows; the corrections are in the block.
-            state, block = clocked("restart", _thick_restart, state, corrections, pencil, config)
+            state, block = clocked("restart", _thick_restart, state, corrections)
             del corrections
-            state = clocked("restart", _grow, state, block, pencil)
+            state = clocked("restart", _grow, state, block)
         values = state.cluster_values()
         drift = float(np.sum(np.abs(values - prev_values)))
         clamped, fallbacks = prec.clamped_shifts, prec.ldlt_fallbacks

@@ -228,8 +228,12 @@ def prepare(blocks: LocalBlocks, coarse: CoarsePiece, shifts) -> SchwarzPrecondi
     deflated coarse operator stays positive; the preconditioner's
     ``clamped_shifts`` counts them.  Raises InvalidArgumentError, before any
     factorization, unless ``shifts`` is a non-empty flat list of finite real
-    numbers (``errors.is_number``: a bool or a string is not one).
+    numbers (``errors.is_number``: a bool or a string is not one) and
+    ``coarse`` was built for the fine mesh of ``blocks``.
     """
+    if coarse.prolongation.shape[0] != blocks.n:
+        raise InvalidArgumentError(f"the coarse piece prolongs to {coarse.prolongation.shape[0]} "
+                                   f"dofs, the local blocks have {blocks.n}")
     listed = list(shifts) if np.iterable(shifts) else []
     if not listed or not all(map(is_number, listed)) or not np.all(np.isfinite(listed)):
         raise InvalidArgumentError(f"a non-empty flat list of finite real shifts is required, "

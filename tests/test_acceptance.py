@@ -134,7 +134,7 @@ def iterate_checking_invariants(shape, coarse, fine, cluster, max_iter=60):
         prec = prepare(blocks, coarse_piece, state.cluster_values())
         corrections = correction_step(state, prec)
         prev = state.ritz_values.copy()
-        state = rayleigh_ritz(state, corrections, pencil)
+        state = rayleigh_ritz(state, corrections)
         assert np.all(state.ritz_values[: len(prev)] <= prev + 1e-12)
         sn = stop_norm(state.residual, solve_mass)
         if sn < 1e-8:

@@ -302,8 +302,7 @@ class TestFlags:
             main(["sweep", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         for f in dataclasses.fields(ExperimentConfig):
-            if "help" in f.metadata:
-                assert f"--{f.name.replace('_', '-')} {f.name.upper()} {f.metadata['help']}" in out
+            assert f"--{f.name.replace('_', '-')} {f.name.upper()} {f.metadata['help']}" in out
 
     def test_solver_settings_default_to_the_solvers(self):
         config, solver = ExperimentConfig(), SolverConfig()

@@ -156,12 +156,21 @@ class TestInitialize:
         with pytest.raises(ClusterTooLargeError):
             initialize(hier, pencil, ClusterSpec(1, 9))
 
+    def test_pencil_of_another_mesh_rejected_before_the_eigensolve(self, small, monkeypatch):
+        hier, _, _ = small
+        eigensolves = []
+        monkeypatch.setattr(linalg, "lowest_eigenpairs", lambda *a: eigensolves.append(a))
+        pencil = assemble(build_mesh(DomainShape.SQUARE, 5))
+        with pytest.raises(InvalidArgumentError, match="pencil has 961 dofs, the fine mesh 225"):
+            initialize(hier, pencil, ClusterSpec(1, 3))
+        assert eigensolves == []
+
 
 def exact_state(pencil, cluster):
     """A state grown from the exact discrete eigenvectors 1..cluster.last."""
     ref = dense_discrete_spectrum(pencil, cluster.last)
-    empty, _ = _start_chain(cluster, pencil.n, cluster.last, SolverConfig())
-    return _grow(empty, ref.vectors, pencil)
+    empty, _ = _start_chain(cluster, pencil, cluster.last, SolverConfig())
+    return _grow(empty, ref.vectors)
 
 
 def rows(state):
@@ -202,7 +211,7 @@ class TestResidualDual:
         hier, pencil, _ = small
         rng = np.random.default_rng(51)
         state = initialize(hier, pencil, ClusterSpec(2, 4))
-        state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
+        state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)))
         U = state.cluster_vectors
         lam = state.cluster_values()
         dense = lam * (pencil.mass.toarray() @ U) - pencil.stiffness.toarray() @ U
@@ -253,14 +262,14 @@ class TestRayleighRitz:
     def test_all_zero_vectors_leave_state_unchanged(self, small):
         hier, pencil, _ = small
         state = initialize(hier, pencil, ClusterSpec(1, 3))
-        out = rayleigh_ritz(state, np.zeros((pencil.n, 3)), pencil)
+        out = rayleigh_ritz(state, np.zeros((pencil.n, 3)))
         assert out is state
 
     def test_exact_invariant_subspace_reproduces_eigenvalues(self, small):
         hier, pencil, _ = small
         ref = dense_discrete_spectrum(pencil, 6)
         state = initialize(hier, pencil, ClusterSpec(1, 3))
-        out = rayleigh_ritz(state, ref.vectors, pencil)
+        out = rayleigh_ritz(state, ref.vectors)
         # the grown subspace contains the first 6 discrete eigenvectors
         assert np.allclose(out.ritz_values[:6], ref.values, rtol=1e-9)
 
@@ -268,7 +277,7 @@ class TestRayleighRitz:
         hier, pencil, _ = small
         rng = np.random.default_rng(52)
         state = initialize(hier, pencil, ClusterSpec(1, 3))
-        out = rayleigh_ritz(state, rng.standard_normal((pencil.n, 2)), pencil)
+        out = rayleigh_ritz(state, rng.standard_normal((pencil.n, 2)))
         assert out.ritz_coeffs.shape == (out.dim, 3)
         for j in range(out.ritz_coeffs.shape[1]):
             r = projected(out) @ out.ritz_coeffs[:, j] - out.ritz_values[j] * out.ritz_coeffs[:, j]
@@ -280,14 +289,14 @@ class TestBasisBuffer:
         hier, pencil, _ = small
         rng = np.random.default_rng(54)
         parent = initialize(hier, pencil, ClusterSpec(1, 3))
-        first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)))
         buffer = first._buffer
         kept = [s.basis.copy() for s in (parent, first)]
         data, filled = buffer.data.copy(), buffer.filled
         # the child was written in place behind the parent, which can no longer grow
         assert np.shares_memory(first.basis, parent.basis)
         with pytest.raises(InvalidArgumentError, match="only the newest state of a chain grows"):
-            rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+            rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)))
         assert buffer.filled == filled and np.array_equal(buffer.data, data)
         for state, basis in zip((parent, first), kept):
             assert np.array_equal(state.basis, basis)
@@ -296,14 +305,14 @@ class TestBasisBuffer:
         hier, pencil, _ = small
         rng = np.random.default_rng(58)
         parent = initialize(hier, pencil, ClusterSpec(1, 3))
-        first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+        first = rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)))
         kept = [(corner(s).copy(), s.ritz_values.copy(), s.ritz_coeffs.copy())
                 for s in (parent, first)]
         # the child bordered the parent's projected matrix in place
         assert np.shares_memory(rows(first), rows(parent))
         with pytest.raises(InvalidArgumentError,
                            match="this state has 3 basis columns, the newest 6"):
-            rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)), pencil)
+            rayleigh_ritz(parent, rng.standard_normal((pencil.n, 3)))
         assert first._buffer.filled == first.dim
         for state, (stored, values, coeffs) in zip((parent, first), kept):
             assert np.array_equal(corner(state), stored)
@@ -313,8 +322,7 @@ class TestBasisBuffer:
     def test_growth_borders_only_the_lower_triangle(self, small):
         hier, pencil, _ = small
         parent = initialize(hier, pencil, ClusterSpec(1, 3))
-        grown = rayleigh_ritz(parent, np.random.default_rng(61).standard_normal((pencil.n, 3)),
-                              pencil)
+        grown = rayleigh_ritz(parent, np.random.default_rng(61).standard_normal((pencil.n, 3)))
         dim, m = parent.dim, grown.dim
         assert m > dim
         assert np.count_nonzero(corner(grown)[dim:m, :dim]) == (m - dim) * dim
@@ -325,8 +333,7 @@ class TestBasisBuffer:
     def test_projected_corner_and_coefficients_stop_at_cluster_end(self, small):
         hier, pencil, _ = small
         state = initialize(hier, pencil, ClusterSpec(1, 2))
-        grown = rayleigh_ritz(state, np.random.default_rng(59).standard_normal((pencil.n, 2)),
-                              pencil)
+        grown = rayleigh_ritz(state, np.random.default_rng(59).standard_normal((pencil.n, 2)))
         for s in (state, grown):
             assert s.ritz_values.shape == (s.dim,)
             assert s.ritz_coeffs.shape == (s.dim, s.cluster.last)
@@ -343,7 +350,7 @@ class TestBasisBuffer:
 
         monkeypatch.setattr(linalg.lapack, "dsyevd", failing)
         with pytest.raises(EigensolverError, match="info=2"):
-            rayleigh_ritz(state, np.random.default_rng(60).standard_normal((pencil.n, 2)), pencil)
+            rayleigh_ritz(state, np.random.default_rng(60).standard_normal((pencil.n, 2)))
 
     def test_newest_state_grows_by_orthonormalizing_into_its_buffer(self, small, monkeypatch):
         hier, pencil, _ = small
@@ -359,7 +366,7 @@ class TestBasisBuffer:
         V = rng.standard_normal((pencil.n, 3))
         V[:, 2] = V[:, 0] + V[:, 1]  # dropped
         for new in (V, rng.standard_normal((pencil.n, 3))):
-            grown = rayleigh_ritz(state, new, pencil)
+            grown = rayleigh_ritz(state, new)
             accepted = results[-1]
             assert grown._buffer is state._buffer and grown._buffer.filled == grown.dim
             # the accepted columns are the basis columns, not a copy of them
@@ -371,8 +378,7 @@ class TestBasisBuffer:
     def test_basis_and_cluster_vectors_are_read_only(self, small):
         hier, pencil, _ = small
         state = initialize(hier, pencil, ClusterSpec(1, 2))
-        grown = rayleigh_ritz(state, np.random.default_rng(55).standard_normal((pencil.n, 2)),
-                              pencil)
+        grown = rayleigh_ritz(state, np.random.default_rng(55).standard_normal((pencil.n, 2)))
         for s in (state, grown):
             for array in (s.basis, s.cluster_vectors, s.mass_vectors, s.residual):
                 assert not array.flags.writeable
@@ -404,23 +410,34 @@ class TestBasisBuffer:
         buffer = state._buffer
         assert buffer.data.shape == (pencil.n, 17)
         for dim in (8, 11, 14, 17):
-            state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
+            state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)))
             assert state.dim == dim and state._buffer is buffer  # written in place
         with pytest.raises(ProblemTooLargeError, match=r"18 columns"):
-            rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)), pencil)
+            rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)))
         assert buffer.filled == 17
+
+    @pytest.mark.parametrize("shape", [(225,), (226, 2), (225, 2, 1)],
+                             ids=["1-d", "n+1-rows", "3-d"])
+    def test_block_that_is_not_n_by_k_rejected_before_writing(self, small, shape):
+        hier, pencil, _ = small
+        state = initialize(hier, pencil, ClusterSpec(1, 3))
+        buffer = state._buffer
+        data, filled = buffer.data.copy(), buffer.filled
+        with pytest.raises(InvalidArgumentError, match=r"new vectors \(225, k\) expected"):
+            rayleigh_ritz(state, np.ones(shape))
+        assert buffer.filled == filled and np.array_equal(buffer.data, data)
 
     def test_growth_past_a_reservation_memory_did_not_cap_raises(self, small):
         hier, pencil, _ = small
         rng = np.random.default_rng(61)
         # one iteration of cluster 1..3: room for 3 + 3 columns
         state = initialize(hier, pencil, ClusterSpec(1, 3), SolverConfig(max_iter=1))
-        state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)), pencil)
+        state = rayleigh_ritz(state, rng.standard_normal((pencil.n, 3)))
         buffer = state._buffer
         data = buffer.data.copy()
         with pytest.raises(InvalidArgumentError,
                            match="6 columns grown by 1 outgrows the 6 columns reserved"):
-            rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)), pencil)
+            rayleigh_ritz(state, rng.standard_normal((pencil.n, 1)))
         assert buffer.filled == state.dim == 6 and np.array_equal(buffer.data, data)
 
     def test_startup_block_admitted_up_to_three_blocks(self, small, monkeypatch):
@@ -460,10 +477,10 @@ class TestBasisBuffer:
         monkeypatch.setattr(linalg, "mapped_zeros", lambda *a: maps.append(a) or mapped_zeros(*a))
         with pytest.raises(ProblemTooLargeError,
                            match=r"projected eigensolve of order 100 .*--restart-dim"):
-            _start_chain(ClusterSpec(1, 3), pencil.n, c, SolverConfig())
+            _start_chain(ClusterSpec(1, 3), pencil, c, SolverConfig())
         assert maps == []  # refused before anything is allocated
         monkeypatch.setattr(linalg, "_MEMORY_BUDGET", need)
-        _, block = _start_chain(ClusterSpec(1, 3), pencil.n, c, SolverConfig())
+        _, block = _start_chain(ClusterSpec(1, 3), pencil, c, SolverConfig())
         assert block.shape == (pencil.n, c)
 
 
@@ -576,7 +593,7 @@ def test_packed_rows_hold_the_projected_matrix(tiny, steps, seed):
         width = min(width, state._buffer.data.shape[1] - state.dim)
         V = rng.standard_normal((pencil.n, width))
         V[:, :dependent] = state.basis @ rng.standard_normal((state.dim, min(dependent, width)))
-        return rayleigh_ritz(state, V, pencil)
+        return rayleigh_ritz(state, V)
 
     def check(state):
         gram = state.basis.T @ (pencil.stiffness @ state.basis)
@@ -584,9 +601,8 @@ def test_packed_rows_hold_the_projected_matrix(tiny, steps, seed):
 
     for step in steps:
         if step == "restart":
-            empty, block = _thick_restart(state, rng.standard_normal((pencil.n, 2)), pencil,
-                                          config)
-            state = _grow(empty, block, pencil)
+            empty, block = _thick_restart(state, rng.standard_normal((pencil.n, 2)))
+            state = _grow(empty, block)
         else:
             state = grow(state, *step)
         check(state)
@@ -615,7 +631,7 @@ def test_a_chain_grows_in_place_and_only_at_its_newest_state(small, steps, seed)
         V = rng.standard_normal((pencil.n, width))
         if dependent:
             V[:, -1] = state.basis @ rng.standard_normal(state.dim) + V[:, :-1].sum(axis=1)
-        grown = rayleigh_ritz(state, V, pencil)
+        grown = rayleigh_ritz(state, V)
         assert grown._buffer is state._buffer  # written in place
         assert grown.dim == state.dim + width - dependent
         if grown is not state:
@@ -623,7 +639,7 @@ def test_a_chain_grows_in_place_and_only_at_its_newest_state(small, steps, seed)
         state = grown
     for older, _ in chain[:-1]:
         with pytest.raises(InvalidArgumentError, match="only the newest state of a chain grows"):
-            rayleigh_ritz(older, rng.standard_normal((pencil.n, 1)), pencil)
+            rayleigh_ritz(older, rng.standard_normal((pencil.n, 1)))
     assert state._buffer.filled == state.dim
     for s, kept in chain:
         for name, array in snapshot(s).items():
@@ -652,40 +668,50 @@ class TestStartupHeapRelease:
                                   [b.stop_norm, b.stop_lower, b.stop_upper], equal_nan=True)
 
 
-def _iterated(hier, pencil, decomp, cluster, steps):
-    """The state after ``steps`` outer iterations, and its newest corrections."""
-    state = initialize(hier, pencil, cluster)
+def _iterated(hier, pencil, decomp, cluster, steps, config):
+    """The state after ``steps`` outer iterations of a chain started with ``config``, and
+    its newest corrections."""
+    state = initialize(hier, pencil, cluster, config)
     coarse = build_coarse_piece(hier, cluster.last)
     blocks = LocalBlocks(hier.fine, decomp)
     for _ in range(steps):
         prec = prepare(blocks, coarse, state.cluster_values())
         corrections = correction_step(state, prec)
-        state = rayleigh_ritz(state, corrections, pencil)
+        state = rayleigh_ritz(state, corrections)
     return state, corrections
 
 
 class TestThickRestart:
     def test_keeps_ritz_values_and_mass_orthonormality(self, small):
         hier, pencil, decomp = small
-        state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3)
-        out = _grow(*_thick_restart(state, corrections, pencil, SolverConfig(restart_dim=13)),
-                    pencil)
+        state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3,
+                                       SolverConfig(restart_dim=13))
+        out = _grow(*_thick_restart(state, corrections))
         # The restarted space lies inside the old one and holds Ritz vectors 1..last.
         assert np.allclose(out.ritz_values[:5], state.ritz_values[:5], rtol=1e-10, atol=0)
         assert out.dim < state.dim
         assert np.abs(out.basis.T @ (pencil.mass @ out.basis) - np.eye(out.dim)).max() <= 1e-10
 
+    def test_restarted_chain_keeps_its_parents_pencil_and_config(self, small):
+        hier, pencil, decomp = small
+        config = SolverConfig(restart_dim=13)
+        state, corrections = _iterated(hier, pencil, decomp, ClusterSpec(3, 5), 3, config)
+        out = _grow(*_thick_restart(state, corrections))
+        assert out._buffer is not state._buffer
+        assert out._buffer.pencil is state._buffer.pencil is pencil
+        assert out._buffer.config is state._buffer.config is config
+
     @pytest.mark.parametrize("cluster", [ClusterSpec(3, 5), ClusterSpec(10, 14)],
                              ids=["last-5", "last-14"])
     def test_block_built_in_the_new_buffer_gives_the_same_bits(self, small, cluster):
         hier, pencil, decomp = small
-        state, corrections = _iterated(hier, pencil, decomp, cluster, 4)
+        config = SolverConfig(restart_dim=40 - cluster.count)
+        state, corrections = _iterated(hier, pencil, decomp, cluster, 4, config)
         ritz = linalg.basis_times(state.basis, state.ritz_coeffs[:, 0:cluster.last])
         kept = np.hstack([ritz, corrections])
-        config = SolverConfig(restart_dim=40 - cluster.count)
-        empty, _ = _start_chain(cluster, pencil.n, kept.shape[1], config)
-        want = _grow(empty, kept, pencil)
-        got = _grow(*_thick_restart(state, corrections, pencil, config), pencil)
+        empty, _ = _start_chain(cluster, pencil, kept.shape[1], config)
+        want = _grow(empty, kept)
+        got = _grow(*_thick_restart(state, corrections))
         assert got._buffer.data.shape[1] == 40 and np.shares_memory(got.basis, got._buffer.data)
         assert np.array_equal(corner(got), corner(want))
         for name in ("basis", "ritz_values", "ritz_coeffs", "residual"):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "rss_phases.py"
 MIB = r"([\d.]+) MiB"
 HEAP = r"(?:([\d.]+) MiB|n/a)"
@@ -28,6 +30,15 @@ def phases(*args):
                           rss_in=float(m[7]), rss_out=float(m[8]), heap_in=heap[1],
                           heap_out=heap[2])
     return float(head[1]), rows
+
+
+@pytest.mark.parametrize("args", [("square", "2", "4", "3"), ("square", "2", "4", "3", "x")],
+                         ids=["missing-M", "M-not-an-integer"])
+def test_bad_arguments_exit_with_usage(args):
+    done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage") and "Traceback" not in done.stderr
 
 
 def test_prints_a_peak_for_every_solver_phase():

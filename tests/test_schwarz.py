@@ -76,6 +76,15 @@ class TestPrepare:
         got = prec.apply(rho, 0)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
+    def test_coarse_piece_of_another_fine_mesh_rejected(self, setup, monkeypatch):
+        hier, _, decomp, _ = setup
+        other = build_hierarchy(DomainShape.SQUARE, 2, 5)
+        monkeypatch.setattr(linalg, "factorize_shifted",
+                            lambda *args: pytest.fail("factorized"))
+        with pytest.raises(InvalidArgumentError, match="prolongs to 961 dofs, the local blocks "
+                                                       "have 225"):
+            prepare(LocalBlocks(hier.fine, decomp), build_coarse_piece(other, 3), [1.0, 2.0, 3.0])
+
     def test_empty_shift_list_rejected(self, setup):
         hier, pencil, decomp, coarse = setup
         with pytest.raises(InvalidArgumentError):

@@ -2,6 +2,10 @@
 
     python3 tools/rss_phases.py square 5 8 99 108 [restart_dim]
 
+The arguments are the domain, the coarse and fine levels, the cluster's
+first and last indices m and M, and an optional restart dimension; a
+missing or malformed one exits 2 with the usage line before any solve.
+
 Wraps the set-up calls, the phases of ``eigensolver.solve``, the
 Rayleigh-Ritz step ``_grow`` that startup, iterations and restarts share,
 and the startup's heap release (``linalg.release_free_heap``) as module
@@ -23,6 +27,7 @@ heap as its last call started and returned (``last=``), which for the
 release shows what it handed back.
 """
 
+import argparse
 import ctypes
 import os
 import sys
@@ -96,15 +101,21 @@ def wrap(owner, attr):
     setattr(owner, attr, traced)
 
 
-def main(domain, coarse, fine, m, M, restart_dim=None):
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("domain", choices=[shape.value for shape in mesh.DomainShape])
+    for name in ("coarse", "fine", "m", "M"):
+        parser.add_argument(name, type=int)
+    parser.add_argument("restart_dim", type=int, nargs="?")
+    args = parser.parse_args()
     for owner, attr in PHASES:
         wrap(owner, attr)
     threading.Thread(target=sample, args=(0.002,), daemon=True).start()
-    hier = mesh.build_hierarchy(mesh.DomainShape(domain), int(coarse), int(fine))
+    hier = mesh.build_hierarchy(mesh.DomainShape(args.domain), args.coarse, args.fine)
     pencil = fem.assemble(hier.fine)
     report = eigensolver.solve(hier, pencil, mesh.build_decomposition(hier, 0.25),
-                               eigensolver.ClusterSpec(int(m), int(M)),
-                               eigensolver.SolverConfig(restart_dim=restart_dim and int(restart_dim)))
+                               eigensolver.ClusterSpec(args.m, args.M),
+                               eigensolver.SolverConfig(restart_dim=args.restart_dim))
     dim = report.trace[-1].basis_dim
     print(f"iterations={report.iterations}  basis {dim} columns {8 * pencil.n * dim / 2**20:.1f} MiB"
           f"  hwm={mib(linalg.high_water_mark())}")
@@ -118,4 +129,4 @@ def main(domain, coarse, fine, m, M, restart_dim=None):
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()

@@ -222,8 +222,8 @@ def mass_chebyshev(M):
     Math. 3, 1961), from a zero start on the whole block: one sparse product
     per step and no inner products.  After ``_CHEBYSHEV_STEPS`` steps the
     M-norm error of each column is at most 2 * 3**-30, about 1e-14, of the
-    solution's M-norm.  The function raises InvalidArgumentError, before the
-    first step, for a right-hand side of any other shape.
+    solution's M-norm.  The right-hand side is read as float64.  The function
+    raises InvalidArgumentError, before the first step, for one of any other shape.
     """
     inv_diag = 1.0 / M.diagonal()
     lower, upper = MASS_BRACKET
@@ -233,8 +233,8 @@ def mass_chebyshev(M):
         if np.ndim(rhs) not in (1, 2) or np.shape(rhs)[0] != len(inv_diag):
             raise InvalidArgumentError(f"rhs (n,) or (n, k) with n = {len(inv_diag)} expected, "
                                        f"got {np.shape(rhs)}")
-        scale = inv_diag if rhs.ndim == 1 else inv_diag[:, None]
-        r = rhs.copy()
+        r = np.array(rhs, dtype=np.float64, order="C")
+        scale = inv_diag if r.ndim == 1 else inv_diag[:, None]
         d = scale * r / theta
         x = d.copy()
         rho = delta / theta

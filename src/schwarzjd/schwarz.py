@@ -46,7 +46,6 @@ __all__ = [
     "CoarsePiece",
     "LocalBlocks",
     "SchwarzPreconditioner",
-    "admit_coarse_piece",
     "build_coarse_piece",
     "prepare",
 ]
@@ -81,24 +80,19 @@ class CoarsePiece:
         return float(self.values[0]) * (1.0 - 1e-8) if len(self.values) else np.inf
 
 
-def admit_coarse_piece(hier: MeshHierarchy) -> None:
-    """Raises ProblemTooLargeError, before allocating, when the dense coarse eigensolve of
-    ``hier``, two n_c^2 operands and 2 n_c^2 + 6 n_c + 1 doubles of workspace, exceeds
-    physical memory (``linalg.admit``)."""
-    n_c = hier.coarse.n_dofs
-    linalg.admit(f"the coarse eigensolve at level {hier.coarse.level} ({n_c} dofs)", 32 * n_c**2)
-
-
 def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     """Eigendecompose the coarse pencil of ``hier``; keep the pairs above ``cluster_cut``.
 
     The retained pairs are views of the eigensolve's arrays.  Raises
-    ProblemTooLargeError, before allocating, when the eigensolve does not fit
-    (``admit_coarse_piece``).
+    InvalidArgumentError unless ``cluster_cut`` is an integer >= 0, and
+    ProblemTooLargeError, before allocating, when the dense eigensolve, two
+    n_c^2 operands and 2 n_c^2 + 6 n_c + 1 doubles of workspace, exceeds
+    physical memory (``linalg.admit``).
     """
     if not is_integer(cluster_cut) or cluster_cut < 0:
         raise InvalidArgumentError(f"cluster cut must be an integer >= 0, got {cluster_cut!r}")
-    admit_coarse_piece(hier)
+    n_c = hier.coarse.n_dofs
+    linalg.admit(f"the coarse eigensolve at level {hier.coarse.level} ({n_c} dofs)", 32 * n_c**2)
     pencil = fem.assemble(hier.coarse)
     eig = linalg.dense_generalized_eig(pencil.stiffness, pencil.mass)
     return CoarsePiece(

@@ -221,11 +221,15 @@ class TestConfigValidation:
 
     def test_coarse_eigensolve_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path,
                                                                            monkeypatch):
-        # TINY's coarse level 2 has 9 dofs: the eigensolve needs about 32 * 9^2 bytes
-        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 32 * 9**2 - 1)
+        # Coarse level 3 has 49 dofs: the eigensolve needs 32 * 49^2 bytes, one more than
+        # the budget.  The startup block of M = 2 on the 961 fine dofs needs 3 * 8 * 961 * 2.
+        budget = 32 * 49**2 - 1
+        assert 3 * 8 * 961 * 2 <= budget
+        monkeypatch.setattr(linalg, "_MEMORY_BUDGET", budget)
         out = tmp_path / "run"
-        err = rejected(capsys, ["run", *TINY, "--output-dir", str(out)])
-        assert "coarse eigensolve at level 2 (9 dofs)" in err and "GiB of physical memory" in err
+        err = rejected(capsys, ["run", "--domain", "square", "--coarse", "3", "--fine", "5",
+                                "--m", "1", "--M", "2", "--output-dir", str(out)])
+        assert "coarse eigensolve at level 3 (49 dofs)" in err and "GiB of physical memory" in err
         assert not out.exists()
 
     def test_mesh_beyond_memory_rejected_and_nothing_written(self, capsys, tmp_path):

@@ -165,6 +165,14 @@ class TestInitialize:
             initialize(hier, pencil, ClusterSpec(1, 3))
         assert eigensolves == []
 
+    def test_restart_dim_below_2M_plus_1_rejected_before_the_eigensolve(self, small, monkeypatch):
+        hier, pencil, _ = small
+        eigensolves = []
+        monkeypatch.setattr(linalg, "lowest_eigenpairs", lambda *a: eigensolves.append(a))
+        with pytest.raises(InvalidArgumentError, match="restart dimension must be at least 7"):
+            initialize(hier, pencil, ClusterSpec(1, 3), SolverConfig(restart_dim=6))
+        assert eigensolves == []
+
 
 def exact_state(pencil, cluster):
     """A state grown from the exact discrete eigenvectors 1..cluster.last."""
@@ -752,6 +760,13 @@ class TestStopNorm:
         with pytest.raises(InvalidArgumentError, match=r"rhs \(n,\) or \(n, k\) with n = 961"):
             mass_chebyshev(pencil.mass)(np.ones(shape))
 
+    def test_integer_residual_read_as_float64(self):
+        pencil, _ = _mass_and_factorization("square", 5)
+        R = np.random.default_rng(57).integers(-9, 10, size=(pencil.n, 3))
+        chebyshev = mass_chebyshev(pencil.mass)
+        want = stop_norm(R.astype(np.float64), chebyshev)
+        assert np.float64(stop_norm(R, chebyshev)).tobytes() == np.float64(want).tobytes()
+
     def test_exact_pairs_give_zero(self, small):
         _, pencil, _ = small
         state = exact_state(pencil, ClusterSpec(1, 3))
@@ -895,7 +910,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("inconsistency", ["negative-dof", "dof-past-the-end",
                                                "pencil-of-another-level",
-                                               "cluster-past-the-initialization-mesh"])
+                                               "cluster-past-the-initialization-mesh",
+                                               "restart-dimension-below-2M+1",
+                                               "startup-block-beyond-memory"])
     def test_inconsistent_inputs_rejected_before_any_eigensolve(self, small, inconsistency,
                                                                  monkeypatch):
         hier, pencil, decomp = small
@@ -909,17 +926,22 @@ class TestSolve:
 
         for name in ("dense_generalized_eig", "lowest_eigenpairs", "dense_symmetric_eig"):
             monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
-        cluster = ClusterSpec(1, 3)
+        cluster, config = ClusterSpec(1, 3), SolverConfig()
         with pytest.raises(InvalidArgumentError):
             if inconsistency == "pencil-of-another-level":
                 pencil = assemble(build_mesh(DomainShape.SQUARE, hier.fine.level - 1))
             elif inconsistency == "cluster-past-the-initialization-mesh":
                 cluster = ClusterSpec(1, 49)  # the level-3 initialization mesh has 49 dofs
+            elif inconsistency == "restart-dimension-below-2M+1":
+                config = SolverConfig(restart_dim=2 * cluster.last)
+            elif inconsistency == "startup-block-beyond-memory":
+                # one byte short of three n x 3 blocks; the coarse eigensolve would fit
+                monkeypatch.setattr(linalg, "_MEMORY_BUDGET", 3 * 8 * pencil.n * cluster.last - 1)
             else:  # every dof moved one down (0 becomes -1) or one up (n - 1 becomes n)
                 by = -1 if inconsistency == "negative-dof" else 1
                 decomp = Decomposition(dofs=decomp.dofs + by, offsets=decomp.offsets,
                                        overlap_layers=decomp.overlap_layers)
-            solve(hier, pencil, decomp, cluster, SolverConfig())
+            solve(hier, pencil, decomp, cluster, config)
         assert eigensolves == []
 
     def test_max_iter_reached_flags_non_convergence(self, small):

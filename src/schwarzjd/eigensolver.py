@@ -113,6 +113,8 @@ class ClusterSpec:
     def __post_init__(self):
         if not (is_integer(self.first) and is_integer(self.last)):
             raise InvalidArgumentError(f"need integer m and M, got m={self.first!r}, M={self.last!r}")
+        object.__setattr__(self, "first", int(self.first))
+        object.__setattr__(self, "last", int(self.last))
         if not 1 <= self.first <= self.last:
             raise InvalidArgumentError(f"need 1 <= m <= M, got m={self.first}, M={self.last}")
 
@@ -136,6 +138,9 @@ class SolverConfig:
             raise InvalidArgumentError(f"max_iter must be >= 1 and an integer, got {self.max_iter!r}")
         if not (self.restart_dim is None or is_integer(self.restart_dim)):
             raise InvalidArgumentError(f"restart_dim must be an integer, got {self.restart_dim!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
+        if self.restart_dim is not None:
+            object.__setattr__(self, "restart_dim", int(self.restart_dim))
 
 
 def _admit_basis(n: int, columns: int) -> int:
@@ -267,12 +272,12 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
     The new state starts a chain (``_start_chain``, with ``config``, by
-    default ``SolverConfig()``); the lifted eigenvectors are written into
-    the first columns of its buffer and orthonormalized there.  The
-    startup's temporaries (the sparse factorization of the initialization
-    pencil, the lifted block, the Gram-Schmidt blocks) outgrow those of any
-    later iteration, so it ends by returning the heap they freed to the
-    operating system (``linalg.release_free_heap``).
+    default ``SolverConfig()``); the eigenvectors, lifted by
+    ``hier.fine_to_initial.T``, are written into the first columns of its
+    buffer and orthonormalized there.  The startup's temporaries (the sparse
+    factorization of the initialization pencil, the lifted block, the
+    Gram-Schmidt blocks) outgrow those of any later iteration, so it ends by
+    returning the heap they freed to the OS (``linalg.release_free_heap``).
 
     Raises, before the eigensolve, what ``_check_startup`` raises.
     """
@@ -281,7 +286,7 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
     state, block = _start_chain(cluster, pencil, cluster.last, config)
-    block[:] = hier.initial_to_fine @ init.vectors
+    block[:] = hier.fine_to_initial.T @ init.vectors
     state = _grow(state, block)
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()

@@ -37,7 +37,10 @@ class ProblemTooLargeError(InvalidArgumentError):
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or NumPy integer; a bool is not a count."""
+    """Whether ``value`` is a Python or NumPy integer; a bool is not a count.
+
+    A caller that computes with an accepted value keeps it as ``int(value)``:
+    arithmetic on a NumPy integer wraps at its width, silently in arrays."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

@@ -268,6 +268,7 @@ def admit(what: str, unit: int, count: int = 1, remedy: str = "") -> int:
     Otherwise raises ProblemTooLargeError: "<what> needs X GiB, more than the
     Y GiB of physical memory<remedy>".
     """
+    unit, count = int(unit), int(count)  # a NumPy integer product would wrap
     need = unit * count
     if need > _MEMORY_BUDGET:
         raise ProblemTooLargeError(
@@ -392,6 +393,7 @@ def lowest_eigenpairs(K, M, k: int) -> EigenBasis:
     n = K.shape[0]
     if not is_integer(k) or not 1 <= k < n:
         raise InvalidArgumentError(f"need an integer count 1 <= k < {n}, got k={k!r}")
+    k = int(k)
     if n <= DENSE_LIMIT or 2 * k >= n:
         return _mapped_eigh(K, M, subset=(0, k - 1))
     fact = factorize(K, expect_spd=True)

@@ -106,6 +106,7 @@ def build_mesh(shape: DomainShape, level: int) -> Mesh:
     """
     if not is_integer(level) or level < 1:
         raise InvalidArgumentError(f"mesh level must be a positive integer, got {level!r}")
+    level = int(level)  # a NumPy integer would wrap in the lattice arithmetic
     shape = DomainShape(shape)
     # The dof grid has 2^k + 1 lattice points per side, 8 bytes each.  No memory holds
     # a side of 2^64 + 1: past k = 64 the count (and the GiB reported) is that of 64.
@@ -147,19 +148,19 @@ def _restriction(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class MeshHierarchy:
-    """Nested coarse / initial / fine meshes with interpolation matrices.
+    """Nested coarse / initial / fine meshes with the restriction from the fine one to each.
 
     The initial mesh is one level finer than the coarse one (level
     ``coarse_level + 1``, spacing halved), so the spaces are nested:
-    V_coarse < V_initial < V_fine; ``fine_to_coarse`` is the P' built for ``coarse_to_fine``.
+    V_coarse < V_initial < V_fine.  ``fine_to_coarse`` and ``fine_to_initial``
+    are the restrictions P'; each interpolation P is their transposed view.
     """
 
     coarse: Mesh
     initial: Mesh
     fine: Mesh
-    coarse_to_fine: sp.csr_matrix
     fine_to_coarse: sp.csr_matrix
-    initial_to_fine: sp.csr_matrix
+    fine_to_initial: sp.csr_matrix
 
     @property
     def refinement_ratio(self) -> int:
@@ -172,6 +173,7 @@ def build_hierarchy(shape: DomainShape, coarse_level: int, fine_level: int) -> M
     if not (is_integer(coarse_level) and is_integer(fine_level)):
         raise InvalidArgumentError(
             f"mesh levels must be integers, got coarse {coarse_level!r}, fine {fine_level!r}")
+    coarse_level, fine_level = int(coarse_level), int(fine_level)
     if coarse_level < 1:
         raise InvalidArgumentError(f"coarse level must be >= 1, got {coarse_level}")
     if fine_level < coarse_level + 1:
@@ -182,14 +184,12 @@ def build_hierarchy(shape: DomainShape, coarse_level: int, fine_level: int) -> M
     coarse = build_mesh(shape, coarse_level)
     initial = build_mesh(shape, coarse_level + 1)
     fine = build_mesh(shape, fine_level)
-    fine_to_coarse = _restriction(coarse, fine)
     return MeshHierarchy(
         coarse=coarse,
         initial=initial,
         fine=fine,
-        coarse_to_fine=fine_to_coarse.T.tocsr(),
-        fine_to_coarse=fine_to_coarse,
-        initial_to_fine=_restriction(initial, fine).T.tocsr(),
+        fine_to_coarse=_restriction(coarse, fine),
+        fine_to_initial=_restriction(initial, fine),
     )
 
 
@@ -213,9 +213,14 @@ class Decomposition:
 
     def __post_init__(self):
         """Store ``dofs`` and ``offsets`` as int64 arrays (an int64 array is not
-        copied), and reject a non-integer dtype, a dofs that is not 1-D or offsets that do
+        copied) and ``overlap_layers`` as an int, and reject an overlap that is not an
+        integer >= 1, a non-integer dtype, a dofs that is not 1-D or offsets that do
         not run from 0 to its length, an empty subdomain, one not strictly ascending or a
         negative dof."""
+        if not is_integer(self.overlap_layers) or self.overlap_layers < 1:
+            raise InvalidArgumentError(
+                f"overlap_layers must be an integer >= 1, got {self.overlap_layers!r}")
+        object.__setattr__(self, "overlap_layers", int(self.overlap_layers))
         for name in ("dofs", "offsets"):
             array = np.asarray(getattr(self, name))
             if array.dtype.kind not in "iu":

@@ -20,6 +20,7 @@ def exact_square_eigenvalues(count: int) -> np.ndarray:
     """First ``count`` Dirichlet Laplacian eigenvalues of (0, pi)^2: sorted {p^2 + q^2}, float64."""
     if not is_integer(count) or count < 1:
         raise InvalidArgumentError(f"count must be an integer >= 1, got {count!r}")
+    count = int(count)
     # One pass suffices with B = bound.  Every pair with p^2 + q^2 <= B^2 has
     # p, q <= B, so it is enumerated, and every pair left out exceeds B^2.
     # The unit squares whose upper-right corners are those pairs cover the

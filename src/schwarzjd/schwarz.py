@@ -55,15 +55,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class CoarsePiece:
-    """Coarse interpolation plus the retained coarse eigenpairs.
+    """Coarse restriction plus the retained coarse eigenpairs.
 
     ``values``/``vectors`` are the eigenpairs of the coarse pencil above the
     cut, ascending and mass-orthonormal: the coarse solve sums over them,
-    and a one-level piece retains none ((n_c, 0) vectors).  ``prolongation``
-    and ``restriction`` are the hierarchy's ``coarse_to_fine`` and ``fine_to_coarse``.
+    and a one-level piece retains none ((n_c, 0) vectors).  ``restriction``
+    is the hierarchy's ``fine_to_coarse`` P'; the solve prolongs by its transposed view.
     """
 
-    prolongation: sp.csr_matrix
     restriction: sp.csr_matrix
     values: np.ndarray
     vectors: np.ndarray
@@ -83,7 +82,8 @@ class CoarsePiece:
 def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     """Eigendecompose the coarse pencil of ``hier``; keep the pairs above ``cluster_cut``.
 
-    The retained pairs are views of the eigensolve's arrays.  Raises
+    The retained pairs are views of the eigensolve's arrays, and the
+    restriction is ``hier.fine_to_coarse`` itself, not a copy.  Raises
     InvalidArgumentError unless ``cluster_cut`` is an integer >= 0, and
     ProblemTooLargeError, before allocating, when the dense eigensolve, two
     n_c^2 operands and 2 n_c^2 + 6 n_c + 1 doubles of workspace, exceeds
@@ -91,12 +91,12 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
     """
     if not is_integer(cluster_cut) or cluster_cut < 0:
         raise InvalidArgumentError(f"cluster cut must be an integer >= 0, got {cluster_cut!r}")
+    cluster_cut = int(cluster_cut)
     n_c = hier.coarse.n_dofs
     linalg.admit(f"the coarse eigensolve at level {hier.coarse.level} ({n_c} dofs)", 32 * n_c**2)
     pencil = fem.assemble(hier.coarse)
     eig = linalg.dense_generalized_eig(pencil.stiffness, pencil.mass)
     return CoarsePiece(
-        prolongation=hier.coarse_to_fine,
         restriction=hier.fine_to_coarse,
         values=eig.values[cluster_cut:],
         vectors=eig.vectors[:, cluster_cut:],
@@ -171,6 +171,7 @@ class SchwarzPreconditioner:
 
     def __init__(self, coarse, shifts, factorizations, blocks, clamped_shifts):
         self.coarse = coarse
+        self._prolongation = coarse.restriction.T  # a view; forming it takes ~30 us an apply
         self.shifts = shifts
         self._factorizations = factorizations  # per shift, one per operator class
         self._blocks = blocks
@@ -190,7 +191,7 @@ class SchwarzPreconditioner:
         cp = self.coarse
         d = cp.vectors.T @ (cp.restriction @ rho)
         d /= cp.values - self.shifts[i]
-        return cp.prolongation @ (cp.vectors @ d)
+        return self._prolongation @ (cp.vectors @ d)
 
     def apply_local(self, rho: np.ndarray, i: int) -> np.ndarray:
         """Sum of the subdomain solves: one multi-right-hand-side solve per
@@ -225,8 +226,8 @@ def prepare(blocks: LocalBlocks, coarse: CoarsePiece, shifts) -> SchwarzPrecondi
     numbers (``errors.is_number``: a bool or a string is not one) and
     ``coarse`` was built for the fine mesh of ``blocks``.
     """
-    if coarse.prolongation.shape[0] != blocks.n:
-        raise InvalidArgumentError(f"the coarse piece prolongs to {coarse.prolongation.shape[0]} "
+    if coarse.restriction.shape[1] != blocks.n:
+        raise InvalidArgumentError(f"the coarse piece prolongs to {coarse.restriction.shape[1]} "
                                    f"dofs, the local blocks have {blocks.n}")
     listed = list(shifts) if np.iterable(shifts) else []
     if not listed or not all(map(is_number, listed)) or not np.all(np.isfinite(listed)):

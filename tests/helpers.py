@@ -96,7 +96,7 @@ def dense_preconditioner(pencil, decomp, coarse, shift):
     for dofs in decomp.subdomains:
         block = np.linalg.inv(K[np.ix_(dofs, dofs)] - shift * M[np.ix_(dofs, dofs)])
         B[np.ix_(dofs, dofs)] += block
-    P, U = coarse.prolongation.toarray(), coarse.vectors  # U is (n_c, 0) when one-level
+    P, U = coarse.restriction.T.toarray(), coarse.vectors  # U is (n_c, 0) when one-level
     B += P @ (U @ np.diag(1.0 / (coarse.values - shift)) @ U.T) @ P.T
     return B
 

@@ -79,7 +79,7 @@ class TestAssembly:
         hier = build_hierarchy(shape, 2, 4)
         fine = assemble(hier.fine)
         coarse = assemble(hier.coarse)
-        P = hier.coarse_to_fine
+        P = hier.fine_to_coarse.T
         for fine_mat, coarse_mat in [(fine.stiffness, coarse.stiffness), (fine.mass, coarse.mass)]:
             projected = (P.T @ (fine_mat @ P)).toarray()
             target = coarse_mat.toarray()

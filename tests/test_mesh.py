@@ -130,13 +130,14 @@ class TestHierarchy:
 
     def test_prolongation_shape(self):
         hier = build_hierarchy(DomainShape.SQUARE, 3, 4)
-        assert hier.coarse_to_fine.shape == (225, 49)
+        assert hier.fine_to_coarse.T.shape == (225, 49)
+        assert hier.fine_to_initial.T.shape == (225, 225)
 
     def test_nodal_basis_reproduced_at_coincident_fine_node(self):
         hier = build_hierarchy(DomainShape.SQUARE, 3, 4)
         e1 = np.zeros(49)
         e1[0] = 1.0
-        lifted = hier.coarse_to_fine @ e1
+        lifted = hier.fine_to_coarse.T @ e1
         coarse_xy = dof_points(hier.coarse)[0]
         fine_xy = dof_points(hier.fine)
         at = np.where(np.all(np.isclose(fine_xy, coarse_xy), axis=1))[0]
@@ -149,7 +150,7 @@ class TestHierarchy:
         # node positions is the identity
         hier = build_hierarchy(shape, 2, 4)
         r = hier.refinement_ratio
-        P = hier.coarse_to_fine.toarray()
+        P = hier.fine_to_coarse.T.toarray()
         coarse_lat = hier.coarse.dof_lattice()
         fine_grid = hier.fine.dof_grid
         fine_rows = fine_grid[coarse_lat[:, 1] * r, coarse_lat[:, 0] * r]
@@ -160,7 +161,7 @@ class TestHierarchy:
     def test_partition_of_unity_away_from_boundary(self):
         hier = build_hierarchy(DomainShape.SQUARE, 2, 4)
         ones = np.ones(hier.coarse.n_dofs)
-        lifted = hier.coarse_to_fine @ ones
+        lifted = hier.fine_to_coarse.T @ ones
         fine_xy = dof_points(hier.fine)
         g_coarse = hier.coarse.spacing
         interior = np.all(
@@ -187,7 +188,7 @@ def test_prolongations_are_galerkin(shape, levels):
     # nested P1 spaces: interpolation reproduces the coarse forms exactly
     hier = build_hierarchy(shape, *levels)
     fine = assemble(hier.fine)
-    for P, mesh in ((hier.coarse_to_fine, hier.coarse), (hier.initial_to_fine, hier.initial)):
+    for P, mesh in ((hier.fine_to_coarse.T, hier.coarse), (hier.fine_to_initial.T, hier.initial)):
         pencil = assemble(mesh)
         assert galerkin_error(P, fine.stiffness, pencil.stiffness) <= 1e-13
         assert galerkin_error(P, fine.mass, pencil.mass) <= 1e-13
@@ -249,15 +250,38 @@ level_pairs = st.integers(1, 6).flatmap(lambda c: st.tuples(st.just(c), st.integ
 @example(shape=DomainShape.SQUARE, levels=(5, 8))
 def test_prolongation_matches_coo_reference(shape, levels):
     hier = build_hierarchy(shape, *levels)
-    assert_same_csr(hier.coarse_to_fine, reference_prolongation(hier.coarse, hier.fine))
-    assert_same_csr(hier.initial_to_fine, reference_prolongation(hier.initial, hier.fine))
+    for restriction, mesh in ((hier.fine_to_coarse, hier.coarse), (hier.fine_to_initial, hier.initial)):
+        assert_same_csr(restriction.T.tocsr(), reference_prolongation(mesh, hier.fine))
 
 
 @pytest.mark.parametrize("coarse_level", [2, 3, 4, 5])
 @pytest.mark.parametrize("shape", list(DomainShape), ids=lambda shape: shape.value)
 def test_kept_restriction_is_the_transposed_prolongation(shape, coarse_level):
     hier = build_hierarchy(shape, coarse_level, coarse_level + 2)
-    assert_same_csr(hier.fine_to_coarse, hier.coarse_to_fine.T.tocsr())
+    for restriction, mesh in ((hier.fine_to_coarse, hier.coarse), (hier.fine_to_initial, hier.initial)):
+        assert_same_csr(restriction, reference_prolongation(mesh, hier.fine).T.tocsr())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(list(DomainShape)),
+       levels=st.integers(1, 4).flatmap(
+           lambda c: st.tuples(st.just(c), st.integers(c + 1, c + 4))),
+       columns=st.one_of(st.none(), st.integers(1, 40)), order=st.sampled_from("CF"))
+# the three benchmark hierarchies and the golden one, which the draws need not reach
+@example(shape=DomainShape.SQUARE, levels=(3, 6), columns=None, order="C")
+@example(shape=DomainShape.SQUARE, levels=(3, 5), columns=10, order="F")
+@example(shape=DomainShape.LSHAPE, levels=(4, 6), columns=3, order="C")
+@example(shape=DomainShape.SQUARE, levels=(5, 8), columns=40, order="F")
+def test_transposed_restriction_products_match_csr_copy(shape, levels, columns, order):
+    # A product with the transposed view adds each fine entry's terms in the
+    # ascending coarse order of a CSR copy of the prolongation, bit for bit.
+    hier = build_hierarchy(shape, *levels)
+    rng = np.random.default_rng([levels[0], levels[1], columns or 0])
+    for restriction in (hier.fine_to_coarse, hier.fine_to_initial):
+        size = (restriction.shape[0],) if columns is None else (restriction.shape[0], columns)
+        x = np.asarray(rng.standard_normal(size), order=order)
+        got, want = restriction.T @ x, restriction.T.tocsr() @ x
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -345,6 +369,12 @@ class TestDecomposition:
         dofs = np.array([i for d in sets for i in d], dtype=np.int64)
         with pytest.raises(InvalidArgumentError, match="non-empty and strictly ascending"):
             Decomposition(dofs=dofs, offsets=offsets, overlap_layers=1)
+
+    @pytest.mark.parametrize("layers", ["a", -1, 0, 1.0, True])
+    def test_overlap_that_is_not_a_positive_integer_rejected(self, layers):
+        message = f"overlap_layers must be an integer >= 1, got {layers!r}"
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            Decomposition(dofs=[0, 1], offsets=[0, 2], overlap_layers=layers)
 
     @pytest.mark.parametrize("name", ["dofs", "offsets"])
     def test_non_integer_arrays_rejected(self, name):

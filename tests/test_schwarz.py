@@ -350,6 +350,18 @@ def test_coarse_piece_restricts_with_the_hierarchy_restriction(setup):
         assert np.shares_memory(getattr(prolongation, name), kept)
 
 
+@pytest.mark.parametrize("shape", DOMAINS, ids=lambda shape: shape.value)
+def test_restriction_products_match_transpose(shape):
+    # The CSR restriction sums each coarse row in ascending fine-dof order,
+    # as a product with the transpose of a CSR prolongation does.
+    coarse = problem(shape, 3, 6)[3]
+    assert coarse.restriction.format == "csr"
+    prolongation = coarse.restriction.T.tocsr()
+    rng = np.random.default_rng(5)
+    for x in rng.standard_normal((50, prolongation.shape[0])):
+        assert (coarse.restriction @ x).tobytes() == (prolongation.T @ x).tobytes()
+
+
 class TestApply:
     def test_zero_input_zero_output(self, setup):
         hier, pencil, decomp, coarse = setup

@@ -222,6 +222,7 @@ def _run(config: ExperimentConfig) -> tuple[int, SolverReport]:
         "config": dataclasses.asdict(config),
         "dof_count": pencil.n,
         "subdomain_count": decomp.n_subdomains,
+        "overlap_layers": decomp.overlap_layers,
         "iterations": report.iterations,
         "converged": report.converged,
         "stagnated": report.stagnated,

@@ -32,31 +32,31 @@ initialization-mesh eigenvalues.  Each outer iteration then
 One private routine, ``_grow``, is the only Rayleigh-Ritz step: it
 mass-orthonormalizes new vectors against the trial basis, borders the
 projected stiffness matrix by the accepted columns and solves the small
-eigenproblem.  It also forms, once per state, the cluster Ritz vectors U,
+eigenproblem.  It also forms, once per growth, the cluster Ritz vectors U,
 their mass images M U and the residual block R = lam M U - K U, whose
 columns are the rho_i; the stop bounds, the exact stop norm and the next
 correction all read that block.  Startup grows an empty basis by the
 lifted vectors, each outer iteration grows the current basis by its
 corrections, and the optional thick restart (``restart_dim``) grows an
 empty basis by Ritz vectors 1..last and the newest corrections.  Both of
-these chain starts write their block straight into the new chain's buffer,
-and the restart drops the old chain before its block grows.
+these chain starts write their block straight into the new chain's
+storage, and the restart drops the old chain before its block grows.
 
-Iteration states are immutable; a step that grows the basis returns a new
-one.  A state's basis is a read-only view of the leading columns of a
-Fortran-ordered buffer that a chain of states shares, and its projected
+One ``IterationState`` is one chain: it keeps the pencil and config it was
+started with and grows in place.  Its basis is a read-only view of the
+leading columns of a Fortran-ordered ``data`` array, and its projected
 matrix is the lower triangle, all that ``dsyevd`` reads and ``_grow``
-writes, packed row by row in the buffer's flat ``projected`` array: row i
-from offset i (i + 1) / 2, so the first dim (dim + 1) / 2 entries are the
-state's matrix and a growth appends rows behind them.
-``_start_chain`` starts every chain (startup, and each thick restart) with
-the pencil and config that its buffers keep, and reserves them once, for
-the largest basis the run can reach; they are never copied: only the newest
-state of a chain grows, in place, behind the views the older states hold.  The small
-eigenproblem is unpacked into the lower triangle of an operand that the
-chain reuses and solved there (``linalg.dense_symmetric_eig``), and a
-state keeps only the Ritz coefficients of columns 1..last.  The
-reservations are anonymous memory maps, backed only as they are written.
+writes, packed row by row in the flat ``projected`` array: row i from
+offset i (i + 1) / 2, so the first dim (dim + 1) / 2 entries are the
+current matrix and a growth appends rows behind them.  Both are reserved
+once, when the chain starts (startup, and each thick restart), for the
+largest basis the run can reach, and never copied.  Each growth replaces
+the Ritz data by new read-only arrays, so those a caller held keep their
+bytes.  The small eigenproblem is unpacked into the lower triangle of an
+operand that the chain reuses and solved there
+(``linalg.dense_symmetric_eig``), and a state keeps only the Ritz
+coefficients of columns 1..last.  The reservations are anonymous memory
+maps, backed only as they are written.
 The basis takes 8 n dim bytes; the projected eigensolve takes the packed
 matrix, 4 dim (dim + 1) bytes, the operand, 8 dim^2, and the 1 + 6 dim +
 2 dim^2 doubles of workspace that SciPy allocates for ``dsyevd`` on each
@@ -158,65 +158,53 @@ def _admit_basis(n: int, columns: int) -> int:
     return fits
 
 
-class _BasisBuffer:
-    """Pencil, config and storage of a chain of states; basis columns [0, filled) are written.
+class IterationState:
+    """A chain of Rayleigh-Ritz states: the mass-orthonormal trial basis, its Ritz data and
+    the storage in which they grow.
 
-    ``_start_chain`` makes one per chain, of the ``reserve`` columns ``config`` sets, at least
-    ``need`` and at most n + need and those that fit (``_admit_basis``): a
-    ``linalg.mapped_zeros`` n x columns array ``data``, backed only as
-    columns are written, and, with side = min(columns, n), two flat maps:
-    ``projected``, side (side + 1) / 2 doubles that hold the lower triangle
-    of the projected matrix row by row (row i, entries 0..i, from offset
-    i (i + 1) / 2), so that its first dim (dim + 1) / 2 entries are the
-    projected matrix of the basis [0, dim) and bordering it appends rows to
-    untouched pages, and ``operand``, side^2 doubles in which the projected
-    eigensolve unpacks and solves it.
+    ``IterationState(cluster, pencil, config, need)`` starts a chain without basis
+    columns.  It keeps ``pencil`` and ``config`` and reserves once the largest basis
+    a run with ``config`` can reach: last + max_iter * count columns, or
+    restart_dim + count with restarts, at least ``need`` and at most n + need and
+    those that fit (``_admit_basis``).  ``data`` is that n x columns
+    ``linalg.mapped_zeros`` array, backed only as columns are written; with
+    side = min(columns, n), the flat ``projected`` holds side (side + 1) / 2
+    doubles, the lower triangle of the projected stiffness matrix basis' K basis
+    row by row (row i, entries 0..i, from offset i (i + 1) / 2), so that bordering
+    it appends rows to untouched pages, and the flat ``operand`` side^2 doubles,
+    in which the projected eigensolve unpacks and solves it.
+
+    ``_grow`` writes behind the basis and its projected rows in place, then
+    replaces the Ritz data: ``basis`` (n x dim, the leading columns of
+    ``data``), ``ritz_values`` (all dim eigenvalues, ascending), ``ritz_coeffs``
+    (dim x last, the eigenvectors of values 1..last only: Ritz vector j, 1-based,
+    is basis @ ritz_coeffs[:, j-1]) and the cluster block first..last:
+    ``cluster_vectors`` U, ``mass_vectors`` M U and the ``residual`` block R, one
+    column rho_i per cluster index.  Each is a new read-only array, so one that a
+    caller holds keeps its bytes as the chain grows.
     """
 
-    def __init__(self, pencil: fem.SparsePencil, config: SolverConfig, need: int, reserve: int):
-        self.pencil, self.config, n = pencil, config, pencil.n
+    def __init__(self, cluster: ClusterSpec, pencil: fem.SparsePencil, config: SolverConfig,
+                 need: int):
+        n = pencil.n
+        reserve = (cluster.last + config.max_iter * cluster.count if config.restart_dim is None
+                   else config.restart_dim + cluster.count)
         columns = max(need, min(reserve, n + need, _admit_basis(n, need)))
         side = min(columns, n)
+        self.cluster, self.pencil, self.config = cluster, pencil, config
         self.data = linalg.mapped_zeros(n, columns)
         self.projected = linalg.mapped_zeros(side * (side + 1) // 2, 1)[:, 0]
         self.operand = linalg.mapped_zeros(side * side, 1)[:, 0]
-        self.filled = 0
+        empty = self.data[:, :0]
+        self._hold(empty, np.empty(0), np.empty((0, 0)), empty, empty, empty)
 
-
-@dataclass(frozen=True, eq=False)
-class IterationState:
-    """Mass-orthonormal trial basis with its Ritz data.
-
-    ``basis`` spans the trial subspace (n x dim), a view of the leading
-    columns of the chain's buffer (with its pencil and config), which only the newest state extends;
-    the lower triangle of the projected stiffness matrix basis' K basis is
-    packed row by row in the first dim (dim + 1) / 2 entries of the buffer's
-    ``projected`` array, which later states border by appending rows.
-    ``ritz_values`` holds all dim of its eigenvalues, ascending, and
-    ``ritz_coeffs`` (dim x last) the eigenvectors of values 1..last only:
-    Ritz vector j (1-based, j <= last) is basis @ ritz_coeffs[:, j-1].  The
-    Rayleigh-Ritz step forms the cluster block first..last once:
-    ``cluster_vectors`` U, ``mass_vectors`` M U and the ``residual`` block R,
-    one column rho_i per cluster index.  The four n-row arrays are
-    read-only; states are immutable, and a growth returns a new one.
-    """
-
-    cluster: ClusterSpec
-    basis: np.ndarray
-    ritz_values: np.ndarray
-    ritz_coeffs: np.ndarray
-    cluster_vectors: np.ndarray
-    mass_vectors: np.ndarray
-    residual: np.ndarray
-    _buffer: _BasisBuffer = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("basis", "cluster_vectors", "mass_vectors", "residual"):
-            array = getattr(self, name)
-            if array.flags.writeable:  # a read-only view; a basis buffer stays writable
-                view = array.view()
-                view.flags.writeable = False
-                object.__setattr__(self, name, view)
+    def _hold(self, basis, ritz_values, ritz_coeffs, cluster_vectors, mass_vectors, residual):
+        """Replace the Ritz data by these arrays, made read-only."""
+        for array in (basis, ritz_values, ritz_coeffs, cluster_vectors, mass_vectors, residual):
+            array.flags.writeable = False
+        self.basis, self.ritz_values, self.ritz_coeffs = basis, ritz_values, ritz_coeffs
+        self.cluster_vectors, self.mass_vectors = cluster_vectors, mass_vectors
+        self.residual = residual
 
     @property
     def dim(self) -> int:
@@ -271,12 +259,11 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
                config: SolverConfig | None = None) -> IterationState:
     """Startup: eigensolve on the initialization mesh, lift, and project.
 
-    The new state starts a chain (``_start_chain``, with ``config``, by
-    default ``SolverConfig()``); the eigenvectors, lifted by
-    ``hier.fine_to_initial.T``, are written into the first columns of its
-    buffer and orthonormalized there.  The startup's temporaries (the sparse
-    factorization of the initialization pencil, the lifted block, the
-    Gram-Schmidt blocks) outgrow those of any later iteration, so it ends by
+    The state starts a chain (with ``config``, by default ``SolverConfig()``);
+    the eigenvectors, lifted by ``hier.fine_to_initial.T``, are written into
+    the first columns of its ``data`` and orthonormalized there.  The
+    startup's temporaries (the sparse factorization of the initialization
+    pencil, the lifted block, the Gram-Schmidt blocks) outgrow those of any later iteration, so it ends by
     returning the heap they freed to the OS (``linalg.release_free_heap``).
 
     Raises, before the eigensolve, what ``_check_startup`` raises.
@@ -285,9 +272,10 @@ def initialize(hier: MeshHierarchy, pencil: fem.SparsePencil, cluster: ClusterSp
     _check_startup(hier, pencil, cluster, config)
     init_pencil = fem.assemble(hier.initial)
     init = linalg.lowest_eigenpairs(init_pencil.stiffness, init_pencil.mass, cluster.last)
-    state, block = _start_chain(cluster, pencil, cluster.last, config)
+    state = IterationState(cluster, pencil, config, cluster.last)
+    block = state.data[:, :cluster.last]
     block[:] = hier.fine_to_initial.T @ init.vectors
-    state = _grow(state, block)
+    _grow(state, block)
     del init_pencil, init  # their heap is released too
     linalg.release_free_heap()
     return state
@@ -334,11 +322,12 @@ def correction_step(state: IterationState, prec: schwarz.SchwarzPreconditioner) 
 
 
 def rayleigh_ritz(state: IterationState, new_vectors: np.ndarray) -> IterationState:
-    """Grow the basis by ``new_vectors`` and re-solve the projected problem.
+    """Grow the basis of ``state`` in place by ``new_vectors``, re-solve the projected
+    problem and return ``state``.
 
     Near-dependent columns are dropped during mass-orthonormalization; if all
-    are dropped ``state`` itself is returned.  Ritz values of retained
-    indices never increase (the subspaces are nested).  Only a chain's newest state grows.
+    are dropped ``state`` is left as it was.  Ritz values of retained indices
+    never increase (the subspaces are nested).
     """
     return _grow(state, new_vectors)
 
@@ -380,68 +369,52 @@ def stop_bounds(residual: np.ndarray, mass_diagonal: np.ndarray) -> tuple[float,
 def _thick_restart(state: IterationState, corrections) -> tuple[IterationState, np.ndarray]:
     """Start a new chain from Ritz vectors 1..last plus the newest corrections.
 
-    The chain starts with ``_start_chain``, with the old chain's pencil and
-    config.  The Ritz vectors are formed straight into the first columns of
-    its buffer, by the product that ``linalg.basis_times`` forms, and the
-    corrections are copied beside them.  Returns the chain's empty state and
-    that block, which ``_grow`` orthonormalizes in place.  ``state`` is no
-    longer read, so a caller that drops it before the growth frees the old basis first.
+    The chain keeps the pencil and config of ``state``.  The Ritz vectors are
+    formed straight into the first columns of its ``data``, by the product that
+    ``linalg.basis_times`` forms, and the corrections are copied beside them.
+    Returns the chain, still without basis columns, and that block, which
+    ``_grow`` orthonormalizes in place.  ``state`` is no longer read, so a
+    caller that drops it before the growth frees the old basis first.
     """
-    last, old = state.cluster.last, state._buffer
-    empty, block = _start_chain(state.cluster, old.pencil, last + corrections.shape[1], old.config)
+    last = state.cluster.last
+    need = last + corrections.shape[1]
+    new = IterationState(state.cluster, state.pencil, state.config, need)
+    block = new.data[:, :need]
     np.matmul(state.ritz_coeffs.T, state.basis.T, out=block[:, :last].T)
     block[:, last:] = corrections
-    return empty, block
-
-
-def _start_chain(cluster: ClusterSpec, pencil: fem.SparsePencil, need: int,
-                 config: SolverConfig) -> tuple[IterationState, np.ndarray]:
-    """A new chain's state without basis columns, and the first ``need`` columns of its buffer.
-
-    The buffer reserves the largest basis a run with ``config`` can reach:
-    last + max_iter * count columns, or restart_dim + count with restarts.
-    """
-    reserve = (cluster.last + config.max_iter * cluster.count if config.restart_dim is None
-               else config.restart_dim + cluster.count)
-    buffer = _BasisBuffer(pencil, config, need, reserve)
-    empty = buffer.data[:, :0]
-    state = IterationState(cluster, empty, np.empty(0), np.empty((0, 0)), empty, empty, empty, buffer)
-    return state, buffer.data[:, :need]
+    return new, block
 
 
 def _grow(state: IterationState, new_vectors) -> IterationState:
-    """The Rayleigh-Ritz step: the one place the trial basis grows.
+    """The Rayleigh-Ritz step: the one place a trial basis grows; returns ``state``.
 
     Mass-orthonormalizes the k columns of ``new_vectors`` against the basis,
     borders the projected stiffness matrix below its diagonal by the accepted
-    columns, re-solves it and forms the cluster block U, M U and R of the new state.
-    Returns ``state`` itself when every column is dropped.
+    columns, re-solves it and forms the cluster block U, M U and R.  Leaves
+    ``state`` as it was when every column is dropped.
 
-    The orthonormalization writes straight into the chain's buffer, behind
-    the basis, and the border into its packed projected rows, behind the
+    The orthonormalization writes straight into ``state.data``, behind the
+    basis, and the border into its packed ``projected`` rows, behind the
     projected matrix: new row dim + r is column r of basis' K accepted
     followed by entries 0..r of row r of the symmetrized corner.
     ``new_vectors`` may be those very columns, as the chain starts pass
-    them.  No existing state changes.  Raises, writing nothing,
-    InvalidArgumentError when ``new_vectors`` is not an (n, k) block, when
-    ``state`` is not its buffer's newest state or when the buffer lacks room
-    for k more columns (ProblemTooLargeError when dim + k columns, or their
-    projected eigensolve, exceed physical memory), and EigensolverError when
-    the projected eigensolve fails.
+    them.  Then the Ritz data are replaced by new read-only arrays.  Raises,
+    writing nothing, InvalidArgumentError when ``new_vectors`` is not an
+    (n, k) block or when the chain lacks room for k more columns
+    (ProblemTooLargeError when dim + k columns, or their projected
+    eigensolve, exceed physical memory), and EigensolverError, with the Ritz
+    data unchanged, when the projected eigensolve fails.
     """
-    buffer, pencil = state._buffer, state._buffer.pencil
+    pencil = state.pencil
     if np.ndim(new_vectors) != 2 or np.shape(new_vectors)[0] != pencil.n:
         raise InvalidArgumentError(f"a block of new vectors ({pencil.n}, k) expected, "
                                    f"got shape {np.shape(new_vectors)}")
     dim, k = state.dim, np.shape(new_vectors)[1]
-    if buffer.filled != dim:
-        raise InvalidArgumentError(f"only the newest state of a chain grows: this state has "
-                                   f"{dim} basis columns, the newest {buffer.filled}")
-    if buffer.data.shape[1] < dim + k:
+    if state.data.shape[1] < dim + k:
         _admit_basis(pencil.n, dim + k)
         raise InvalidArgumentError(f"a basis of {dim} columns grown by {k} outgrows the "
-                                   f"{buffer.data.shape[1]} columns reserved for its chain")
-    out = buffer.data[:, dim:dim + k]
+                                   f"{state.data.shape[1]} columns reserved for its chain")
+    out = state.data[:, dim:dim + k]
     if not np.shares_memory(out, new_vectors):
         np.copyto(out, new_vectors)
     accepted = linalg.b_orthonormalize(out, pencil.mass, state.basis)
@@ -454,21 +427,20 @@ def _grow(state: IterationState, new_vectors) -> IterationState:
     corner = 0.5 * (corner + corner.T)
     end = dim * (dim + 1) // 2
     for r in range(m - dim):  # row dim + r, behind the rows already written
-        row = buffer.projected[end:end + dim + r + 1]
+        row = state.projected[end:end + dim + r + 1]
         row[:dim] = cross[:, r]
         row[dim:] = corner[r, :r + 1]
         end += dim + r + 1
-    eig = linalg.dense_symmetric_eig(buffer.projected[:end], buffer.operand)
+    eig = linalg.dense_symmetric_eig(state.projected[:end], state.operand)
 
-    buffer.filled = m
-    basis = buffer.data[:, :m]
-
+    basis = state.data[:, :m]
     c = state.cluster
     coeffs = np.array(eig.vectors[:, :c.last], order="C")  # row-major, as basis_times wants
     U = linalg.basis_times(basis, coeffs[:, c.first - 1 :])
     MU = pencil.mass @ U
     R = eig.values[c.first - 1 : c.last] * MU - pencil.stiffness @ U
-    return IterationState(c, basis, eig.values, coeffs, U, MU, R, buffer)
+    state._hold(basis, eig.values, coeffs, U, MU, R)
+    return state
 
 
 def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
@@ -487,7 +459,8 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     iterations; partial results are returned either way.  The pre-flight
     runs before any eigensolve: ``_check_startup`` (the restart dimension,
     the pencil, the cluster end and the startup block), then ``LocalBlocks``
-    (InvalidArgumentError unless ``decomp`` fits the fine mesh), then
+    (InvalidArgumentError unless ``decomp`` covers the fine mesh and holds
+    no other dof), then
     ``build_coarse_piece``, whose ProblemTooLargeError comes before its
     coarse eigensolve.  Later a trial basis or its projected eigensolve may
     outgrow physical memory (ProblemTooLargeError), and a projected
@@ -502,7 +475,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
         return out
 
-    # before any eigensolve, so that a decomposition outside the fine mesh fails first
+    # before any eigensolve, so that a decomposition that misfits the fine mesh fails first
     blocks = clocked("local_blocks", schwarz.LocalBlocks, hier.fine, decomp)
     mass_solver = linalg.mass_chebyshev(pencil.mass)
     # The coarse piece comes before the startup: built after it, the peak RSS of the

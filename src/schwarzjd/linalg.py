@@ -282,9 +282,13 @@ def high_water_mark() -> int:
     ``ru_maxrss`` (bytes on macOS, KiB elsewhere), which counts the launching process's RSS."""
     try:
         with open("/proc/self/status") as fh:
-            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+            hwm = next((int(line.split()[1]) * 1024 for line in fh
+                        if line.startswith("VmHWM:")), None)
     except FileNotFoundError:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+        hwm = None
+    if hwm is not None:
+        return hwm
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
 
 
 def mapped_zeros(n: int, k: int) -> np.ndarray:

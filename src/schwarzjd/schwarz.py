@@ -127,7 +127,7 @@ class LocalBlocks:
     key.
 
     Raises InvalidArgumentError when a dof of ``decomp`` is not a dof of
-    ``mesh``.
+    ``mesh``, or a dof of ``mesh`` lies in no subdomain of ``decomp``.
     """
 
     def __init__(self, mesh: Mesh, decomp: Decomposition):
@@ -138,6 +138,10 @@ class LocalBlocks:
         if np.any(dofs >= self.n):
             raise InvalidArgumentError(
                 f"the decomposition holds dof {dofs.max()}, the mesh only {self.n} dofs")
+        uncovered = self.n - np.count_nonzero(np.bincount(dofs, minlength=self.n))
+        if uncovered:
+            raise InvalidArgumentError(
+                f"the decomposition leaves {uncovered} of the mesh's {self.n} dofs in no subdomain")
         sizes = np.diff(offsets)
         local = mesh.dof_lattice()[dofs]  # then less its subdomain's lower-left corner
         local -= np.repeat(np.minimum.reduceat(local, offsets[:-1], axis=0), sizes, axis=0)

@@ -366,6 +366,8 @@ class TestRunCommand:
         assert summary["converged"] is True
         assert summary["gamma"] is None or summary["gamma"] < 1.0
         assert summary["subdomain_count"] == 16
+        # overlap 0.25 of a coarse cell, 2^(4 - 2) fine cells wide: one fine layer
+        assert summary["overlap_layers"] == 1
         assert len(summary["basis_dims"]) == summary["iterations"] + 1
         # the process held at least the final trial basis
         basis_mib = 8 * summary["dof_count"] * summary["basis_dims"][-1] / 2**20

@@ -1,3 +1,4 @@
+import io
 import resource
 
 import numpy as np
@@ -356,6 +357,20 @@ class TestHighWaterMark:
         monkeypatch.setattr(linalg, "open", missing, raising=False)
         kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert kib * 1024 <= linalg.high_water_mark() <= (kib + 1024) * 1024
+
+    def test_reads_ru_maxrss_where_the_status_file_lacks_vmhwm(self, monkeypatch):
+        opened = []
+
+        def without_vmhwm(path, *args, **kwargs):
+            opened.append(path)
+            if path == "/proc/self/status":  # as a kernel without the field writes it
+                return io.StringIO("Name:\tpython3\nVmPeak:\t  9999 kB\nVmRSS:\t  1024 kB\n")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "open", without_vmhwm, raising=False)
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert kib * 1024 <= linalg.high_water_mark() <= (kib + 1024) * 1024
+        assert opened == ["/proc/self/status"]
 
 
 def no_basis(pencil):

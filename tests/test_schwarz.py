@@ -162,6 +162,16 @@ class TestLocalBlocks:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got.dofs.dtype == want.dofs.dtype and np.array_equal(got.dofs, want.dofs)
 
+    def test_decomposition_that_does_not_cover_the_mesh_rejected(self):
+        # square 2/5 less subdomain 5 of 16: 25 of the 961 dofs lie in no subdomain
+        hier = build_hierarchy(DomainShape.SQUARE, 2, 5)
+        sets = build_decomposition(hier, 0.25).subdomains
+        with pytest.raises(InvalidArgumentError, match="leaves 25 of the mesh's 961 dofs in no"):
+            LocalBlocks(hier.fine, decomposition(sets[:5] + sets[6:]))
+        empty = Decomposition(dofs=np.empty(0, dtype=np.int64), offsets=[0], overlap_layers=1)
+        with pytest.raises(InvalidArgumentError, match="leaves 961 of the mesh's 961 dofs in no"):
+            LocalBlocks(hier.fine, empty)
+
 
 def reference_bands(pencil, dofs):
     """The lower bands of K[d][:, d] and M[d][:, d], each diagonal zero-padded at its
@@ -249,7 +259,8 @@ def test_banded_class_factorization_matches_the_dense_kernel(x0, y0, width, heig
     xs = slice(None, cw) if corner % 2 == 0 else slice(width - cw, None)
     box[ys, xs] = False
     dofs = mesh.dof_grid[1 + y0:1 + y0 + height, 1 + x0:1 + x0 + width][box]
-    blocks = LocalBlocks(mesh, decomposition([dofs]))
+    rest = np.setdiff1d(np.arange(mesh.n_dofs), dofs)  # a trailing set covers the mesh
+    blocks = LocalBlocks(mesh, decomposition([dofs, rest]))
     K, M = blocks.k_blocks[0], blocks.m_blocks[0]
     want_k, want_m = reference_bands(pencil, dofs)
     assert K.tobytes() == want_k.tobytes() and M.tobytes() == want_m.tobytes()
@@ -319,22 +330,24 @@ def lattice_boxes(mesh, boxes):
 
 @pytest.mark.parametrize("dense_limit", [0, linalg.DENSE_LIMIT], ids=["sparse", "dense"])
 @settings(max_examples=20, deadline=None, derandomize=True)
-# the local pencils of these sets have no eigenvalue below 37.06 or in
-# (70, 73.13): shifts in the first range leave every class positive
-# definite, those in the second make the 3 x 3 class indefinite
+# the local pencils of the five boxes have no eigenvalue below 37.06 or in
+# (70, 73.13): shifts in the first range leave each box's class positive
+# definite, those in the second make the 3 x 3 class indefinite; the
+# trailing set's pencil is positive definite only below 2.309
 @given(shift=st.one_of(st.floats(-50.0, 30.0), st.floats(40.0, 70.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_batched_local_solve_on_unsorted_overlapping_sets(dense_limit, shift, seed):
     hier, pencil, _, _ = problem(DomainShape.SQUARE)
     # overlapping sets in no lattice order: a 2 x 2 box, a row of three and a
     # 3 x 3 box, then translates of the first two, so that the two-member
-    # classes interleave with a single-member one
-    decomp = decomposition(lattice_boxes(hier.fine, [
-        (1, 2, 1, 2), (2, 4, 2, 2), (2, 4, 2, 4), (3, 4, 3, 4), (3, 5, 4, 4)]))
+    # classes interleave with a single-member one; a trailing set covers the mesh
+    sets = lattice_boxes(hier.fine, [
+        (1, 2, 1, 2), (2, 4, 2, 2), (2, 4, 2, 4), (3, 4, 3, 4), (3, 5, 4, 4)])
+    decomp = decomposition([*sets, np.setdiff1d(np.arange(pencil.n), np.concatenate(sets))])
     no_coarse = build_coarse_piece(hier, hier.coarse.n_dofs)
     with mock.patch.object(linalg, "DENSE_LIMIT", dense_limit):
         prec = prepare(LocalBlocks(hier.fine, decomp), no_coarse, [shift])
-    assert prec._blocks.class_of == [0, 1, 2, 0, 1]
+    assert prec._blocks.class_of == [0, 1, 2, 0, 1, 3]
     rho = np.random.default_rng(seed).standard_normal(pencil.n)
     assert_batched_local_solve_matches_loop(prec, decomp, rho)
 

@@ -104,14 +104,16 @@ class ExperimentConfig:
         return cluster, solver_config, shape
 
 
-def fit_gamma(trace, discrete_values, first: int, last: int) -> float | None:
+def fit_gamma(trace, reference) -> float | None:
     """Geometric-mean reduction factor of the total cluster eigenvalue error.
 
-    Ratios are taken between consecutive total errors from the second
-    iteration on, skipping iterations whose error has decayed into roundoff
-    (below 1e-10 of the summed reference values), where ratios are noise.
+    The error of a trace row is the sum of its values less ``reference``,
+    the cluster's reference values m..M.  Ratios are taken between
+    consecutive total errors from the second iteration on, skipping
+    iterations whose error has decayed into roundoff (below 1e-10 of the
+    summed reference values), where ratios are noise.
     """
-    lam_h = np.asarray(discrete_values)[first - 1 : last]
+    lam_h = np.asarray(reference)
     errors = [float(np.sum(rec.values - lam_h)) for rec in trace]
     floor = 1e-10 * float(np.sum(np.abs(lam_h)))
     ratios = []
@@ -209,9 +211,7 @@ def _run(config: ExperimentConfig) -> tuple[int, SolverReport]:
 
     analytic, discrete = _reference_values(shape, pencil, config.M)
     reference = analytic if analytic is not None else discrete
-    gamma = None
-    if discrete is not None:
-        gamma = fit_gamma(report.trace, discrete, config.m, config.M)
+    gamma = None if discrete is None else fit_gamma(report.trace, discrete[config.m - 1:])
 
     head, rows = _trace_rows(report)
     _write_table(out / "trace", head, rows, config.format)
@@ -229,6 +229,7 @@ def _run(config: ExperimentConfig) -> tuple[int, SolverReport]:
         "final_stop_norm": report.stop_norm,
         "exact_stop_solves": sum(not math.isnan(rec.stop_norm) for rec in report.trace),
         "gamma": gamma,
+        "gamma_final": fit_gamma(report.trace, report.values),
         "coarse_dofs": hier.coarse.n_dofs,
         "deflated_dim": report.deflated_dim,
         "basis_dims": [rec.basis_dim for rec in report.trace],

@@ -29,6 +29,9 @@ initialization-mesh eigenvalues.  Each outer iteration then
      tolerance or the state is the run's last; convergence is declared from
      the exact norm alone.
 
+``iterate`` is the run: it yields each state with its trace row after the
+stop test and returns the report; ``solve`` runs it to its end.
+
 One private routine, ``_grow``, is the only Rayleigh-Ritz step: it
 mass-orthonormalizes new vectors against the trial basis, borders the
 projected stiffness matrix by the accepted columns and solves the small
@@ -64,7 +67,7 @@ call, about 28 dim^2 bytes in all; the startup block takes 24 n last.
 ``linalg.admit`` refuses each, before it is allocated, when it exceeds
 physical memory.  ``_check_startup`` is the one statement of what a
 start-up needs, the startup block among it; ``initialize`` calls it before
-its eigensolve, and ``solve`` calls it first of all.
+its eigensolve, and ``iterate`` calls it first of all.
 
 Ritz values decrease monotonically and never fall below the fine discrete
 eigenvalues; the per-iteration value drift (the sum of absolute Ritz value
@@ -77,6 +80,7 @@ where it was computed, the exact stop norm.
 from __future__ import annotations
 
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +100,7 @@ __all__ = [
     "rayleigh_ritz",
     "stop_norm",
     "stop_bounds",
+    "iterate",
     "solve",
 ]
 
@@ -337,7 +342,7 @@ def stop_norm(residual: np.ndarray, solve_mass) -> float:
 
     Returns sqrt(sum_i rho_i' M^{-1} rho_i) over the columns rho_i of
     ``residual``, with M the matrix that the function ``solve_mass`` solves
-    against: the Chebyshev solve of ``linalg.mass_chebyshev`` that ``solve``
+    against: the Chebyshev solve of ``linalg.mass_chebyshev`` that ``iterate``
     uses, which agrees with an exact solve to about 1e-14 relative.  Raises
     InvalidArgumentError, before any solve, unless ``residual`` is 2-D.
     """
@@ -443,8 +448,8 @@ def _grow(state: IterationState, new_vectors) -> IterationState:
     return state
 
 
-def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
-          cluster: ClusterSpec, config: SolverConfig) -> SolverReport:
+def iterate(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition, cluster: ClusterSpec,
+            config: SolverConfig) -> Generator[tuple[IterationState, TraceRecord], None, SolverReport]:
     """Run the full iteration until the stop norm falls below the tolerance.
 
     Each state, from the startup state on, gets one stop test and one trace
@@ -452,7 +457,9 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
     exact norm (``stop_norm``, one Chebyshev block solve with M) only when
     the lower bound is below the tolerance or the row is the run's last, so
     only an exact norm ends the run and ``SolverReport.stop_norm`` is always
-    exact.
+    exact.  Each state is then yielded with its row, as ``(state, record)``;
+    it is the chain, which the next step grows in place, so a caller that
+    holds one across a thick restart keeps the old basis alive.
 
     Returns a report flagged non-converged when ``max_iter`` is exhausted and
     stagnated when Rayleigh-Ritz accepts no new column in three consecutive
@@ -501,6 +508,7 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
             stop_upper=upper, value_drift=drift, basis_dim=state.dim, clamped_shifts=clamped,
             ldlt_fallbacks=fallbacks, wall_ms=(time.perf_counter() - wall_start) * 1e3,
         ))
+        yield state, trace[-1]
         if sn < config.tol or last_row:
             break
         prec = clocked("prepare", schwarz.prepare, blocks, coarse, values)
@@ -531,3 +539,14 @@ def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
         trace=trace,
         timings=timings,
     )
+
+
+def solve(hier: MeshHierarchy, pencil: fem.SparsePencil, decomp: Decomposition,
+          cluster: ClusterSpec, config: SolverConfig) -> SolverReport:
+    """Run ``iterate`` to its end and return its report, holding none of its states."""
+    run = iterate(hier, pencil, decomp, cluster, config)
+    try:
+        while True:
+            next(run)
+    except StopIteration as end:
+        return end.value

@@ -106,7 +106,7 @@ def build_coarse_piece(hier: MeshHierarchy, cluster_cut: int) -> CoarsePiece:
 class LocalBlocks:
     """Subdomain operators, one pair (K_l, M_l) per class of translated dof patterns.
 
-    ``solve`` builds them once and passes them to every ``prepare`` call.
+    ``eigensolver.iterate`` builds them once and passes them to every ``prepare`` call.
     ``n`` is the number of fine dofs.  ``class_of[l]`` is the class of
     subdomain l; ``k_blocks``/``m_blocks`` hold one pair per class, in order
     of first appearance.  The class key is the subdomain's dof pattern moved

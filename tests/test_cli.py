@@ -562,6 +562,7 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["dof_count"] == n
         oracle_column = [r[2] for r in read_csv(tmp_path / "final.csv")[1:]]
+        assert summary["gamma_final"] < 1.0  # every run states its rate
         if above:
             assert n not in sizes
             assert summary["gamma"] is None
@@ -570,6 +571,14 @@ class TestRunCommand:
             assert n in sizes
             assert summary["gamma"] is not None
             assert all(oracle_column)
+
+    @pytest.mark.parametrize("m, M", [(10, 14), (2, 4)])
+    def test_rate_against_the_final_values_matches_the_reference_rate(self, tmp_path, m, M):
+        code = main(["run", "--coarse", "2", "--fine", "5", "--m", str(m), "--M", str(M),
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert abs(summary["gamma_final"] - summary["gamma"]) <= 1e-4
 
 
 class TestSweepCommand:
@@ -741,7 +750,7 @@ class TestFitGamma:
 
         lam_h = np.array([1.0])
         trace = [Rec([1.0 + e]) for e in (1.0, 0.5, 0.25, 0.125)]
-        gamma = fit_gamma(trace, lam_h, 1, 1)
+        gamma = fit_gamma(trace, lam_h)
         assert gamma == pytest.approx(0.5)
 
     def test_no_usable_ratio_returns_none(self):
@@ -751,7 +760,7 @@ class TestFitGamma:
 
         lam_h = np.array([1.0])
         trace = [Rec([1.0]), Rec([1.0])]
-        assert fit_gamma(trace, lam_h, 1, 1) is None
+        assert fit_gamma(trace, lam_h) is None
 
 
 def test_module_entry_point_runs_without_warnings():

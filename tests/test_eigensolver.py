@@ -19,6 +19,7 @@ from schwarzjd.eigensolver import (
     _thick_restart,
     correction_step,
     initialize,
+    iterate,
     rayleigh_ritz,
     solve,
     stop_bounds,
@@ -891,13 +892,15 @@ class TestSolve:
         assert pencil.n not in sizes
         assert "mass_factorization" not in report.timings
 
+    @pytest.mark.parametrize("run", [solve, lambda *args: next(iterate(*args))],
+                             ids=["solve", "iterate"])
     @pytest.mark.parametrize("inconsistency", ["negative-dof", "dof-past-the-end",
                                                "subdomain-dropped", "empty-decomposition",
                                                "pencil-of-another-level",
                                                "cluster-past-the-initialization-mesh",
                                                "restart-dimension-below-2M+1",
                                                "startup-block-beyond-memory"])
-    def test_inconsistent_inputs_rejected_before_any_eigensolve(self, small, inconsistency,
+    def test_inconsistent_inputs_rejected_before_any_eigensolve(self, small, inconsistency, run,
                                                                  monkeypatch):
         hier, pencil, decomp = small
         eigensolves = []
@@ -931,7 +934,7 @@ class TestSolve:
                 by = -1 if inconsistency == "negative-dof" else 1
                 decomp = Decomposition(dofs=decomp.dofs + by, offsets=decomp.offsets,
                                        overlap_layers=decomp.overlap_layers)
-            solve(hier, pencil, decomp, cluster, config)
+            run(hier, pencil, decomp, cluster, config)
         assert eigensolves == []
 
     def test_max_iter_reached_flags_non_convergence(self, small):
@@ -1066,3 +1069,35 @@ def test_bound_gate_changes_no_result(case, monkeypatch):
         else:
             assert g.stop_norm == e.stop_norm
     assert np.isfinite(gated.trace[-1].stop_norm)
+
+
+@pytest.mark.parametrize("case", _GATE_CASES, ids=lambda c: f"{c[0]}-{c[1]}/{c[2]}-{c[4]}..{c[5]}")
+def test_iterate_yields_the_states_that_solve_records(case):
+    """Converged, restarted, max_iter-bound and stagnated runs: walking ``iterate`` yields
+    one state per trace row of ``solve``, with that row, and returns its report."""
+    domain, coarse, fine, overlap, first, last, config = case
+    hier = build_hierarchy(DomainShape(domain), coarse, fine)
+    pencil = assemble(hier.fine)
+    args = hier, pencil, build_decomposition(hier, overlap), ClusterSpec(first, last), config
+    report = solve(*args)
+    run, records = iterate(*args), []
+    with pytest.raises(StopIteration) as end:
+        while True:
+            state, record = next(run)
+            records.append(record)
+    returned = end.value.value
+
+    def fields(rec):  # bit for bit, so a NaN stop norm matches only a NaN
+        return [np.asarray(getattr(rec, f.name)).tobytes()
+                for f in dataclasses.fields(rec) if f.name != "wall_ms"]
+
+    for mine, row in zip(records, report.trace, strict=True):
+        assert fields(mine) == fields(row)
+    assert state.cluster_vectors.tobytes() == report.vectors.tobytes()
+    assert all(a is b for a, b in zip(returned.trace, records, strict=True))
+    assert returned.values.tobytes() == report.values.tobytes()
+    assert returned.vectors.tobytes() == report.vectors.tobytes()
+    assert (returned.iterations, returned.converged, returned.stagnated, returned.deflated_dim) == (
+        report.iterations, report.converged, report.stagnated, report.deflated_dim)
+    assert np.float64(returned.stop_norm).tobytes() == np.float64(report.stop_norm).tobytes()
+    assert returned.timings.keys() == report.timings.keys()

@@ -32,8 +32,13 @@ def phases(*args):
     return float(head[1]), rows
 
 
-@pytest.mark.parametrize("args", [("square", "2", "4", "3"), ("square", "2", "4", "3", "x")],
-                         ids=["missing-M", "M-not-an-integer"])
+@pytest.mark.parametrize("args", [("square", "2", "4", "3"), ("square", "2", "4", "3", "x"),
+                                  ("square", "2", "4", "5", "3"),
+                                  ("square", "2", "4", "3", "5", "5"),
+                                  ("square", "4", "4", "3", "5"), ("circle", "2", "4", "3", "5")],
+                         ids=["missing-M", "M-not-an-integer", "m-above-M",
+                              "restart-dimension-below-2M+1", "coarse-not-below-fine",
+                              "unknown-domain"])
 def test_bad_arguments_exit_with_usage(args):
     done = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
                           timeout=300)

@@ -4,7 +4,8 @@
 
 The arguments are the domain, the coarse and fine levels, the cluster's
 first and last indices m and M, and an optional restart dimension; a
-missing or malformed one exits 2 with the usage line before any solve.
+missing or malformed one, or one the library rejects, exits 2 with the
+usage line and no traceback.
 
 Wraps the set-up calls, the phases of ``eigensolver.solve``, the
 Rayleigh-Ritz step ``_grow`` that startup, iterations and restarts share,
@@ -39,6 +40,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from schwarzjd import eigensolver, fem, linalg, mesh, schwarz  # noqa: E402
+from schwarzjd.errors import InvalidArgumentError  # noqa: E402
 
 PHASES = [(mesh, "build_hierarchy"), (mesh, "build_decomposition"), (fem, "assemble"),
           *[(schwarz, a) for a in ("build_coarse_piece", "LocalBlocks", "prepare")],
@@ -103,7 +105,7 @@ def wrap(owner, attr):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("domain", choices=[shape.value for shape in mesh.DomainShape])
+    parser.add_argument("domain")
     for name in ("coarse", "fine", "m", "M"):
         parser.add_argument(name, type=int)
     parser.add_argument("restart_dim", type=int, nargs="?")
@@ -111,11 +113,14 @@ def main():
     for owner, attr in PHASES:
         wrap(owner, attr)
     threading.Thread(target=sample, args=(0.002,), daemon=True).start()
-    hier = mesh.build_hierarchy(mesh.DomainShape(args.domain), args.coarse, args.fine)
-    pencil = fem.assemble(hier.fine)
-    report = eigensolver.solve(hier, pencil, mesh.build_decomposition(hier, 0.25),
-                               eigensolver.ClusterSpec(args.m, args.M),
-                               eigensolver.SolverConfig(restart_dim=args.restart_dim))
+    try:  # the library checks the arguments
+        hier = mesh.build_hierarchy(mesh.DomainShape(args.domain), args.coarse, args.fine)
+        pencil = fem.assemble(hier.fine)
+        report = eigensolver.solve(hier, pencil, mesh.build_decomposition(hier, 0.25),
+                                   eigensolver.ClusterSpec(args.m, args.M),
+                                   eigensolver.SolverConfig(restart_dim=args.restart_dim))
+    except InvalidArgumentError as error:
+        parser.error(str(error))
     dim = report.trace[-1].basis_dim
     print(f"iterations={report.iterations}  basis {dim} columns {8 * pencil.n * dim / 2**20:.1f} MiB"
           f"  hwm={mib(linalg.high_water_mark())}")
